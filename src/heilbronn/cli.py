@@ -126,6 +126,12 @@ def _load_lines(path: str):
     return cfg, cfg.points(), cfg.lines()
 
 
+def _nonempty(items, path: str):
+    if not items:
+        raise EmptyConfigurationError(f"{path}: no entries")
+    return items
+
+
 def _threads() -> int:
     try:
         return max(1, int(os.environ.get("HEILBRONN_THREADS", "1")))
@@ -143,8 +149,7 @@ def _cmd_gen(args) -> int:
         cfg = generate_vertical(args.delta, args.dim)
         write_config(args.output, cfg)
     elif kind == "bush":
-        pts, lines = generate_bush(args.delta, args.dim, args.bushes, args.seed)
-        reps = np.repeat(pts, [len(lines) // len(pts)] * len(pts), axis=0)
+        _, lines = generate_bush(args.delta, args.dim, args.bushes, args.seed)
         bases = np.array([ln.base for ln in lines])
         cfg = make_config(bases, lines, dim=args.dim)
         write_config(args.output, cfg)
@@ -224,11 +229,20 @@ def _cmd_conc(args) -> int:
         rows.append(f"points,{args.u or ''},{args.v or ''},{args.w},{val}")
     elif args.mode == "lines":
         _, _, lines = _load_lines(args.path)
-        if lines[0].dim == 3:
-            val = m_lines(lines, args.u, args.w)
-        else:
+        dim = _nonempty(lines, args.path)[0].dim
+        if args.u is not None and args.u > args.w:
+            raise ValueError("need u <= w")
+        if dim == 2:
             val = m_lines_2d(lines, args.w)
+        elif args.u is None:
+            print("usage error: --mode lines in 3D needs --u", file=sys.stderr)
+            return EXIT_USAGE
+        else:
+            val = m_lines(lines, args.u, args.w)
         rows.append(f"lines,{args.u},,{args.w},{val}")
+    elif args.u is None or args.v is None:
+        print("usage error: --mode config needs --u and --v", file=sys.stderr)
+        return EXIT_USAGE
     else:
         cfg = read_config(args.path)
         val = m_config(cfg, args.u, args.v, args.w)
@@ -240,7 +254,7 @@ def _cmd_conc(args) -> int:
 
 def _cmd_katz_tao(args) -> int:
     if args.path.endswith(".tubes"):
-        tubes = read_tubes(args.path)
+        tubes = _nonempty(read_tubes(args.path), args.path)
         dim = tubes[0].center.shape[0]
         centers = np.array([t.center for t in tubes])
         dirs = np.array([t.dir for t in tubes])
@@ -251,7 +265,7 @@ def _cmd_katz_tao(args) -> int:
             fit = katz_tao_fit((centers, dirs), args.delta, 3)
     else:
         _, _, lines = _load_lines(args.path)
-        fit = katz_tao_fit(lines, args.delta, lines[0].dim)
+        fit = katz_tao_fit(_nonempty(lines, args.path), args.delta, lines[0].dim)
     rows = [f"{u:.12g},{w:.12g},{m},{f:.12g}" for (u, w, m, f) in fit.residuals]
     exps = ";".join(f"{e:.6g}" for e in fit.exponents)
     _write_csv(args.output,
@@ -341,6 +355,7 @@ def _cmd_initial_est(args) -> int:
 
 def _cmd_double_count(args) -> int:
     cfg = read_config(args.path)
+    _nonempty(cfg.pairs, args.path)
     chk = double_count_check(cfg, args.w)
     _write_csv(args.output,
                ["line covering number against w * direction cover * point cover"],
@@ -368,7 +383,7 @@ def _cmd_two_ends(args) -> int:
 
 
 def _cmd_brush_check(args) -> int:
-    tubes = read_tubes(args.path)
+    tubes = _nonempty(read_tubes(args.path), args.path)
     dim = tubes[0].center.shape[0]
     shading = Shading.full(tubes) if args.density >= 1.0 else \
         Shading.random_fraction(tubes, args.density, args.seed)

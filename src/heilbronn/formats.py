@@ -7,6 +7,8 @@ significant digits so round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .configurations import PointLineConfiguration, PointLinePair
@@ -58,7 +60,10 @@ def read_points(path: str) -> np.ndarray:
         vals = line.split()
         if len(vals) != dim:
             raise FormatError(f"{path}:{ln}: expected {dim} coordinates")
-        rows.append([float(v) for v in vals])
+        row = [float(v) for v in vals]
+        if not all(map(math.isfinite, row)):
+            raise FormatError(f"{path}:{ln}: non-finite coordinate")
+        rows.append(row)
     if len(rows) != count:
         raise FormatError(f"{path}: header declares n={count}, found {len(rows)}")
     return np.array(rows)
@@ -82,6 +87,8 @@ def _parse_plc_line(line: str, dim: int, path: str, ln: int):
     p = np.array([float(x) for x in vals[1:dim + 1]])
     q = np.array([float(x) for x in vals[dim + 2:2 * dim + 2]])
     v = np.array([float(x) for x in vals[2 * dim + 3:]])
+    if not np.isfinite(np.concatenate((p, q, v))).all():
+        raise FormatError(f"{path}:{ln}: non-finite coordinate")
     return p, q, v
 
 
@@ -196,11 +203,15 @@ def validate_tubes_file(path: str) -> list[str]:
             out.append(f"{path}:{ln}: expected 'c <{dim}> v <{dim}> w <w> l <l>'")
             continue
         try:
+            c = np.array([float(x) for x in vals[1:dim + 1]])
             v = np.array([float(x) for x in vals[dim + 2:2 * dim + 2]])
             w = float(vals[2 * dim + 3])
             length = float(vals[2 * dim + 5])
         except ValueError:
             out.append(f"{path}:{ln}: non-numeric field")
+            continue
+        if not np.isfinite([*c, *v, w, length]).all():
+            out.append(f"{path}:{ln}: non-finite field")
             continue
         if abs(np.linalg.norm(v) - 1.0) > UNIT_READ_TOL:
             out.append(f"{path}:{ln}: direction norm is not unit")

@@ -271,10 +271,9 @@ def measure_family(family: str, rung, seed: int = 0, **kw) -> float:
     """Measured quantity for one (family, rung, seed) experiment cell.
 
     Families: 'vertical_count' (|X| vs delta), 'pipeline_area' (triangle
-    area vs n), 'anneal_distance_count' (largest n with annealed minimal
-    distance above the rung delta is expensive; instead reports the annealed
-    minimal distance at fixed n = rung), 'anneal_triangle' (annealed minimal
-    triangle area at n = rung).
+    area vs n), 'anneal_distance' (annealed minimal distance at fixed
+    n = rung), 'anneal_triangle' (annealed minimal triangle area at
+    n = rung).
     """
     if family == "vertical_count":
         return float(len(generate_vertical(float(rung), kw.get("dim", 3))))

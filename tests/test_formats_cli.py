@@ -214,3 +214,91 @@ class TestCli:
                              capture_output=True, text=True)
         assert res.returncode == 0
         assert "two-ends" in res.stdout
+
+
+def _cli(*argv):
+    """Run the CLI in a fresh process; (exit code, stderr)."""
+    res = subprocess.run([sys.executable, "-m", "heilbronn.cli", *argv],
+                         capture_output=True, text=True, timeout=300)
+    return res.returncode, res.stderr
+
+
+def _write(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+    return str(path)
+
+
+class TestHardenedInputs:
+    def test_read_points_rejects_non_finite_with_line_number(self, tmp_path):
+        for bad in ("nan", "inf", "-inf"):
+            path = _write(tmp_path / "p.pts",
+                          f"pts v1 dim=2 n=2\n0.1 0.2\n0.3 {bad}\n")
+            with pytest.raises(FormatError, match=r"p\.pts:3: non-finite"):
+                read_points(path)
+
+    def test_non_finite_plc_point_flagged(self, tmp_path):
+        path = _write(tmp_path / "n.plc", "plc v1 dim=2 n=1\np nan 0.5 q 0.5 0 v 0 1\n")
+        violations = validate_config_file(path)
+        assert len(violations) == 1 and "n.plc:2: non-finite" in violations[0]
+
+    @pytest.mark.parametrize("line", [
+        "c nan 0.5 v 1 0 w 0.01 l 1",
+        "c 0.5 0.5 v 1 0 w 0.01 l inf",
+        "c 0.5 0.5 v 1 0 w nan l 1",
+    ])
+    def test_non_finite_tube_field_flagged(self, tmp_path, line):
+        path = _write(tmp_path / "n.tubes", f"tubes v1 dim=2 n=1\n{line}\n")
+        assert any("n.tubes:2: non-finite" in v for v in validate_file(path))
+
+    def test_nan_points_exit_three(self, tmp_path):
+        pts = _write(tmp_path / "nan.pts",
+                     "pts v1 dim=2 n=4\n0.1 0.1\nnan 0.5\n0.9 0.2\n0.4 0.8\n")
+        rc, err = _cli("min-triangle", "-p", pts, "-o", str(tmp_path / "t.csv"))
+        assert rc == 3 and "nan.pts:3" in err and "Traceback" not in err
+        rc, err = _cli("validate", pts)
+        assert rc == 3 and "Traceback" not in err
+
+    def test_nan_tube_centre_exit_three(self, tmp_path):
+        tub = _write(tmp_path / "nan.tubes", "tubes v1 dim=2 n=2\n"
+                     "c nan 0.5 v 1 0 w 0.01 l 1\nc 0.5 0.5 v 0 1 w 0.01 l 1\n")
+        rc, err = _cli("validate", tub)
+        assert rc == 3 and "Traceback" not in err
+        rc, err = _cli("brush-check", "-t", tub, "-o", str(tmp_path / "b.csv"))
+        assert rc == 3 and "Traceback" not in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("conc", "--mode", "lines", "--u", "0.1", "--w", "0.2", "-p"),
+        ("katz-tao", "--delta", "0.125", "-p"),
+        ("double-count", "--w", "0.1", "-p"),
+    ])
+    def test_empty_configuration_exit_three(self, tmp_path, argv):
+        plc = _write(tmp_path / "empty.plc", "plc v1 dim=3 n=0\n")
+        rc, err = _cli(*argv, plc, "-o", str(tmp_path / "o.csv"))
+        assert rc == 3 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("katz-tao", "--delta", "0.125", "-p"),
+        ("brush-check", "-t"),
+    ])
+    def test_empty_tubes_exit_three(self, tmp_path, argv):
+        tub = _write(tmp_path / "empty.tubes", "tubes v1 dim=2 n=0\n")
+        rc, err = _cli(*argv, tub, "-o", str(tmp_path / "o.csv"))
+        assert rc == 3 and "Traceback" not in err
+
+    def test_conc_lines_2d_rejects_u_above_w(self, tmp_path):
+        plc = str(tmp_path / "g.plc")
+        assert main(["gen", "st-grid", "--count", "8", "-o", plc]) == 0
+        rc, err = _cli("conc", "-p", plc, "--mode", "lines", "--u", "0.5",
+                       "--w", "0.1", "-o", str(tmp_path / "c.csv"))
+        assert rc == 3 and "u <= w" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--mode", "lines", "--w", "0.1"),
+        ("--mode", "config", "--u", "0.1", "--w", "0.1"),
+    ])
+    def test_conc_missing_scale_exit_two(self, tmp_path, argv):
+        plc = str(tmp_path / "v.plc")
+        assert main(["gen", "vertical", "--delta", "0.125", "--dim", "3", "-o", plc]) == 0
+        rc, err = _cli("conc", "-p", plc, *argv, "-o", str(tmp_path / "c.csv"))
+        assert rc == 2 and "Traceback" not in err

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.optimize import brentq
 
-from heilbronn.kernels import bump_profile, eta_kernel, kernel_floor, line_pair_weight
+from heilbronn.kernels import (
+    _chi_mass,
+    _smoothstep_down,
+    _sphere_surface,
+    bump_profile,
+    eta_kernel,
+    kernel_floor,
+    line_pair_weight,
+)
 
 
 @pytest.fixture(scope="module", params=[2, 3])
@@ -87,3 +96,53 @@ class TestLineProfile:
         assert floor > 0
         prof = bump_profile(3)
         assert float(prof.line_profile(c)) >= floor
+
+
+def _dense_profile(dim):
+    """Reference build: every table cell evaluated on the full (a, rho) grid."""
+    R = brentq(lambda s: _chi_mass(s, dim) - 1.0, 0.2, 1.9, xtol=1e-13)
+    r1 = R / 2.0
+
+    def chi(r):
+        u = (r - r1) / (R - r1)
+        return np.where(r <= r1, 1.0, np.where(r >= R, 0.0, _smoothstep_down(u)))
+
+    support = 1.5 * R
+    tgrid = np.linspace(0.0, support * 1.02, 321)
+    na, nb = 321, 201
+    a = np.linspace(-R, support + R / 2, na)
+    if dim == 3:
+        rho = np.linspace(0.0, R, nb)
+        A, Rho = np.meshgrid(a, rho, indexing="ij")
+        first = chi(np.sqrt(A**2 + Rho**2))
+        ring = 2 * np.pi * Rho
+        vals = np.empty_like(tgrid)
+        for i, t in enumerate(tgrid):
+            second = chi(2.0 * np.sqrt((t - A) ** 2 + Rho**2)) * 8.0
+            vals[i] = simpson(simpson(first * second * ring, x=rho, axis=1), x=a)
+    else:
+        b = np.linspace(0.0, R, nb)
+        A, Bm = np.meshgrid(a, b, indexing="ij")
+        first = chi(np.sqrt(A**2 + Bm**2))
+        vals = np.empty_like(tgrid)
+        for i, t in enumerate(tgrid):
+            second = chi(2.0 * np.sqrt((t - A) ** 2 + Bm**2)) * 4.0
+            vals[i] = 2.0 * simpson(simpson(first * second, x=b, axis=1), x=a)
+    mass = _sphere_surface(dim) * float(simpson(vals * tgrid ** (dim - 1), x=tgrid))
+
+    taugrid = np.linspace(0.0, support * 1.02, 481)
+    sigma = np.linspace(0.0, support * 1.02, 2001)
+    G = np.empty_like(taugrid)
+    for i, tau in enumerate(taugrid):
+        radii = np.sqrt(tau**2 + sigma**2)
+        G[i] = 2.0 * float(np.trapezoid(np.interp(radii, tgrid, vals, right=0.0), sigma))
+    return dict(plateau_radius=r1, support_radius=R, eta_mass=mass, eta_grid=tgrid,
+                eta_values=vals, line_grid=taugrid, line_values=G)
+
+
+def test_support_restricted_build_is_bit_identical(profile):
+    want = _dense_profile(profile.dim)
+    for name in ("support_radius", "plateau_radius", "eta_mass"):
+        assert getattr(profile, name) == want[name], name
+    for name in ("eta_grid", "eta_values", "line_grid", "line_values"):
+        assert np.array_equal(getattr(profile, name), want[name]), name
