@@ -36,6 +36,7 @@ from .concentration import (
 )
 from .configurations import (
     EmptyConfigurationError,
+    UndefinedInputError,
     generate_bush,
     generate_erdos_parabola,
     generate_plane_example,
@@ -132,6 +133,12 @@ def _nonempty(items, path: str):
     return items
 
 
+def _enough_points(P: np.ndarray, need: int, path: str, command: str) -> np.ndarray:
+    if P.shape[0] < need:
+        raise UndefinedInputError(f"{path}: {P.shape[0]} points, {command} needs at least {need}")
+    return P
+
+
 def _threads() -> int:
     try:
         return max(1, int(os.environ.get("HEILBRONN_THREADS", "1")))
@@ -200,7 +207,7 @@ def _cmd_dx(args) -> int:
 
 
 def _cmd_min_triangle(args) -> int:
-    P = read_points(args.path)
+    P = _enough_points(read_points(args.path), 3, args.path, "min-triangle")
     w = min_triangle_brute(P) if args.method == "brute" else min_triangle_fast(P)
     rows = [f"{w.area:.17g},{w.indices[0]},{w.indices[1]},{w.indices[2]},{args.method}"]
     _write_csv(args.output, ["minimal triangle area over all index triples"],
@@ -209,7 +216,7 @@ def _cmd_min_triangle(args) -> int:
 
 
 def _cmd_pair_pipeline(args) -> int:
-    P = read_points(args.path)
+    P = _enough_points(read_points(args.path), 8, args.path, "pair-pipeline")
     witness, rep = triangle_via_pointline(P)
     rows = [f"{witness.area:.17g},{witness.indices[0]},{witness.indices[1]},"
             f"{witness.indices[2]},{rep.n_pairs},{rep.config_distance:.17g},"

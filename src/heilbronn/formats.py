@@ -66,7 +66,7 @@ def read_points(path: str) -> np.ndarray:
         rows.append(row)
     if len(rows) != count:
         raise FormatError(f"{path}: header declares n={count}, found {len(rows)}")
-    return np.array(rows)
+    return np.array(rows, dtype=float).reshape(count, dim)
 
 
 def write_config(path: str, config: PointLineConfiguration) -> None:

@@ -183,19 +183,9 @@ def _min_triangle_value(P: np.ndarray) -> tuple[float, tuple[int, int, int]]:
 
 def _min_with_vertex(P: np.ndarray, k: int) -> float:
     """Minimal triangle area among triples containing vertex k."""
-    n = P.shape[0]
-    others = np.delete(np.arange(n), k)
-    B = P[others] - P[k]
-    if P.shape[1] == 2:
-        C = np.abs(np.multiply.outer(B[:, 0], B[:, 1])
-                   - np.multiply.outer(B[:, 1], B[:, 0]))
-    else:
-        cx = np.multiply.outer(B[:, 1], B[:, 2]) - np.multiply.outer(B[:, 2], B[:, 1])
-        cy = np.multiply.outer(B[:, 2], B[:, 0]) - np.multiply.outer(B[:, 0], B[:, 2])
-        cz = np.multiply.outer(B[:, 0], B[:, 1]) - np.multiply.outer(B[:, 1], B[:, 0])
-        C = np.sqrt(cx * cx + cy * cy + cz * cz)
-    iu, ju = np.triu_indices(B.shape[0], 1)
-    return float(C[iu, ju].min()) / 2.0
+    from .triangles import _pair_cross_blocks, _upper_argmin
+    B = np.delete(P, k, axis=0) - P[k]
+    return _upper_argmin(_pair_cross_blocks(B), np.tri(B.shape[0], dtype=bool))[2] / 2.0
 
 
 def anneal_max_triangle(n: int, dim: int, schedule: AnnealSchedule,

@@ -12,7 +12,9 @@ minimal distance.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -52,13 +54,44 @@ def triangle_area(a, b, c) -> float:
 
 def _pair_cross_blocks(B: np.ndarray):
     """Pairwise |B_j x B_k| for all j, k rows of B (2D scalar or 3D norm)."""
+    def cross(a, b):
+        c = np.multiply.outer(B[:, a], B[:, b])
+        c -= np.multiply.outer(B[:, b], B[:, a])
+        return c
+
     if B.shape[1] == 2:
-        C = np.multiply.outer(B[:, 0], B[:, 1]) - np.multiply.outer(B[:, 1], B[:, 0])
-        return np.abs(C)
-    cx = np.multiply.outer(B[:, 1], B[:, 2]) - np.multiply.outer(B[:, 2], B[:, 1])
-    cy = np.multiply.outer(B[:, 2], B[:, 0]) - np.multiply.outer(B[:, 0], B[:, 2])
-    cz = np.multiply.outer(B[:, 0], B[:, 1]) - np.multiply.outer(B[:, 1], B[:, 0])
-    return np.sqrt(cx * cx + cy * cy + cz * cz)
+        cz = cross(0, 1)
+        return np.abs(cz, out=cz)
+    # in place, in the operation order of sqrt(cx*cx + cy*cy + cz*cz)
+    cx, cy, cz = cross(1, 2), cross(2, 0), cross(0, 1)
+    cx *= cx
+    cy *= cy
+    cx += cy
+    cz *= cz
+    cx += cz
+    return np.sqrt(cx, out=cx)
+
+
+@lru_cache(maxsize=32)
+def _triu_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only np.triu_indices(m, 1), built once per size."""
+    ju, ku = np.triu_indices(m, 1)
+    ju.flags.writeable = ku.flags.writeable = False
+    return ju, ku
+
+
+def _upper_argmin(C: np.ndarray, lower: np.ndarray) -> tuple[int, int, float]:
+    """First row-major minimum of the square C over j < k, as (j, k, value).
+
+    `lower` is np.tri(M, dtype=bool) for some M >= len(C); its top-left block
+    masks the entries j >= k, which are overwritten with inf, so the first
+    minimum of the whole array is the lexicographically first upper one.
+    """
+    m = C.shape[0]
+    np.copyto(C, np.inf, where=lower[:m, :m])
+    pos = int(np.argmin(C))
+    j, k = divmod(pos, m)
+    return j, k, float(C[j, k])
 
 
 def min_triangle_brute(P) -> TriangleWitness:
@@ -67,18 +100,17 @@ def min_triangle_brute(P) -> TriangleWitness:
     n = P.shape[0]
     if n < 3:
         raise ValueError("need at least 3 points")
+    lower = np.tri(n - 1, dtype=bool)
     best2 = np.inf  # twice the best area
     witness = (0, 1, 2)
     for i in range(n - 2):
-        B = P[i + 1:] - P[i]
-        C = _pair_cross_blocks(B)
-        ju, ku = np.triu_indices(B.shape[0], 1)
-        vals = C[ju, ku]  # row-major over (j, k): lexicographic order
-        block_min = float(vals.min())
+        # C stays bound until the next block exists: freeing a large block
+        # first lets malloc hand its pages back, and the next one faults them in
+        C = _pair_cross_blocks(P[i + 1:] - P[i])
+        j, k, block_min = _upper_argmin(C, lower)
         if block_min < best2:
-            first = int(np.flatnonzero(vals == block_min)[0])
             best2 = block_min
-            witness = (i, i + 1 + int(ju[first]), i + 1 + int(ku[first]))
+            witness = (i, i + 1 + j, i + 1 + k)
     return TriangleWitness(indices=witness, area=best2 / 2.0)
 
 
@@ -185,7 +217,7 @@ def min_triangle_fast(P) -> TriangleWitness:
         extra_u, extra_v = [], []
         for g in big:
             members = np.unique(order[starts[g]:ends[g]] % m_ok)
-            ju, ku = np.triu_indices(members.size, 1)
+            ju, ku = _triu_pairs(members.size)
             extra_u.append(members[ju])
             extra_v.append(members[ku])
         if extra_u:
@@ -212,32 +244,62 @@ def min_triangle_fast(P) -> TriangleWitness:
     return TriangleWitness(indices=witness, area=float(best))
 
 
-def greedy_close_pairs(P, n_pairs: int | None = None):
-    """Extract floor(n/4) disjoint closest-available point pairs.
+def _nearest_alive(tree: cKDTree, P: np.ndarray, i: int, alive: np.ndarray):
+    """Heap entry (distance, i, j) for the nearest alive j != i, found by
+    querying the full tree with k doubling until an alive neighbour shows."""
+    n = P.shape[0]
+    k = 4
+    while True:
+        k = min(k, n)
+        dd, jj = tree.query(P[i], k=k)
+        hit = np.flatnonzero(alive[jj] & (jj != i))
+        if hit.size:
+            t = hit[0]
+            return float(dd[t]), i, int(jj[t])
+        k *= 2
 
-    Each round removes the exact closest remaining pair (nearest-neighbour
-    query over the survivors), matching the pigeonhole covering radius with
-    the remaining count.
-    Returns (pairs, distances) with pairs as (i, j) index tuples.
+
+def greedy_close_pairs(P, n_pairs: int | None = None):
+    """Extract floor(n/4) (or `n_pairs`) disjoint closest-available point pairs.
+
+    Each round removes the exact closest remaining pair, matching the
+    pigeonhole covering radius with the remaining count.  One kd-tree over
+    all points serves every round: a lazy heap holds, per alive point i, an
+    entry (distance, i, j) to a neighbour j that was its nearest alive one
+    when queried.  Points only die, so a popped entry whose i and j are both
+    alive is the exact closest remaining pair; an entry with a dead i is
+    dropped, and one with a dead j is re-queried for the nearest alive
+    neighbour other than i (excluded by index, so a duplicate point never
+    pairs with itself).  Among equal distances the smallest i wins.  Cost
+    about O(n log n), against O(n^2 log n) for a tree rebuilt each round.
+    Returns (pairs, distances) with pairs as (i, j) index tuples, i < j.
     """
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
     if n < 8:
         raise ValueError("need at least 8 points")
     m = n // 4 if n_pairs is None else n_pairs
+    if m > n // 2:
+        raise ValueError(f"n_pairs={m} exceeds n // 2 = {n // 2}")
+    tree = cKDTree(P)
+    dd, jj = tree.query(P, k=2)
+    # column 0 is i itself unless a duplicate of i came first
+    rows = np.arange(n)
+    col = (jj[:, 0] == rows).astype(np.intp)
+    heap = list(zip(dd[rows, col].tolist(), range(n), jj[rows, col].tolist()))
+    heapq.heapify(heap)
     alive = np.ones(n, dtype=bool)
     pairs: list[tuple[int, int]] = []
     dists: list[float] = []
-    idx_map = np.arange(n)
-    for _ in range(m):
-        live = idx_map[alive]
-        tree = cKDTree(P[live])
-        dd, jj = tree.query(P[live], k=2)
-        which = int(np.argmin(dd[:, 1]))
-        i_loc, j_loc = which, int(jj[which, 1])
-        i, j = int(live[i_loc]), int(live[j_loc])
+    while len(pairs) < m:
+        d, i, j = heapq.heappop(heap)
+        if not alive[i]:
+            continue
+        if not alive[j]:
+            heapq.heappush(heap, _nearest_alive(tree, P, i, alive))
+            continue
         pairs.append((min(i, j), max(i, j)))
-        dists.append(float(dd[which, 1]))
+        dists.append(d)
         alive[i] = alive[j] = False
     return pairs, np.array(dists)
 

@@ -37,6 +37,17 @@ def separated_config(n_target, dim, seed, K=8, levels=3, step=5):
     return make_config(pts, lines)
 
 
+def cross_block(B):
+    """Pairwise |B_j x B_k| over the rows of B, computed out of place: a
+    reference for triangles._pair_cross_blocks."""
+    if B.shape[1] == 2:
+        return np.abs(np.multiply.outer(B[:, 0], B[:, 1]) - np.multiply.outer(B[:, 1], B[:, 0]))
+    cx = np.multiply.outer(B[:, 1], B[:, 2]) - np.multiply.outer(B[:, 2], B[:, 1])
+    cy = np.multiply.outer(B[:, 2], B[:, 0]) - np.multiply.outer(B[:, 0], B[:, 2])
+    cz = np.multiply.outer(B[:, 0], B[:, 1]) - np.multiply.outer(B[:, 1], B[:, 0])
+    return np.sqrt(cx * cx + cy * cy + cz * cz)
+
+
 def random_lines(n, dim, seed):
     rng = np.random.default_rng(seed)
     return [Line(rng.uniform(0, 1, dim), rng.normal(size=dim)) for _ in range(n)]

@@ -302,3 +302,20 @@ class TestHardenedInputs:
         assert main(["gen", "vertical", "--delta", "0.125", "--dim", "3", "-o", plc]) == 0
         rc, err = _cli("conc", "-p", plc, *argv, "-o", str(tmp_path / "c.csv"))
         assert rc == 2 and "Traceback" not in err
+
+    def test_read_points_empty_keeps_dimension(self, tmp_path):
+        path = _write(tmp_path / "e.pts", "pts v1 dim=3 n=0\n")
+        assert read_points(path).shape == (0, 3)
+
+    @pytest.mark.parametrize("command,need,n", [
+        ("min-triangle", 3, 0),
+        ("min-triangle", 3, 2),
+        ("pair-pipeline", 8, 0),
+        ("pair-pipeline", 8, 7),
+    ])
+    def test_too_few_points_exit_three(self, tmp_path, command, need, n):
+        rows = "".join(f"{0.1 * t} {0.05 * t * t}\n" for t in range(n))
+        pts = _write(tmp_path / "few.pts", f"pts v1 dim=2 n={n}\n{rows}")
+        rc, err = _cli(command, "-p", pts, "-o", str(tmp_path / "o.csv"))
+        assert rc == 3 and "Traceback" not in err
+        assert f"few.pts: {n} points" in err and f"at least {need}" in err

@@ -5,12 +5,15 @@ from heilbronn.configurations import generate_erdos_parabola, generate_vertical,
     min_config_distance
 from heilbronn.search import (
     AnnealSchedule,
+    _min_with_vertex,
     anneal_max_distance,
     anneal_max_triangle,
     exponent_estimate,
     measure_family,
 )
 from heilbronn.triangles import min_triangle_brute
+
+from conftest import cross_block
 
 
 def short_schedule(seed, moves=300, epochs=20):
@@ -85,6 +88,16 @@ class TestAnnealTriangle:
         Pa = anneal_max_triangle(6, 2, s)
         Pb = anneal_max_triangle(6, 2, s)
         assert np.array_equal(Pa, Pb)
+
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_min_with_vertex_equals_triu_oracle(self, dim):
+        # reference: cross products of the other points seen from k, the
+        # strict upper triangle gathered by np.triu_indices
+        P = np.random.default_rng(dim).uniform(0, 1, (15, dim))
+        for k in (0, 7, 14):
+            C = cross_block(P[np.delete(np.arange(15), k)] - P[k])
+            assert _min_with_vertex(P, k) == float(C[np.triu_indices(14, 1)].min()) / 2.0
 
 
 class TestExponentEstimate:

@@ -3,14 +3,18 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from heilbronn.triangles import (
+    _triu_pairs,
     greedy_close_pairs,
     min_triangle_brute,
     min_triangle_fast,
     triangle_area,
     triangle_via_pointline,
 )
+
+from conftest import cross_block
 
 
 def permuted_brute(P, order):
@@ -23,6 +27,59 @@ def permuted_brute(P, order):
         if a < best or (a == best and (i, j, k) < witness):
             best, witness = a, (i, j, k)
     return best, witness
+
+
+def triu_brute(P):
+    """Reference brute force: per apex, the strict upper triangle of the
+    cross-product block gathered by np.triu_indices, first minimum wins."""
+    n = P.shape[0]
+    best2, witness = np.inf, (0, 1, 2)
+    for i in range(n - 2):
+        C = cross_block(P[i + 1:] - P[i])
+        ju, ku = np.triu_indices(C.shape[0], 1)
+        vals = C[ju, ku]
+        block_min = float(vals.min())
+        if block_min < best2:
+            first = int(np.flatnonzero(vals == block_min)[0])
+            best2 = block_min
+            witness = (i, i + 1 + int(ju[first]), i + 1 + int(ku[first]))
+    return witness, best2 / 2.0
+
+
+def rebuild_greedy_pairs(P, n_pairs=None):
+    """Reference greedy pairing: a kd-tree rebuilt over the survivors every
+    round, the first argmin of the nearest-neighbour distance wins."""
+    n = P.shape[0]
+    m = n // 4 if n_pairs is None else n_pairs
+    alive = np.ones(n, dtype=bool)
+    pairs, dists = [], []
+    for _ in range(m):
+        live = np.flatnonzero(alive)
+        dd, jj = cKDTree(P[live]).query(P[live], k=2)
+        which = int(np.argmin(dd[:, 1]))
+        i, j = int(live[which]), int(live[jj[which, 1]])
+        pairs.append((min(i, j), max(i, j)))
+        dists.append(float(dd[which, 1]))
+        alive[i] = alive[j] = False
+    return pairs, np.array(dists)
+
+
+def modular_moment_curve(p, dim, planar=False):
+    """(x, x^2 mod p[, x^3 mod p]) for x < p: integer points with many
+    exactly equal triangle areas.  `planar` sets the third coordinate to 0,
+    which keeps the 2D ties (the minimum among them) on the 3D code path."""
+    x = np.arange(p)
+    cols = [x, x**2 % p, 0 * x if planar else x**3 % p][:dim]
+    return np.stack(cols, axis=1).astype(float)
+
+
+def doubled_areas(P):
+    """Twice the area of every triple, as the brute force computes it."""
+    out = []
+    for i in range(P.shape[0] - 2):
+        C = cross_block(P[i + 1:] - P[i])
+        out.append(C[np.triu_indices(C.shape[0], 1)])
+    return np.concatenate(out)
 
 
 class TestBrute:
@@ -47,6 +104,26 @@ class TestBrute:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             min_triangle_brute(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("n", [3, 8, 64, 150])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equals_triu_oracle_random(self, n, dim):
+        P = np.random.default_rng(n + dim).uniform(0, 1, (n, dim))
+        w = min_triangle_brute(P)
+        assert (w.indices, w.area) == triu_brute(P)
+
+    @pytest.mark.parametrize("p", [31, 61, 127])
+    @pytest.mark.parametrize("dim,planar", [(2, False), (3, False), (3, True)])
+    def test_equals_triu_oracle_ties(self, p, dim, planar):
+        P = modular_moment_curve(p, dim, planar)
+        # the input really is tie-heavy: areas repeat exactly, and except on
+        # the 3D moment curve the minimal one is shared by several triples
+        areas = doubled_areas(P)
+        assert np.unique(areas).size < 0.6 * areas.size
+        if dim == 2 or planar:
+            assert np.count_nonzero(areas == areas.min()) > 1
+        w = min_triangle_brute(P)
+        assert (w.indices, w.area) == triu_brute(P)
 
 
 class TestFast:
@@ -75,6 +152,21 @@ class TestFast:
         P[1] = [0.99, 0.985]
         P[2] = [0.5, 0.4975 + 1e-9]
         assert min_triangle_fast(P).area == min_triangle_brute(P).area
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_witness_equals_triu_oracle(self, seed, dim):
+        # random coordinates: the minimal triangle is unique, so the
+        # witnesses agree as well as the areas
+        P = np.random.default_rng(100 + seed).uniform(0, 1, (160, dim))
+        w = min_triangle_fast(P)
+        assert (w.indices, w.area) == triu_brute(P)
+
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_cached_triu_pairs(self, m):
+        ju, ku = _triu_pairs(m)
+        assert all(np.array_equal(a, b) for a, b in zip((ju, ku), np.triu_indices(m, 1)))
+        assert not ju.flags.writeable and _triu_pairs(m)[0] is ju
 
     def test_packing_bound_large(self, rng):
         P = rng.uniform(0, 1, (2000, 3))
@@ -141,6 +233,41 @@ class TestGreedyPairs:
             assert d == pytest.approx(dm.min(), rel=1e-12)
             alive[i] = alive[j] = False
 
+    @pytest.mark.parametrize("n", [8, 64, 512, 1280])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equals_rebuild_oracle(self, n, dim):
+        P = np.random.default_rng(n * dim).uniform(0, 1, (n, dim))
+        pairs, dists = greedy_close_pairs(P)
+        want_pairs, want_dists = rebuild_greedy_pairs(P)
+        assert pairs == want_pairs
+        assert np.array_equal(dists, want_dists)
+
+    @pytest.mark.parametrize("n_pairs", [0, 1, 5, 32])
+    def test_explicit_n_pairs_equals_rebuild_oracle(self, n_pairs):
+        P = np.random.default_rng(7).uniform(0, 1, (64, 3))
+        pairs, dists = greedy_close_pairs(P, n_pairs)
+        want_pairs, want_dists = rebuild_greedy_pairs(P, n_pairs)
+        assert pairs == want_pairs
+        assert np.array_equal(dists, want_dists)
+
+    def test_n_pairs_above_half_raises(self, rng):
+        P = rng.uniform(0, 1, (64, 2))
+        greedy_close_pairs(P, 32)
+        with pytest.raises(ValueError):
+            greedy_close_pairs(P, 33)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_duplicate_point_never_pairs_with_itself(self, seed):
+        P = np.random.default_rng(seed).uniform(0, 1, (64, 3))
+        P[10] = P[20]
+        pairs, dists = greedy_close_pairs(P)
+        assert all(i < j for i, j in pairs)
+        used = [t for pair in pairs for t in pair]
+        assert len(set(used)) == len(used)
+        assert pairs[0] == (10, 20) and dists[0] == 0.0
+        witness, _ = triangle_via_pointline(P)
+        assert len(set(witness.indices)) == 3
+
     def test_distance_constant(self, rng):
         n = 4096
         P = rng.uniform(0, 1, (n, 3))
@@ -155,6 +282,7 @@ class TestPipeline:
         P[10] = P[20]
         witness, report = triangle_via_pointline(P)
         assert witness.area == 0.0
+        assert witness.indices == (0, 10, 20)
 
     def test_bound_identity(self, rng):
         # returned area <= max pair length * realized distance / 2 exactly
