@@ -20,14 +20,12 @@ from .geometry import (
     Box,
     Line,
     SphericalRectangle,
-    Tube,
     covering_number,
     line_box_chord,
     line_metric,
     point_line_distance,
 )
 from .concentration import (
-    ConcentrationQuery,
     ConfigMetrics,
     HypothesisViolation,
     KatzTaoFit,

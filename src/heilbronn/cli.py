@@ -263,13 +263,9 @@ def _cmd_katz_tao(args) -> int:
     if args.path.endswith(".tubes"):
         tubes = _nonempty(read_tubes(args.path), args.path)
         dim = tubes[0].center.shape[0]
-        centers = np.array([t.center for t in tubes])
-        dirs = np.array([t.dir for t in tubes])
-        if dim == 2:
-            lengths = np.array([t.length for t in tubes])
-            fit = katz_tao_fit((centers, dirs, lengths), args.delta, 2)
-        else:
-            fit = katz_tao_fit((centers, dirs), args.delta, 3)
+        family = (np.array([t.center for t in tubes]), np.array([t.dir for t in tubes]),
+                  np.array([t.length for t in tubes]))
+        fit = katz_tao_fit(family, args.delta, dim)
     else:
         _, _, lines = _load_lines(args.path)
         fit = katz_tao_fit(_nonempty(lines, args.path), args.delta, lines[0].dim)

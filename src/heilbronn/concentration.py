@@ -41,36 +41,6 @@ class HypothesisViolation(ValueError):
         self.violations = violations or []
 
 
-@dataclass(frozen=True)
-class ConcentrationQuery:
-    """A concentration request: scale triple plus the counting mode.
-
-    Modes: 'points' (points per w-cube), 'lines' (lines per u x w x 1 box),
-    'config' (configuration pairs per point/direction/line scale triple).
-    """
-
-    u: float
-    v: float
-    w: float
-    mode: str = "config"
-
-    def __post_init__(self):
-        if self.mode not in ("points", "lines", "config"):
-            raise ValueError("mode must be points, lines or config")
-        for s in (self.u, self.v, self.w):
-            if not 0 < s <= 1:
-                raise ValueError("scales must lie in (0, 1]")
-        if self.mode == "lines" and self.u > self.w:
-            raise ValueError("line boxes need u <= w")
-
-    def evaluate(self, target) -> int:
-        if self.mode == "points":
-            return m_points(target, self.w)
-        if self.mode == "lines":
-            return m_lines(target, self.u, self.w)
-        return m_config(target, self.u, self.v, self.w)
-
-
 class DegenerateGridError(ValueError):
     """Too few populated scale cells to run a regression."""
 
@@ -108,10 +78,14 @@ def m_points(P, w: float) -> int:
 # line concentration in boxes
 
 
-def _line_arrays(lines) -> tuple[np.ndarray, np.ndarray]:
-    bases = np.array([ln.base for ln in lines])
-    dirs = np.array([ln.dir for ln in lines])
-    return bases, dirs
+def _family_arrays(family):
+    """(bases, dirs, lengths) of a line list or a (bases, dirs[, lengths]) tuple;
+    lengths is None for lines."""
+    if not isinstance(family, tuple):
+        return (np.array([ln.base for ln in family]), np.array([ln.dir for ln in family]),
+                None)
+    bases, dirs, *lengths = family
+    return bases, dirs, (lengths[0] if lengths else None)
 
 
 def _subsample(n: int, cap: int) -> np.ndarray:
@@ -181,41 +155,58 @@ def _box_candidates(bases: np.ndarray, dirs: np.ndarray,
     return cands
 
 
-def _counts_for_candidate(bases, dirs, center, frame, scales, min_chord=0.5):
-    """Membership counts of lines for one candidate at every (u, w) scale."""
+def _counts_for_candidate(bases, dirs, need, center, frame, scales):
+    """Yield, per (u, w) in `scales`, the members whose chord in the u x w x 1
+    box at (center, frame) is at least `need` (lazily: a caller may stop early)."""
     B = (bases - center) @ frame.T
     V = dirs @ frame.T
-    out = []
     for (u, w) in scales:
         half = np.array([u / 2.0, w / 2.0, 0.5])
         chords = _chords_from_local(B, V, half)
-        out.append(int(np.count_nonzero(chords >= min_chord)))
-    return out
+        yield int(np.count_nonzero(chords >= need))
 
 
 def m_lines_sweep(lines, scales, anchor_cap: int = 48, partner_cap: int = 24,
                   subdivide: bool = True):
     """Max lines captured by a u x w x 1 box, for every (u, w) in `scales`.
 
+    `lines` is a list of Line or a (bases, dirs) or (bases, dirs, lengths)
+    tuple; with lengths a member counts when its chord reaches half its length.
     Returns (values, boxes): per-scale maxima and the realizing boxes.
     """
     scales = [tuple(map(float, s)) for s in scales]
     for u, w in scales:
         if not (0 < u <= w <= 1 + 1e-9):
             raise ValueError(f"need 0 < u <= w <= 1, got ({u}, {w})")
-    bases, dirs = _line_arrays(lines) if not isinstance(lines, tuple) else lines
-    n = bases.shape[0]
-    if n == 0:
+    bases, dirs, lengths = _family_arrays(lines)
+    if bases.shape[0] == 0:
         return [0] * len(scales), [None] * len(scales)
+    need = 0.5 if lengths is None else np.asarray(lengths, dtype=float) / 2.0
+    best, best_cand = _sweep(bases, dirs, need, scales, anchor_cap, partner_cap, subdivide)
+    boxes = []
+    for s, (u, w) in enumerate(scales):
+        center, frame = best_cand[s]
+        boxes.append(Box(center, np.array([u / 2.0, w / 2.0, 0.5]), frame))
+    return best, boxes
+
+
+def _sweep(bases, dirs, need, scales, anchor_cap: int = 48, partner_cap: int = 24,
+           subdivide: bool = True):
+    """Per-scale max counts over the candidate boxes, and the realizing
+    (center, frame) pairs; `subdivide` adds children around each argmax."""
     cands = _box_candidates(bases, dirs, anchor_cap, partner_cap)
     best = [0] * len(scales)
     best_cand = [cands[0]] * len(scales)
-    for center, frame in cands:
-        counts = _counts_for_candidate(bases, dirs, center, frame, scales)
-        for s, c in enumerate(counts):
-            if c > best[s]:
-                best[s] = c
-                best_cand[s] = (center, frame)
+
+    def score(candidates):
+        for center, frame in candidates:
+            counts = _counts_for_candidate(bases, dirs, need, center, frame, scales)
+            for s, c in enumerate(counts):
+                if c > best[s]:
+                    best[s] = c
+                    best_cand[s] = (center, frame)
+
+    score(cands)
     if subdivide:
         children: list[tuple[np.ndarray, np.ndarray]] = []
         for s_parent, (u_p, w_p) in enumerate(scales):
@@ -230,17 +221,8 @@ def m_lines_sweep(lines, scales, anchor_cap: int = 48, partner_cap: int = 24,
                 for du in shifts_u:
                     for dw in shifts_w:
                         children.append((center + du * frame[0] + dw * frame[1], frame))
-        for center, frame in children:
-            counts = _counts_for_candidate(bases, dirs, center, frame, scales)
-            for s, c in enumerate(counts):
-                if c > best[s]:
-                    best[s] = c
-                    best_cand[s] = (center, frame)
-    boxes = []
-    for s, (u, w) in enumerate(scales):
-        center, frame = best_cand[s]
-        boxes.append(Box(center, np.array([u / 2.0, w / 2.0, 0.5]), frame))
-    return best, boxes
+        score(children)
+    return best, best_cand
 
 
 def _span_steps(extent_parent: float, extent_child: float, cap: int = 13) -> np.ndarray:
@@ -264,41 +246,20 @@ def m_lines(lines, u: float, w: float, **kw) -> int:
 # 2D: rectangles w x length around line or segment families
 
 
-def _segment_rect_counts(centers, dirs, lengths, rect_center, rect_dir, w, rect_len):
-    """Count segments whose chord inside the w x rect_len rectangle is >= half their length."""
-    e2 = np.array([-rect_dir[1], rect_dir[0]])
-    frame = np.vstack([e2, rect_dir])
-    B = (centers - rect_center) @ frame.T
-    V = dirs @ frame.T
-    half = np.array([w / 2.0, rect_len / 2.0])
-    tmin = np.full(B.shape[0], -np.inf)
-    tmax = np.full(B.shape[0], np.inf)
-    alive = np.ones(B.shape[0], dtype=bool)
-    for i in range(2):
-        v = V[:, i]
-        b = B[:, i]
-        par = np.abs(v) < 1e-14
-        alive &= ~(par & (np.abs(b) > half[i]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (-half[i] - b) / v
-            t2 = (half[i] - b) / v
-        lo, hi = np.minimum(t1, t2), np.maximum(t1, t2)
-        upd = ~par
-        tmin = np.where(upd, np.maximum(tmin, lo), tmin)
-        tmax = np.where(upd, np.minimum(tmax, hi), tmax)
-    if lengths is None:
-        chord = np.where(alive, np.clip(tmax - tmin, 0.0, None), 0.0)
-        return int(np.count_nonzero(chord >= 0.5))
-    lo = np.maximum(tmin, -lengths / 2.0)
-    hi = np.minimum(tmax, lengths / 2.0)
-    chord = np.where(alive, np.clip(hi - lo, 0.0, None), 0.0)
-    return int(np.count_nonzero(chord >= lengths / 2.0))
+def _segment_rect_counts(centers, dirs, lengths, rect_center, rect_dir, w):
+    """Count segments whose chord inside the w x 1 rectangle is >= half their length.
+
+    `lengths=None` treats members as infinite lines with chord threshold 1/2.
+    """
+    frame = np.array([[-rect_dir[1], rect_dir[0]], rect_dir])
+    reach = np.inf if lengths is None else lengths / 2.0
+    chords = _chords_from_local((centers - rect_center) @ frame.T, dirs @ frame.T,
+                                np.array([w / 2.0, 0.5]), reach)
+    return int(np.count_nonzero(chords >= (0.5 if lengths is None else reach)))
 
 
-def m_tubes_2d(centers, dirs, lengths, w: float, rect_len: float = 1.0,
-               anchor_cap: int = 64, partner_cap: int = 32,
-               single_cap: int = 384) -> int:
-    """Max segments concentrated in a w x rect_len rectangle (2D families).
+def m_tubes_2d(centers, dirs, lengths, w: float) -> int:
+    """Max segments concentrated in a w x 1 rectangle (2D families).
 
     `lengths=None` treats members as infinite lines with chord threshold 1/2.
     """
@@ -308,11 +269,11 @@ def m_tubes_2d(centers, dirs, lengths, w: float, rect_len: float = 1.0,
     if n == 0:
         return 0
     best = 0
-    for i in _subsample(n, single_cap):
+    for i in _subsample(n, 384):
         best = max(best, _segment_rect_counts(centers, dirs, lengths,
-                                              centers[i], dirs[i], w, rect_len))
-    for i in _subsample(n, anchor_cap):
-        for j in _subsample(n, partner_cap):
+                                              centers[i], dirs[i], w))
+    for i in _subsample(n, 64):
+        for j in _subsample(n, 32):
             if i == j:
                 continue
             mid = (centers[i] + centers[j]) / 2.0
@@ -323,14 +284,14 @@ def m_tubes_2d(centers, dirs, lengths, w: float, rect_len: float = 1.0,
                 t = (dbase[0] * dirs[j][1] - dbase[1] * dirs[j][0]) / cross
                 mid = centers[i] + t * dirs[i]
             best = max(best, _segment_rect_counts(centers, dirs, lengths,
-                                                  mid, dirs[i], w, rect_len))
+                                                  mid, dirs[i], w))
     return best
 
 
-def m_lines_2d(lines, w: float, **kw) -> int:
+def m_lines_2d(lines, w: float) -> int:
     """Max 2D lines crossing a w x 1 rectangle with chord >= 1/2."""
-    bases, dirs = _line_arrays(lines)
-    return m_tubes_2d(bases, dirs, None, w, **kw)
+    bases, dirs, _ = _family_arrays(lines)
+    return m_tubes_2d(bases, dirs, None, w)
 
 
 # ---------------------------------------------------------------------------
@@ -457,21 +418,38 @@ class KatzTaoFit:
                    for (_, _, m, f) in self.residuals)
 
 
+def dyadic_ladder(start: float, factor: float = 2.0, top: float = 1.0) -> list[float]:
+    """The ascending ladder start, factor*start, factor^2*start, ... <= top + 1e-9.
+
+    Raises ValueError for a start that is not finite and positive (the ladder
+    would never reach the top).
+    """
+    if not (np.isfinite(start) and start > 0):
+        raise ValueError(f"scale ladder needs a finite positive start, got {start}")
+    out = []
+    x = start
+    while x <= top + 1e-9:
+        out.append(x)
+        x *= factor
+    return out
+
+
+def dyadic_pairs(u0: float, w0: float, factor: float = 2.0) -> list[tuple[float, float]]:
+    """(u, w) with w on the ladder from w0 and u on the ladder from u0 up to w,
+    in order of w, then u."""
+    return [(u, w) for w in dyadic_ladder(w0, factor)
+            for u in dyadic_ladder(u0, factor, top=w)]
+
+
 def katz_tao_fit(family, delta: float, dim: int, max_octaves: int = 8) -> KatzTaoFit:
     """Fit log box counts against log(u/delta), log(w/delta) on a dyadic grid.
 
-    3D families are lists of lines (boxes u x w x 1); 2D families are
-    (centers, dirs, lengths) segment arrays (boxes w x 1, single exponent).
+    The family is a list of lines or a (bases, dirs, lengths) member array
+    tuple; a member with a length counts in a box when its chord reaches half
+    of it.  3D boxes are u x w x 1, 2D boxes w x 1 with a single exponent.
     """
     if dim == 3:
-        pairs = []
-        w = delta
-        while w <= 1.0 + 1e-9:
-            u = delta
-            while u <= w + 1e-9:
-                pairs.append((min(u, 1.0), min(w, 1.0)))
-                u *= 2.0
-            w *= 2.0
+        pairs = [(min(u, 1.0), min(w, 1.0)) for u, w in dyadic_pairs(delta, delta)]
         pairs = sorted(set(pairs))[: max_octaves * max_octaves]
         if len(pairs) < 4:
             raise DegenerateGridError("fewer than 4 scale cells")
@@ -484,15 +462,11 @@ def katz_tao_fit(family, delta: float, dim: int, max_octaves: int = 8) -> KatzTa
                      for (u, w), v, f in zip(pairs, values, fitted))
         return KatzTaoFit(dim=3, delta=delta, exponents=(float(coef[1]), float(coef[2])),
                           constant=float(np.exp(coef[0])), residuals=rows)
-    centers, dirs, lengths = family
-    ws = []
-    w = delta
-    while w <= 1.0 + 1e-9:
-        ws.append(min(w, 1.0))
-        w *= 2.0
+    bases, dirs, lengths = _family_arrays(family)
+    ws = [min(w, 1.0) for w in dyadic_ladder(delta)]
     if len(ws) < 4:
         raise DegenerateGridError("fewer than 4 scale cells")
-    values = [m_tubes_2d(centers, dirs, lengths, w) for w in ws]
+    values = [m_tubes_2d(bases, dirs, lengths, w) for w in ws]
     A = np.array([[1.0, np.log(w / delta)] for w in ws])
     y = np.log(np.maximum(values, 1))
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -535,18 +509,12 @@ def plane_reduction_check(config: PointLineConfiguration, delta: float,
     """
     if config.dim != 3:
         raise ValueError("plane reduction check requires a 3D configuration")
+    if not 0 < delta < 1:
+        raise ValueError(f"plane reduction check needs 0 < delta < 1, got {delta}")
     dmin = min_config_distance(config)
     precondition_ok = dmin >= delta * (1 - 1e-9)
-    pairs = []
-    w = 2.0 * delta
-    while w <= 1.0 + 1e-9:
-        u = delta
-        while u <= w + 1e-9:
-            if u * w >= delta * (1 - 1e-12):
-                pairs.append((min(u, 1.0), min(w, 1.0)))
-            u *= 2.0
-        w *= 2.0
-    pairs = sorted(set(pairs))
+    pairs = sorted({(min(u, 1.0), min(w, 1.0)) for u, w in dyadic_pairs(delta, 2.0 * delta)
+                    if u * w >= delta * (1 - 1e-12)})
     if not pairs:
         return PlaneReductionReport(delta=delta, gamma=gamma,
                                     precondition_ok=precondition_ok,

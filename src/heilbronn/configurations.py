@@ -143,17 +143,6 @@ def min_config_distance(config: PointLineConfiguration, return_witness: bool = F
     return best
 
 
-def config_distance_matrix(config: PointLineConfiguration) -> np.ndarray:
-    """Full matrix D[i, j] = d(p_i, line_j) with +inf on the diagonal."""
-    n = len(config)
-    P = config.points()
-    D = np.empty((n, n))
-    for j, line in enumerate(config.lines()):
-        D[:, j] = points_line_distance(P, line)
-    np.fill_diagonal(D, np.inf)
-    return D
-
-
 def generate_vertical(delta: float, dim: int) -> PointLineConfiguration:
     """Grid of floor(1/(2 delta))^(dim-1) points with vertical lines.
 

@@ -1,4 +1,4 @@
-"""Geometric primitives in cube coordinates: points, lines, tubes, boxes.
+"""Geometric primitives in cube coordinates: points, lines, boxes, greedy nets.
 
 Points are plain float ndarrays of length d, d in {2, 3}.  Lines are stored
 in point+direction form with the direction normalized to unit length and a
@@ -98,24 +98,6 @@ class Line:
 
     def __hash__(self):
         return hash((self.dim, tuple(np.round(self.dir, 9))))
-
-
-@dataclass(frozen=True)
-class Tube:
-    """Neighborhood of a line segment: `radius` around `axis`, of given `length`.
-
-    `length=None` means unbounded within the unit ball (clipped downstream).
-    """
-
-    axis: Line
-    radius: float
-    length: float | None = 1.0
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("tube radius must be positive")
-        if self.length is not None and self.radius > self.length:
-            raise ValueError("tube radius exceeds its length")
 
 
 @dataclass(frozen=True)
@@ -237,13 +219,16 @@ def line_metric(l1: Line, l2: Line) -> float:
 
 def line_metric_many(line: Line, bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """line_metric from one line to many lines given as (n,d) base/dir arrays."""
-    bases = np.asarray(bases, dtype=float)
-    dirs = np.asarray(dirs, dtype=float)
-    v1 = line.dir
+    return _line_metric_rows(line.base, line.dir, np.asarray(bases, dtype=float),
+                             np.asarray(dirs, dtype=float))
+
+
+def _line_metric_rows(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
+                      dirs: np.ndarray) -> np.ndarray:
     dth = np.minimum(np.linalg.norm(dirs - v1, axis=1),
                      np.linalg.norm(dirs + v1, axis=1))
-    db = bases - line.base
-    if line.dim == 2:
+    db = bases - b1
+    if v1.shape[0] == 2:
         cross = v1[0] * dirs[:, 1] - v1[1] * dirs[:, 0]
         t = db @ v1
         perp = np.linalg.norm(db - t[:, None] * v1, axis=1)
@@ -287,11 +272,17 @@ def lines_box_chords(bases: np.ndarray, dirs: np.ndarray, box: Box) -> np.ndarra
     return _chords_from_local(B, V, box.half_extents)
 
 
-def _chords_from_local(B: np.ndarray, V: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Chord lengths from box-local coordinates B, V against half-extents."""
+def _chords_from_local(B: np.ndarray, V: np.ndarray, half: np.ndarray,
+                       reach=np.inf) -> np.ndarray:
+    """Chord lengths from box-local coordinates B, V against half-extents.
+
+    `reach` bounds the line parameter to [-reach, reach] before clipping (a
+    scalar or one value per line): np.inf for infinite lines, half the length
+    for segments centred at B.
+    """
     n, d = B.shape
-    tmin = np.full(n, -np.inf)
-    tmax = np.full(n, np.inf)
+    tmax = np.full(n, reach, dtype=float)
+    tmin = -tmax
     alive = np.ones(n, dtype=bool)
     for i in range(d):
         v = V[:, i]
@@ -312,74 +303,45 @@ def _chords_from_local(B: np.ndarray, V: np.ndarray, half: np.ndarray) -> np.nda
     return np.where(alive, chord, 0.0)
 
 
-def covering_number(items, w: float, metric=None) -> int:
-    """Size of a greedy maximal w-separated subset of `items`.
+def _greedy_net_size(X: np.ndarray, w: float, dist) -> int:
+    """Size of the greedy net of the rows of X, taken in order.
+
+    A row joins the net when `dist(kept, row)`, its distances to the rows
+    already kept, are all >= w.  The kept rows fill a preallocated buffer.
+    """
+    if w <= 0:
+        raise ValueError("w must be positive")
+    kept = np.empty_like(X)
+    k = 0
+    for x in X:
+        if k == 0 or np.min(dist(kept[:k], x)) >= w:
+            kept[k] = x
+            k += 1
+    return k
+
+
+def covering_number(items, w: float) -> int:
+    """Size of a greedy maximal w-separated subset of the (n, d) array `items`.
 
     This is a constant-factor proxy for the w-covering number: the greedy net
     covers with w-balls (so it upper bounds the covering number) and any
     2w-separated subset lower bounds it.
-
-    `items` may be an (n, d) array (Euclidean metric) or any sequence combined
-    with an explicit `metric(a, b)`.
     """
-    if w <= 0:
-        raise ValueError("w must be positive")
-    if metric is None:
-        A = np.asarray(items, dtype=float)
-        if A.size == 0:
-            return 0
-        centers = np.empty((0, A.shape[1]))
-        for x in A:
-            if centers.shape[0] == 0 or np.min(np.linalg.norm(centers - x, axis=1)) >= w:
-                centers = np.vstack([centers, x])
-        return centers.shape[0]
-    items = list(items)
-    if not items:
-        return 0
-    centers: list = []
-    for x in items:
-        if all(metric(x, c) >= w for c in centers):
-            centers.append(x)
-    return len(centers)
+    return _greedy_net_size(np.asarray(items, dtype=float), w,
+                            lambda C, x: np.linalg.norm(C - x, axis=1))
 
 
 def direction_covering_number(dirs: np.ndarray, w: float) -> int:
     """Greedy covering count for directions identified up to sign."""
-    if w <= 0:
-        raise ValueError("w must be positive")
-    D = np.asarray(dirs, dtype=float)
-    if D.size == 0:
-        return 0
-    centers = np.empty((0, D.shape[1]))
-    for v in D:
-        if centers.shape[0] == 0:
-            centers = np.vstack([centers, v])
-            continue
-        dist = np.minimum(np.linalg.norm(centers - v, axis=1),
-                          np.linalg.norm(centers + v, axis=1))
-        if np.min(dist) >= w:
-            centers = np.vstack([centers, v])
-    return centers.shape[0]
+    return _greedy_net_size(np.asarray(dirs, dtype=float), w,
+                            lambda C, v: np.minimum(np.linalg.norm(C - v, axis=1),
+                                                    np.linalg.norm(C + v, axis=1)))
 
 
 def line_covering_number(lines, w: float) -> int:
     """Greedy covering count for a family of lines under line_metric."""
-    if w <= 0:
-        raise ValueError("w must be positive")
-    lines = list(lines)
-    if not lines:
-        return 0
-    kept: list[Line] = []
-    kb = np.empty((0, lines[0].dim))
-    kd = np.empty((0, lines[0].dim))
-    for ln in lines:
-        if kept:
-            if np.min(line_metric_many(ln, kb, kd)) < w:
-                continue
-        kept.append(ln)
-        kb = np.vstack([kb, ln.base])
-        kd = np.vstack([kd, ln.dir])
-    return len(kept)
+    X = np.array([(ln.base, ln.dir) for ln in lines], dtype=float)
+    return _greedy_net_size(X, w, lambda C, x: _line_metric_rows(x[0], x[1], C[:, 0], C[:, 1]))
 
 
 def complete_frame(axis: np.ndarray) -> np.ndarray:

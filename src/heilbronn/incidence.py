@@ -19,6 +19,7 @@ import numpy as np
 
 from .concentration import (
     HypothesisViolation,
+    dyadic_pairs,
     m_lines,
     m_lines_2d,
     m_lines_sweep,
@@ -26,6 +27,7 @@ from .concentration import (
 )
 from .configurations import PointLineConfiguration, rescale_config
 from .geometry import (
+    covering_number,
     direction_covering_number,
     line_covering_number,
     points_line_distance,
@@ -255,14 +257,7 @@ def rhs_wellspaced(delta: float, P, lines, t1: float, t2: float, K: float,
 
     root = float(np.sqrt(delta))
     pairs = [(delta, delta), (root, root)]
-    probe = []
-    w = delta
-    while w <= 1.0 + 1e-9:
-        u = delta
-        while u <= w + 1e-9:
-            probe.append((min(u, 1.0), min(w, 1.0)))
-            u *= 4.0
-        w *= 4.0
+    probe = [(min(u, 1.0), min(w, 1.0)) for u, w in dyadic_pairs(delta, delta, factor=4.0)]
     allscales = sorted(set(pairs + probe))
     values, _ = m_lines_sweep(lines, allscales)
     table = dict(zip(allscales, values))
@@ -335,6 +330,5 @@ def double_count_check(config: PointLineConfiguration, w: float) -> TwoSidedChec
     lines_w = line_covering_number(config.lines(), w)
     rescaled = rescale_config(config, w, config.pairs[0])
     theta_w = direction_covering_number(rescaled.directions(), w)
-    from .geometry import covering_number
     points_w = covering_number(config.points(), w)
     return TwoSidedCheck(lhs=float(lines_w), rhs=w * theta_w * points_w)

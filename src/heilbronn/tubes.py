@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import HypothesisViolation, _box_candidates, m_tubes_2d
+from .concentration import HypothesisViolation, _counts_for_candidate, \
+    _segment_rect_counts, _sweep, dyadic_ladder, dyadic_pairs, m_tubes_2d
 from .geometry import SphericalRectangle, canonical_direction, \
-    complete_frame, direction_distance, _chords_from_local
+    complete_frame, direction_distance
 
 
 @dataclass(frozen=True, eq=False)
@@ -691,51 +692,38 @@ class BrushReport:
     kt_constant: float
 
 
+def _tube_arrays(tubes):
+    return (np.array([t.center for t in tubes]), np.array([t.dir for t in tubes]),
+            np.array([t.length for t in tubes]))
+
+
 def _verify_kt_2d(tubes, delta: float, t: float, K: float):
-    centers = np.array([tb.center for tb in tubes])
-    dirs = np.array([tb.dir for tb in tubes])
-    lengths = np.array([tb.length for tb in tubes])
+    centers, dirs, lengths = _tube_arrays(tubes)
     violations = []
-    w = delta
-    while w <= 1.0 + 1e-9:
+    for w in dyadic_ladder(delta):
         got = m_tubes_2d(centers, dirs, lengths, min(w, 1.0))
         cap = K * (w / delta) ** t
         if got > cap * (1 + 1e-9):
             violations.append((w, got, cap))
-        w *= 2.0
     if violations:
         raise HypothesisViolation("planar Katz-Tao hypothesis failed", violations)
 
 
 def tube_box_counts_3d(tubes, scales):
     """Max tubes whose axis-chord in a u x w x 1 box is at least half their length."""
-    centers = np.array([t.center for t in tubes])
-    dirs = np.array([t.dir for t in tubes])
-    lengths = np.array([t.length for t in tubes])
-    cands = _box_candidates(centers, dirs)
-    best = [0] * len(scales)
-    for center, frame in cands:
-        B = (centers - center) @ frame.T
-        V = dirs @ frame.T
-        for s, (u, w) in enumerate(scales):
-            half = np.array([u / 2.0, w / 2.0, 0.5])
-            chords = _chords_from_local(B, V, half)
-            cnt = int(np.count_nonzero(np.minimum(chords, lengths) >= lengths / 2.0))
-            if cnt > best[s]:
-                best[s] = cnt
+    if not tubes:
+        return [0] * len(scales)
+    centers, dirs, lengths = _tube_arrays(tubes)
+    best, _ = _sweep(centers, dirs, lengths / 2.0, scales, subdivide=False)
     return best
 
 
+def _box_scales_3d(delta: float) -> list[tuple[float, float]]:
+    return sorted({(min(u, 1.0), min(w, 1.0)) for u, w in dyadic_pairs(delta, delta)})
+
+
 def _verify_kt_3d(tubes, delta: float, t1: float, t2: float, K: float):
-    scales = []
-    w = delta
-    while w <= 1.0 + 1e-9:
-        u = delta
-        while u <= w + 1e-9:
-            scales.append((min(u, 1.0), min(w, 1.0)))
-            u *= 2.0
-        w *= 2.0
-    scales = sorted(set(scales))
+    scales = _box_scales_3d(delta)
     values = tube_box_counts_3d(tubes, scales)
     violations = []
     for (u, w), got in zip(scales, values):
@@ -792,18 +780,12 @@ def generate_katz_tao_tubes(delta: float, t1: float, t2: float, count: int,
     is False when the attempt budget (default 100 * count) was exhausted.
     """
     rng = np.random.default_rng(seed)
-    scales = []
-    w = 2 * delta
-    while w <= 1.0 + 1e-9:
-        if dim == 3:
-            u = delta
-            while u <= w + 1e-9:
-                scales.append((min(u, 1.0), min(w, 1.0)))
-                u *= 2.0
-        else:
-            scales.append((min(w, 1.0), 1.0))
-        w *= 2.0
-    scales = sorted(set(scales))
+    if dim == 3:
+        scales = sorted({(min(u, 1.0), min(w, 1.0)) for u, w in dyadic_pairs(delta, 2 * delta)})
+        caps = [cap_constant * (u / delta) ** t1 * (w / delta) ** t2 for u, w in scales]
+    else:
+        scales = sorted({(min(w, 1.0), 1.0) for w in dyadic_ladder(2 * delta)})
+        caps = [cap_constant * (u / delta) ** t1 for u, _ in scales]
     tubes: list = []
     attempts = 0
     budget = 100 * count if max_attempts is None else max_attempts
@@ -813,34 +795,16 @@ def generate_katz_tao_tubes(delta: float, t1: float, t2: float, count: int,
         center = rng.uniform(0.2, 0.8, size=dim)
         vdir = rng.normal(size=dim)
         cand = tube_cls(center, vdir, delta, 1.0)
-        ok = True
-        members = tubes + [cand]
-        centers = np.array([t.center for t in members])
-        dirs = np.array([t.dir for t in members])
-        lengths = np.array([t.length for t in members])
-        for (u, w) in scales:
-            if dim == 3:
-                cap = cap_constant * (u / delta) ** t1 * (w / delta) ** t2
-                frame = complete_frame(cand.dir)
-                B = (centers - cand.center) @ frame.T
-                V = dirs @ frame.T
-                half = np.array([u / 2.0, w / 2.0, 0.5])
-                chords = _chords_from_local(B, V, half)
-                got = int(np.count_nonzero(np.minimum(chords, lengths) >= lengths / 2.0))
-            else:
-                cap = cap_constant * (u / delta) ** t1
-                got = _probe_rect_2d(centers, dirs, lengths, cand, u)
-            if got > cap:
-                ok = False
-                break
-        if ok:
+        centers, dirs, lengths = _tube_arrays(tubes + [cand])
+        if dim == 3:
+            counts = _counts_for_candidate(centers, dirs, lengths / 2.0, cand.center,
+                                           complete_frame(cand.dir), scales)
+        else:
+            counts = (_segment_rect_counts(centers, dirs, lengths, cand.center, cand.dir, u)
+                      for u, _ in scales)
+        if all(got <= cap for got, cap in zip(counts, caps)):
             tubes.append(cand)
     return tubes, len(tubes) == count
-
-
-def _probe_rect_2d(centers, dirs, lengths, cand, w: float) -> int:
-    from .concentration import _segment_rect_counts
-    return _segment_rect_counts(centers, dirs, lengths, cand.center, cand.dir, w, 1.0)
 
 
 def measure_kt_constant(tubes, delta: float, t1: float, t2: float | None = None) -> float:
@@ -852,25 +816,13 @@ def measure_kt_constant(tubes, delta: float, t1: float, t2: float | None = None)
     dim = tubes[0].center.shape[0]
     worst = 1.0
     if dim == 3:
-        scales = []
-        w = delta
-        while w <= 1.0 + 1e-9:
-            u = delta
-            while u <= w + 1e-9:
-                scales.append((min(u, 1.0), min(w, 1.0)))
-                u *= 2.0
-            w *= 2.0
-        scales = sorted(set(scales))
+        scales = _box_scales_3d(delta)
         values = tube_box_counts_3d(tubes, scales)
         for (u, w), got in zip(scales, values):
             worst = max(worst, got / ((u / delta) ** t1 * (w / delta) ** t2))
     else:
-        centers = np.array([t.center for t in tubes])
-        dirs = np.array([t.dir for t in tubes])
-        lengths = np.array([t.length for t in tubes])
-        w = delta
-        while w <= 1.0 + 1e-9:
+        centers, dirs, lengths = _tube_arrays(tubes)
+        for w in dyadic_ladder(delta):
             got = m_tubes_2d(centers, dirs, lengths, min(w, 1.0))
             worst = max(worst, got / (w / delta) ** t1)
-            w *= 2.0
     return float(worst)

@@ -216,10 +216,10 @@ class TestCli:
         assert "two-ends" in res.stdout
 
 
-def _cli(*argv):
+def _cli(*argv, timeout=300):
     """Run the CLI in a fresh process; (exit code, stderr)."""
     res = subprocess.run([sys.executable, "-m", "heilbronn.cli", *argv],
-                         capture_output=True, text=True, timeout=300)
+                         capture_output=True, text=True, timeout=timeout)
     return res.returncode, res.stderr
 
 
@@ -319,3 +319,32 @@ class TestHardenedInputs:
         rc, err = _cli(command, "-p", pts, "-o", str(tmp_path / "o.csv"))
         assert rc == 3 and "Traceback" not in err
         assert f"few.pts: {n} points" in err and f"at least {need}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("katz-tao", "--delta", "0", "-p", "plc"),
+        ("katz-tao", "--delta", "-0.125", "-p", "plc"),
+        ("katz-tao", "--delta", "0", "-p", "tubes"),
+        ("plane-check", "--delta", "0", "-p", "plc"),
+        ("plane-check", "--delta", "-0.125", "-p", "plc"),
+        ("plane-check", "--delta", "2", "-p", "plc"),
+        ("plane-check", "--delta", "nan", "-p", "plc"),
+        ("gen", "katz-tao-tubes", "--delta", "0"),
+        ("gen", "katz-tao-tubes", "--delta", "-0.125", "--dim", "2"),
+    ])
+    def test_scale_ladder_rejects_bad_delta(self, tmp_path, argv):
+        # a ladder delta, 2 delta, 4 delta, ... never passes 1 from delta <= 0;
+        # such a loop also grows its scale list without bound, so the timeout
+        # is short
+        files = {"plc": str(tmp_path / "v.plc"), "tubes": str(tmp_path / "t.tubes")}
+        assert main(["gen", "vertical", "--delta", "0.25", "--dim", "3", "-o", files["plc"]]) == 0
+        write_tubes(files["tubes"], [Tube2D([0.5, 0.5], [1, 0], 0.0625, 1.0)])
+        argv = [files.get(a, a) for a in argv]
+        rc, err = _cli(*argv, "-o", str(tmp_path / "o.out"), timeout=10)
+        assert rc == 3 and "Traceback" not in err
+
+    def test_measure_kt_constant_rejects_zero_delta(self):
+        code = ("from heilbronn.tubes import Tube3D, measure_kt_constant\n"
+                "measure_kt_constant([Tube3D([0.5] * 3, [0, 0, 1], 0.1, 1.0)], 0.0, 1.0, 1.0)\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=10)
+        assert res.returncode != 0 and "ValueError" in res.stderr

@@ -7,7 +7,6 @@ from heilbronn.geometry import (
     DimensionMismatch,
     Line,
     SphericalRectangle,
-    Tube,
     covering_number,
     direction_covering_number,
     line_box_chord,
@@ -218,10 +217,6 @@ class TestTypes:
     def test_line_canonical_sign(self):
         l = Line([0, 0, 0], [-1, 0, 0])
         assert l.dir[0] == 1.0
-
-    def test_tube_invariant(self):
-        with pytest.raises(ValueError):
-            Tube(x_axis(), radius=0.5, length=0.1)
 
     def test_spherical_rectangle_bounds(self):
         with pytest.raises(ValueError):
