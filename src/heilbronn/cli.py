@@ -139,13 +139,6 @@ def _enough_points(P: np.ndarray, need: int, path: str, command: str) -> np.ndar
     return P
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HEILBRONN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -246,7 +239,7 @@ def _cmd_conc(args) -> int:
             return EXIT_USAGE
         else:
             val = m_lines(lines, args.u, args.w)
-        rows.append(f"lines,{args.u},,{args.w},{val}")
+        rows.append(f"lines,{'' if args.u is None else args.u},,{args.w},{val}")
     elif args.u is None or args.v is None:
         print("usage error: --mode config needs --u and --v", file=sys.stderr)
         return EXIT_USAGE
@@ -438,18 +431,7 @@ def _cmd_exponent(args) -> int:
     rungs = [float(r) for r in args.rungs.split(",")]
     seeds = list(range(args.seeds))
     cells = [(r, s) for r in rungs for s in seeds]
-
-    def run(cell):
-        r, s = cell
-        return measure_family(args.family, r, seed=s, dim=args.dim)
-
-    threads = _threads()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            values = list(ex.map(run, cells))
-    else:
-        values = [run(c) for c in cells]
+    values = [measure_family(args.family, r, seed=s, dim=args.dim) for r, s in cells]
     by_rung: dict[float, list[float]] = {}
     for (r, _), v in zip(cells, values):
         by_rung.setdefault(r, []).append(v)

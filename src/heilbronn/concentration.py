@@ -26,6 +26,8 @@ from .configurations import (
 from .geometry import (
     Box,
     _chords_from_local,
+    _direction_rows,
+    _lines_min_distance_rows,
     complete_frame,
     covering_number,
     direction_covering_number,
@@ -136,13 +138,13 @@ def _pair_frame(b1, v1, b2, v2):
 
 
 def _box_candidates(bases: np.ndarray, dirs: np.ndarray,
-                    anchor_cap: int = 48, partner_cap: int = 24,
-                    single_cap: int = 192):
-    """Candidate (center, frame) pairs anchored on member lines."""
+                    anchor_cap: int = 48, partner_cap: int = 24):
+    """Candidate (center, frame) pairs anchored on member lines: one per line
+    (at most 192 lines) and one per (anchor, partner) pair."""
     n = bases.shape[0]
     cube_center = np.full(3, 0.5)
     cands: list[tuple[np.ndarray, np.ndarray]] = []
-    for i in _subsample(n, single_cap):
+    for i in _subsample(n, 192):
         t = (cube_center - bases[i]) @ dirs[i]
         cands.append((bases[i] + t * dirs[i], complete_frame(dirs[i])))
     for i in _subsample(n, anchor_cap):
@@ -225,13 +227,12 @@ def _sweep(bases, dirs, need, scales, anchor_cap: int = 48, partner_cap: int = 2
     return best, best_cand
 
 
-def _span_steps(extent_parent: float, extent_child: float, cap: int = 13) -> np.ndarray:
-    """Offsets of child boxes covering a parent extent (both centered)."""
+def _span_steps(extent_parent: float, extent_child: float) -> np.ndarray:
+    """Offsets of at most 13 child boxes covering a parent extent (both centered)."""
     if extent_child >= extent_parent:
         return np.array([0.0])
     half_span = (extent_parent - extent_child) / 2.0
-    k = int(np.ceil(2.0 * half_span / (extent_child / 2.0))) + 1
-    k = min(k, cap)
+    k = min(int(np.ceil(2.0 * half_span / (extent_child / 2.0))) + 1, 13)
     return np.linspace(-half_span, half_span, k)
 
 
@@ -299,7 +300,11 @@ def m_lines_2d(lines, w: float) -> int:
 
 
 class ConfigMetrics:
-    """Cached pairwise point / direction / line distances of a configuration."""
+    """Cached pairwise point / direction / line distances of a configuration.
+
+    The three n x n matrices are filled one anchor row at a time from the
+    geometry row kernels, so no n x n x d temporary is ever built.
+    """
 
     def __init__(self, config: PointLineConfiguration):
         self.config = config
@@ -307,29 +312,14 @@ class ConfigMetrics:
         D = config.directions()
         bases = config.line_bases()
         n = len(config)
-        diff = P[:, None, :] - P[None, :, :]
-        self.point_dist = np.linalg.norm(diff, axis=2)
-        dminus = np.linalg.norm(D[:, None, :] - D[None, :, :], axis=2)
-        dplus = np.linalg.norm(D[:, None, :] + D[None, :, :], axis=2)
-        self.dir_dist = np.minimum(dminus, dplus)
-        if config.dim == 3:
-            cross = np.cross(np.broadcast_to(D[:, None, :], (n, n, 3)),
-                             np.broadcast_to(D[None, :, :], (n, n, 3)))
-            nn = np.linalg.norm(cross, axis=2)
-            db = bases[None, :, :] - bases[:, None, :]
-            para = np.abs(np.einsum("ijk,ijk->ij", db, cross))
-            t = np.einsum("ijk,ik->ij", db, D)
-            perp = np.linalg.norm(db - t[..., None] * D[:, None, :], axis=2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                skew = para / np.where(nn < 1e-12, 1.0, nn)
-            lmin = np.where(nn < 1e-12, perp, skew)
-        else:
-            cross = (D[:, None, 0] * D[None, :, 1] - D[:, None, 1] * D[None, :, 0])
-            db = bases[None, :, :] - bases[:, None, :]
-            t = np.einsum("ijk,ik->ij", db, D)
-            perp = np.linalg.norm(db - t[..., None] * D[:, None, :], axis=2)
-            lmin = np.where(np.abs(cross) < 1e-12, perp, 0.0)
-        self.line_dist = self.dir_dist + lmin
+        self.point_dist = np.empty((n, n))
+        self.dir_dist = np.empty((n, n))
+        self.line_dist = np.empty((n, n))
+        for i in range(n):
+            self.point_dist[i] = np.linalg.norm(P - P[i], axis=1)
+            self.dir_dist[i] = _direction_rows(D, D[i])
+            self.line_dist[i] = self.dir_dist[i] + _lines_min_distance_rows(bases[i], D[i],
+                                                                            bases, D)
 
     def local_counts(self, u: float, v: float, w: float,
                      subset: np.ndarray | None = None) -> np.ndarray:
@@ -441,16 +431,17 @@ def dyadic_pairs(u0: float, w0: float, factor: float = 2.0) -> list[tuple[float,
             for u in dyadic_ladder(u0, factor, top=w)]
 
 
-def katz_tao_fit(family, delta: float, dim: int, max_octaves: int = 8) -> KatzTaoFit:
+def katz_tao_fit(family, delta: float, dim: int) -> KatzTaoFit:
     """Fit log box counts against log(u/delta), log(w/delta) on a dyadic grid.
 
     The family is a list of lines or a (bases, dirs, lengths) member array
     tuple; a member with a length counts in a box when its chord reaches half
-    of it.  3D boxes are u x w x 1, 2D boxes w x 1 with a single exponent.
+    of it.  3D boxes are u x w x 1 (the first 64 (u, w) cells in sorted
+    order), 2D boxes w x 1 with a single exponent.
     """
     if dim == 3:
         pairs = [(min(u, 1.0), min(w, 1.0)) for u, w in dyadic_pairs(delta, delta)]
-        pairs = sorted(set(pairs))[: max_octaves * max_octaves]
+        pairs = sorted(set(pairs))[:64]
         if len(pairs) < 4:
             raise DegenerateGridError("fewer than 4 scale cells")
         values, _ = m_lines_sweep(family, pairs)
@@ -563,16 +554,16 @@ class UniformityCertificate:
         return min(vals) if vals else 1.0
 
 
-def uniformize(config: PointLineConfiguration, K: float,
-               delta: float | None = None, c_sep: float = 4,
-               max_iter: int = 500):
+def uniformize(config: PointLineConfiguration, K: float, delta: float | None = None):
     """Extract a subset with uniform local counts at every K-power scale triple.
 
     First selects a parity class of separated cubes at every ladder scale
-    (cubes in one class are pairwise c_sep * scale apart), then repeatedly
+    (cubes in one class are pairwise 4 * scale apart), then repeatedly
     buckets members by the dyadic class of their local count at each scale
     triple and keeps the largest bucket, until all triples have counts within
-    a factor K.  Returns (subset, certificate).
+    a factor K or 500 rounds have run.  `delta` defaults to the minimal
+    configuration distance and must be finite and positive.  Returns
+    (subset, certificate).
     """
     if K < 2:
         raise ValueError("K must be at least 2")
@@ -581,14 +572,15 @@ def uniformize(config: PointLineConfiguration, K: float,
         raise EmptyConfigurationError("uniformize needs at least 2 pairs")
     if delta is None:
         delta = min_config_distance(config)
-    if delta <= 0:
-        raise ValueError("configuration has zero minimal distance")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"uniformize needs a finite delta > 0 (the minimal "
+                         f"configuration distance by default), got {delta}")
     m = max(1, int(np.floor(np.log(1.0 / delta) / np.log(K))))
     scales = tuple(float(K) ** -(j + 1) for j in range(m))
 
     P = config.points()
     alive = np.arange(n)
-    q = int(c_sep) + 1
+    q = 5  # residues mod 5 of cube indices: one class is 4 cubes apart
     for s in scales:
         cube = np.floor(P[alive] / s).astype(np.int64)
         cls = cube % q
@@ -603,7 +595,7 @@ def uniformize(config: PointLineConfiguration, K: float,
 
     metrics = ConfigMetrics(config)
     triples = [(si, sj, sk) for si in scales for sj in scales for sk in scales]
-    for _ in range(max_iter):
+    for _ in range(500):
         stable = True
         for (si, sj, sk) in triples:
             counts = metrics.local_counts(si, sj, sk, subset=alive)

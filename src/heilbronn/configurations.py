@@ -128,19 +128,25 @@ def min_config_distance(config: PointLineConfiguration, return_witness: bool = F
     n = len(config)
     if n < 2:
         raise UndefinedInputError("min_config_distance needs at least 2 pairs")
-    P = config.points()
+    best, witness = _nearest_point_line(config.points(), config.lines())
+    if return_witness:
+        return best, witness
+    return best
+
+
+def _nearest_point_line(P: np.ndarray, lines) -> tuple[float, tuple[int, int]]:
+    """min over i != j of d(P[i], lines[j]) with the first realizing (i, j): lines
+    in order, the first argmin per line, replaced only by a strictly smaller one."""
     best = np.inf
     witness = (0, 1)
-    for j, line in enumerate(config.lines()):
+    for j, line in enumerate(lines):
         d = points_line_distance(P, line)
         d[j] = np.inf
         i = int(np.argmin(d))
         if d[i] < best:
             best = float(d[i])
             witness = (i, j)
-    if return_witness:
-        return best, witness
-    return best
+    return best, witness
 
 
 def generate_vertical(delta: float, dim: int) -> PointLineConfiguration:

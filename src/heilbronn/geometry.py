@@ -187,9 +187,26 @@ def point_line_distance(p, line: Line) -> float:
 
 def points_line_distance(P: np.ndarray, line: Line) -> np.ndarray:
     """Vectorized point_line_distance for an (n, d) array of points."""
-    U = np.asarray(P, dtype=float) - line.base
-    t = U @ line.dir
-    return np.linalg.norm(U - t[:, None] * line.dir, axis=1)
+    return _points_line_rows(np.asarray(P, dtype=float), line.base, line.dir)
+
+
+def _points_line_rows(P: np.ndarray, base: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Distances from the rows of P to the line through `base` with unit direction v."""
+    U = P - base
+    t = U @ v
+    return np.linalg.norm(U - t[:, None] * v, axis=1)
+
+
+def _point_lines_rows(p: np.ndarray, bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Distances from the point p to each line (bases[j], unit dirs[j])."""
+    U = p - bases
+    t = np.einsum("ij,ij->i", U, dirs)
+    return np.linalg.norm(U - t[:, None] * dirs, axis=1)
+
+
+def _direction_rows(dirs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """direction_distance from v to each row of `dirs`."""
+    return np.minimum(np.linalg.norm(dirs - v, axis=1), np.linalg.norm(dirs + v, axis=1))
 
 
 def lines_min_distance(l1: Line, l2: Line) -> float:
@@ -225,24 +242,21 @@ def line_metric_many(line: Line, bases: np.ndarray, dirs: np.ndarray) -> np.ndar
 
 def _line_metric_rows(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
                       dirs: np.ndarray) -> np.ndarray:
-    dth = np.minimum(np.linalg.norm(dirs - v1, axis=1),
-                     np.linalg.norm(dirs + v1, axis=1))
-    db = bases - b1
+    return _direction_rows(dirs, v1) + _lines_min_distance_rows(b1, v1, bases, dirs)
+
+
+def _lines_min_distance_rows(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
+                             dirs: np.ndarray) -> np.ndarray:
+    """lines_min_distance from the line (b1, v1) to each (base, dir) row."""
+    perp = _points_line_rows(bases, b1, v1)
     if v1.shape[0] == 2:
         cross = v1[0] * dirs[:, 1] - v1[1] * dirs[:, 0]
-        t = db @ v1
-        perp = np.linalg.norm(db - t[:, None] * v1, axis=1)
-        dmin = np.where(np.abs(cross) < 1e-12, perp, 0.0)
-    else:
-        n = np.cross(np.broadcast_to(v1, dirs.shape), dirs)
-        nn = np.linalg.norm(n, axis=1)
-        para = np.einsum("ij,ij->i", db, np.where(nn[:, None] < 1e-12, 0.0, n))
-        t = db @ v1
-        perp = np.linalg.norm(db - t[:, None] * v1, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            skew = np.abs(para) / np.where(nn < 1e-12, 1.0, nn)
-        dmin = np.where(nn < 1e-12, perp, skew)
-    return dth + dmin
+        return np.where(np.abs(cross) < 1e-12, perp, 0.0)
+    n = np.cross(v1, dirs)
+    nn = np.linalg.norm(n, axis=1)
+    parallel = nn < 1e-12
+    skew = np.abs(np.einsum("ij,ij->i", bases - b1, n)) / np.where(parallel, 1.0, nn)
+    return np.where(parallel, perp, skew)
 
 
 def line_box_chord(line: Line, box: Box) -> float:
@@ -333,9 +347,7 @@ def covering_number(items, w: float) -> int:
 
 def direction_covering_number(dirs: np.ndarray, w: float) -> int:
     """Greedy covering count for directions identified up to sign."""
-    return _greedy_net_size(np.asarray(dirs, dtype=float), w,
-                            lambda C, v: np.minimum(np.linalg.norm(C - v, axis=1),
-                                                    np.linalg.norm(C + v, axis=1)))
+    return _greedy_net_size(np.asarray(dirs, dtype=float), w, _direction_rows)
 
 
 def line_covering_number(lines, w: float) -> int:

@@ -27,6 +27,7 @@ from .concentration import (
 )
 from .configurations import PointLineConfiguration, rescale_config
 from .geometry import (
+    _direction_rows,
     covering_number,
     direction_covering_number,
     line_covering_number,
@@ -271,11 +272,8 @@ def rhs_wellspaced(delta: float, P, lines, t1: float, t2: float, K: float,
     dirs = np.array([ln.dir for ln in lines])
     min_in_tube = np.inf
     for ln in lines:
-        db = bases - ln.base
-        t = db @ ln.dir
-        perp = np.linalg.norm(db - t[:, None] * ln.dir, axis=1)
-        ang = np.minimum(np.linalg.norm(dirs - ln.dir, axis=1),
-                         np.linalg.norm(dirs + ln.dir, axis=1))
+        perp = points_line_distance(bases, ln)
+        ang = _direction_rows(dirs, ln.dir)
         near = np.count_nonzero((perp <= delta) & (ang <= 2 * delta))
         min_in_tube = min(min_in_tube, near)
     if min_in_tube < ml_fine / C0 - 1e-9:

@@ -20,7 +20,7 @@ from .configurations import (
     generate_vertical,
     min_config_distance,
 )
-from .geometry import Line
+from .geometry import Line, _point_lines_rows, _points_line_rows
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,11 @@ class _DistanceState:
             self._refresh_column(j)
 
     def _refresh_column(self, j):
-        rel = self.points - self.points[j]
-        t = rel @ self.dirs[j]
-        self.D[:, j] = np.linalg.norm(rel - t[:, None] * self.dirs[j], axis=1)
+        self.D[:, j] = _points_line_rows(self.points, self.points[j], self.dirs[j])
         self.D[j, j] = np.inf
 
     def _refresh_row(self, i):
-        rel = self.points[i] - self.points
-        t = np.einsum("ij,ij->i", rel, self.dirs)
-        self.D[i, :] = np.linalg.norm(rel - t[:, None] * self.dirs, axis=1)
+        self.D[i, :] = _point_lines_rows(self.points[i], self.points, self.dirs)
         self.D[i, i] = np.inf
 
     def objective(self) -> float:

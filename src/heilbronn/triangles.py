@@ -19,7 +19,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Line, points_line_distance
+from .configurations import _nearest_point_line
+from .geometry import Line
 
 
 @dataclass(frozen=True)
@@ -327,16 +328,7 @@ def triangle_via_pointline(P) -> tuple[TriangleWitness, PairPipelineReport]:
 
     anchors = np.array([P[i] for i, _ in pairs])
     lines = [Line(P[i], P[j] - P[i]) for i, j in pairs]
-    best = np.inf
-    wit = (0, 1)
-    for b, line in enumerate(lines):
-        dd = points_line_distance(anchors, line)
-        dd[b] = np.inf
-        a = int(np.argmin(dd))
-        if dd[a] < best:
-            best = float(dd[a])
-            wit = (a, b)
-    a, b = wit
+    best, (a, b) = _nearest_point_line(anchors, lines)
     tri_pts = (pairs[a][0], pairs[b][0], pairs[b][1])
     area = triangle_area(P[tri_pts[0]], P[tri_pts[1]], P[tri_pts[2]])
     bound = max_len * best / 2.0

@@ -303,8 +303,6 @@ def _stab_max(lo: np.ndarray, hi: np.ndarray, alive_intervals):
 
 def two_ends_decompose(tubes, delta: float, span: float,
                        rich_constant: float = 4.0,
-                       round_multiplier: float = 3.0,
-                       exact_budget: float = 4e7,
                        domain_half: float = 2.0) -> TwoEndsResult:
     """Iterative excision of short coaxial windows until residuals spread out.
 
@@ -314,8 +312,9 @@ def two_ends_decompose(tubes, delta: float, span: float,
     exceeds n at desk scale and the loop is a no-op, which is fine: the
     certificate bound is then trivially satisfied.
 
-    The residual overlap is measured exactly on the delta/10 net when the net
-    fits the budget; otherwise it is bracketed by an exact lower evaluation
+    At most 3 log(1/delta) / log(2/span) rounds run.  The residual overlap is
+    measured exactly on the delta/10 net when the net has at most 4e7 cells;
+    otherwise it is bracketed by an exact lower evaluation
     at candidate maxima and an interval-stabbing upper bound.
     """
     tubes = list(tubes)
@@ -331,10 +330,10 @@ def two_ends_decompose(tubes, delta: float, span: float,
             raise ValueError(f"tubes must lie within [-{domain_half}, {domain_half}]^2")
     h = delta / 10.0
     r = rich_constant * span**-2 * np.sqrt(n)
-    max_rounds = int(np.ceil(round_multiplier * np.log(1.0 / delta) / np.log(2.0 / span)))
+    max_rounds = int(np.ceil(3.0 * np.log(1.0 / delta) / np.log(2.0 / span)))
 
     est_cells = sum(16 * t.length * t.width / h**2 + 8 * t.length / h for t in tubes)
-    exact = est_cells <= exact_budget
+    exact = est_cells <= 4e7
 
     excised: list[list[tuple[float, float]]] = [[] for _ in range(n)]
     picks: list[list[tuple[float, np.ndarray, np.ndarray]]] = [[] for _ in range(n)]

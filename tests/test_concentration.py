@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,10 @@ from heilbronn.configurations import (
     generate_bush,
     generate_plane_example,
     generate_vertical,
+    make_config,
     min_config_distance,
 )
-from heilbronn.geometry import Box, Line, complete_frame, lines_box_chords
+from heilbronn.geometry import Box, Line, complete_frame, line_metric_many, lines_box_chords
 
 from conftest import random_config, random_lines, separated_config
 
@@ -146,6 +149,108 @@ class TestMConfig:
                 big = m_config(X, min(A * u, 1), min(B * v, 1), min(C * w, 1), mets)
                 small = m_config(X, u, v, w, mets)
                 assert big <= 64 * A**3 * B**2 * C**4 * small
+
+
+def dense_config_metrics(config):
+    """The n x n x 3 broadcast build of the three ConfigMetrics matrices that the
+    row-by-row build replaced: (point_dist, dir_dist, line_dist)."""
+    P = config.points()
+    D = config.directions()
+    bases = config.line_bases()
+    n = len(config)
+    point_dist = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
+    dminus = np.linalg.norm(D[:, None, :] - D[None, :, :], axis=2)
+    dplus = np.linalg.norm(D[:, None, :] + D[None, :, :], axis=2)
+    dir_dist = np.minimum(dminus, dplus)
+    db = bases[None, :, :] - bases[:, None, :]
+    t = np.einsum("ijk,ik->ij", db, D)
+    perp = np.linalg.norm(db - t[..., None] * D[:, None, :], axis=2)
+    if config.dim == 3:
+        cross = np.cross(np.broadcast_to(D[:, None, :], (n, n, 3)),
+                         np.broadcast_to(D[None, :, :], (n, n, 3)))
+        nn = np.linalg.norm(cross, axis=2)
+        para = np.abs(np.einsum("ijk,ijk->ij", db, cross))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            skew = para / np.where(nn < 1e-12, 1.0, nn)
+        lmin = np.where(nn < 1e-12, perp, skew)
+    else:
+        cross = (D[:, None, 0] * D[None, :, 1] - D[:, None, 1] * D[None, :, 0])
+        lmin = np.where(np.abs(cross) < 1e-12, perp, 0.0)
+    return point_dist, dir_dist, dir_dist + lmin
+
+
+def _on_bases(lines, dim):
+    return make_config([ln.base for ln in lines], lines, dim=dim)
+
+
+class TestConfigMetricsRowBuild:
+    """The row-by-row ConfigMetrics against the dense build it replaced.
+
+    The dense build projected with einsum, the geometry kernel projects with a
+    matrix-vector product, and the two can round the last bit apart.  Only the
+    line distance of a parallel pair uses that projection, so it may differ by
+    one ulp there; every other entry is equal bit for bit.  The scale triples
+    avoid the grid spacings of the vertical and plane families, where such a
+    last-bit difference decides a comparison.
+    """
+
+    SCALES = [(0.05, 0.1, 0.2), (0.3, 0.3, 0.3), (0.2, 1.0, 0.45), (1.0, 0.05, 1.0),
+              (1.0, 1.0, 1.0), (0.5, 0.2, 0.1)]
+
+    def _check(self, config):
+        mets = ConfigMetrics(config)
+        pd, dd, ld = dense_config_metrics(config)
+        assert np.array_equal(mets.point_dist, pd)
+        assert np.array_equal(mets.dir_dist, dd)
+        D = config.directions()
+        if config.dim == 3:
+            nn = np.linalg.norm(np.cross(D[:, None, :], D[None, :, :]), axis=2)
+        else:
+            nn = np.abs(np.multiply.outer(D[:, 0], D[:, 1]) - np.multiply.outer(D[:, 1], D[:, 0]))
+        parallel = nn < 1e-12
+        assert np.array_equal(mets.line_dist[~parallel], ld[~parallel])
+        assert np.all(np.abs(mets.line_dist - ld)[parallel] <= np.spacing(ld[parallel]))
+        bases = config.line_bases()
+        for i, line in enumerate(config.lines()):
+            assert np.array_equal(mets.line_dist[i], line_metric_many(line, bases, D))
+        for u, v, w in self.SCALES:
+            mask = ((pd <= (np.inf if u >= 1 else u)) & (dd <= (np.inf if v >= 1 else v))
+                    & (ld <= (np.inf if w >= 1 else w)))
+            assert np.array_equal(mets.local_counts(u, v, w), mask.sum(axis=1))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 17, 120, 500])
+    def test_random(self, n, dim):
+        self._check(random_config(n, dim, seed=7 * n + dim))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_vertical_all_parallel(self, dim):
+        self._check(generate_vertical(1 / 16, dim))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bush_concurrent(self, dim):
+        _, lines = generate_bush(1 / 16, dim, 2, seed=3)
+        self._check(_on_bases(lines, dim))
+
+    @pytest.mark.parametrize("delta", [1 / 16, 1 / 32])
+    def test_plane_coplanar(self, delta):
+        _, lines = generate_plane_example(delta)
+        self._check(_on_bases(lines, 3))
+
+    def test_separated(self):
+        self._check(separated_config(300, 3, seed=5))
+
+    def test_peak_memory_three_matrices(self):
+        # three 1000 x 1000 float matrices are 24 MB; the dense build peaked
+        # near 190 MB on its n x n x 3 temporaries
+        X = random_config(1000, 3, seed=11)
+        tracemalloc.start()
+        try:
+            ConfigMetrics(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestCoveringProfiles:

@@ -342,6 +342,14 @@ class TestHardenedInputs:
         rc, err = _cli(*argv, "-o", str(tmp_path / "o.out"), timeout=10)
         assert rc == 3 and "Traceback" not in err
 
+    @pytest.mark.parametrize("delta", ["inf", "nan", "0", "-0.5"])
+    def test_uniformize_rejects_bad_delta(self, tmp_path, delta):
+        plc = str(tmp_path / "v.plc")
+        assert main(["gen", "vertical", "--delta", "0.125", "--dim", "3", "-o", plc]) == 0
+        rc, err = _cli("uniformize", "-p", plc, "--K", "2", f"--delta={delta}",
+                       "-o", str(tmp_path / "u.plc"))
+        assert rc == 3 and "Traceback" not in err and "delta" in err
+
     def test_measure_kt_constant_rejects_zero_delta(self):
         code = ("from heilbronn.tubes import Tube3D, measure_kt_constant\n"
                 "measure_kt_constant([Tube3D([0.5] * 3, [0, 0, 1], 0.1, 1.0)], 0.0, 1.0, 1.0)\n")

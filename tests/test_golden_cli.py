@@ -2,9 +2,9 @@
 
 The inputs and the expected outputs live in `tests/golden/`.  Each case runs
 one command in process and compares the bytes it wrote with the recorded
-file.  The commands are the ones whose box counters, greedy nets and dyadic
-scale ladders share code, so a refactor of those primitives that changes any
-count, cover or scale shows up here.
+file.  The commands are the ones whose box counters, greedy nets, dyadic
+scale ladders and pairwise distances share code, so a refactor of those
+primitives that changes any count, cover, scale or distance shows up here.
 
 To record the expected outputs again (only when an output is meant to
 change), run `PYTHONPATH=src python tests/test_golden_cli.py --record`.
@@ -19,9 +19,12 @@ from heilbronn.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+UNIFORMIZE2 = ["uniformize", "-p", "lines2.plc", "--K", "2", "--delta", "0.3"]
+UNIFORMIZE3 = ["uniformize", "-p", "lines3.plc", "--K", "2", "--delta", "0.3"]
 HIGHLOW = ["highlow-check", "-p", "pts3.pts", "-l", "lines3.plc", "--delta", "0.125"]
 
-# name -> (argv with input file names relative to GOLDEN, output suffix)
+# name -> (argv with input file names relative to GOLDEN, output suffix[, suffix
+# of a second file the command writes next to its output, compared instead])
 CASES = {
     "conc_points": (["conc", "-p", "pts3.pts", "--mode", "points", "--w", "0.25"], ".csv"),
     "conc_lines3": (["conc", "-p", "lines3.plc", "--mode", "lines", "--u", "0.125",
@@ -59,15 +62,23 @@ CASES = {
                  "--wmax", "0.5"], ".csv"),
     "scan_b3": (["scan-b", "-p", "pts3.pts", "-l", "lines3.plc", "--wmin", "0.125",
                  "--wmax", "0.5"], ".csv"),
+    "dx": (["dx", "-p", "lines3.plc"], ".csv"),
+    "pair_pipeline": (["pair-pipeline", "-p", "pts3.pts"], ".csv"),
+    "uniformize2": (UNIFORMIZE2, ".plc"),
+    "uniformize2_cert": (UNIFORMIZE2, ".plc", ".cert.csv"),
+    "uniformize3": (UNIFORMIZE3, ".plc"),
+    "uniformize3_cert": (UNIFORMIZE3, ".plc", ".cert.csv"),
+    "anneal_distance": (["anneal", "--objective", "distance", "--n", "6", "--moves", "40",
+                         "--epochs", "5", "--seed", "2"], ".plc"),
 }
 
 
 def _run(name: str, out_dir: Path) -> bytes:
-    argv, suffix = CASES[name]
+    argv, suffix, *second = CASES[name]
     argv = [str(GOLDEN / a) if (GOLDEN / a).is_file() else a for a in argv]
     out = out_dir / f"{name}{suffix}"
     assert main(argv + ["-o", str(out)]) == 0
-    return out.read_bytes()
+    return Path(f"{out}{second[0]}" if second else out).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -246,6 +246,33 @@ class TestRhsWellSpaced:
             rhs_wellspaced(1 / 16, X.points(), X.lines(), 1.0, 1.0, K=1.0,
                            A=1e-9, C0=1.0)
 
+    @pytest.mark.parametrize("family", ["vertical", "random", "bush"])
+    def test_wellspaced_tube_count_matches_inline_loop(self, family):
+        # the fewest lines within delta and 2 delta in direction of any line,
+        # read off the uniformity violation that a tiny C0 forces
+        delta = 1 / 8
+        if family == "vertical":
+            lines = generate_vertical(1 / 16, 3).lines()
+        elif family == "random":
+            lines = random_lines(150, 3, seed=23)
+        else:
+            lines = generate_bush(1 / 16, 3, 2, seed=4)[1]
+        bases = np.array([ln.base for ln in lines])
+        dirs = np.array([ln.dir for ln in lines])
+        want = np.inf
+        for ln in lines:
+            db = bases - ln.base
+            t = db @ ln.dir
+            perp = np.linalg.norm(db - t[:, None] * ln.dir, axis=1)
+            ang = np.minimum(np.linalg.norm(dirs - ln.dir, axis=1),
+                             np.linalg.norm(dirs + ln.dir, axis=1))
+            want = min(want, np.count_nonzero((perp <= delta) & (ang <= 2 * delta)))
+        P = np.full((1, 3), 0.5)
+        with pytest.raises(HypothesisViolation) as exc:
+            rhs_wellspaced(delta, P, lines, 1.0, 1.0, 1e9, A=1e9, C0=1e-9)
+        got = [v[1] for v in exc.value.violations if v[0] == "uniformity"]
+        assert got == [want]
+
     def test_wellspaced_random_inequality(self, rng):
         delta = 1 / 64
         n = 1500

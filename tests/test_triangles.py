@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from heilbronn.geometry import Line, points_line_distance
 from heilbronn.triangles import (
     _triu_pairs,
     greedy_close_pairs,
@@ -276,7 +277,47 @@ class TestGreedyPairs:
         assert C <= 10
 
 
+def inline_pipeline(P):
+    """The point-line loop triangle_via_pointline ran inline before it shared
+    the loop of min_config_distance: (config_distance, sorted triangle, area)."""
+    pairs, _ = greedy_close_pairs(P)
+    anchors = np.array([P[i] for i, _ in pairs])
+    lines = [Line(P[i], P[j] - P[i]) for i, j in pairs]
+    best = np.inf
+    wit = (0, 1)
+    for b, line in enumerate(lines):
+        dd = points_line_distance(anchors, line)
+        dd[b] = np.inf
+        a = int(np.argmin(dd))
+        if dd[a] < best:
+            best = float(dd[a])
+            wit = (a, b)
+    a, b = wit
+    tri = (pairs[a][0], pairs[b][0], pairs[b][1])
+    return best, tuple(sorted(tri)), triangle_area(P[tri[0]], P[tri[1]], P[tri[2]])
+
+
 class TestPipeline:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [8, 33, 256])
+    def test_matches_inline_loop(self, n, dim):
+        P = np.random.default_rng(31 * n + dim).uniform(0, 1, (n, dim))
+        witness, rep = triangle_via_pointline(P)
+        best, tri, area = inline_pipeline(P)
+        assert rep.config_distance == best
+        assert witness.indices == tri and witness.area == area
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_inline_loop_on_lattice(self, dim):
+        # equal pair lengths and collinear anchors: ties everywhere, so the
+        # first-argmin / strict-improvement order decides the witness
+        k = 8 if dim == 2 else 4
+        P = np.stack(np.meshgrid(*[np.arange(k) / k] * dim, indexing="ij"), -1).reshape(-1, dim)
+        witness, rep = triangle_via_pointline(P)
+        best, tri, area = inline_pipeline(P)
+        assert rep.config_distance == best
+        assert witness.indices == tri and witness.area == area
+
     def test_duplicate_point_zero_path(self, rng):
         P = rng.uniform(0, 1, (64, 3))
         P[10] = P[20]
