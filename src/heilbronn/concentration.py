@@ -26,8 +26,10 @@ from .configurations import (
 from .geometry import (
     Box,
     _chords_from_local,
+    _cross3,
     _direction_rows,
     _lines_min_distance_rows,
+    _norm,
     complete_frame,
     covering_number,
     direction_covering_number,
@@ -117,55 +119,90 @@ def _closest_points(b1, v1, b2, v2):
 def _pair_frame(b1, v1, b2, v2):
     """Frame (rows e1, e2, e3=v1) with e2 spanned toward the partner line."""
     proj = v2 - (v2 @ v1) * v1
-    np_ = np.linalg.norm(proj)
+    np_ = _norm(proj)
     if np_ > 1e-9:
         e2 = proj / np_
     else:
         off = (b2 - b1) - ((b2 - b1) @ v1) * v1
-        no = np.linalg.norm(off)
+        no = _norm(off)
         if no > 1e-9:
             e2 = off / no
         else:
             return complete_frame(v1)
-    e1 = np.cross(v1, e2)
-    n1 = np.linalg.norm(e1)
+    e1 = _cross3(v1, e2)
+    n1 = _norm(e1)
     if n1 < 1e-9:
         return complete_frame(v1)
     e1 = e1 / n1
-    e2 = np.cross(e1, v1) * -1.0
-    e2 = e2 / np.linalg.norm(e2)
+    e2 = _cross3(e1, v1) * -1.0
+    e2 = e2 / _norm(e2)
     return np.vstack([e1, e2, v1])
 
 
 def _box_candidates(bases: np.ndarray, dirs: np.ndarray,
                     anchor_cap: int = 48, partner_cap: int = 24):
-    """Candidate (center, frame) pairs anchored on member lines: one per line
-    (at most 192 lines) and one per (anchor, partner) pair."""
+    """Candidate boxes anchored on member lines, as (centers (C, 3), frames
+    (C, 3, 3)): one per line (at most 192 lines), then one per (anchor,
+    partner) pair.  Each candidate is built alone, with scalar dot products."""
     n = bases.shape[0]
     cube_center = np.full(3, 0.5)
-    cands: list[tuple[np.ndarray, np.ndarray]] = []
+    centers, frames = [], []
     for i in _subsample(n, 192):
         t = (cube_center - bases[i]) @ dirs[i]
-        cands.append((bases[i] + t * dirs[i], complete_frame(dirs[i])))
+        centers.append(bases[i] + t * dirs[i])
+        frames.append(complete_frame(dirs[i]))
+    partners = _subsample(n, partner_cap)
     for i in _subsample(n, anchor_cap):
-        for j in _subsample(n, partner_cap):
+        for j in partners:
             if i == j:
                 continue
             p1, p2 = _closest_points(bases[i], dirs[i], bases[j], dirs[j])
-            frame = _pair_frame(bases[i], dirs[i], bases[j], dirs[j])
-            cands.append(((p1 + p2) / 2.0, frame))
-    return cands
+            centers.append((p1 + p2) / 2.0)
+            frames.append(_pair_frame(bases[i], dirs[i], bases[j], dirs[j]))
+    return np.array(centers), np.array(frames)
 
 
-def _counts_for_candidate(bases, dirs, need, center, frame, scales):
-    """Yield, per (u, w) in `scales`, the members whose chord in the u x w x 1
-    box at (center, frame) is at least `need` (lazily: a caller may stop early)."""
-    B = (bases - center) @ frame.T
-    V = dirs @ frame.T
-    for (u, w) in scales:
-        half = np.array([u / 2.0, w / 2.0, 0.5])
-        chords = _chords_from_local(B, V, half)
-        yield int(np.count_nonzero(chords >= need))
+# elements (candidates x scales x members) of one block of the box counter:
+# about ten float/bool temporaries of this size, so roughly 1 MB in flight
+_CHUNK = 1 << 14
+
+
+def _box_counts(bases, dirs, need, centers, frames, halves, reach=np.inf) -> np.ndarray:
+    """(C, S) counts: members whose chord is at least `need` in the box with
+    centre centers[k], frame rows frames[k] and half-extents halves[s].
+
+    Works in blocks of at most _CHUNK (candidate, scale, member) elements:
+    several candidates per block when they fit, else one candidate and a
+    slice of the scales (a single member row can exceed it when n > _CHUNK).
+    Each candidate's local coordinates come from its own product
+    `(bases - center) @ frame.T`, exactly as a one-box call computes them.
+    """
+    n, d = bases.shape
+    C, S = centers.shape[0], halves.shape[0]
+    counts = np.zeros((C, S), dtype=np.int64)
+    if n == 0 or C == 0:
+        return counts
+    s_step = max(1, min(S, _CHUNK // n))
+    c_step = min(C, max(1, _CHUNK // (s_step * n)))
+    B = np.empty((c_step, n, d))
+    V = np.empty((c_step, n, d))
+    for k0 in range(0, C, c_step):
+        c = min(c_step, C - k0)
+        for j in range(c):
+            np.matmul(bases - centers[k0 + j], frames[k0 + j].T, out=B[j])
+            np.matmul(dirs, frames[k0 + j].T, out=V[j])
+        for s0 in range(0, S, s_step):
+            chords = _chords_from_local(B[:c], V[:c], halves[s0:s0 + s_step], reach)
+            counts[k0:k0 + c, s0:s0 + s_step] = np.count_nonzero(chords >= need, axis=-1)
+    return counts
+
+
+def _box_counts_3d(bases, dirs, need, centers, frames, scales) -> np.ndarray:
+    """(C, S) counts of members with chord >= `need` in the u x w x 1 box of
+    each candidate (centers (C, 3), frames (C, 3, 3)) at each (u, w) in
+    `scales`."""
+    halves = np.array([[u / 2.0, w / 2.0, 0.5] for u, w in scales]).reshape(-1, 3)
+    return _box_counts(bases, dirs, need, centers, frames, halves)
 
 
 def m_lines_sweep(lines, scales, anchor_cap: int = 48, partner_cap: int = 24,
@@ -195,35 +232,40 @@ def m_lines_sweep(lines, scales, anchor_cap: int = 48, partner_cap: int = 24,
 def _sweep(bases, dirs, need, scales, anchor_cap: int = 48, partner_cap: int = 24,
            subdivide: bool = True):
     """Per-scale max counts over the candidate boxes, and the realizing
-    (center, frame) pairs; `subdivide` adds children around each argmax."""
-    cands = _box_candidates(bases, dirs, anchor_cap, partner_cap)
-    best = [0] * len(scales)
-    best_cand = [cands[0]] * len(scales)
+    (center, frame) pairs; `subdivide` adds children around each argmax.
 
-    def score(candidates):
-        for center, frame in candidates:
-            counts = _counts_for_candidate(bases, dirs, need, center, frame, scales)
-            for s, c in enumerate(counts):
-                if c > best[s]:
-                    best[s] = c
-                    best_cand[s] = (center, frame)
-
-    score(cands)
-    if subdivide:
-        children: list[tuple[np.ndarray, np.ndarray]] = []
-        for s_parent, (u_p, w_p) in enumerate(scales):
-            center, frame = best_cand[s_parent]
-            for (u_c, w_c) in scales:
-                if u_c > u_p and w_c > w_p:
-                    continue
-                shifts_u = _span_steps(u_p, u_c)
-                shifts_w = _span_steps(w_p, w_c)
-                if len(shifts_u) * len(shifts_w) <= 1:
-                    continue
-                for du in shifts_u:
-                    for dw in shifts_w:
-                        children.append((center + du * frame[0] + dw * frame[1], frame))
-        score(children)
+    A scale's box is the first candidate reaching its maximum; a child
+    replaces it only with a strictly larger count, children taken in order
+    of parent scale, child scale and shift.
+    """
+    centers, frames = _box_candidates(bases, dirs, anchor_cap, partner_cap)
+    counts = _box_counts_3d(bases, dirs, need, centers, frames, scales)
+    first = counts.argmax(axis=0)
+    best = [int(c) for c in counts.max(axis=0)]
+    best_cand = [(centers[k], frames[k]) for k in first]
+    if not subdivide:
+        return best, best_cand
+    for (u_p, w_p), (center, frame) in zip(scales, list(best_cand)):
+        blocks = []
+        for (u_c, w_c) in scales:
+            if u_c > u_p and w_c > w_p:
+                continue
+            shifts_u = _span_steps(u_p, u_c)
+            shifts_w = _span_steps(w_p, w_c)
+            if len(shifts_u) * len(shifts_w) <= 1:
+                continue
+            blocks.append((center + shifts_u[:, None, None] * frame[0]
+                           + shifts_w[None, :, None] * frame[1]).reshape(-1, 3))
+        if not blocks:
+            continue
+        kids = np.concatenate(blocks)
+        kid_frames = np.broadcast_to(frame, (kids.shape[0], 3, 3))
+        counts = _box_counts_3d(bases, dirs, need, kids, kid_frames, scales)
+        top = counts.max(axis=0)
+        first = counts.argmax(axis=0)
+        for s in np.flatnonzero(top > best):
+            best[s] = int(top[s])
+            best_cand[s] = (kids[first[s]], frame)
     return best, best_cand
 
 
@@ -247,34 +289,46 @@ def m_lines(lines, u: float, w: float, **kw) -> int:
 # 2D: rectangles w x length around line or segment families
 
 
-def _segment_rect_counts(centers, dirs, lengths, rect_center, rect_dir, w):
-    """Count segments whose chord inside the w x 1 rectangle is >= half their length.
+def _segment_rect_counts(centers, dirs, lengths, rect_centers, rect_dirs, widths) -> np.ndarray:
+    """(R, W) counts of segments whose chord inside the w x 1 rectangle at
+    (rect_centers[r], long side along rect_dirs[r]) is >= half their length,
+    for each w in `widths`.
 
     `lengths=None` treats members as infinite lines with chord threshold 1/2.
     """
-    frame = np.array([[-rect_dir[1], rect_dir[0]], rect_dir])
+    frames = np.empty((rect_dirs.shape[0], 2, 2))
+    frames[:, 0, 0] = -rect_dirs[:, 1]
+    frames[:, 0, 1] = rect_dirs[:, 0]
+    frames[:, 1] = rect_dirs
+    halves = np.array([[w / 2.0, 0.5] for w in widths]).reshape(-1, 2)
     reach = np.inf if lengths is None else lengths / 2.0
-    chords = _chords_from_local((centers - rect_center) @ frame.T, dirs @ frame.T,
-                                np.array([w / 2.0, 0.5]), reach)
-    return int(np.count_nonzero(chords >= (0.5 if lengths is None else reach)))
+    return _box_counts(centers, dirs, 0.5 if lengths is None else reach, rect_centers,
+                       frames, halves, reach)
 
 
-def m_tubes_2d(centers, dirs, lengths, w: float) -> int:
-    """Max segments concentrated in a w x 1 rectangle (2D families).
+def m_tubes_2d(centers, dirs, lengths, widths) -> list[int]:
+    """Max segments concentrated in a w x 1 rectangle, for every w in `widths`
+    (2D families).
 
     `lengths=None` treats members as infinite lines with chord threshold 1/2.
+    The candidate rectangles do not depend on w, so every width is scored
+    against the same set in one pass.
     """
+    widths = [float(w) for w in widths]
+    for w in widths:
+        if not (0 < w <= 1 + 1e-9):
+            raise ValueError(f"need 0 < w <= 1, got {w}")
     centers = np.asarray(centers, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
     n = centers.shape[0]
     if n == 0:
-        return 0
-    best = 0
-    for i in _subsample(n, 384):
-        best = max(best, _segment_rect_counts(centers, dirs, lengths,
-                                              centers[i], dirs[i], w))
+        return [0] * len(widths)
+    anchors = _subsample(n, 384)
+    rect_centers = [centers[i] for i in anchors]
+    rect_dirs = [dirs[i] for i in anchors]
+    partners = _subsample(n, 32)
     for i in _subsample(n, 64):
-        for j in _subsample(n, 32):
+        for j in partners:
             if i == j:
                 continue
             mid = (centers[i] + centers[j]) / 2.0
@@ -284,15 +338,17 @@ def m_tubes_2d(centers, dirs, lengths, w: float) -> int:
                 dbase = centers[j] - centers[i]
                 t = (dbase[0] * dirs[j][1] - dbase[1] * dirs[j][0]) / cross
                 mid = centers[i] + t * dirs[i]
-            best = max(best, _segment_rect_counts(centers, dirs, lengths,
-                                                  mid, dirs[i], w))
-    return best
+            rect_centers.append(mid)
+            rect_dirs.append(dirs[i])
+    counts = _segment_rect_counts(centers, dirs, lengths, np.array(rect_centers),
+                                  np.array(rect_dirs), widths)
+    return [int(c) for c in counts.max(axis=0)]
 
 
 def m_lines_2d(lines, w: float) -> int:
     """Max 2D lines crossing a w x 1 rectangle with chord >= 1/2."""
     bases, dirs, _ = _family_arrays(lines)
-    return m_tubes_2d(bases, dirs, None, w)
+    return m_tubes_2d(bases, dirs, None, [w])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +513,7 @@ def katz_tao_fit(family, delta: float, dim: int) -> KatzTaoFit:
     ws = [min(w, 1.0) for w in dyadic_ladder(delta)]
     if len(ws) < 4:
         raise DegenerateGridError("fewer than 4 scale cells")
-    values = [m_tubes_2d(bases, dirs, lengths, w) for w in ws]
+    values = m_tubes_2d(bases, dirs, lengths, ws)
     A = np.array([[1.0, np.log(w / delta)] for w in ws])
     y = np.log(np.maximum(values, 1))
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)

@@ -9,6 +9,7 @@ every operation in this module is pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,38 +284,41 @@ def lines_box_chords(bases: np.ndarray, dirs: np.ndarray, box: Box) -> np.ndarra
     """Vectorized line_box_chord over (n,d) base/dir arrays."""
     B = (np.asarray(bases, dtype=float) - box.center) @ box.frame.T
     V = np.asarray(dirs, dtype=float) @ box.frame.T
-    return _chords_from_local(B, V, box.half_extents)
+    return _chords_from_local(B, V, box.half_extents[None])[0]
 
 
 def _chords_from_local(B: np.ndarray, V: np.ndarray, half: np.ndarray,
                        reach=np.inf) -> np.ndarray:
-    """Chord lengths from box-local coordinates B, V against half-extents.
+    """Chord lengths from box-local coordinates B, V against S boxes at once.
 
-    `reach` bounds the line parameter to [-reach, reach] before clipping (a
-    scalar or one value per line): np.inf for infinite lines, half the length
-    for segments centred at B.
+    B and V are (..., n, d): the n lines in the local frame of one box, or of
+    several with leading axes.  `half` is (S, d), one row of half-extents per
+    box; the result is (..., S, n).  Every element goes through the same
+    operations as in a call with one box and one line, so a chord does not
+    depend on the other boxes or lines of the call.  `reach` bounds the line
+    parameter to [-reach, reach] before clipping (a scalar or one value per
+    line): np.inf for infinite lines, half the length for segments centred
+    at B.
     """
-    n, d = B.shape
-    tmax = np.full(n, reach, dtype=float)
+    B = B[..., None, :, :]
+    V = V[..., None, :, :]
+    tmax = np.asarray(reach, dtype=float)
     tmin = -tmax
-    alive = np.ones(n, dtype=bool)
-    for i in range(d):
-        v = V[:, i]
-        b = B[:, i]
-        h = half[i]
-        par = np.abs(v) < 1e-14
-        alive &= ~(par & (np.abs(b) > h))
-        with np.errstate(divide="ignore", invalid="ignore"):
+    dead = np.zeros(B.shape[:-3] + (half.shape[0], B.shape[-2]), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(B.shape[-1]):
+            v = V[..., i]
+            b = B[..., i]
+            h = half[:, i, None]
+            par = np.abs(v) < 1e-14
+            dead |= par & (np.abs(b) > h)
             t1 = (-h - b) / v
             t2 = (h - b) / v
-        lo = np.minimum(t1, t2)
-        hi = np.maximum(t1, t2)
-        upd = ~par
-        tmin = np.where(upd, np.maximum(tmin, lo), tmin)
-        tmax = np.where(upd, np.minimum(tmax, hi), tmax)
+            tmin = np.where(par, tmin, np.maximum(tmin, np.minimum(t1, t2)))
+            tmax = np.where(par, tmax, np.minimum(tmax, np.maximum(t1, t2)))
     chord = np.clip(tmax - tmin, 0.0, None)
     chord = np.where(np.isfinite(chord), chord, 0.0)
-    return np.where(alive, chord, 0.0)
+    return np.where(dead, 0.0, chord)
 
 
 def _greedy_net_size(X: np.ndarray, w: float, dist) -> int:
@@ -356,6 +360,19 @@ def line_covering_number(lines, w: float) -> int:
     return _greedy_net_size(X, w, lambda C, x: _line_metric_rows(x[0], x[1], C[:, 0], C[:, 1]))
 
 
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors, component by component in the same order
+    (equal bit for bit, without np.cross's broadcasting set-up)."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a vector: the square root of its BLAS dot with itself."""
+    return math.sqrt(x @ x)
+
+
 def complete_frame(axis: np.ndarray) -> np.ndarray:
     """Orthonormal frame (rows) whose last row is the given unit axis."""
     axis = np.asarray(axis, dtype=float)
@@ -366,7 +383,7 @@ def complete_frame(axis: np.ndarray) -> np.ndarray:
     pick = np.argmin(np.abs(axis))
     helper = np.zeros(3)
     helper[pick] = 1.0
-    e1 = np.cross(axis, helper)
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
+    e1 = _cross3(axis, helper)
+    e1 = e1 / _norm(e1)
+    e2 = _cross3(axis, e1)
     return np.vstack([e1, e2, axis])

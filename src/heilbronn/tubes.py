@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import HypothesisViolation, _counts_for_candidate, \
-    _segment_rect_counts, _sweep, dyadic_ladder, dyadic_pairs, m_tubes_2d
+from .concentration import HypothesisViolation, _box_counts_3d, _segment_rect_counts, \
+    _sweep, dyadic_ladder, dyadic_pairs, m_tubes_2d
 from .geometry import SphericalRectangle, canonical_direction, \
     complete_frame, direction_distance
 
@@ -698,9 +698,10 @@ def _tube_arrays(tubes):
 
 def _verify_kt_2d(tubes, delta: float, t: float, K: float):
     centers, dirs, lengths = _tube_arrays(tubes)
+    ws = dyadic_ladder(delta)
+    values = m_tubes_2d(centers, dirs, lengths, [min(w, 1.0) for w in ws])
     violations = []
-    for w in dyadic_ladder(delta):
-        got = m_tubes_2d(centers, dirs, lengths, min(w, 1.0))
+    for w, got in zip(ws, values):
         cap = K * (w / delta) ** t
         if got > cap * (1 + 1e-9):
             violations.append((w, got, cap))
@@ -789,18 +790,26 @@ def generate_katz_tao_tubes(delta: float, t1: float, t2: float, count: int,
     attempts = 0
     budget = 100 * count if max_attempts is None else max_attempts
     tube_cls = Tube3D if dim == 3 else Tube2D
+    # rows 0..k-1 hold the k accepted tubes, row k the candidate (all of length 1)
+    centers = np.empty((count + 1, dim))
+    dirs = np.empty((count + 1, dim))
+    lengths = np.ones(count + 1)
     while len(tubes) < count and attempts < budget:
         attempts += 1
         center = rng.uniform(0.2, 0.8, size=dim)
         vdir = rng.normal(size=dim)
         cand = tube_cls(center, vdir, delta, 1.0)
-        centers, dirs, lengths = _tube_arrays(tubes + [cand])
+        k = len(tubes)
+        centers[k] = cand.center
+        dirs[k] = cand.dir
         if dim == 3:
-            counts = _counts_for_candidate(centers, dirs, lengths / 2.0, cand.center,
-                                           complete_frame(cand.dir), scales)
+            counts = _box_counts_3d(centers[:k + 1], dirs[:k + 1], lengths[:k + 1] / 2.0,
+                                    cand.center[None], complete_frame(cand.dir)[None],
+                                    scales)[0]
         else:
-            counts = (_segment_rect_counts(centers, dirs, lengths, cand.center, cand.dir, u)
-                      for u, _ in scales)
+            counts = _segment_rect_counts(centers[:k + 1], dirs[:k + 1], lengths[:k + 1],
+                                          cand.center[None], cand.dir[None],
+                                          [u for u, _ in scales])[0]
         if all(got <= cap for got, cap in zip(counts, caps)):
             tubes.append(cand)
     return tubes, len(tubes) == count
@@ -821,7 +830,8 @@ def measure_kt_constant(tubes, delta: float, t1: float, t2: float | None = None)
             worst = max(worst, got / ((u / delta) ** t1 * (w / delta) ** t2))
     else:
         centers, dirs, lengths = _tube_arrays(tubes)
-        for w in dyadic_ladder(delta):
-            got = m_tubes_2d(centers, dirs, lengths, min(w, 1.0))
+        ws = dyadic_ladder(delta)
+        values = m_tubes_2d(centers, dirs, lengths, [min(w, 1.0) for w in ws])
+        for w, got in zip(ws, values):
             worst = max(worst, got / (w / delta) ** t1)
     return float(worst)

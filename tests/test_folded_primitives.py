@@ -2,7 +2,7 @@
 
 Each `old_*` function below is a test-local copy of a code path that the
 package now routes through one shared primitive: the 3D tube box counter and
-the generator's box probe (now `concentration._counts_for_candidate`), the 2D
+the generator's box probe (now `concentration._box_counts_3d`), the 2D
 segment counter's own slab loop (now `geometry._chords_from_local`), the three
 greedy nets that grew their centres with `np.vstack` (now
 `geometry._greedy_net_size`) and the hand-written scale loops of the ladder
@@ -16,7 +16,7 @@ import pytest
 from heilbronn import concentration, incidence, tubes as tubes_mod
 from heilbronn.concentration import (
     _box_candidates,
-    _counts_for_candidate,
+    _box_counts_3d,
     _segment_rect_counts,
     dyadic_ladder,
     dyadic_pairs,
@@ -50,14 +50,13 @@ def old_tube_box_counts_3d(tubes, scales):
     centers = np.array([t.center for t in tubes])
     dirs = np.array([t.dir for t in tubes])
     lengths = np.array([t.length for t in tubes])
-    cands = _box_candidates(centers, dirs)
     best = [0] * len(scales)
-    for center, frame in cands:
+    for center, frame in zip(*_box_candidates(centers, dirs)):
         B = (centers - center) @ frame.T
         V = dirs @ frame.T
         for s, (u, w) in enumerate(scales):
-            half = np.array([u / 2.0, w / 2.0, 0.5])
-            chords = _chords_from_local(B, V, half)
+            half = np.array([[u / 2.0, w / 2.0, 0.5]])
+            chords = _chords_from_local(B, V, half)[0]
             cnt = int(np.count_nonzero(np.minimum(chords, lengths) >= lengths / 2.0))
             if cnt > best[s]:
                 best[s] = cnt
@@ -68,8 +67,8 @@ def old_probe_count_3d(centers, dirs, lengths, cand_center, cand_dir, u, w):
     frame = complete_frame(cand_dir)
     B = (centers - cand_center) @ frame.T
     V = dirs @ frame.T
-    half = np.array([u / 2.0, w / 2.0, 0.5])
-    chords = _chords_from_local(B, V, half)
+    half = np.array([[u / 2.0, w / 2.0, 0.5]])
+    chords = _chords_from_local(B, V, half)[0]
     return int(np.count_nonzero(np.minimum(chords, lengths) >= lengths / 2.0))
 
 
@@ -269,8 +268,8 @@ class TestBoxCounter:
     def test_probe_equals_old(self, fam):
         centers, dirs, lengths = arrays(fam)
         for t in fam[:8]:
-            got = list(_counts_for_candidate(centers, dirs, lengths / 2.0, t.center,
-                                             complete_frame(t.dir), SCALES_3D))
+            got = _box_counts_3d(centers, dirs, lengths / 2.0, t.center[None],
+                                 complete_frame(t.dir)[None], SCALES_3D)[0].tolist()
             assert got == [old_probe_count_3d(centers, dirs, lengths, t.center, t.dir, u, w)
                            for u, w in SCALES_3D]
 
@@ -292,20 +291,21 @@ class TestBoxCounter:
         rng = np.random.default_rng(8)
         rects = [(t.center, t.dir) for t in fam[:10]]
         rects += [(rng.uniform(0, 1, 2), d) for d in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8])]
-        for rc, rd in rects:
-            rd = np.asarray(rd, dtype=float)
-            for w in (1 / 64, 1 / 8, 0.25, 0.5, 1.0):
-                assert _segment_rect_counts(centers, dirs, lengths, rc, rd, w) == \
-                    old_segment_rect_counts(centers, dirs, lengths, rc, rd, w, 1.0)
+        widths = [1 / 64, 1 / 8, 0.25, 0.5, 1.0]
+        rc = np.array([c for c, _ in rects])
+        rd = np.array([d for _, d in rects], dtype=float)
+        got = _segment_rect_counts(centers, dirs, lengths, rc, rd, widths)
+        assert got.tolist() == [[old_segment_rect_counts(centers, dirs, lengths, c, d, w, 1.0)
+                                 for w in widths] for c, d in zip(rc, rd)]
 
     def test_segment_reach_bounds_the_chord(self):
         # a horizontal unit rectangle at the origin; a segment of length 0.5
         # lying along it has chord 0.5 (its length), a line has chord 1
         B = np.array([[0.0, 0.0]])
         V = np.array([[0.0, 1.0]])
-        half = np.array([0.1, 0.5])
-        assert _chords_from_local(B, V, half)[0] == 1.0
-        assert _chords_from_local(B, V, half, np.array([0.25]))[0] == 0.5
+        half = np.array([[0.1, 0.5]])
+        assert _chords_from_local(B, V, half)[0, 0] == 1.0
+        assert _chords_from_local(B, V, half, np.array([0.25]))[0, 0] == 0.5
 
 
 class TestKatzTaoLengths:
@@ -478,21 +478,22 @@ class TestLadderCallers:
     @pytest.mark.parametrize("delta", [1 / 16, 0.1, (1 + 5e-10) / 8])
     def test_verify_and_measure_2d(self, delta, monkeypatch):
         calls = []
-        monkeypatch.setattr(tubes_mod, "m_tubes_2d", _spy(calls, lambda *a: 1))
+        monkeypatch.setattr(tubes_mod, "m_tubes_2d",
+                            _spy(calls, lambda *a: [1] * len(a[3])))
         fam = tube_family(4, 2, 22)
         tubes_mod._verify_kt_2d(fam, delta, 1.0, 10.0)
         measure_kt_constant(fam, delta, 1.0)
         ws = [min(w, 1.0) for w in old_ladder(delta)]
-        assert [c[3] for c in calls] == ws + ws
+        assert [c[3] for c in calls] == [ws, ws]
 
     @pytest.mark.parametrize("delta", [1 / 16, 0.1, (1 + 5e-10) / 16])
     def test_generate(self, delta, monkeypatch):
         seen3, seen2 = [], []
-        monkeypatch.setattr(tubes_mod, "_counts_for_candidate",
-                            _spy(seen3, concentration._counts_for_candidate))
+        monkeypatch.setattr(tubes_mod, "_box_counts_3d",
+                            _spy(seen3, concentration._box_counts_3d))
         monkeypatch.setattr(tubes_mod, "_segment_rect_counts",
                             _spy(seen2, concentration._segment_rect_counts))
         generate_katz_tao_tubes(delta, 1.0, 1.0, 1, dim=3)
         generate_katz_tao_tubes(delta, 1.0, 1.0, 1, dim=2)
         assert seen3[0][5] == sorted(set(old_pairs(delta, 2 * delta)))
-        assert [c[5] for c in seen2] == sorted({min(w, 1.0) for w in old_ladder(2 * delta)})
+        assert [c[5] for c in seen2] == [sorted({min(w, 1.0) for w in old_ladder(2 * delta)})]

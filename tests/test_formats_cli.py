@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -292,6 +293,15 @@ class TestHardenedInputs:
         rc, err = _cli("conc", "-p", plc, "--mode", "lines", "--u", "0.5",
                        "--w", "0.1", "-o", str(tmp_path / "c.csv"))
         assert rc == 3 and "u <= w" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("w", ["-0.5", "0", "nan", "inf", "1.5"])
+    def test_conc_lines_2d_rejects_bad_width(self, tmp_path, w):
+        # the 3D counter already refused these; the 2D one printed a count
+        plc = os.path.join(os.path.dirname(__file__), "golden", "lines2.plc")
+        out = str(tmp_path / "c.csv")
+        rc, err = _cli("conc", "-p", plc, "--mode", "lines", "--w", w, "-o", out)
+        assert rc == 3 and "0 < w <= 1" in err and "Traceback" not in err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("argv", [
         ("--mode", "lines", "--w", "0.1"),
