@@ -68,6 +68,10 @@ CASES = {
     "uniformize2_cert": (UNIFORMIZE2, ".plc", ".cert.csv"),
     "uniformize3": (UNIFORMIZE3, ".plc"),
     "uniformize3_cert": (UNIFORMIZE3, ".plc", ".cert.csv"),
+    "two_ends_exact": (["two-ends", "-t", "pencil48.tubes", "--delta", "0.015625",
+                        "--span", "0.25", "--rich-constant", "0.1"], ".csv"),
+    "two_ends_approx": (["two-ends", "-t", "pencil250.tubes", "--delta", "0.00390625",
+                         "--span", "0.125", "--rich-constant", "0.05"], ".csv"),
     "anneal_distance": (["anneal", "--objective", "distance", "--n", "6", "--moves", "40",
                          "--epochs", "5", "--seed", "2"], ".plc"),
 }
