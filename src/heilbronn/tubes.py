@@ -12,6 +12,7 @@ implementation bug rather than an interesting input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,10 +207,11 @@ class TwoEndsResult:
         return max((len(s) for s in self.selection), default=0)
 
 
-def _lattice_points_in_rect(center, vdir, half_len, half_wid, h):
-    """Global-lattice points (step h) inside a rotated rectangle.
+def _lattice_spans(center, vdir, half_len, half_wid, h):
+    """Column spans of the global lattice (step h) inside a rotated rectangle.
 
-    Returns (packed_keys, txy) where txy are axis/perp coordinates.
+    Returns (ix, iy_lo, counts): the column at x = ix * h holds the points
+    iy_lo, ..., iy_lo + counts - 1 (times h).
     """
     perp = np.array([-vdir[1], vdir[0]])
     corners = np.array([center + st * half_len * vdir + sw * half_wid * perp
@@ -234,20 +236,43 @@ def _lattice_points_in_rect(center, vdir, half_len, half_wid, h):
     iy_lo = np.ceil(ylo / h - 1e-12).astype(np.int64)
     iy_hi = np.floor(yhi / h + 1e-12).astype(np.int64)
     counts = np.where(feasible, np.maximum(iy_hi - iy_lo + 1, 0), 0)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty((0, 2))
-    ix_rep = np.repeat(ix, counts)
-    base = np.repeat(np.cumsum(counts) - counts, counts)
-    iy_rep = np.repeat(iy_lo, counts) + (np.arange(total) - base)
-    pts = np.stack([ix_rep * h, iy_rep * h], axis=1)
-    rel = pts - center
-    txy = np.stack([rel @ vdir, rel @ perp], axis=1)
-    return (ix_rep + _KEY_OFF) * _KEY_W + (iy_rep + _KEY_OFF), txy
+    keep = counts > 0
+    return ix[keep], iy_lo[keep], counts[keep]
 
 
-_KEY_OFF = np.int64(2**20)
-_KEY_W = np.int64(2**21)
+def _lattice_net(tubes, dilate: float, h: float):
+    """Global-lattice points (step h) of every tube dilated by `dilate`, flat.
+
+    Returns (ids, t, offsets, size): tube i owns rows offsets[i]:offsets[i+1];
+    ids number the lattice points densely in 0..size (equal points, equal
+    ids) and t holds each point's axial coordinate on its tube.  Only the
+    column spans of all tubes are held while the id range is found, so the
+    peak is the two flat arrays plus one tube's points.
+    """
+    spans = [_lattice_spans(t.center, t.dir, dilate * t.length, dilate * t.width, h)
+             for t in tubes]
+    offsets = np.concatenate([[0], np.cumsum([int(c.sum()) for _, _, c in spans])])
+    ids = np.empty(offsets[-1], dtype=np.int64)
+    t_ax = np.empty(offsets[-1])
+    filled = [(ix, lo, c) for ix, lo, c in spans if c.size]
+    if not filled:
+        return ids, t_ax, offsets, 1
+    ix_min = min(int(ix[0]) for ix, _, _ in filled)
+    ix_max = max(int(ix[-1]) for ix, _, _ in filled)
+    iy_min = min(int(lo.min()) for _, lo, _ in filled)
+    height = max(int((lo + c).max()) for _, lo, c in filled) - iy_min
+    for i, (t, (ix, iy_lo, counts)) in enumerate(zip(tubes, spans)):
+        rows = slice(offsets[i], offsets[i + 1])
+        # row k of column j is point iy_lo[j] + k - start[j], start[j] its first row
+        k = np.arange(offsets[i + 1] - offsets[i])
+        shift = iy_lo - (np.cumsum(counts) - counts)
+        pts = np.empty((k.size, 2))
+        pts[:, 0] = np.repeat(ix * h, counts)
+        pts[:, 1] = (k + np.repeat(shift, counts)) * h
+        pts -= t.center
+        t_ax[rows] = pts @ t.dir
+        np.add(k, np.repeat((ix - ix_min) * height + shift - iy_min, counts), out=ids[rows])
+    return ids, t_ax, offsets, (ix_max - ix_min + 1) * height
 
 
 class _TubeArrays:
@@ -286,19 +311,27 @@ def _crossing_intervals(arr: _TubeArrays, i: int, dilate: float = 2.0):
 
 
 def _stab_max(lo: np.ndarray, hi: np.ndarray, alive_intervals):
-    """Max number of [lo, hi) intervals sharing a point inside the alive set."""
+    """Max number of [lo, hi) intervals sharing a point inside the alive set.
+
+    Returns (count, t) at the first sorted event time where the running count
+    reaches its largest alive value, or (0, 0.0) when no alive event has a
+    positive count.
+    """
     if lo.size == 0:
         return 0, 0.0
-    events = np.concatenate([np.stack([lo, np.ones_like(lo)], axis=1),
-                             np.stack([hi, -np.ones_like(hi)], axis=1)])
-    order = np.lexsort((-events[:, 1], events[:, 0]))
-    ev = events[order]
-    run = np.cumsum(ev[:, 1])
-    best, best_t = 0, 0.0
-    for (t, _), c in zip(ev, run):
-        if c > best and any(l - 1e-12 <= t <= h + 1e-12 for l, h in alive_intervals):
-            best, best_t = int(c), float(t)
-    return best, best_t
+    times = np.concatenate([lo, hi])
+    steps = np.repeat([1.0, -1.0], lo.size)
+    # at equal times openings come first
+    order = np.lexsort((-steps, times))
+    t = times[order]
+    alive = np.zeros(t.size, dtype=bool)
+    for l, h in alive_intervals:
+        alive |= (l - 1e-12 <= t) & (t <= h + 1e-12)
+    run = np.where(alive, np.cumsum(steps[order]), 0.0)
+    k = int(np.argmax(run))
+    if not run[k] > 0:
+        return 0, 0.0
+    return int(run[k]), float(t[k])
 
 
 def two_ends_decompose(tubes, delta: float, span: float,
@@ -312,15 +345,24 @@ def two_ends_decompose(tubes, delta: float, span: float,
     exceeds n at desk scale and the loop is a no-op, which is fine: the
     certificate bound is then trivially satisfied.
 
-    At most 3 log(1/delta) / log(2/span) rounds run.  The residual overlap is
-    measured exactly on the delta/10 net when the net has at most 4e7 cells;
-    otherwise it is bracketed by an exact lower evaluation
-    at candidate maxima and an interval-stabbing upper bound.
+    At most 3 log(1/delta) / log(2/span) rounds run.  The rich points and the
+    residual overlap are counted exactly on the delta/10 net when the net has
+    at most 4e7 cells; otherwise the windows follow interval-stabbing
+    profiles and the overlap is bracketed by an exact lower evaluation at
+    candidate maxima and a stabbing upper bound.  The exact path holds one
+    id, one axial coordinate and one alive flag per net point (17 bytes) and
+    one count per cell of the family's bounding box (8 bytes), updating the
+    counts by the points each round excises: about 140 MB for 48 unit tubes
+    at delta = 2^-6.
     """
     tubes = list(tubes)
     n = len(tubes)
     if n == 0:
         raise ValueError("empty tube family")
+    if any(t.center.shape != (2,) for t in tubes):
+        raise ValueError("two-ends decomposition needs planar (2D) tubes")
+    if not (np.isfinite(rich_constant) and rich_constant > 0):
+        raise ValueError(f"rich_constant must be positive and finite, got {rich_constant}")
     if not 0 < delta < span < 1:
         raise ValueError("need 0 < delta < span < 1")
     if span < 8.0 * delta:
@@ -335,91 +377,13 @@ def two_ends_decompose(tubes, delta: float, span: float,
     est_cells = sum(16 * t.length * t.width / h**2 + 8 * t.length / h for t in tubes)
     exact = est_cells <= 4e7
 
-    excised: list[list[tuple[float, float]]] = [[] for _ in range(n)]
     picks: list[list[tuple[float, np.ndarray, np.ndarray]]] = [[] for _ in range(n)]
     rounds_run = 0
-
     if r <= n:  # otherwise no point can ever be rich
-        if exact:
-            ids_all, t_all = [], []
-            for i, t in enumerate(tubes):
-                k, txy = _lattice_points_in_rect(t.center, t.dir,
-                                                 2.0 * t.length, 2.0 * t.width, h)
-                ids_all.append(k)
-                t_all.append(txy[:, 0])
-            dense, size = _densify(ids_all)
+        excise = _excise_exact if exact else _excise_approx
+        rounds_run = excise(tubes, delta, span, r, max_rounds, picks)
 
-            for rounds_run in range(1, max_rounds + 1):
-                alive_ids = []
-                alive_masks = []
-                for i in range(n):
-                    ti = t_all[i]
-                    mask = np.ones(ti.size, dtype=bool)
-                    for lo, hi in excised[i]:
-                        mask &= ~((ti >= lo) & (ti <= hi))
-                    alive_masks.append(mask)
-                    alive_ids.append(dense[i][mask])
-                mult = np.bincount(np.concatenate(alive_ids), minlength=size)
-                richmask = mult >= r
-                if not richmask.any():
-                    rounds_run -= 1
-                    break
-                new_any = False
-                for i in range(n):
-                    sel = alive_masks[i] & richmask[dense[i]]
-                    ti = t_all[i][sel]
-                    if ti.size == 0:
-                        continue
-                    win = span / 4.0
-                    bins = np.arange(-2 * tubes[i].length, 2 * tubes[i].length + delta, delta)
-                    histo, _ = np.histogram(ti, bins=bins)
-                    width_bins = max(1, int(round(win / delta)))
-                    csum = np.concatenate([[0], np.cumsum(histo)])
-                    sums = csum[width_bins:] - csum[:-width_bins]
-                    g = int(np.argmax(sums))
-                    if sums[g] == 0:
-                        continue
-                    tc = bins[g] + win / 2.0
-                    excised[i].append((tc - span / 4.0, tc + span / 4.0))
-                    picks[i].append((tc, tubes[i].center + tc * tubes[i].dir, tubes[i].dir))
-                    new_any = True
-                if not new_any:
-                    break
-        else:
-            # approximate rich handling: stabbing profiles drive the windows
-            arr = _TubeArrays(tubes)
-            for rounds_run in range(1, max_rounds + 1):
-                new_any = False
-                for i in range(n):
-                    lo, hi = _crossing_intervals(arr, i, dilate=4.0)
-                    alive = _subtract_windows([(-2 * tubes[i].length, 2 * tubes[i].length)],
-                                              excised[i])
-                    stab, t_at = _stab_max(lo, hi, alive)
-                    if stab + 1 < r:
-                        continue
-                    excised[i].append((t_at - span / 4.0, t_at + span / 4.0))
-                    picks[i].append((t_at, tubes[i].center + t_at * tubes[i].dir, tubes[i].dir))
-                    new_any = True
-                if not new_any:
-                    rounds_run -= 1
-                    break
-
-    # merge picked windows into an essentially distinct excision family
-    reps: list[Tube2D] = []
-    selection: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for (tc, center, vdir) in picks[i]:
-            found = None
-            for ridx, rep in enumerate(reps):
-                if (np.linalg.norm(rep.center - center) < 4.0 * delta
-                        and direction_distance(rep.dir, vdir) < 4.0 * delta / span):
-                    found = ridx
-                    break
-            if found is None:
-                reps.append(Tube2D(center, vdir, 8.0 * delta, span))
-                found = len(reps) - 1
-            if found not in selection[i]:
-                selection[i].append(found)
+    reps, selection = _merge_picks(picks, delta, span)
 
     # residual sets: 2T minus the selected representatives
     final_alive: list[list[tuple[float, float]]] = []
@@ -445,50 +409,119 @@ def two_ends_decompose(tubes, delta: float, span: float,
                          n_tubes=n, exact_net=exact)
 
 
-def _densify(ids_all):
-    """Map sparse packed lattice keys to a dense 0..size range per tube."""
-    ix_min, ix_max = None, None
-    iy_min, iy_max = None, None
-    for k in ids_all:
-        if k.size == 0:
-            continue
-        ix = k // _KEY_W
-        iy = k - ix * _KEY_W
-        ix_min = int(ix.min()) if ix_min is None else min(ix_min, int(ix.min()))
-        ix_max = int(ix.max()) if ix_max is None else max(ix_max, int(ix.max()))
-        iy_min = int(iy.min()) if iy_min is None else min(iy_min, int(iy.min()))
-        iy_max = int(iy.max()) if iy_max is None else max(iy_max, int(iy.max()))
-    if ix_min is None:
-        return [np.empty(0, dtype=np.int64) for _ in ids_all], 1
-    height = iy_max - iy_min + 1
-    dense = []
-    for k in ids_all:
-        if k.size == 0:
-            dense.append(np.empty(0, dtype=np.int64))
-            continue
-        ix = k // _KEY_W
-        iy = k - ix * _KEY_W
-        dense.append((ix - ix_min) * height + (iy - iy_min))
-    size = (ix_max - ix_min + 1) * height
-    return dense, int(size)
+def _excise_exact(tubes, delta, span, r, max_rounds, picks) -> int:
+    """Excision rounds with exact rich counts on the delta/10 net of 2T.
+
+    Appends each tube's picked windows to `picks` and returns the rounds run.
+    """
+    ids, t_ax, offsets, size = _lattice_net(tubes, 2.0, delta / 10.0)
+    alive = np.ones(ids.size, dtype=bool)
+    mult = np.bincount(ids, minlength=size)
+    win = span / 4.0
+    width_bins = max(1, int(round(win / delta)))
+    rounds_run = 0
+    for rounds_run in range(1, max_rounds + 1):
+        richmask = mult >= r
+        if not richmask.any():
+            return rounds_run - 1
+        # ids newly covered by this round's windows; richmask stays fixed for
+        # the round and mult drops by them once the round is over
+        covered = []
+        for i, tube in enumerate(tubes):
+            rows = slice(offsets[i], offsets[i + 1])
+            ti, alive_i = t_ax[rows], alive[rows]
+            ts = ti[alive_i & richmask[ids[rows]]]
+            if ts.size == 0:
+                continue
+            bins = np.arange(-2 * tube.length, 2 * tube.length + delta, delta)
+            histo, _ = np.histogram(ts, bins=bins)
+            csum = np.concatenate([[0], np.cumsum(histo)])
+            sums = csum[width_bins:] - csum[:-width_bins]
+            g = int(np.argmax(sums))
+            if sums[g] == 0:
+                continue
+            tc = bins[g] + win / 2.0
+            lo, hi = tc - span / 4.0, tc + span / 4.0
+            picks[i].append((tc, tube.center + tc * tube.dir, tube.dir))
+            cut = alive_i & (ti >= lo) & (ti <= hi)
+            alive_i &= ~cut
+            covered.append(ids[rows][cut])
+        if not covered:
+            break
+        np.subtract.at(mult, np.concatenate(covered), 1)
+    return rounds_run
+
+
+def _excise_approx(tubes, delta, span, r, max_rounds, picks) -> int:
+    """Excision rounds driven by stabbing profiles of the dilated crossings.
+
+    Appends each tube's picked windows to `picks` and returns the rounds run.
+    """
+    arr = _TubeArrays(tubes)
+    excised: list[list[tuple[float, float]]] = [[] for _ in tubes]
+    rounds_run = 0
+    for rounds_run in range(1, max_rounds + 1):
+        new_any = False
+        for i, tube in enumerate(tubes):
+            lo, hi = _crossing_intervals(arr, i, dilate=4.0)
+            alive = _subtract_windows([(-2 * tube.length, 2 * tube.length)], excised[i])
+            stab, t_at = _stab_max(lo, hi, alive)
+            if stab + 1 < r:
+                continue
+            excised[i].append((t_at - span / 4.0, t_at + span / 4.0))
+            picks[i].append((t_at, tube.center + t_at * tube.dir, tube.dir))
+            new_any = True
+        if not new_any:
+            return rounds_run - 1
+    return rounds_run
+
+
+def _merge_picks(picks, delta: float, span: float):
+    """Merge picked windows into an essentially distinct excision family.
+
+    Each pick joins the first earlier representative within 4 delta in
+    centre and 4 delta / span in direction, or starts a new one.  The
+    batched squared distances only preselect: they can differ from the scalar
+    norms in the last bits, so the candidates are decided in order by the
+    scalar test, with a margin that keeps every match among them.
+    """
+    reps: list[Tube2D] = []
+    centers = np.empty((sum(len(p) for p in picks), 2))
+    dirs = np.empty_like(centers)
+    near_c = (4.0 * delta) ** 2 * (1.0 + 1e-9)
+    near_d = (4.0 * delta / span) ** 2 * (1.0 + 1e-9)
+    selection: list[list[int]] = []
+    for tube_picks in picks:
+        sel: list[int] = []
+        for (_, center, vdir) in tube_picks:
+            k = len(reps)
+            cand = (((centers[:k] - center) ** 2).sum(axis=1) <= near_c) \
+                & (np.minimum(((dirs[:k] - vdir) ** 2).sum(axis=1),
+                              ((dirs[:k] + vdir) ** 2).sum(axis=1)) <= near_d)
+            found = next((int(j) for j in np.flatnonzero(cand)
+                          if np.linalg.norm(reps[j].center - center) < 4.0 * delta
+                          and direction_distance(reps[j].dir, vdir) < 4.0 * delta / span),
+                         None)
+            if found is None:
+                reps.append(Tube2D(center, vdir, 8.0 * delta, span))
+                centers[k], dirs[k] = reps[k].center, reps[k].dir
+                found = k
+            if found not in sel:
+                sel.append(found)
+        selection.append(sel)
+    return reps, selection
 
 
 def _exact_residual_overlap(tubes, alive_intervals, h: float) -> int:
-    ids_all, masks = [], []
-    for i, t in enumerate(tubes):
-        k, txy = _lattice_points_in_rect(t.center, t.dir, t.length, t.width, h)
-        ti = txy[:, 0]
-        mask = np.zeros(ti.size, dtype=bool)
-        for lo, hi in alive_intervals[i]:
-            mask |= (ti >= lo) & (ti <= hi)
-        ids_all.append(k)
-        masks.append(mask)
-    dense, size = _densify(ids_all)
-    cat = np.concatenate([d[m] for d, m in zip(dense, masks)])
-    if cat.size == 0:
+    ids, t_ax, offsets, size = _lattice_net(tubes, 1.0, h)
+    mask = np.zeros(ids.size, dtype=bool)
+    for i, ivs in enumerate(alive_intervals):
+        ti, keep = t_ax[offsets[i]:offsets[i + 1]], mask[offsets[i]:offsets[i + 1]]
+        for lo, hi in ivs:
+            keep |= (ti >= lo) & (ti <= hi)
+    if not mask.any():
         return 0
-    counts = np.bincount(cat, minlength=size)
-    return int(counts.max())
+    return int(np.bincount(ids[mask], minlength=size).max())
 
 
 def _approx_residual_overlap(tubes, alive_intervals, h: float):
@@ -654,7 +687,7 @@ def shading_union_volume(tubes, shading: Shading, resolution: float) -> float:
     if resolution > min_width / 4.0 + 1e-12:
         raise ValueError("resolution too coarse: need <= min width / 4")
     dim = tubes[0].center.shape[0]
-    occupied: set[tuple] = set()
+    occupied = []
     for t, ivs in zip(tubes, shading.intervals):
         perp_frame = complete_frame(t.dir)[:-1]
         for lo, hi in ivs:
@@ -676,9 +709,20 @@ def shading_union_volume(tubes, shading: Shading, resolution: float) -> float:
             else:
                 ss = np.sqrt(np.maximum((rel**2).sum(axis=1) - tt**2, 0.0))
             inside = (np.abs(tt) <= half_t) & (ss <= t.width / 2.0)
-            for cell in map(tuple, cells[inside]):
-                occupied.add(cell)
-    return len(occupied) * resolution**dim
+            occupied.append(cells[inside])
+    return _distinct_rows(np.concatenate(occupied or [np.empty((0, dim), int)])) \
+        * resolution**dim
+
+
+def _distinct_rows(cells: np.ndarray) -> int:
+    """Number of distinct integer rows, through linear keys when they fit."""
+    if cells.shape[0] == 0:
+        return 0
+    lo = cells.min(axis=0)
+    dims = tuple(int(e) for e in cells.max(axis=0) - lo + 1)
+    if math.prod(dims) >= 2**62:
+        return int(np.unique(cells, axis=0).shape[0])
+    return int(np.unique(np.ravel_multi_index(tuple((cells - lo).T), dims)).size)
 
 
 @dataclass(frozen=True)

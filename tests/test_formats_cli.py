@@ -303,6 +303,25 @@ class TestHardenedInputs:
         assert rc == 3 and "0 < w <= 1" in err and "Traceback" not in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("rich", ["nan", "inf", "-1", "0"])
+    def test_two_ends_rejects_bad_rich_constant(self, tmp_path, rich):
+        # nan wrote a nan threshold and -1 excised junk windows, both with exit 0
+        tub = os.path.join(os.path.dirname(__file__), "golden", "pencil48.tubes")
+        out = str(tmp_path / "te.csv")
+        rc, err = _cli("two-ends", "-t", tub, "--delta", "0.015625", "--span", "0.25",
+                       "--rich-constant", rich, "-o", out)
+        assert rc == 3 and "rich_constant" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
+    def test_two_ends_rejects_spatial_tubes(self, tmp_path):
+        # a numpy broadcasting message used to be all the user saw
+        tub = os.path.join(os.path.dirname(__file__), "golden", "tubes3.tubes")
+        out = str(tmp_path / "te.csv")
+        rc, err = _cli("two-ends", "-t", tub, "--delta", "0.015625", "--span", "0.25",
+                       "-o", out)
+        assert rc == 3 and "planar (2D) tubes" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("argv", [
         ("--mode", "lines", "--w", "0.1"),
         ("--mode", "config", "--u", "0.1", "--w", "0.1"),

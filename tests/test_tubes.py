@@ -1,12 +1,17 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from heilbronn import tubes as tubes_mod
 from heilbronn.concentration import HypothesisViolation
-from heilbronn.geometry import SphericalRectangle
+from heilbronn.geometry import SphericalRectangle, complete_frame, direction_distance
 from heilbronn.tubes import (
     Shading,
     Tube2D,
     Tube3D,
+    TwoEndsResult,
     check_planar_brush,
     check_space_brush,
     generate_katz_tao_tubes,
@@ -262,3 +267,437 @@ class TestKatzTaoGenerator:
                                                 max_attempts=600)
         assert not complete
         assert len(fam) < 500
+
+
+# ---------------------------------------------------------------------------
+# oracles: test-local copies of the loop-based two-ends and union-volume code
+
+
+def old_stab_max(lo, hi, alive_intervals):
+    if lo.size == 0:
+        return 0, 0.0
+    events = np.concatenate([np.stack([lo, np.ones_like(lo)], axis=1),
+                             np.stack([hi, -np.ones_like(hi)], axis=1)])
+    order = np.lexsort((-events[:, 1], events[:, 0]))
+    ev = events[order]
+    run = np.cumsum(ev[:, 1])
+    best, best_t = 0, 0.0
+    for (t, _), c in zip(ev, run):
+        if c > best and any(l - 1e-12 <= t <= h + 1e-12 for l, h in alive_intervals):
+            best, best_t = int(c), float(t)
+    return best, best_t
+
+
+_OLD_KEY_OFF = np.int64(2**20)
+_OLD_KEY_W = np.int64(2**21)
+
+
+def old_lattice_points_in_rect(center, vdir, half_len, half_wid, h):
+    perp = np.array([-vdir[1], vdir[0]])
+    corners = np.array([center + st * half_len * vdir + sw * half_wid * perp
+                        for st in (-1, 1) for sw in (-1, 1)])
+    ix = np.arange(int(np.floor(corners[:, 0].min() / h)),
+                   int(np.ceil(corners[:, 0].max() / h)) + 1, dtype=np.int64)
+    ax = ix * h - center[0]
+    ylo = np.full(ix.size, -np.inf)
+    yhi = np.full(ix.size, np.inf)
+    feasible = np.ones(ix.size, dtype=bool)
+    for coef, c0, bound in ((vdir[1], vdir[0], half_len), (perp[1], perp[0], half_wid)):
+        off = ax * c0
+        if abs(coef) < 1e-15:
+            feasible &= np.abs(off) <= bound
+            continue
+        t1 = (-bound - off) / coef
+        t2 = (bound - off) / coef
+        ylo = np.maximum(ylo, np.minimum(t1, t2) + center[1])
+        yhi = np.minimum(yhi, np.maximum(t1, t2) + center[1])
+    iy_lo = np.ceil(ylo / h - 1e-12).astype(np.int64)
+    iy_hi = np.floor(yhi / h + 1e-12).astype(np.int64)
+    counts = np.where(feasible, np.maximum(iy_hi - iy_lo + 1, 0), 0)
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), np.empty((0, 2))
+    ix_rep = np.repeat(ix, counts)
+    base = np.repeat(np.cumsum(counts) - counts, counts)
+    iy_rep = np.repeat(iy_lo, counts) + (np.arange(total) - base)
+    pts = np.stack([ix_rep * h, iy_rep * h], axis=1)
+    rel = pts - center
+    txy = np.stack([rel @ vdir, rel @ perp], axis=1)
+    return (ix_rep + _OLD_KEY_OFF) * _OLD_KEY_W + (iy_rep + _OLD_KEY_OFF), txy
+
+
+def old_densify(ids_all):
+    ix_min, ix_max = None, None
+    iy_min, iy_max = None, None
+    for k in ids_all:
+        if k.size == 0:
+            continue
+        ix = k // _OLD_KEY_W
+        iy = k - ix * _OLD_KEY_W
+        ix_min = int(ix.min()) if ix_min is None else min(ix_min, int(ix.min()))
+        ix_max = int(ix.max()) if ix_max is None else max(ix_max, int(ix.max()))
+        iy_min = int(iy.min()) if iy_min is None else min(iy_min, int(iy.min()))
+        iy_max = int(iy.max()) if iy_max is None else max(iy_max, int(iy.max()))
+    if ix_min is None:
+        return [np.empty(0, dtype=np.int64) for _ in ids_all], 1
+    height = iy_max - iy_min + 1
+    dense = []
+    for k in ids_all:
+        if k.size == 0:
+            dense.append(np.empty(0, dtype=np.int64))
+            continue
+        ix = k // _OLD_KEY_W
+        iy = k - ix * _OLD_KEY_W
+        dense.append((ix - ix_min) * height + (iy - iy_min))
+    size = (ix_max - ix_min + 1) * height
+    return dense, int(size)
+
+
+def old_exact_residual_overlap(tubes, alive_intervals, h):
+    ids_all, masks = [], []
+    for i, t in enumerate(tubes):
+        k, txy = old_lattice_points_in_rect(t.center, t.dir, t.length, t.width, h)
+        ti = txy[:, 0]
+        mask = np.zeros(ti.size, dtype=bool)
+        for lo, hi in alive_intervals[i]:
+            mask |= (ti >= lo) & (ti <= hi)
+        ids_all.append(k)
+        masks.append(mask)
+    dense, size = old_densify(ids_all)
+    cat = np.concatenate([d[m] for d, m in zip(dense, masks)])
+    if cat.size == 0:
+        return 0
+    counts = np.bincount(cat, minlength=size)
+    return int(counts.max())
+
+
+def old_approx_residual_overlap(tubes, alive_intervals, h):
+    candidates = []
+    upper = 1
+    arr = tubes_mod._TubeArrays(tubes)
+    for i, t in enumerate(tubes):
+        lo, hi = tubes_mod._crossing_intervals(arr, i, dilate=2.0)
+        stab, t_at = old_stab_max(lo, hi, alive_intervals[i])
+        upper = max(upper, stab + 1)
+        snapped = np.round((t.center + t_at * t.dir) / h) * h
+        candidates.append(snapped)
+        if alive_intervals[i]:
+            mid = (alive_intervals[i][0][0] + alive_intervals[i][0][1]) / 2.0
+            candidates.append(np.round((t.center + mid * t.dir) / h) * h)
+    cand = np.array(candidates)
+    counts = np.zeros(cand.shape[0], dtype=np.int64)
+    for i, t in enumerate(tubes):
+        rel = cand - t.center
+        tt = rel @ t.dir
+        ss = rel @ np.array([-t.dir[1], t.dir[0]])
+        inside = np.abs(ss) <= t.width
+        ok = np.zeros(cand.shape[0], dtype=bool)
+        for lo, hi in alive_intervals[i]:
+            ok |= (tt >= lo) & (tt <= hi)
+        counts += inside & ok
+    measured = int(counts.max()) if counts.size else 0
+    return measured, max(upper, measured)
+
+
+def old_merge_picks(picks, delta, span):
+    reps = []
+    selection = [[] for _ in picks]
+    for i, tube_picks in enumerate(picks):
+        for (tc, center, vdir) in tube_picks:
+            found = None
+            for ridx, rep in enumerate(reps):
+                if (np.linalg.norm(rep.center - center) < 4.0 * delta
+                        and direction_distance(rep.dir, vdir) < 4.0 * delta / span):
+                    found = ridx
+                    break
+            if found is None:
+                reps.append(Tube2D(center, vdir, 8.0 * delta, span))
+                found = len(reps) - 1
+            if found not in selection[i]:
+                selection[i].append(found)
+    return reps, selection
+
+
+def old_two_ends_decompose(tubes, delta, span, rich_constant=4.0):
+    _subtract_windows = tubes_mod._subtract_windows
+    n = len(tubes)
+    h = delta / 10.0
+    r = rich_constant * span**-2 * np.sqrt(n)
+    max_rounds = int(np.ceil(3.0 * np.log(1.0 / delta) / np.log(2.0 / span)))
+    est_cells = sum(16 * t.length * t.width / h**2 + 8 * t.length / h for t in tubes)
+    exact = est_cells <= 4e7
+    excised = [[] for _ in range(n)]
+    picks = [[] for _ in range(n)]
+    rounds_run = 0
+    if r <= n:
+        if exact:
+            ids_all, t_all = [], []
+            for i, t in enumerate(tubes):
+                k, txy = old_lattice_points_in_rect(t.center, t.dir,
+                                                    2.0 * t.length, 2.0 * t.width, h)
+                ids_all.append(k)
+                t_all.append(txy[:, 0])
+            dense, size = old_densify(ids_all)
+            for rounds_run in range(1, max_rounds + 1):
+                alive_ids = []
+                alive_masks = []
+                for i in range(n):
+                    ti = t_all[i]
+                    mask = np.ones(ti.size, dtype=bool)
+                    for lo, hi in excised[i]:
+                        mask &= ~((ti >= lo) & (ti <= hi))
+                    alive_masks.append(mask)
+                    alive_ids.append(dense[i][mask])
+                mult = np.bincount(np.concatenate(alive_ids), minlength=size)
+                richmask = mult >= r
+                if not richmask.any():
+                    rounds_run -= 1
+                    break
+                new_any = False
+                for i in range(n):
+                    sel = alive_masks[i] & richmask[dense[i]]
+                    ti = t_all[i][sel]
+                    if ti.size == 0:
+                        continue
+                    win = span / 4.0
+                    bins = np.arange(-2 * tubes[i].length, 2 * tubes[i].length + delta, delta)
+                    histo, _ = np.histogram(ti, bins=bins)
+                    width_bins = max(1, int(round(win / delta)))
+                    csum = np.concatenate([[0], np.cumsum(histo)])
+                    sums = csum[width_bins:] - csum[:-width_bins]
+                    g = int(np.argmax(sums))
+                    if sums[g] == 0:
+                        continue
+                    tc = bins[g] + win / 2.0
+                    excised[i].append((tc - span / 4.0, tc + span / 4.0))
+                    picks[i].append((tc, tubes[i].center + tc * tubes[i].dir, tubes[i].dir))
+                    new_any = True
+                if not new_any:
+                    break
+        else:
+            arr = tubes_mod._TubeArrays(tubes)
+            for rounds_run in range(1, max_rounds + 1):
+                new_any = False
+                for i in range(n):
+                    lo, hi = tubes_mod._crossing_intervals(arr, i, dilate=4.0)
+                    alive = _subtract_windows([(-2 * tubes[i].length, 2 * tubes[i].length)],
+                                              excised[i])
+                    stab, t_at = old_stab_max(lo, hi, alive)
+                    if stab + 1 < r:
+                        continue
+                    excised[i].append((t_at - span / 4.0, t_at + span / 4.0))
+                    picks[i].append((t_at, tubes[i].center + t_at * tubes[i].dir,
+                                     tubes[i].dir))
+                    new_any = True
+                if not new_any:
+                    rounds_run -= 1
+                    break
+    reps, selection = old_merge_picks(picks, delta, span)
+    final_alive = []
+    for i, t in enumerate(tubes):
+        windows = []
+        for ridx in selection[i]:
+            rep = reps[ridx]
+            tc = float((rep.center - t.center) @ t.dir)
+            windows.append((tc - span / 2.0, tc + span / 2.0))
+        final_alive.append(_subtract_windows([(-t.length, t.length)], windows))
+    if exact:
+        measured = old_exact_residual_overlap(tubes, final_alive, h)
+        upper = measured
+    else:
+        measured, upper = old_approx_residual_overlap(tubes, final_alive, h)
+    return TwoEndsResult(tubes_out=tuple(reps),
+                         selection=tuple(tuple(s) for s in selection),
+                         overlap_measured=int(measured), overlap_upper=int(upper),
+                         rich_threshold=float(r), rounds_run=rounds_run,
+                         max_rounds=max_rounds, delta=delta, span=span,
+                         n_tubes=n, exact_net=exact)
+
+
+def old_shading_union_volume(tubes, shading, resolution):
+    dim = tubes[0].center.shape[0]
+    occupied = set()
+    for t, ivs in zip(tubes, shading.intervals):
+        perp_frame = complete_frame(t.dir)[:-1]
+        for lo, hi in ivs:
+            mid_t = (lo + hi) / 2.0
+            half_t = (hi - lo) / 2.0
+            center = t.center + mid_t * t.dir
+            span = np.abs(t.dir) * half_t + np.abs(perp_frame).sum(axis=0) * t.width / 2.0
+            lo_idx = np.floor((center - span) / resolution).astype(int) - 1
+            hi_idx = np.ceil((center + span) / resolution).astype(int) + 1
+            axes = [np.arange(lo_idx[a], hi_idx[a] + 1) for a in range(dim)]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            cells = np.stack([m.ravel() for m in mesh], axis=1)
+            pts = (cells + 0.5) * resolution
+            rel = pts - center
+            tt = rel @ t.dir
+            if dim == 2:
+                ss = np.abs(rel @ perp_frame[0])
+            else:
+                ss = np.sqrt(np.maximum((rel**2).sum(axis=1) - tt**2, 0.0))
+            inside = (np.abs(tt) <= half_t) & (ss <= t.width / 2.0)
+            for cell in map(tuple, cells[inside]):
+                occupied.add(cell)
+    return len(occupied) * resolution**dim
+
+
+def _same_result(a, b):
+    for f in dataclasses.fields(TwoEndsResult):
+        assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
+class TestStabMaxOracle:
+    @staticmethod
+    def _intervals(rng, m):
+        # times on a coarse grid so that many events tie
+        lo = rng.integers(-8, 8, m) / 4.0
+        return lo, lo + rng.integers(0, 6, m) / 4.0
+
+    def test_random_alive_sets(self, rng):
+        for _ in range(400):
+            lo, hi = self._intervals(rng, int(rng.integers(1, 30)))
+            k = int(rng.integers(0, 4))
+            edges = np.sort(rng.uniform(-3, 3, 2 * k))
+            alive = [(float(a), float(b)) for a, b in edges.reshape(-1, 2)]
+            assert tubes_mod._stab_max(lo, hi, alive) == old_stab_max(lo, hi, alive)
+
+    @pytest.mark.parametrize("eps", [-2e-12, -1e-12, 0.0, 1e-12, 2e-12])
+    def test_events_on_alive_edges(self, rng, eps):
+        for _ in range(200):
+            lo, hi = self._intervals(rng, int(rng.integers(1, 20)))
+            times = np.concatenate([lo, hi])
+            a, b = np.sort(rng.choice(times, 2))
+            for alive in ([(a + eps, b - eps)], [(a - eps, b + eps)],
+                          [(a + eps, a + eps), (b - eps, b + eps)]):
+                assert tubes_mod._stab_max(lo, hi, alive) == old_stab_max(lo, hi, alive)
+
+    def test_empty_and_dead(self, rng):
+        lo, hi = self._intervals(rng, 12)
+        for alive in ([], [(10.0, 11.0)], [(-11.0, -10.0), (9.0, 9.5)]):
+            assert tubes_mod._stab_max(lo, hi, alive) == old_stab_max(lo, hi, alive) \
+                == (0, 0.0)
+        empty = np.empty(0)
+        assert tubes_mod._stab_max(empty, empty, [(-1.0, 1.0)]) == (0, 0.0)
+
+    def test_only_dead_events_carry_the_maximum(self):
+        # the global maximum sits outside the alive set; the alive maximum wins
+        lo, hi = np.array([0.0, 0.1, 0.2, 1.0]), np.array([0.5, 0.6, 0.7, 2.0])
+        alive = [(0.8, 1.5)]
+        assert tubes_mod._stab_max(lo, hi, alive) == old_stab_max(lo, hi, alive) == (1, 1.0)
+
+
+class TestTwoEndsOracle:
+    @pytest.mark.parametrize("tubes, delta, span, rc", [
+        (pencil(48, 2**-6), 2**-6, 0.25, 0.1),
+        (random_tubes(40, 2**-5, seed=3), 2**-5, 0.25, 0.05),
+        (random_tubes(80, 2**-6, seed=2), 2**-6, 0.25, 0.03),
+        ([Tube2D([0.2 + 0.05 * i, 0.5], [0, 1], 2**-5, 1.0) for i in range(12)]
+         + [Tube2D([0.5, 0.2 + 0.05 * i], [1, 0], 2**-5, 1.0) for i in range(12)],
+         2**-5, 0.25, 0.05),
+    ])
+    def test_exact_net_equals_loop(self, tubes, delta, span, rc):
+        new = two_ends_decompose(tubes, delta, span, rich_constant=rc)
+        old = old_two_ends_decompose(tubes, delta, span, rich_constant=rc)
+        assert new.exact_net and new.rounds_run >= 2
+        _same_result(new, old)
+
+    @pytest.mark.parametrize("tubes, delta, span, rc", [
+        (pencil(250, 2**-8), 2**-8, 0.125, 0.05),
+        (random_tubes(300, 2**-8, seed=1), 2**-8, 0.125, 0.01),
+    ])
+    def test_approx_net_equals_loop(self, tubes, delta, span, rc):
+        new = two_ends_decompose(tubes, delta, span, rich_constant=rc)
+        old = old_two_ends_decompose(tubes, delta, span, rich_constant=rc)
+        assert not new.exact_net and new.rounds_run >= 2
+        _same_result(new, old)
+
+    def test_no_rounds_equals_loop(self):
+        tubes = random_tubes(120, 2**-7, seed=5)
+        new = two_ends_decompose(tubes, 2**-7, 2**-3)
+        assert new.rounds_run == 0
+        _same_result(new, old_two_ends_decompose(tubes, 2**-7, 2**-3))
+
+    @pytest.mark.parametrize("tubes", [
+        pencil(48, 2**-6),
+        [Tube2D([0.5, 0.5], [0, 1], 2**-6, 1.0), Tube2D([0.3, 0.7], [1, 0], 2**-6, 0.5),
+         Tube2D([-1.0, 1.5], [1, 1e-16], 2**-6, 1.0)],
+    ])
+    @pytest.mark.parametrize("dilate", [1.0, 2.0])
+    def test_lattice_net_equals_packed_keys(self, tubes, dilate):
+        h = 2**-6 / 10.0
+        ids, t_ax, offsets, size = tubes_mod._lattice_net(tubes, dilate, h)
+        keys, ts = zip(*(old_lattice_points_in_rect(t.center, t.dir, dilate * t.length,
+                                                    dilate * t.width, h) for t in tubes))
+        dense, old_size = old_densify(list(keys))
+        assert size == old_size
+        assert np.array_equal(ids, np.concatenate(dense))
+        assert np.array_equal(t_ax, np.concatenate([t[:, 0] for t in ts]))
+        assert np.array_equal(offsets, np.cumsum([0] + [k.size for k in keys]))
+
+    def test_merge_equals_scan_at_thresholds(self, rng):
+        delta, span = 2**-7, 0.125
+        rc, rd = 4.0 * delta, 4.0 * delta / span
+        base = [Tube2D(rng.uniform(0.3, 0.7, 2), rng.normal(size=2), delta, 1.0)
+                for _ in range(6)]
+        picks = []
+        for _ in range(40):
+            b = base[int(rng.integers(len(base)))]
+            rho = rc * rng.choice([1 - 1e-15, 1.0, 1 + 1e-15, rng.uniform(0.3, 1.7)])
+            phi = rng.uniform(0, 2 * np.pi)
+            theta = 2 * np.arcsin(rd / 2) * rng.choice([1 - 1e-15, 1.0, 1 + 1e-15,
+                                                        rng.uniform(0.3, 1.7)])
+            ang = np.arctan2(b.dir[1], b.dir[0]) + rng.choice([-1, 1]) * theta \
+                + rng.choice([0.0, np.pi])
+            tube = Tube2D(b.center + rho * np.array([np.cos(phi), np.sin(phi)]),
+                          [np.cos(ang), np.sin(ang)], delta, 1.0)
+            picks.append([(0.0, tube.center, tube.dir)] * int(rng.integers(0, 3)))
+        reps, selection = tubes_mod._merge_picks(picks, delta, span)
+        old_reps, old_selection = old_merge_picks(picks, delta, span)
+        assert reps == old_reps and selection == old_selection
+        assert len(reps) < sum(len(p) for p in picks)
+
+
+class TestUnionVolumeOracle:
+    @pytest.mark.parametrize("dim, delta, seed", [(2, 2**-5, 3), (3, 2**-4, 5), (3, 2**-3, 7)])
+    @pytest.mark.parametrize("density", [None, 0.5, 0.2])
+    def test_equals_set_of_cells(self, dim, delta, seed, density):
+        tubes, _ = generate_katz_tao_tubes(delta, 1.0, 1.0, 12, seed=seed, dim=dim)
+        tubes += [(Tube3D if dim == 3 else Tube2D)(tubes[0].center, np.eye(dim)[0],
+                                                     delta, 0.5)]
+        shading = Shading.full(tubes) if density is None else \
+            Shading.random_fraction(tubes, density, seed=seed)
+        for res in (delta / 4.0, delta / 6.0):
+            assert shading_union_volume(tubes, shading, res) == \
+                old_shading_union_volume(tubes, shading, res)
+
+    def test_empty_shading(self):
+        tubes = [Tube2D([0.5, 0.5], [1, 0], 0.1, 1.0)]
+        assert shading_union_volume(tubes, Shading(tubes, [[]]), 0.025) == 0.0
+
+
+class TestTwoEndsValidation:
+    @pytest.mark.parametrize("rc", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+    def test_bad_rich_constant(self, rc):
+        with pytest.raises(ValueError, match="rich_constant"):
+            two_ends_decompose(pencil(8, 2**-6), 2**-6, 0.25, rich_constant=rc)
+
+    def test_spatial_tubes_rejected(self):
+        tubes = random_tubes(5, 2**-6, seed=0, dim=3)
+        with pytest.raises(ValueError, match="planar"):
+            two_ends_decompose(tubes, 2**-6, 0.25)
+
+
+def test_exact_two_ends_memory_bound():
+    # one id, axial coordinate and alive flag per point of the delta/10 net of
+    # 2T, and one count per cell: about 145 MB; the per-round rebuild peaked
+    # at 334 MB
+    tubes = pencil(48, 2**-6)
+    tracemalloc.start()
+    try:
+        res = two_ends_decompose(tubes, 2**-6, 0.25, rich_constant=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exact_net and res.rounds_run >= 1
+    assert peak < 200 * 2**20
