@@ -352,7 +352,7 @@ def two_ends_decompose(tubes, delta: float, span: float,
     candidate maxima and a stabbing upper bound.  The exact path holds one
     id, one axial coordinate and one alive flag per net point (17 bytes) and
     one count per cell of the family's bounding box (8 bytes), updating the
-    counts by the points each round excises: about 140 MB for 48 unit tubes
+    counts by the points each round excises: about 145 MB for 48 unit tubes
     at delta = 2^-6.
     """
     tubes = list(tubes)
@@ -526,7 +526,6 @@ def _exact_residual_overlap(tubes, alive_intervals, h: float) -> int:
 
 def _approx_residual_overlap(tubes, alive_intervals, h: float):
     """(candidate-evaluated max, stabbing upper bound) for residual overlap."""
-    n = len(tubes)
     candidates = []
     upper = 1
     arr = _TubeArrays(tubes)
@@ -682,36 +681,120 @@ def spherical_two_ends(rects, delta: float, span: float, b: float,
 
 
 def shading_union_volume(tubes, shading: Shading, resolution: float) -> float:
-    """Volume (area in 2D) of the shaded union by cell-center counting."""
+    """Volume (area in 2D) of the shaded union by cell-center counting.
+
+    A cell of side `resolution` counts when its centre lies in one shaded
+    window: within half the window length of the window's centre along the
+    axis and within half the width of the axis, both evaluated over the
+    window's bounding box of cells (`_box_cells`).  `_column_cells` finds the
+    same cells from the columns that can meet the window.
+    """
     min_width = min(t.width for t in tubes)
     if resolution > min_width / 4.0 + 1e-12:
         raise ValueError("resolution too coarse: need <= min width / 4")
     dim = tubes[0].center.shape[0]
     occupied = []
     for t, ivs in zip(tubes, shading.intervals):
-        perp_frame = complete_frame(t.dir)[:-1]
         for lo, hi in ivs:
-            mid_t = (lo + hi) / 2.0
-            half_t = (hi - lo) / 2.0
-            center = t.center + mid_t * t.dir
-            half_ext = np.full(dim, t.width / 2.0)
-            span = np.abs(t.dir) * half_t + np.abs(perp_frame).sum(axis=0) * t.width / 2.0
-            lo_idx = np.floor((center - span) / resolution).astype(int) - 1
-            hi_idx = np.ceil((center + span) / resolution).astype(int) + 1
-            axes = [np.arange(lo_idx[a], hi_idx[a] + 1) for a in range(dim)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            cells = np.stack([m.ravel() for m in mesh], axis=1)
-            pts = (cells + 0.5) * resolution
-            rel = pts - center
-            tt = rel @ t.dir
-            if dim == 2:
-                ss = np.abs(rel @ perp_frame[0])
-            else:
-                ss = np.sqrt(np.maximum((rel**2).sum(axis=1) - tt**2, 0.0))
-            inside = (np.abs(tt) <= half_t) & (ss <= t.width / 2.0)
-            occupied.append(cells[inside])
+            window, box = _window(t, lo, hi, resolution)
+            cells = _column_cells(*window, box, resolution)
+            occupied.append(_box_cells(*window, box, resolution) if cells is None else cells)
     return _distinct_rows(np.concatenate(occupied or [np.empty((0, dim), int)])) \
         * resolution**dim
+
+
+def _window(t, lo: float, hi: float, res: float):
+    """((centre, dir, perp frame, half length, radius), (lo, hi) box corners).
+
+    The box holds every cell whose centre can lie in the window lo..hi of
+    tube t, with one cell to spare on each side.
+    """
+    perp_frame = complete_frame(t.dir)[:-1]
+    half_t = (hi - lo) / 2.0
+    center = t.center + (lo + hi) / 2.0 * t.dir
+    span = np.abs(t.dir) * half_t + np.abs(perp_frame).sum(axis=0) * t.width / 2.0
+    box = (np.floor((center - span) / res).astype(int) - 1,
+           np.ceil((center + span) / res).astype(int) + 1)
+    return (center, t.dir, perp_frame, half_t, t.width / 2.0), box
+
+
+def _inside(rel, vdir, perp_frame, half_t, radius):
+    """The window test on centre offsets, with the products as BLAS rounds them."""
+    tt = rel @ vdir
+    if rel.shape[1] == 2:
+        ss = np.abs(rel @ perp_frame[0])
+    else:
+        ss = np.sqrt(np.maximum((rel**2).sum(axis=1) - tt**2, 0.0))
+    return (np.abs(tt) <= half_t) & (ss <= radius)
+
+
+def _box_cells(center, vdir, perp_frame, half_t, radius, box, res):
+    """Cells of the box lo..hi (index corners) whose centres pass the window test."""
+    axes = [np.arange(lo, hi + 1) for lo, hi in zip(*box)]
+    cells = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return cells[_inside((cells + 0.5) * res - center, vdir, perp_frame, half_t, radius)]
+
+
+def _column_cells(center, vdir, perp_frame, half_t, radius, box, res):
+    """`_box_cells` from the columns that can meet the window, or None.
+
+    Columns run along the lattice axis closest to the tube's.  Each keeps
+    the cells of the box whose centres lie within radius + res of the tube
+    axis and within half_t + res of the window centre along it: a superset,
+    by a cell's width, of the box cells that pass.  A matrix-vector product rounds
+    each row according to its position in the array, so the products here
+    can differ from the box's in the last bits; the dot products of both
+    are within 1e-14 * sum |rel_i v_i| of the exact value, and a cell is
+    decided only when that slack cannot change the outcome.  None (use the
+    box) when some cell is that close to the boundary, or when the tube is
+    within 1e-3 rad of a lattice axis, where the box is already tight.
+    """
+    dim = vdir.size
+    a = int(np.argmax(np.abs(vdir)))
+    A = 1.0 - vdir[a] ** 2
+    if A < 1e-6:
+        return None
+    others = [k for k in range(dim) if k != a]
+    grid = np.meshgrid(*[np.arange(box[0][k], box[1][k] + 1) for k in others], indexing="ij")
+    cols = np.stack([g.ravel() for g in grid], axis=1)
+    # w: column point at coordinate 0 along axis a, relative to the centre;
+    # its squared distance to the axis line at a + s is A s^2 + 2 B s + C
+    w = np.empty((cols.shape[0], dim))
+    w[:, others] = (cols + 0.5) * res - center[others]
+    w[:, a] = -center[a]
+    b = w @ vdir
+    B = w[:, a] - b * vdir[a]
+    m = (w**2).sum(axis=1) - b**2 - B * B / A
+    reach = (radius + res) ** 2
+    half = np.sqrt(np.maximum(reach - m, 0.0) / A)
+    e1 = (-(half_t + res) - b) / vdir[a]
+    e2 = (half_t + res - b) / vdir[a]
+    s_lo = np.maximum(-B / A - half, np.minimum(e1, e2))
+    s_hi = np.minimum(-B / A + half, np.maximum(e1, e2))
+    k_lo = np.maximum(np.ceil(s_lo / res - 0.5).astype(np.int64), box[0][a])
+    k_hi = np.minimum(np.floor(s_hi / res - 0.5).astype(np.int64), box[1][a])
+    counts = np.where(m <= reach, np.maximum(k_hi - k_lo + 1, 0), 0)
+    first = np.cumsum(counts) - counts
+    cells = np.empty((int(counts.sum()), dim), dtype=np.int64)
+    cells[:, others] = np.repeat(cols, counts, axis=0)
+    cells[:, a] = np.arange(cells.shape[0]) + np.repeat(k_lo - first, counts)
+
+    rel = (cells + 0.5) * res - center
+    slack = 1e-14 * (np.abs(rel) @ np.abs(vdir))
+    tt = np.abs(rel @ vdir)
+    t_hi, t_lo = tt + slack, np.maximum(tt - slack, 0.0)
+    if dim == 2:
+        ss = np.abs(rel @ perp_frame[0])
+        s_slack = 1e-14 * (np.abs(rel) @ np.abs(perp_frame[0]))
+        s_in, s_out = ss + s_slack <= radius, ss - s_slack > radius
+    else:
+        sq = (rel**2).sum(axis=1)
+        s_in = np.sqrt(np.maximum(sq * (1 + 1e-14) - t_lo**2, 0.0)) <= radius
+        s_out = np.sqrt(np.maximum(sq * (1 - 1e-14) - t_hi**2, 0.0)) > radius
+    sure_in = (t_hi <= half_t) & s_in
+    if not np.all(sure_in | (t_lo > half_t) | s_out):
+        return None
+    return cells[sure_in]
 
 
 def _distinct_rows(cells: np.ndarray) -> int:

@@ -675,6 +675,32 @@ class TestUnionVolumeOracle:
         tubes = [Tube2D([0.5, 0.5], [1, 0], 0.1, 1.0)]
         assert shading_union_volume(tubes, Shading(tubes, [[]]), 0.025) == 0.0
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_column_cells_equal_box_cells(self, rng, dim):
+        res = 2**-6
+        for _ in range(40):
+            t = (Tube3D if dim == 3 else Tube2D)(rng.uniform(0.3, 0.7, dim),
+                                                 rng.normal(size=dim), 2**-4,
+                                                 rng.uniform(0.0625, 1.0))
+            lo = rng.uniform(-t.length / 2, 0.0)
+            window, box = tubes_mod._window(t, lo, rng.uniform(lo, t.length / 2), res)
+            cols = tubes_mod._column_cells(*window, box, res)
+            assert cols is not None
+            assert sorted(map(tuple, cols)) == \
+                sorted(map(tuple, tubes_mod._box_cells(*window, box, res)))
+
+    def test_boundary_ties_and_axis_tubes_use_the_box(self):
+        # centres i + j + 1 = 45 cells along (1, 1) sit on the window's end
+        res = 2**-6
+        tie = Tube2D([0.5, 0.5], [1, 1], 2**-4, 90 * res / np.sqrt(2))
+        axis = Tube3D([0.5, 0.5, 0.5], [1e-4, 1, 0], 2**-4, 1.0)
+        for t in (tie, axis):
+            window, box = tubes_mod._window(t, -t.length / 2, t.length / 2, res)
+            assert tubes_mod._column_cells(*window, box, res) is None
+            shading = Shading.full([t])
+            assert shading_union_volume([t], shading, res) == \
+                old_shading_union_volume([t], shading, res) > 0
+
 
 class TestTwoEndsValidation:
     @pytest.mark.parametrize("rc", [np.nan, np.inf, -np.inf, -1.0, 0.0])
