@@ -12,7 +12,6 @@ implementation bug rather than an interesting input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,7 +262,9 @@ def _lattice_net(tubes, dilate: float, h: float):
     height = max(int((lo + c).max()) for _, lo, c in filled) - iy_min
     for i, (t, (ix, iy_lo, counts)) in enumerate(zip(tubes, spans)):
         rows = slice(offsets[i], offsets[i + 1])
-        # row k of column j is point iy_lo[j] + k - start[j], start[j] its first row
+        # row k of column j is point iy_lo[j] + k - start[j], start[j] its first
+        # row; t is one (m, 2) product per tube because BLAS rounds each row
+        # by its position in the array
         k = np.arange(offsets[i + 1] - offsets[i])
         shift = iy_lo - (np.cumsum(counts) - counts)
         pts = np.empty((k.size, 2))
@@ -798,14 +799,12 @@ def _column_cells(center, vdir, perp_frame, half_t, radius, box, res):
 
 
 def _distinct_rows(cells: np.ndarray) -> int:
-    """Number of distinct integer rows, through linear keys when they fit."""
+    """Number of distinct integer rows, counted as linear keys."""
     if cells.shape[0] == 0:
         return 0
     lo = cells.min(axis=0)
-    dims = tuple(int(e) for e in cells.max(axis=0) - lo + 1)
-    if math.prod(dims) >= 2**62:
-        return int(np.unique(cells, axis=0).shape[0])
-    return int(np.unique(np.ravel_multi_index(tuple((cells - lo).T), dims)).size)
+    keys = np.ravel_multi_index(tuple((cells - lo).T), tuple(cells.max(axis=0) - lo + 1))
+    return int(np.unique(keys).size)
 
 
 @dataclass(frozen=True)
