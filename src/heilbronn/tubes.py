@@ -381,8 +381,8 @@ def two_ends_decompose(tubes, delta: float, span: float,
     picks: list[list[tuple[float, np.ndarray, np.ndarray]]] = [[] for _ in range(n)]
     rounds_run = 0
     if r <= n:  # otherwise no point can ever be rich
-        excise = _excise_exact if exact else _excise_approx
-        rounds_run = excise(tubes, delta, span, r, max_rounds, picks)
+        rounds_run = (_excise_exact(tubes, delta, span, r, max_rounds, picks) if exact
+                      else _excise_approx(tubes, span, r, max_rounds, picks))
 
     reps, selection = _merge_picks(picks, delta, span)
 
@@ -453,7 +453,7 @@ def _excise_exact(tubes, delta, span, r, max_rounds, picks) -> int:
     return rounds_run
 
 
-def _excise_approx(tubes, delta, span, r, max_rounds, picks) -> int:
+def _excise_approx(tubes, span, r, max_rounds, picks) -> int:
     """Excision rounds driven by stabbing profiles of the dilated crossings.
 
     Appends each tube's picked windows to `picks` and returns the rounds run.
@@ -719,21 +719,17 @@ def _window(t, lo: float, hi: float, res: float):
     return (center, t.dir, perp_frame, half_t, t.width / 2.0), box
 
 
-def _inside(rel, vdir, perp_frame, half_t, radius):
-    """The window test on centre offsets, with the products as BLAS rounds them."""
+def _box_cells(center, vdir, perp_frame, half_t, radius, box, res):
+    """Cells of the box lo..hi (index corners) whose centres pass the window test."""
+    axes = [np.arange(lo, hi + 1) for lo, hi in zip(*box)]
+    cells = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    rel = (cells + 0.5) * res - center
     tt = rel @ vdir
     if rel.shape[1] == 2:
         ss = np.abs(rel @ perp_frame[0])
     else:
         ss = np.sqrt(np.maximum((rel**2).sum(axis=1) - tt**2, 0.0))
-    return (np.abs(tt) <= half_t) & (ss <= radius)
-
-
-def _box_cells(center, vdir, perp_frame, half_t, radius, box, res):
-    """Cells of the box lo..hi (index corners) whose centres pass the window test."""
-    axes = [np.arange(lo, hi + 1) for lo, hi in zip(*box)]
-    cells = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    return cells[_inside((cells + 0.5) * res - center, vdir, perp_frame, half_t, radius)]
+    return cells[(np.abs(tt) <= half_t) & (ss <= radius)]
 
 
 def _column_cells(center, vdir, perp_frame, half_t, radius, box, res):
@@ -742,13 +738,13 @@ def _column_cells(center, vdir, perp_frame, half_t, radius, box, res):
     Columns run along the lattice axis closest to the tube's.  Each keeps
     the cells of the box whose centres lie within radius + res of the tube
     axis and within half_t + res of the window centre along it: a superset,
-    by a cell's width, of the box cells that pass.  A matrix-vector product rounds
-    each row according to its position in the array, so the products here
-    can differ from the box's in the last bits; the dot products of both
-    are within 1e-14 * sum |rel_i v_i| of the exact value, and a cell is
-    decided only when that slack cannot change the outcome.  None (use the
-    box) when some cell is that close to the boundary, or when the tube is
-    within 1e-3 rad of a lattice axis, where the box is already tight.
+    by a cell's width, of the box cells that pass.  A matrix-vector product
+    rounds each row according to its position in the array, so the products
+    here can differ from the box's in the last bits; the dot products of
+    both are within 1e-14 * sum |rel_i v_i| of the exact value, and a cell
+    is decided only when that slack cannot change the outcome.  None (use
+    the box) when some cell is that close to the boundary, or when the tube
+    is within 1e-3 rad of a lattice axis, where the box is already tight.
     """
     dim = vdir.size
     a = int(np.argmax(np.abs(vdir)))
@@ -758,8 +754,9 @@ def _column_cells(center, vdir, perp_frame, half_t, radius, box, res):
     others = [k for k in range(dim) if k != a]
     grid = np.meshgrid(*[np.arange(box[0][k], box[1][k] + 1) for k in others], indexing="ij")
     cols = np.stack([g.ravel() for g in grid], axis=1)
-    # w: column point at coordinate 0 along axis a, relative to the centre;
-    # its squared distance to the axis line at a + s is A s^2 + 2 B s + C
+    # w: the column's point at coordinate 0 along axis a, relative to the
+    # centre; the point s further lies at squared distance
+    # A s^2 + 2 B s + |w|^2 - b^2 from the tube axis, least (m) at s = -B / A
     w = np.empty((cols.shape[0], dim))
     w[:, others] = (cols + 0.5) * res - center[others]
     w[:, a] = -center[a]
