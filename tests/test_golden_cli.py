@@ -64,6 +64,10 @@ CASES = {
                  "--wmax", "0.5"], ".csv"),
     "dx": (["dx", "-p", "lines3.plc"], ".csv"),
     "pair_pipeline": (["pair-pipeline", "-p", "pts3.pts"], ".csv"),
+    # above the 120-point brute cut-over, so these reach the grid and apex passes
+    "min_triangle_lattice12": (["min-triangle", "-p", "lattice12.pts"], ".csv"),
+    "min_triangle_moment127": (["min-triangle", "-p", "moment127.pts"], ".csv"),
+    "min_triangle_random300": (["min-triangle", "-p", "random300.pts"], ".csv"),
     "uniformize2": (UNIFORMIZE2, ".plc"),
     "uniformize2_cert": (UNIFORMIZE2, ".plc", ".cert.csv"),
     "uniformize3": (UNIFORMIZE3, ".plc"),
