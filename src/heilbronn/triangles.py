@@ -53,24 +53,43 @@ def triangle_area(a, b, c) -> float:
     return float(np.linalg.norm(np.cross(u, v)) / 2.0)
 
 
-def _pair_cross_blocks(B: np.ndarray):
-    """Pairwise |B_j x B_k| for all j, k rows of B (2D scalar or 3D norm)."""
-    def cross(a, b):
-        c = np.multiply.outer(B[:, a], B[:, b])
-        c -= np.multiply.outer(B[:, b], B[:, a])
-        return c
+# entries scored at once: (block, triple) pairs in the grid pass, (apex,
+# shift, point) keys in the direction hash.  They keep the temporaries of
+# min_triangle_fast near 1 MB; a single block or apex larger than that is
+# scored on its own
+_LOCAL_CHUNK = 1 << 13
+_APEX_CHUNK = 1 << 14
 
-    if B.shape[1] == 2:
-        cz = cross(0, 1)
-        return np.abs(cz, out=cz)
+
+def _doubled_areas(u, v):
+    """|u x v| for component stacks u, v of shape (d, ...) (2D: the scalar).
+
+    The operation order is that of the cross product block below, so a
+    triangle's doubled area has the same bits whichever routine scores it.
+    """
+    if len(u) == 2:
+        c = u[0] * v[1]
+        c -= u[1] * v[0]
+        return np.abs(c, out=c)
     # in place, in the operation order of sqrt(cx*cx + cy*cy + cz*cz)
-    cx, cy, cz = cross(1, 2), cross(2, 0), cross(0, 1)
+    cx = u[1] * v[2]
+    cx -= u[2] * v[1]
+    cy = u[2] * v[0]
+    cy -= u[0] * v[2]
+    cz = u[0] * v[1]
+    cz -= u[1] * v[0]
     cx *= cx
     cy *= cy
     cx += cy
     cz *= cz
     cx += cz
     return np.sqrt(cx, out=cx)
+
+
+def _pair_cross_blocks(B: np.ndarray):
+    """Pairwise |B_j x B_k| for all j, k rows of B (2D scalar or 3D norm)."""
+    X = np.ascontiguousarray(B.T)
+    return _doubled_areas(X[:, :, None], X[:, None, :])
 
 
 @lru_cache(maxsize=32)
@@ -95,14 +114,11 @@ def _upper_argmin(C: np.ndarray, lower: np.ndarray) -> tuple[int, int, float]:
     return j, k, float(C[j, k])
 
 
-def min_triangle_brute(P) -> TriangleWitness:
-    """Exact minimizer over all C(n,3) triples, lexicographic tie-break."""
-    P = np.asarray(P, dtype=float)
+def _brute_doubled(P: np.ndarray) -> tuple[tuple[int, int, int], float]:
+    """Lexicographically first minimal triple of P and twice its area."""
     n = P.shape[0]
-    if n < 3:
-        raise ValueError("need at least 3 points")
     lower = np.tri(n - 1, dtype=bool)
-    best2 = np.inf  # twice the best area
+    best2 = np.inf
     witness = (0, 1, 2)
     for i in range(n - 2):
         # C stays bound until the next block exists: freeing a large block
@@ -112,39 +128,262 @@ def min_triangle_brute(P) -> TriangleWitness:
         if block_min < best2:
             best2 = block_min
             witness = (i, i + 1 + j, i + 1 + k)
+    return witness, best2
+
+
+def min_triangle_brute(P) -> TriangleWitness:
+    """Exact minimizer over all C(n,3) triples, lexicographic tie-break."""
+    P = np.asarray(P, dtype=float)
+    if P.shape[0] < 3:
+        raise ValueError("need at least 3 points")
+    witness, best2 = _brute_doubled(P)
     return TriangleWitness(indices=witness, area=best2 / 2.0)
 
 
-def _bucket_indices(P: np.ndarray, cell: float) -> dict:
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array through one sort (numpy's hash path is far
+    slower on the long, repetitive key arrays here)."""
+    x = np.sort(x)
+    new = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    return x[new]
+
+
+def _cell_blocks(P: np.ndarray, cell: float) -> tuple[np.ndarray, np.ndarray]:
+    """Members of every occupied grid cell's 3^d block of cells.
+
+    Returns (members, sizes): one block per occupied cell, the cells in order
+    of their smallest point index, each block's point indices ascending and
+    concatenated in `members`.  Cell keys are ranked per axis over the keys
+    and their neighbours, so the linear keys fit int64 however far apart the
+    points lie.
+    """
+    n, d = P.shape
     keys = np.floor(P / cell).astype(np.int64)
-    buckets: dict[tuple, list[int]] = {}
-    for idx, key in enumerate(map(tuple, keys)):
-        buckets.setdefault(key, []).append(idx)
-    return buckets
+    lin = np.zeros(n, dtype=np.int64)
+    ranks = []  # per axis: ranks of the keys - 1, + 0 and + 1, and the rank count
+    for ax in range(d):
+        k = keys[:, ax]
+        ladder = np.stack([k - 1, k, k + 1])
+        vals = _sorted_unique(ladder.ravel())
+        ranks.append((np.searchsorted(vals, ladder), vals.size))
+        lin = lin * vals.size + ranks[-1][0][1]
+    order = np.argsort(lin, kind="stable")
+    slin = lin[order]
+    head = np.flatnonzero(np.concatenate([[True], slin[1:] != slin[:-1]]))
+    cells, counts = slin[head], np.diff(np.append(head, n))
+    first = np.sort(order[head])  # each cell's smallest index, in appearance order
+    near = np.zeros((1, first.size), dtype=np.int64)  # linear keys of the 3^d neighbours
+    for rank, size in ranks:
+        near = (near[:, None, :] * size + rank[None, :, first]).reshape(-1, first.size)
+    pos = np.minimum(np.searchsorted(cells, near.T), cells.size - 1)
+    hit = cells[pos] == near.T
+    lens = counts[pos[hit]]
+    sizes = np.where(hit, counts[pos], 0).sum(axis=1)
+    ends = np.cumsum(lens)
+    at = np.repeat(head[pos[hit]] - (ends - lens), lens)
+    at += np.arange(ends[-1])
+    # sort each block's members: block * n + index, then the index back
+    members = np.repeat(np.arange(first.size, dtype=np.int64) * n, sizes)
+    members += order[at]
+    members.sort()
+    members %= n
+    return members, sizes
+
+
+def _n_triples(m: int) -> int:
+    return m * (m - 1) * (m - 2) // 6
+
+
+@lru_cache(maxsize=1)
+def _colex_triples(limit: int) -> np.ndarray:
+    """Rows (i, j, k), i < j < k < m, for the largest m with at most `limit`
+    triples, ordered by (k, j, i): the C(t, 3) triples of any t <= m come
+    first.  Read-only."""
+    m = 3
+    while _n_triples(m + 1) <= limit:
+        m += 1
+    below = np.tri(m, m, -1, dtype=bool)
+    k, j, i = np.nonzero(below[:, :, None] & below[None, :, :])
+    out = np.stack([i, j, k])
+    out.flags.writeable = False
+    return out
+
+
+def _block_min_doubled(P: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Twice the minimal triangle area of every block (inf below 3 points).
+
+    Blocks of equal size are scored together, a chunk of blocks at a time,
+    over all their triples; a triangle's doubled area depends only on its
+    sorted index triple, so the minimum has the bits of the brute force on
+    the block.
+    """
+    X = np.ascontiguousarray(P.T)
+    mins = np.full(sizes.size, np.inf)
+    starts = np.cumsum(sizes) - sizes
+    for m in np.unique(sizes[sizes >= 3]).tolist():
+        blocks = np.flatnonzero(sizes == m)
+        t = _n_triples(m)
+        if t > _LOCAL_CHUNK:
+            for b in blocks.tolist():
+                mins[b] = _brute_doubled(P[members[starts[b]:starts[b] + m]])[1]
+            continue
+        tri = _colex_triples(_LOCAL_CHUNK)
+        ij = tri[0, :t] * m + tri[1, :t]
+        ik = tri[0, :t] * m + tri[2, :t]
+        step = max(1, _LOCAL_CHUNK // t)
+        for c in range(0, blocks.size, step):
+            chunk = blocks[c:c + step]
+            Xc = X[:, members[starts[chunk, None] + np.arange(m)]]  # (d, g, m)
+            # D[., g, i, j] = p_j - p_i, the rows of the brute force's block
+            D = (Xc[:, :, None, :] - Xc[:, :, :, None]).reshape(X.shape[0], chunk.size, m * m)
+            mins[chunk] = _doubled_areas(D[:, :, ij], D[:, :, ik]).min(axis=1)
+    return mins
 
 
 def _local_min_pass(P: np.ndarray, cell: float) -> TriangleWitness:
-    """Exact minimum over triangles of diameter <= cell via 3^d block sweeps."""
-    d = P.shape[1]
-    buckets = _bucket_indices(P, cell)
-    offsets = np.array(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij")).reshape(d, -1).T
-    best = np.inf
-    witness = None
-    for key in buckets:
-        idx = []
-        for off in offsets:
-            idx.extend(buckets.get(tuple(np.array(key) + off), ()))
-        if len(idx) < 3:
-            continue
-        idx = sorted(idx)
-        sub = P[idx]
-        w = min_triangle_brute(sub) if len(idx) >= 3 else None
-        if w is not None and w.area < best:
-            best = w.area
-            witness = tuple(sorted(idx[t] for t in w.indices))
-    if witness is None:
+    """Exact minimum over triangles of diameter <= cell via 3^d block sweeps.
+
+    The witness is that of the brute force on the first block (cells in
+    order of their smallest point index) that holds the minimum: its
+    lexicographically first minimal triple.
+    """
+    members, sizes = _cell_blocks(P, cell)
+    areas = _block_min_doubled(P, members, sizes) / 2.0
+    b = int(np.argmin(areas))
+    if not areas[b] < np.inf:
         return TriangleWitness(indices=(0, 1, 2), area=np.inf)
-    return TriangleWitness(indices=witness, area=best)
+    start = int(sizes[:b].sum())
+    idx = members[start:start + sizes[b]]
+    (i, j, k), best2 = _brute_doubled(P[idx])
+    return TriangleWitness(indices=(int(idx[i]), int(idx[j]), int(idx[k])), area=best2 / 2.0)
+
+
+def _hash_pairs(rel: np.ndarray, norms: np.ndarray, h: float,
+                shifts: np.ndarray):
+    """Keys (a * m + t) * m + u, t < u, ascending and without repeats, of the
+    positions t, u of row a of `rel` (shape (A, m, d), vectors from apex a)
+    whose directions, folded to a half-sphere, share a cell of side h of one
+    of the shifted grids.  The packed int64 cell keys wrap around for tiny h,
+    and two points are paired exactly when their packed keys are equal.
+
+    Returns None instead when A > 1 and the runs of 3 or more equal keys
+    hold more than 2 * _APEX_CHUNK pairs; one apex at a time then keeps the
+    candidate lists to the size of a single apex's.
+    """
+    A, m, d = rel.shape
+    n_shift = shifts.shape[0]
+    dirs = rel / norms[..., None]
+    flip = np.where(dirs[..., 0] < 0, -1.0, 1.0)
+    flip = np.where(np.abs(dirs[..., 0]) < 1e-14,
+                    np.where(dirs[..., 1] < 0, -1.0, 1.0), flip)
+    dirs *= flip[..., None]
+    dirs /= h
+    packed = np.empty((A, n_shift, m), dtype=np.int64)
+    for ax in range(d):
+        k = np.floor(dirs[:, None, :, ax] + shifts[:, None, ax]).astype(np.int64)
+        if ax:
+            packed *= 1_000_003
+            packed += k
+        else:
+            packed[...] = k
+    packed *= n_shift
+    packed += np.arange(n_shift)[:, None]
+    # equal packed keys lie in one (apex, shift) row, so each row sorts alone
+    rows = packed.reshape(A * n_shift, m)
+    order = np.argsort(rows, axis=-1)
+    srt = np.take_along_axis(rows, order, axis=-1)
+    # eq[r, p + 1]: sorted positions p and p + 1 of row r share a key
+    eq = np.zeros((A * n_shift, m + 1), dtype=bool)
+    np.equal(srt[:, 1:], srt[:, :-1], out=eq[:, 1:m])
+    eq = eq.ravel()
+    f = np.flatnonzero(eq)
+    before, after = eq[f - 1], eq[f + 1]
+    r, p = np.divmod(f, m + 1)
+    run_start, run_end = ~before & after, before & ~after
+    length = f[run_end] - f[run_start] + 2
+    if A > 1 and int((length * (length - 1) // 2).sum()) > 2 * _APEX_CHUNK:
+        return None
+    # a pair alone with its key; runs of 3 or more give all their pairs
+    flat = order.ravel()
+    lone = ~(before | after)
+    at = r[lone] * m + p[lone] - 1
+    t, u, a = [flat[at]], [flat[at + 1]], [r[lone] // n_shift]
+    first = r[run_start] * m + p[run_start] - 1
+    for size in np.unique(length).tolist():
+        sel = length == size
+        grp = flat[first[sel, None] + np.arange(size)]
+        ju, ku = _triu_pairs(size)
+        t.append(grp[:, ju].ravel())
+        u.append(grp[:, ku].ravel())
+        a.append(np.repeat(r[run_start][sel] // n_shift, ju.size))
+    t, u, a = np.concatenate(t), np.concatenate(u), np.concatenate(a)
+    return _sorted_unique((a * m + np.minimum(t, u)) * m + np.maximum(t, u))
+
+
+def _apex_groups(P: np.ndarray, rows: int):
+    """(apices, others, rel, norms) for blocks of up to `rows` apices in
+    index order: `others` holds, per apex, the indices of the points more
+    than 1e-15 from it (ascending, the same count in every row), `rel` their
+    vectors from the apex and `norms` the lengths.  An apex with a point
+    within 1e-15 comes alone, and one with fewer than 2 others is left out.
+    """
+    n = P.shape[0]
+    base = np.arange(n - 1)
+    for start in range(0, n, rows):
+        ia = np.arange(start, min(start + rows, n))
+        others = base + (base >= ia[:, None])
+        rel = P[others] - P[ia, None, :]
+        norms = np.linalg.norm(rel, axis=-1)
+        ok = norms > 1e-15
+        if ok.all():
+            yield ia, others, rel, norms
+            continue
+        for t in range(ia.size):
+            keep = ok[t]
+            if np.count_nonzero(keep) >= 2:
+                yield (ia[t:t + 1], others[t, keep][None], rel[t, keep][None],
+                       norms[t, keep][None])
+
+
+def _apex_scan(P, group, h, shifts, best, witness):
+    """Run the direction pass over one group of apices from the incumbent
+    (best, witness); returns the new incumbent.
+
+    Candidate areas are scored for the whole group at once, then replayed
+    apex by apex in the order and with the comparisons of a scalar loop.
+    """
+    ia, others, rel, norms = group
+    key = _hash_pairs(rel, norms, h, shifts)
+    if key is None:
+        for r in range(ia.size):
+            best, witness = _apex_scan(P, tuple(x[r:r + 1] for x in group), h,
+                                       shifts, best, witness)
+        return best, witness
+    A, m, d = rel.shape
+    at, hi = np.divmod(key, m)
+    a, lo = np.divmod(at, m)
+    flat = rel.reshape(-1, d)
+    vals = _doubled_areas(flat[at].T, flat[a * m + hi].T) / 2.0
+    # the incumbent only falls, so this keeps every pair the replay can score
+    keep = vals <= best * (1.0 + 1e-9)
+    if not keep.any():
+        return best, witness
+    a, vals = a[keep], vals[keep]
+    tri = np.sort(np.stack([ia[a], others[a, lo[keep]], others[a, hi[keep]]]), axis=0)
+    base = P[tri[0]]
+    cand = _doubled_areas((P[tri[1]] - base).T, (P[tri[2]] - base).T) / 2.0
+    cut = np.flatnonzero(np.diff(a)) + 1
+    for s, e in zip([0] + cut.tolist(), cut.tolist() + [a.size]):
+        # the filter uses the incumbent at the start of the apex, the update
+        # is strict: the first minimal candidate below the incumbent wins
+        scored = s + np.flatnonzero(vals[s:e] <= best * (1.0 + 1e-9))
+        if scored.size:
+            win = int(scored[np.argmin(cand[scored])])
+            if cand[win] < best:
+                best = float(cand[win])
+                witness = tuple(int(x) for x in tri[:, win])
+    return best, witness
 
 
 def min_triangle_fast(P) -> TriangleWitness:
@@ -155,6 +394,18 @@ def min_triangle_fast(P) -> TriangleWitness:
     sides, spans a near-degenerate angle; those apex direction pairs are
     found by hashing normalized directions on a grid of the angular
     threshold.
+
+    Ties are broken as follows, so the witness is a function of the input
+    alone.  Grid pass: cells of side n^(-1/d) are taken in order of their
+    smallest point index; the first whose 3^d block holds the smallest area
+    wins, with the lexicographically first minimal triple of that block.
+    Direction pass: apices in index order, and for each apex its hashed
+    pairs in order of their point indices; a pair is scored only if its
+    apex-based area is at most (1 + 1e-9) times the incumbent at the start of
+    that apex, and it replaces the incumbent only if its area, in the brute
+    force's formula, is strictly smaller.  Sets of at most 120 points go to
+    the brute force, whose tie rule (the lexicographically first minimal
+    triple) can pick another witness.
     """
     P = np.asarray(P, dtype=float)
     n, d = P.shape
@@ -169,79 +420,13 @@ def min_triangle_fast(P) -> TriangleWitness:
     if best == 0.0:
         return TriangleWitness(indices=witness, area=0.0)
 
+    # sin_thresh <= 1 (also when the grid pass found nothing), so h <= 1.5
     sin_thresh = min(1.0, 4.0 * best / (cell * cell))
     h = 1.5 * sin_thresh  # chordal hash cell; 2 sin(theta/2) <= sqrt(2) sin(theta)
-    if h >= 2.0:
-        return min_triangle_brute(P)
-
-    def canonical_area(i, j, k) -> float:
-        """Area with the same formula and base vertex order as the brute force."""
-        i, j, k = sorted((i, j, k))
-        B = np.stack([P[j] - P[i], P[k] - P[i]])
-        return float(_pair_cross_blocks(B)[0, 1]) / 2.0
-
     shifts = np.array(np.meshgrid(*([[0.0, 0.5]] * d), indexing="ij")).reshape(d, -1).T
-    n_shift = shifts.shape[0]
-    all_idx = np.arange(n)
-    for i in range(n):
-        rel = P - P[i]
-        norms = np.linalg.norm(rel, axis=1)
-        ok = norms > 1e-15
-        if np.count_nonzero(ok) < 2:
-            continue
-        dirs = rel[ok] / norms[ok, None]
-        others = all_idx[ok]
-        flip = np.where(dirs[:, 0] < 0, -1.0, 1.0)
-        flip = np.where(np.abs(dirs[:, 0]) < 1e-14,
-                        np.where(dirs[:, 1] < 0, -1.0, 1.0), flip)
-        dirs = dirs * flip[:, None]
-        # one sort over all shifted grids; the shift index rides in the key
-        keys = np.floor(dirs / h + shifts[:, None, :]).astype(np.int64)
-        packed = keys[..., 0]
-        for ax in range(1, d):
-            packed = packed * 1_000_003 + keys[..., ax]
-        packed = packed * n_shift + np.arange(n_shift)[:, None]
-        flat = packed.ravel()
-        order = np.argsort(flat, kind="stable")
-        sp = flat[order]
-        m_ok = dirs.shape[0]
-
-        # candidate pairs: consecutive entries of equal key, plus full blocks
-        # for the rare runs of length >= 3
-        consec = sp[1:] == sp[:-1]
-        u_loc = order[:-1][consec] % m_ok
-        v_loc = order[1:][consec] % m_ok
-        run_break = np.flatnonzero(~consec) + 1
-        starts = np.concatenate([[0], run_break])
-        ends = np.concatenate([run_break, [len(sp)]])
-        big = np.flatnonzero(ends - starts >= 3)
-        extra_u, extra_v = [], []
-        for g in big:
-            members = np.unique(order[starts[g]:ends[g]] % m_ok)
-            ju, ku = _triu_pairs(members.size)
-            extra_u.append(members[ju])
-            extra_v.append(members[ku])
-        if extra_u:
-            u_loc = np.concatenate([u_loc] + extra_u)
-            v_loc = np.concatenate([v_loc] + extra_v)
-        if u_loc.size == 0:
-            continue
-        pair_key = np.minimum(u_loc, v_loc) * n + np.maximum(u_loc, v_loc)
-        _, uniq = np.unique(pair_key, return_index=True)
-        u_loc, v_loc = u_loc[uniq], v_loc[uniq]
-
-        su = rel[ok][u_loc]
-        sv = rel[ok][v_loc]
-        if d == 2:
-            vals = np.abs(su[:, 0] * sv[:, 1] - su[:, 1] * sv[:, 0]) / 2.0
-        else:
-            vals = np.linalg.norm(np.cross(su, sv), axis=1) / 2.0
-        for pos in np.flatnonzero(vals <= best * (1.0 + 1e-9)):
-            a_idx, b_idx = int(others[u_loc[pos]]), int(others[v_loc[pos]])
-            cand = canonical_area(i, a_idx, b_idx)
-            if cand < best:
-                best = cand
-                witness = tuple(sorted((i, a_idx, b_idx)))
+    rows = max(1, _APEX_CHUNK // (shifts.shape[0] * (n - 1)))
+    for group in _apex_groups(P, rows):
+        best, witness = _apex_scan(P, group, h, shifts, best, witness)
     return TriangleWitness(indices=witness, area=float(best))
 
 

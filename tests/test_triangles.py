@@ -1,12 +1,15 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from heilbronn import triangles
 from heilbronn.geometry import Line, points_line_distance
 from heilbronn.triangles import (
+    _cell_blocks,
     _triu_pairs,
     greedy_close_pairs,
     min_triangle_brute,
@@ -81,6 +84,158 @@ def doubled_areas(P):
         C = cross_block(P[i + 1:] - P[i])
         out.append(C[np.triu_indices(C.shape[0], 1)])
     return np.concatenate(out)
+
+
+def reference_buckets(P, cell):
+    """Grid cells as a dict key -> point indices, in first-appearance order."""
+    buckets = {}
+    for idx, key in enumerate(map(tuple, np.floor(P / cell).astype(np.int64))):
+        buckets.setdefault(key, []).append(idx)
+    return buckets
+
+
+def reference_blocks(P, cell):
+    """Sorted members of each cell's 3^d block, cells in first-appearance order."""
+    d = P.shape[1]
+    buckets = reference_buckets(P, cell)
+    offsets = np.array(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij")).reshape(d, -1).T
+    blocks = []
+    for key in buckets:
+        idx = []
+        for off in offsets:
+            idx.extend(buckets.get(tuple(np.array(key) + off), ()))
+        blocks.append(sorted(idx))
+    return blocks
+
+
+def reference_local_pass(P, cell):
+    """The grid pass as a loop: the brute force on every block of 3 or more
+    points, the first block with a strictly smaller minimum wins."""
+    best, witness = np.inf, None
+    for idx in reference_blocks(P, cell):
+        if len(idx) < 3:
+            continue
+        w = min_triangle_brute(P[idx])
+        if w.area < best:
+            best = w.area
+            witness = tuple(sorted(idx[t] for t in w.indices))
+    return (0, 1, 2) if witness is None else witness, best
+
+
+def reference_fast(P):
+    """min_triangle_fast as a per-apex loop: one stable sort of the packed
+    keys of all shifted grids per apex, pairs from consecutive equal keys and
+    from every run of 3 or more, and a scalar replay of the candidates."""
+    P = np.asarray(P, dtype=float)
+    n, d = P.shape
+    if n <= 120:
+        w = min_triangle_brute(P)
+        return w.indices, w.area
+    cell = max(n ** (-1.0 / d), 1e-6)
+    witness, best = reference_local_pass(P, cell)
+    if best == 0.0:
+        return witness, 0.0
+    h = 1.5 * min(1.0, 4.0 * best / (cell * cell))
+
+    def canonical_area(i, j, k):
+        i, j, k = sorted((i, j, k))
+        return float(cross_block(np.stack([P[j] - P[i], P[k] - P[i]]))[0, 1]) / 2.0
+
+    shifts = np.array(np.meshgrid(*([[0.0, 0.5]] * d), indexing="ij")).reshape(d, -1).T
+    n_shift = shifts.shape[0]
+    all_idx = np.arange(n)
+    for i in range(n):
+        rel = P - P[i]
+        norms = np.linalg.norm(rel, axis=1)
+        ok = norms > 1e-15
+        if np.count_nonzero(ok) < 2:
+            continue
+        dirs = rel[ok] / norms[ok, None]
+        others = all_idx[ok]
+        flip = np.where(dirs[:, 0] < 0, -1.0, 1.0)
+        flip = np.where(np.abs(dirs[:, 0]) < 1e-14,
+                        np.where(dirs[:, 1] < 0, -1.0, 1.0), flip)
+        dirs = dirs * flip[:, None]
+        keys = np.floor(dirs / h + shifts[:, None, :]).astype(np.int64)
+        packed = keys[..., 0]
+        for ax in range(1, d):
+            packed = packed * 1_000_003 + keys[..., ax]
+        packed = packed * n_shift + np.arange(n_shift)[:, None]
+        flat = packed.ravel()
+        order = np.argsort(flat, kind="stable")
+        sp = flat[order]
+        m_ok = dirs.shape[0]
+        consec = sp[1:] == sp[:-1]
+        u_loc = order[:-1][consec] % m_ok
+        v_loc = order[1:][consec] % m_ok
+        run_break = np.flatnonzero(~consec) + 1
+        starts = np.concatenate([[0], run_break])
+        ends = np.concatenate([run_break, [len(sp)]])
+        for g in np.flatnonzero(ends - starts >= 3):
+            members = np.unique(order[starts[g]:ends[g]] % m_ok)
+            ju, ku = np.triu_indices(members.size, 1)
+            u_loc = np.concatenate([u_loc, members[ju]])
+            v_loc = np.concatenate([v_loc, members[ku]])
+        if u_loc.size == 0:
+            continue
+        pair_key = np.minimum(u_loc, v_loc) * n + np.maximum(u_loc, v_loc)
+        _, uniq = np.unique(pair_key, return_index=True)
+        su, sv = rel[ok][u_loc[uniq]], rel[ok][v_loc[uniq]]
+        if d == 2:
+            vals = np.abs(su[:, 0] * sv[:, 1] - su[:, 1] * sv[:, 0]) / 2.0
+        else:
+            vals = np.linalg.norm(np.cross(su, sv), axis=1) / 2.0
+        for pos in np.flatnonzero(vals <= best * (1.0 + 1e-9)):
+            a, b = int(others[u_loc[uniq][pos]]), int(others[v_loc[uniq][pos]])
+            cand = canonical_area(i, a, b)
+            if cand < best:
+                best = cand
+                witness = tuple(sorted((i, a, b)))
+    return witness, float(best)
+
+
+def lattice(k, dim):
+    g = (np.arange(k) + 0.5) / k
+    return np.stack(np.meshgrid(*[g] * dim, indexing="ij"), -1).reshape(-1, dim)
+
+
+def fast_oracle_sets():
+    """Inputs for min_triangle_fast against reference_fast, by name."""
+    rng = np.random.default_rng(2024)
+    sets = {}
+    # sizes around the apex group and block boundaries of both dimensions
+    for n, dim in [(121, 2), (250, 2), (431, 2), (121, 3), (200, 3), (343, 3)]:
+        sets[f"random{dim}d_{n}"] = rng.uniform(0, 1, (n, dim))
+    for p in (127, 131):
+        for dim in (2, 3):
+            M = modular_moment_curve(p, dim)
+            sets[f"moment{p}_{dim}d"] = M / p
+            near = M / p
+            near[5] = near[9] + 1e-12
+            sets[f"moment{p}_{dim}d_near_duplicate"] = near
+    # unscaled: every grid block holds fewer than 3 points, so the direction
+    # pass starts from no incumbent with its widest hash cell, h = 1.5
+    sets["moment131_2d_unscaled"] = modular_moment_curve(131, 2)
+    sets["spread3d"] = 1000 * rng.uniform(0, 1, (130, 3))
+    for k, dim in [(12, 2), (5, 3)]:
+        L = lattice(k, dim)
+        sets[f"lattice{k}_{dim}d"] = L
+        sets[f"lattice{k}_{dim}d_jitter"] = L + 1e-9 * rng.standard_normal(L.shape)
+        near = L + 1e-9 * rng.standard_normal(L.shape)
+        near[3] = near[40] + 1e-12
+        sets[f"lattice{k}_{dim}d_near_duplicate"] = near
+    for dim in (2, 3):
+        # points within 1e-15 of an apex (but apart) take the one-apex path
+        P = np.random.default_rng(41).uniform(0, 1, (150, dim))
+        P[37] = P[11] + np.array([2e-16, 6e-16, 5e-16][:dim])
+        sets[f"within_1e-15_{dim}d"] = P
+        # a 140-point cluster: blocks far above the batched triple count
+        sets[f"cluster_outliers_{dim}d"] = np.vstack(
+            [0.5 + 1e-3 * rng.uniform(0, 1, (140, dim)), rng.uniform(0, 1, (20, dim))])
+    return sets
+
+
+FAST_ORACLE_SETS = fast_oracle_sets()
 
 
 class TestBrute:
@@ -173,6 +328,81 @@ class TestFast:
         P = rng.uniform(0, 1, (2000, 3))
         w = min_triangle_fast(P)
         assert w.area <= 50 * 2000 ** (-2 / 3)
+
+
+class TestFastOracle:
+    """min_triangle_fast against the per-apex loop it replaced: same witness
+    and the same area bits, also with chunks small enough that every batch
+    boundary is crossed."""
+
+    @pytest.mark.parametrize("name", sorted(FAST_ORACLE_SETS))
+    def test_equals_reference(self, name):
+        P = FAST_ORACLE_SETS[name]
+        w = min_triangle_fast(P)
+        assert (w.indices, w.area) == reference_fast(P)
+        assert type(w.area) is float and all(type(x) is int for x in w.indices)
+
+    @pytest.mark.parametrize("name", ["random2d_250", "random3d_200", "lattice12_2d_jitter",
+                                      "moment127_3d_near_duplicate", "within_1e-15_3d",
+                                      "cluster_outliers_2d", "spread3d"])
+    def test_equals_reference_small_chunks(self, name, monkeypatch):
+        # 3 apices per group (the last one partial), blocks of more than 6
+        # points scored one by one, and runs of equal keys split into apices
+        P = FAST_ORACLE_SETS[name]
+        n, dim = P.shape
+        monkeypatch.setattr(triangles, "_APEX_CHUNK", 3 * 2**dim * (n - 1))
+        monkeypatch.setattr(triangles, "_LOCAL_CHUNK", 20)
+        w = min_triangle_fast(P)
+        assert (w.indices, w.area) == reference_fast(P)
+
+    def test_inputs_reach_their_paths(self):
+        sets = FAST_ORACLE_SETS
+        for name in ("moment131_2d_unscaled", "spread3d"):
+            P = sets[name]
+            cell = P.shape[0] ** (-1.0 / P.shape[1])
+            assert all(len(b) < 3 for b in reference_blocks(P, cell))
+        for dim in (2, 3):
+            gap = np.linalg.norm(sets[f"within_1e-15_{dim}d"][37] - sets[f"within_1e-15_{dim}d"][11])
+            assert 0 < gap <= 1e-15 and min_triangle_fast(sets[f"within_1e-15_{dim}d"]).area > 0
+        P = sets["cluster_outliers_3d"]
+        assert max(map(len, reference_blocks(P, P.shape[0] ** (-1 / 3)))) >= 140
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_duplicate_points_stop_at_zero(self, dim):
+        P = np.random.default_rng(dim).uniform(0, 1, (160, dim))
+        P[[37, 90]] = P[11]
+        w = min_triangle_fast(P)
+        assert w.area == 0.0
+        assert (w.indices, w.area) == reference_fast(P)
+
+    @pytest.mark.parametrize("name", ["random2d_431", "random3d_343", "moment131_2d_unscaled",
+                                      "cluster_outliers_3d", "lattice5_3d"])
+    def test_cell_blocks_equal_reference(self, name):
+        P = FAST_ORACLE_SETS[name]
+        cell = P.shape[0] ** (-1.0 / P.shape[1])
+        members, sizes = _cell_blocks(P, cell)
+        got = [b.tolist() for b in np.split(members, np.cumsum(sizes)[:-1])]
+        assert got == reference_blocks(P, cell)
+
+    def test_cell_blocks_far_and_negative_keys(self):
+        rng = np.random.default_rng(5)
+        P = np.vstack([rng.uniform(-3, 3, (60, 3)), 1e9 * rng.uniform(-1, 1, (60, 3)),
+                       rng.uniform(0, 0.2, (30, 3))])
+        members, sizes = _cell_blocks(P, 0.2)
+        got = [b.tolist() for b in np.split(members, np.cumsum(sizes)[:-1])]
+        assert got == reference_blocks(P, 0.2)
+
+    def test_temporaries_bounded(self):
+        # 2.0 MB at n = 2000 in 3D (2.2 MB for the per-apex loop); holding
+        # every apex's keys at once would take over 250 MB
+        P = np.random.default_rng(11).uniform(0, 1, (2000, 3))
+        tracemalloc.start()
+        try:
+            min_triangle_fast(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestProperties:
