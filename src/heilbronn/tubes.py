@@ -459,12 +459,14 @@ def _excise_approx(tubes, span, r, max_rounds, picks) -> int:
     Appends each tube's picked windows to `picks` and returns the rounds run.
     """
     arr = _TubeArrays(tubes)
+    # the crossings do not depend on the round: only the alive windows shrink
+    crossings = [_crossing_intervals(arr, i, dilate=4.0) for i in range(len(tubes))]
     excised: list[list[tuple[float, float]]] = [[] for _ in tubes]
     rounds_run = 0
     for rounds_run in range(1, max_rounds + 1):
         new_any = False
         for i, tube in enumerate(tubes):
-            lo, hi = _crossing_intervals(arr, i, dilate=4.0)
+            lo, hi = crossings[i]
             alive = _subtract_windows([(-2 * tube.length, 2 * tube.length)], excised[i])
             stab, t_at = _stab_max(lo, hi, alive)
             if stab + 1 < r:

@@ -612,6 +612,17 @@ class TestTwoEndsOracle:
         assert not new.exact_net and new.rounds_run >= 2
         _same_result(new, old)
 
+    def test_approx_crossings_once_per_tube(self, monkeypatch):
+        # one dilate-4 crossing set per tube for all rounds, one dilate-2 set
+        # per tube for the residual
+        calls = []
+        inner = tubes_mod._crossing_intervals
+        monkeypatch.setattr(tubes_mod, "_crossing_intervals",
+                            lambda arr, i, dilate=2.0: calls.append(dilate) or inner(arr, i, dilate))
+        res = two_ends_decompose(pencil(250, 2**-8), 2**-8, 0.125, rich_constant=0.05)
+        assert not res.exact_net and res.rounds_run >= 2
+        assert sorted(calls) == [2.0] * 250 + [4.0] * 250
+
     def test_no_rounds_equals_loop(self):
         tubes = random_tubes(120, 2**-7, seed=5)
         new = two_ends_decompose(tubes, 2**-7, 2**-3)
