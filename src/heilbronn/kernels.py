@@ -11,6 +11,10 @@ and cached.  The convolution is integrated only over the integrand's support:
 grid rows and cells where a factor is exactly 0 or 1 are filled in without
 being evaluated, which gives the same table bits as the dense grid.  A cold
 build takes about 0.15-0.2 s per dimension on a 2-core Xeon VM.
+
+The module needs numpy only: the outer radius is a stored root (checked in
+the tests against scipy's brentq) and the Simpson rule is a port of scipy's,
+so importing the package loads neither scipy.optimize nor scipy.integrate.
 """
 
 from __future__ import annotations
@@ -18,7 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+
+# Outer radius R of chi with unit mass in dimension d: the root of
+# _chi_mass(R, d) = 1 that scipy.optimize.brentq finds on [0.2, 1.9] with
+# xtol=1e-13, stored so that no root finder runs at import or build time.
+_SUPPORT_RADIUS = {2: 0.7463526719829228, 3: 0.8144068255087291}
 
 
 def _smoothstep_down(u: np.ndarray) -> np.ndarray:
@@ -75,10 +83,25 @@ def _chi_mass(R: float, dim: int) -> float:
     return _sphere_surface(dim) * float(np.trapezoid(integrand, r))
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson rule along the last axis of y at the strictly
+    increasing samples x, an odd number of them: scipy.integrate.simpson's
+    rule for that case, operation for operation, so the sums keep its bits."""
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (y[..., 0:-2:2] * (2.0 - 1.0 / h0divh1)
+                        + y[..., 1:-1:2] * (hsum * (hsum / hprod))
+                        + y[..., 2::2] * (2.0 - h0divh1))
+    return np.sum(tmp, axis=-1)
+
+
 def _build_profile(dim: int) -> BumpProfile:
     if dim not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
-    R = brentq(lambda s: _chi_mass(s, dim) - 1.0, 0.2, 1.9, xtol=1e-13)
+    R = _SUPPORT_RADIUS[dim]
     r1 = R / 2.0
 
     def chi(r):
@@ -91,8 +114,6 @@ def _build_profile(dim: int) -> BumpProfile:
     # eta_1(t) = int chi(|y|) * 2^d chi(2|t e1 - y|) dy, reduced by symmetry to
     # an (a, rho) grid: a along e1, rho the distance from the e1 axis (3D, with
     # ring weight 2 pi rho) or the transverse coordinate (2D, even in rho).
-    from scipy.integrate import simpson
-
     support = 1.5 * R
     tgrid = np.linspace(0.0, support * 1.02, 321)
     na, nb = 321, 201
@@ -113,12 +134,12 @@ def _build_profile(dim: int) -> BumpProfile:
         near = (2.0 * np.sqrt(d**2) < R) & live
         second = chi(2.0 * np.sqrt(d[near, None] ** 2 + rho2)) * scale
         inner.fill(0.0)
-        inner[near] = simpson(first[near] * second * ring, x=rho, axis=1)
-        vals[i] = simpson(inner, x=a)
+        inner[near] = _simpson(first[near] * second * ring, rho)
+        vals[i] = _simpson(inner, a)
     if dim == 2:
         vals *= 2.0  # rho >= 0 is half of the transverse line
 
-    mass = _sphere_surface(dim) * float(simpson(vals * tgrid ** (dim - 1), x=tgrid))
+    mass = _sphere_surface(dim) * float(_simpson(vals * tgrid ** (dim - 1), tgrid))
 
     # Line-integral profile G(tau) from the eta table.
     taugrid = np.linspace(0.0, support * 1.02, 481)

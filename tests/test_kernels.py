@@ -1,10 +1,15 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from heilbronn.kernels import (
+    _SUPPORT_RADIUS,
     _chi_mass,
+    _simpson,
     _smoothstep_down,
     _sphere_surface,
     bump_profile,
@@ -146,3 +151,28 @@ def test_support_restricted_build_is_bit_identical(profile):
         assert getattr(profile, name) == want[name], name
     for name in ("eta_grid", "eta_values", "line_grid", "line_values"):
         assert np.array_equal(getattr(profile, name), want[name]), name
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stored_radius_is_the_brentq_root(dim):
+    root = brentq(lambda s: _chi_mass(s, dim) - 1.0, 0.2, 1.9, xtol=1e-13)
+    assert _SUPPORT_RADIUS[dim].hex() == root.hex()
+
+
+@pytest.mark.parametrize("n", [3, 5, 201, 321])
+def test_simpson_port_equals_scipy(n):
+    rng = np.random.default_rng(n)
+    for x in (np.linspace(-0.8, 1.3, n), np.cumsum(rng.uniform(0.01, 1.0, n))):
+        for y in (rng.standard_normal(n), rng.standard_normal((7, n))):
+            assert np.array_equal(_simpson(y, x), simpson(y, x=x, axis=-1))
+
+
+def test_import_and_build_load_no_root_finder_or_quadrature():
+    code = ("import sys, heilbronn\n"
+            "from heilbronn.kernels import bump_profile\n"
+            "bump_profile(2), bump_profile(3)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy.optimize', 'scipy.integrate'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
