@@ -64,8 +64,9 @@ _APEX_CHUNK = 1 << 14
 def _doubled_areas(u, v):
     """|u x v| for component stacks u, v of shape (d, ...) (2D: the scalar).
 
-    The operation order is that of the cross product block below, so a
-    triangle's doubled area has the same bits whichever routine scores it.
+    Every doubled triangle area is computed here (brute force blocks, grid
+    triples, direction candidates), so a triangle scored from the same two
+    edge vectors has the same bits whichever routine scores it.
     """
     if len(u) == 2:
         c = u[0] * v[1]
