@@ -222,6 +222,7 @@ def _block_min_doubled(P: np.ndarray, members: np.ndarray, sizes: np.ndarray) ->
     X = np.ascontiguousarray(P.T)
     mins = np.full(sizes.size, np.inf)
     starts = np.cumsum(sizes) - sizes
+    tri = _colex_triples(_LOCAL_CHUNK)
     for m in np.unique(sizes[sizes >= 3]).tolist():
         blocks = np.flatnonzero(sizes == m)
         t = _n_triples(m)
@@ -229,7 +230,6 @@ def _block_min_doubled(P: np.ndarray, members: np.ndarray, sizes: np.ndarray) ->
             for b in blocks.tolist():
                 mins[b] = _brute_doubled(P[members[starts[b]:starts[b] + m]])[1]
             continue
-        tri = _colex_triples(_LOCAL_CHUNK)
         ij = tri[0, :t] * m + tri[1, :t]
         ik = tri[0, :t] * m + tri[2, :t]
         step = max(1, _LOCAL_CHUNK // t)

@@ -86,18 +86,12 @@ def doubled_areas(P):
     return np.concatenate(out)
 
 
-def reference_buckets(P, cell):
-    """Grid cells as a dict key -> point indices, in first-appearance order."""
-    buckets = {}
-    for idx, key in enumerate(map(tuple, np.floor(P / cell).astype(np.int64))):
-        buckets.setdefault(key, []).append(idx)
-    return buckets
-
-
 def reference_blocks(P, cell):
     """Sorted members of each cell's 3^d block, cells in first-appearance order."""
     d = P.shape[1]
-    buckets = reference_buckets(P, cell)
+    buckets = {}
+    for idx, key in enumerate(map(tuple, np.floor(P / cell).astype(np.int64))):
+        buckets.setdefault(key, []).append(idx)
     offsets = np.array(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij")).reshape(d, -1).T
     blocks = []
     for key in buckets:
