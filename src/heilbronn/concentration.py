@@ -358,39 +358,86 @@ def m_lines_2d(lines, w: float) -> int:
 
 
 class ConfigMetrics:
-    """Cached pairwise point / direction / line distances of a configuration.
+    """Pairwise point / direction / line distances of a configuration, by anchor row.
 
-    The three n x n matrices are filled one anchor row at a time from the
-    geometry row kernels, so no n x n x d temporary is ever built.
+    Row i holds the distances from member i to all n members, computed from
+    the geometry row kernels over the full member arrays, so an entry does
+    not depend on which rows are asked for.  Rows are computed on demand and
+    cached: `local_counts` with a subset fills only the subset's rows, and
+    the n x n matrices `point_dist`, `dir_dist` and `line_dist` are built
+    (every row) the first time one of them or an unrestricted count is read.
     """
 
     def __init__(self, config: PointLineConfiguration):
         self.config = config
-        P = config.points()
-        D = config.directions()
-        bases = config.line_bases()
-        n = len(config)
-        self.point_dist = np.empty((n, n))
-        self.dir_dist = np.empty((n, n))
-        self.line_dist = np.empty((n, n))
-        for i in range(n):
-            self.point_dist[i] = np.linalg.norm(P - P[i], axis=1)
-            self.dir_dist[i] = _direction_rows(D, D[i])
-            self.line_dist[i] = self.dir_dist[i] + _lines_min_distance_rows(bases[i], D[i],
-                                                                            bases, D)
+        self._P = config.points()
+        self._D = config.directions()
+        self._bases = config.line_bases()
+        self._rows = {}  # anchor -> (point, direction, line) distance rows
+        self._full = None
+        self._sub = None  # (subset, its three matrices)
+
+    def _compute_row(self, i: int):
+        P, D, bases = self._P, self._D, self._bases
+        dd = _direction_rows(D, D[i])
+        return (np.linalg.norm(P - P[i], axis=1), dd,
+                dd + _lines_min_distance_rows(bases[i], D[i], bases, D))
+
+    def _row(self, i: int):
+        """(point, direction, line) distances from member i to every member."""
+        if self._full is not None:
+            return tuple(mat[i] for mat in self._full)
+        if i not in self._rows:
+            self._rows[i] = self._compute_row(i)
+        return self._rows[i]
+
+    def _matrices(self):
+        if self._full is None:
+            n = len(self.config)
+            full = tuple(np.empty((n, n)) for _ in range(3))
+            for i in range(n):
+                row = self._rows.pop(i, None) or self._compute_row(i)
+                for mat, r in zip(full, row):
+                    mat[i] = r
+            self._full = full
+        return self._full
+
+    @property
+    def point_dist(self) -> np.ndarray:
+        return self._matrices()[0]
+
+    @property
+    def dir_dist(self) -> np.ndarray:
+        return self._matrices()[1]
+
+    @property
+    def line_dist(self) -> np.ndarray:
+        return self._matrices()[2]
+
+    def _subset_matrices(self, subset):
+        """The three matrices restricted to subset x subset, from the subset's
+        rows; the last subset's are kept for the next call."""
+        subset = np.arange(len(self.config))[subset]
+        if self._sub is None or not np.array_equal(self._sub[0], subset):
+            mats = tuple(np.empty((subset.size, subset.size)) for _ in range(3))
+            for j, i in enumerate(subset.tolist()):
+                for mat, r in zip(mats, self._row(i)):
+                    mat[j] = r[subset]
+            self._sub = (subset,) + mats
+        return self._sub[1:]
 
     def local_counts(self, u: float, v: float, w: float,
                      subset: np.ndarray | None = None) -> np.ndarray:
         """Per-anchor counts of members within the (u, v, w) scale triple.
 
         A scale of 1 means "anywhere within unit range" and is treated as
-        unconstrained (the cube diameter exceeds 1).
+        unconstrained (the cube diameter exceeds 1).  With `subset`, anchors
+        and members are the subset's, and only the subset's rows are computed.
         """
-        pd, dd, ld = self.point_dist, self.dir_dist, self.line_dist
-        if subset is not None:
-            pd = pd[np.ix_(subset, subset)]
-            dd = dd[np.ix_(subset, subset)]
-            ld = ld[np.ix_(subset, subset)]
+        if subset is None:
+            pd, dd, ld = self._matrices()
+        else:
+            pd, dd, ld = self._subset_matrices(subset)
         uu = np.inf if u >= 1 else u
         vv = np.inf if v >= 1 else v
         ww = np.inf if w >= 1 else w

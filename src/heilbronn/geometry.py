@@ -198,6 +198,19 @@ def _points_line_rows(P: np.ndarray, base: np.ndarray, v: np.ndarray) -> np.ndar
     return np.linalg.norm(U - t[:, None] * v, axis=1)
 
 
+def _points_lines_block(P: np.ndarray, bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Distances from the rows of P to each line (bases[j], unit dirs[j]): (m, n).
+
+    Row j goes through the operations of _points_line_rows(P, bases[j],
+    dirs[j]), the projection one (n, d) x d BLAS product per line (a stacked
+    matmul), so a row does not depend on the other lines of the block.
+    Temporaries are (m, n, d); callers bound m * n.
+    """
+    U = P[None, :, :] - bases[:, None, :]
+    t = np.matmul(U, dirs[:, :, None])
+    return np.linalg.norm(U - t * dirs[:, None, :], axis=2)
+
+
 def _point_lines_rows(p: np.ndarray, bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Distances from the point p to each line (bases[j], unit dirs[j])."""
     U = p - bases
@@ -319,6 +332,15 @@ def _chords_from_local(B: np.ndarray, V: np.ndarray, half: np.ndarray,
     chord = np.clip(tmax - tmin, 0.0, None)
     chord = np.where(np.isfinite(chord), chord, 0.0)
     return np.where(dead, 0.0, chord)
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array through one sort (numpy's hash path is far
+    slower on long, repetitive integer key arrays)."""
+    x = np.sort(x)
+    new = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    return x[new]
 
 
 def _greedy_net_size(X: np.ndarray, w: float, dist) -> int:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import (
+    _CHUNK,
     HypothesisViolation,
     dyadic_pairs,
     m_lines,
@@ -27,7 +28,9 @@ from .concentration import (
 )
 from .configurations import PointLineConfiguration, rescale_config
 from .geometry import (
+    DimensionMismatch,
     _direction_rows,
+    _points_lines_block,
     covering_number,
     direction_covering_number,
     line_covering_number,
@@ -52,7 +55,14 @@ def incidence_count(w: float, P, lines, dim: int) -> float:
 
 
 def incidence_many(ws, P, lines, dim: int) -> list[float]:
-    """Incidence counts at several scales sharing one distance computation."""
+    """Incidence counts at several scales sharing one distance computation.
+
+    Point-line distances are computed for blocks of lines at once
+    (`geometry._points_lines_block`), at most _CHUNK (line, point) pairs a
+    block (a single line exceeds it when there are more points); the pairs
+    within the kernel support of the largest scale are kept and their
+    profile values summed per scale.
+    """
     ws = [float(w) for w in ws]
     for w in ws:
         if not 0 < w <= 1:
@@ -62,13 +72,15 @@ def incidence_many(ws, P, lines, dim: int) -> list[float]:
     totals = np.zeros(len(ws))
     if P.size == 0 or not lines:
         return list(totals)
-    support = prof.eta_support
-    for line in lines:
-        d = points_line_distance(P, line)
-        dmax = support * max(ws)
+    if P.shape[1] != lines[0].dim:
+        raise DimensionMismatch(f"points are {P.shape[1]}D but lines are {lines[0].dim}D")
+    bases = np.array([ln.base for ln in lines])
+    dirs = _dirs_of(lines)
+    step = max(1, _CHUNK // P.shape[0])
+    dmax = prof.eta_support * max(ws)
+    for lo in range(0, len(lines), step):
+        d = _points_lines_block(P, bases[lo:lo + step], dirs[lo:lo + step])
         d = d[d < dmax]
-        if d.size == 0:
-            continue
         for k, w in enumerate(ws):
             totals[k] += float(np.sum(prof.line_profile(d / w)))
     return [float(t) for t in totals]

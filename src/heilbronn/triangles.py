@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .configurations import _nearest_point_line
-from .geometry import Line
+from .geometry import Line, _sorted_unique
 
 
 @dataclass(frozen=True)
@@ -139,15 +139,6 @@ def min_triangle_brute(P) -> TriangleWitness:
         raise ValueError("need at least 3 points")
     witness, best2 = _brute_doubled(P)
     return TriangleWitness(indices=witness, area=best2 / 2.0)
-
-
-def _sorted_unique(x: np.ndarray) -> np.ndarray:
-    """np.unique of a 1-D array through one sort (numpy's hash path is far
-    slower on the long, repetitive key arrays here)."""
-    x = np.sort(x)
-    new = np.ones(x.size, dtype=bool)
-    np.not_equal(x[1:], x[:-1], out=new[1:])
-    return x[new]
 
 
 def _cell_blocks(P: np.ndarray, cell: float) -> tuple[np.ndarray, np.ndarray]:

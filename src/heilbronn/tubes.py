@@ -18,7 +18,7 @@ import numpy as np
 
 from .concentration import HypothesisViolation, _box_counts_3d, _segment_rect_counts, \
     _sweep, dyadic_ladder, dyadic_pairs, m_tubes_2d
-from .geometry import SphericalRectangle, canonical_direction, \
+from .geometry import SphericalRectangle, _sorted_unique, canonical_direction, \
     complete_frame, direction_distance
 
 
@@ -803,7 +803,7 @@ def _distinct_rows(cells: np.ndarray) -> int:
         return 0
     lo = cells.min(axis=0)
     keys = np.ravel_multi_index(tuple((cells - lo).T), tuple(cells.max(axis=0) - lo + 1))
-    return int(np.unique(keys).size)
+    return int(_sorted_unique(keys).size)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,15 @@ from heilbronn.configurations import (
     make_config,
     min_config_distance,
 )
-from heilbronn.geometry import Box, Line, complete_frame, line_metric_many, lines_box_chords
+from heilbronn.geometry import (
+    Box,
+    Line,
+    _direction_rows,
+    _lines_min_distance_rows,
+    complete_frame,
+    line_metric_many,
+    lines_box_chords,
+)
 
 from conftest import random_config, random_lines, separated_config
 
@@ -366,6 +374,183 @@ class TestUniformize:
         X = random_config(50, 3, 0)
         with pytest.raises(ValueError):
             uniformize(X, 1.5)
+
+
+class EagerConfigMetrics:
+    """ConfigMetrics as it was before rows were computed on demand: all n
+    rows of the three n x n matrices filled at construction."""
+
+    def __init__(self, config):
+        P = config.points()
+        D = config.directions()
+        bases = config.line_bases()
+        n = len(config)
+        self.point_dist = np.empty((n, n))
+        self.dir_dist = np.empty((n, n))
+        self.line_dist = np.empty((n, n))
+        for i in range(n):
+            self.point_dist[i] = np.linalg.norm(P - P[i], axis=1)
+            self.dir_dist[i] = _direction_rows(D, D[i])
+            self.line_dist[i] = self.dir_dist[i] + _lines_min_distance_rows(bases[i], D[i],
+                                                                            bases, D)
+
+    def local_counts(self, u, v, w, subset=None):
+        pd, dd, ld = self.point_dist, self.dir_dist, self.line_dist
+        if subset is not None:
+            pd = pd[np.ix_(subset, subset)]
+            dd = dd[np.ix_(subset, subset)]
+            ld = ld[np.ix_(subset, subset)]
+        uu = np.inf if u >= 1 else u
+        vv = np.inf if v >= 1 else v
+        ww = np.inf if w >= 1 else w
+        return ((pd <= uu) & (dd <= vv) & (ld <= ww)).sum(axis=1)
+
+
+def eager_uniformize(config, K, delta):
+    """uniformize on the eager metrics: (kept indices, scales, certificate
+    ratios, indices that survived the separation phase)."""
+    n = len(config)
+    m = max(1, int(np.floor(np.log(1.0 / delta) / np.log(K))))
+    scales = tuple(float(K) ** -(j + 1) for j in range(m))
+    P = config.points()
+    alive = np.arange(n)
+    q = 5
+    for s in scales:
+        cube = np.floor(P[alive] / s).astype(np.int64)
+        cls = cube % q
+        packed = cls[:, 0].copy()
+        for ax in range(1, cls.shape[1]):
+            packed = packed * q + cls[:, ax]
+        vals, counts = np.unique(packed, return_counts=True)
+        alive = alive[packed == vals[int(np.argmax(counts))]]
+    separated = alive.copy()
+    metrics = EagerConfigMetrics(config)
+    triples = [(si, sj, sk) for si in scales for sj in scales for sk in scales]
+    for _ in range(500):
+        stable = True
+        for (si, sj, sk) in triples:
+            counts = metrics.local_counts(si, sj, sk, subset=alive)
+            if int(counts.max()) <= K * int(counts.min()):
+                continue
+            buckets = np.floor(np.log2(counts)).astype(int)
+            vals, sizes = np.unique(buckets, return_counts=True)
+            alive = alive[buckets == vals[int(np.argmax(sizes))]]
+            stable = False
+            break
+        if stable or alive.size < 2:
+            break
+    ratios = {}
+    for t in triples:
+        counts = metrics.local_counts(*t, subset=alive)
+        ratios[t] = (int(counts.min()), int(counts.max()))
+    return alive, scales, ratios, separated
+
+
+def _record_rows(monkeypatch):
+    """Anchors whose rows ConfigMetrics computes (not finds cached) from now
+    on, in call order; building the n x n matrices fails the test."""
+    seen = []
+    row = ConfigMetrics._row
+
+    def recording_row(self, i):
+        if i not in self._rows:
+            seen.append(i)
+        return row(self, i)
+
+    def no_matrices(self):
+        raise AssertionError("n x n matrices built")
+
+    monkeypatch.setattr(ConfigMetrics, "_row", recording_row)
+    monkeypatch.setattr(ConfigMetrics, "_matrices", no_matrices)
+    return seen
+
+
+class TestRowsOnDemand:
+    """ConfigMetrics rows computed on demand and uniformize on them, against
+    the eager build that filled every row at construction."""
+
+    # (configuration, K, delta; None for the minimal configuration distance).
+    # The coarse deltas keep 11 to 300 pairs through the separation phase and
+    # the bucket rounds; the others keep a single pair.
+    CASES = {
+        "random_1000": (lambda: random_config(1000, 3, seed=13), 4.0, 2.0 ** -6),
+        "random_1000_coarse": (lambda: random_config(1000, 3, seed=13), 2.0, 0.3),
+        "random_2d_coarse": (lambda: random_config(400, 2, seed=14), 2.0, 0.1),
+        "separated": (lambda: separated_config(300, 3, seed=5), 8.0, 8.0 ** -3),
+        "vertical": (lambda: generate_vertical(1 / 16, 3), 2.0, None),
+        "vertical_coarse": (lambda: generate_vertical(1 / 16, 3), 2.0, 0.3),
+        "plane_32": (lambda: _on_bases(generate_plane_example(1 / 32)[1], 3), 2.0, None),
+        "plane_32_coarse": (lambda: _on_bases(generate_plane_example(1 / 32)[1], 3), 2.0, 0.2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_uniformize_matches_eager(self, case, monkeypatch):
+        make, K, delta = self.CASES[case]
+        X = make()
+        if delta is None:
+            delta = min_config_distance(X)
+        alive, scales, ratios, separated = eager_uniformize(X, K, delta)
+        seen = _record_rows(monkeypatch)
+        sub, cert = uniformize(X, K, delta=delta)
+        kept = np.array([X.pairs.index(p) for p in sub.pairs])
+        assert np.array_equal(kept, alive)
+        assert cert.scales == scales and cert.ratios == ratios
+        assert (cert.retained, cert.original) == (alive.size, len(X))
+        # rows are computed for the separation phase's survivors only, once each
+        assert sorted(seen) == separated.tolist()
+
+    def test_uniformize_random_1000_fills_survivor_rows_only(self, monkeypatch):
+        X = random_config(1000, 3, seed=13)
+        seen = _record_rows(monkeypatch)
+        tracemalloc.start()
+        try:
+            sub, cert = uniformize(X, 4.0, delta=2.0 ** -6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(seen) == sorted(X.pairs.index(p) for p in sub.pairs)
+        assert len(seen) < 10
+        # the eager metrics held 24 MB of matrices here
+        assert peak < 2e6
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_subset_counts_and_matrices_bit_identical(self, dim):
+        X = random_config(300, dim, seed=20 + dim)
+        eager = EagerConfigMetrics(X)
+        mets = ConfigMetrics(X)
+        rng = np.random.default_rng(dim)
+        subsets = [np.sort(rng.choice(300, size=k, replace=False)) for k in (1, 7, 7, 120)]
+        for subset in subsets + [subsets[1]]:
+            for u, v, w in TestConfigMetricsRowBuild.SCALES:
+                assert np.array_equal(mets.local_counts(u, v, w, subset=subset),
+                                      eager.local_counts(u, v, w, subset=subset))
+            for got, full in zip(mets._subset_matrices(subset),
+                                 (eager.point_dist, eager.dir_dist, eager.line_dist)):
+                assert np.array_equal(got, full[np.ix_(subset, subset)])
+        assert mets._full is None
+        assert sorted(mets._rows) == sorted(set().union(*(s.tolist() for s in subsets)))
+        # reading a matrix fills every row, the cached ones included
+        assert np.array_equal(mets.line_dist, eager.line_dist)
+        assert np.array_equal(mets.point_dist, eager.point_dist)
+        assert np.array_equal(mets.dir_dist, eager.dir_dist)
+        for u, v, w in TestConfigMetricsRowBuild.SCALES:
+            assert np.array_equal(mets.local_counts(u, v, w, subset=subsets[2]),
+                                  eager.local_counts(u, v, w, subset=subsets[2]))
+            assert np.array_equal(mets.local_counts(u, v, w), eager.local_counts(u, v, w))
+
+    def test_construction_allocates_no_matrix(self):
+        X = random_config(1000, 3, seed=11)
+        tracemalloc.start()
+        try:
+            mets = ConfigMetrics(X)
+            built = tracemalloc.get_traced_memory()[0]
+            mets.point_dist
+            full = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built < 1e6
+        # three 1000 x 1000 matrices are 24 MB
+        assert 24e6 <= full[0] < 26e6 and full[1] < 40e6
 
 
 class TestRescaledCounts:

@@ -323,6 +323,20 @@ class TestHardenedInputs:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("argv", [
+        ("scan-b", "--wmin", "0.125", "--wmax", "0.5"),
+        ("highlow-check", "--delta", "0.125"),
+    ])
+    def test_points_and_lines_of_different_dimension(self, tmp_path, argv):
+        # a numpy broadcasting message used to be all the user saw
+        golden = os.path.join(os.path.dirname(__file__), "golden")
+        out = str(tmp_path / "b.csv")
+        rc, err = _cli(argv[0], "-p", os.path.join(golden, "pts2.pts"),
+                       "-l", os.path.join(golden, "lines3.plc"), *argv[1:], "-o", out)
+        assert rc == 3 and "points are 2D but lines are 3D" in err and "Traceback" not in err
+        assert "broadcast" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [
         ("--mode", "lines", "--w", "0.1"),
         ("--mode", "config", "--u", "0.1", "--w", "0.1"),
     ])

@@ -7,6 +7,7 @@ from heilbronn.geometry import (
     DimensionMismatch,
     Line,
     SphericalRectangle,
+    _sorted_unique,
     covering_number,
     direction_covering_number,
     line_box_chord,
@@ -211,6 +212,17 @@ class TestCoveringNumber:
         dirs = np.array([[1.0, 0, 0], [-1.0, 1e-9, 0]])
         dirs[1] /= np.linalg.norm(dirs[1])
         assert direction_covering_number(dirs, 0.1) == 1
+
+
+@pytest.mark.parametrize("keys", [
+    np.array([], dtype=np.int64),
+    np.array([7], dtype=np.int64),
+    np.array([3, -1, 3, 3, -1, 0, 2 ** 62, -2 ** 62], dtype=np.int64),
+    np.random.default_rng(0).integers(-50, 50, 5000),
+])
+def test_sorted_unique_matches_np_unique(keys):
+    got = _sorted_unique(keys)
+    assert got.dtype == keys.dtype and np.array_equal(got, np.unique(keys))
 
 
 class TestTypes:

@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from heilbronn.concentration import HypothesisViolation, m_lines
+from heilbronn.concentration import _CHUNK, HypothesisViolation, m_lines
 from heilbronn.configurations import (
     generate_bush,
     generate_plane_example,
+    generate_st_grid,
     generate_vertical,
     min_config_distance,
 )
-from heilbronn.geometry import Line
+from heilbronn.geometry import DimensionMismatch, Line, points_line_distance
 from heilbronn.incidence import (
     double_count_check,
     dyadic_scan,
     incidence_count,
+    incidence_many,
     initial_estimate_check,
     normalized_incidence,
     rhs_basic,
@@ -71,6 +73,97 @@ class TestIncidenceCount:
         prof = bump_profile(3)
         got = incidence_count(min_config_distance(X) / 6, X.points(), X.lines(), 3)
         assert got == pytest.approx(len(X) * float(prof.line_values[0]), rel=1e-9)
+
+
+def per_line_incidence(ws, P, lines, dim):
+    """The one-line-at-a-time incidence loop that the pair blocks replaced."""
+    prof = bump_profile(dim)
+    P = np.asarray(P, dtype=float)
+    totals = np.zeros(len(ws))
+    for line in lines:
+        d = points_line_distance(P, line)
+        d = d[d < prof.eta_support * max(ws)]
+        if d.size == 0:
+            continue
+        for k, w in enumerate(ws):
+            totals[k] += float(np.sum(prof.line_profile(d / w)))
+    return [float(t) for t in totals]
+
+
+def _random_family(n, n_lines, dim, seed):
+    return np.random.default_rng(seed).uniform(0, 1, (n, dim)), random_lines(n_lines, dim, seed)
+
+
+class TestIncidenceBlocks:
+    """incidence_many's pair blocks against the per-line loop they replaced.
+
+    The sums run in another order, so B may move in its last bits; the
+    distances themselves come from the same per-line products.
+    """
+
+    def _check(self, P, lines, dim, ws):
+        got = incidence_many(ws, P, lines, dim)
+        want = per_line_incidence(ws, P, lines, dim)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        return got
+
+    @pytest.mark.parametrize("ws", [[1 / 16], [1 / 16, 1 / 8]])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_vertical(self, dim, ws):
+        X = generate_vertical(1 / 16, dim)
+        self._check(X.points(), X.lines(), dim, ws)
+
+    @pytest.mark.parametrize("ws", [[1 / 64], [1 / 64, 1 / 32]])
+    def test_bush_two_points_8192_lines(self, ws):
+        P, lines = generate_bush(1 / 64, 3, 2, seed=1)
+        assert (len(P), len(lines)) == (2, 8192)
+        self._check(P, lines, 3, ws)
+
+    @pytest.mark.parametrize("ws", [[1 / 32], [1 / 32, 1 / 16]])
+    def test_plane(self, ws):
+        P, lines = generate_plane_example(1 / 32)
+        self._check(P, lines, 3, ws)
+
+    @pytest.mark.parametrize("ws", [[1 / 32], [1 / 32, 1 / 16]])
+    def test_st_grid_2d(self, ws):
+        P, lines = generate_st_grid(128)
+        self._check(P, lines, 2, ws)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random(self, dim):
+        P, lines = _random_family(300, 200, dim, seed=40 + dim)
+        self._check(P, lines, dim, [0.05, 0.1])
+
+    @pytest.mark.parametrize("n_lines", [_CHUNK // 128 - 1, _CHUNK // 128, _CHUNK // 128 + 1])
+    def test_block_boundary(self, n_lines):
+        # 128 points: L * n just below, at and above one block of pairs
+        P, lines = _random_family(128, n_lines, 3, seed=n_lines)
+        self._check(P, lines, 3, [0.1, 0.2])
+
+    def test_more_points_than_a_block(self):
+        P, lines = _random_family(_CHUNK + 3, 2, 3, seed=5)
+        self._check(P, lines, 3, [0.1])
+
+    @pytest.mark.parametrize("n, n_lines", [(1, 50), (50, 1), (1, 1)])
+    def test_single_point_or_line(self, n, n_lines):
+        P, lines = _random_family(n, n_lines - 1, 3, seed=n + 7 * n_lines)
+        lines = lines + [Line(P[0], [0.3, -0.2, 1.0])]  # at least one incident pair
+        assert (len(P), len(lines)) == (n, n_lines)
+        self._check(P, lines, 3, [0.05, 0.1])
+
+    def test_no_point_in_support(self):
+        P = np.array([[0.9, 0.9, 0.5], [0.8, 0.1, 0.2]])
+        lines = [Line([0.1, 0.1, 0.0], [0, 0, 1]), Line([0.75, 0.9, 0.0], [0, 0, 1])]
+        # no point near the first line; one point 0.15 from the second, inside
+        # the support at w = 0.2 only
+        assert self._check(P, lines, 3, [0.05]) == [0.0]
+        fine, coarse = self._check(P, lines, 3, [0.05, 0.2])
+        assert fine == 0.0 and coarse > 0.0
+
+    def test_dimension_mismatch_names_both(self):
+        P = np.random.default_rng(0).uniform(0, 1, (40, 2))
+        with pytest.raises(DimensionMismatch, match="2D.*3D"):
+            incidence_many([0.1], P, random_lines(5, 3, seed=0), 3)
 
 
 class TestDyadicScan:
