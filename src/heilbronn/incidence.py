@@ -20,6 +20,7 @@ import numpy as np
 from .concentration import (
     _CHUNK,
     HypothesisViolation,
+    _family_arrays,
     dyadic_pairs,
     m_lines,
     m_lines_2d,
@@ -74,8 +75,7 @@ def incidence_many(ws, P, lines, dim: int) -> list[float]:
         return list(totals)
     if P.shape[1] != lines[0].dim:
         raise DimensionMismatch(f"points are {P.shape[1]}D but lines are {lines[0].dim}D")
-    bases = np.array([ln.base for ln in lines])
-    dirs = _dirs_of(lines)
+    bases, dirs, _ = _family_arrays(lines)
     step = max(1, _CHUNK // P.shape[0])
     dmax = prof.eta_support * max(ws)
     for lo in range(0, len(lines), step):
