@@ -30,7 +30,7 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"point must be a vector of length 2 or 3, got shape {p.shape}")
     if dim is not None and p.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.shape[0]}")
-    if not np.all(np.isfinite(p)):
+    if not all(map(math.isfinite, p.tolist())):
         raise ValueError("point has non-finite coordinates")
     p.setflags(write=False)
     return p
@@ -39,12 +39,14 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 def canonical_direction(v) -> np.ndarray:
     """Unit-normalize v and fix the sign so the first nonzero coordinate is positive."""
     v = np.array(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if not np.isfinite(n) or n == 0.0:
+    if v.ndim != 1:
+        raise ValueError(f"direction must be a vector, got shape {v.shape}")
+    n = _norm(v)
+    if not math.isfinite(n) or n == 0.0:
         raise ValueError("direction must be a nonzero finite vector")
     if abs(n - 1.0) > 1e-13:  # keep already-unit vectors bit-stable
         v = v / n
-    for c in v:
+    for c in v.tolist():
         if abs(c) > 1e-14:
             if c < 0:
                 v = -v
@@ -72,7 +74,7 @@ class Line:
         d = canonical_direction(dir)
         if b.shape[0] != d.shape[0]:
             raise DimensionMismatch("base and direction dimensions differ")
-        if abs(np.linalg.norm(d) - 1.0) > UNIT_TOL:
+        if abs(_norm(d) - 1.0) > UNIT_TOL:
             raise ValueError("direction failed unit normalization")
         object.__setattr__(self, "base", b)
         object.__setattr__(self, "dir", d)

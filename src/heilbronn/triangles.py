@@ -13,12 +13,14 @@ minimal distance.
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from .concentration import _CHUNK
 from .configurations import _nearest_point_line
 from .geometry import Line, _sorted_unique
 
@@ -422,50 +424,240 @@ def min_triangle_fast(P) -> TriangleWitness:
     return TriangleWitness(indices=witness, area=float(best))
 
 
-def _nearest_alive(tree: cKDTree, P: np.ndarray, i: int, alive: np.ndarray):
-    """Heap entry (distance, i, j) for the nearest alive j != i, found by
-    querying the full tree with k doubling until an alive neighbour shows."""
-    n = P.shape[0]
-    k = 4
-    while True:
-        k = min(k, n)
-        dd, jj = tree.query(P[i], k=k)
-        hit = np.flatnonzero(alive[jj] & (jj != i))
-        if hit.size:
-            t = hit[0]
-            return float(dd[t]), i, int(jj[t])
-        k *= 2
+# the computed cell of a point can sit a few roundings across a cell face,
+# so ring r certifies a candidate only below (1 - _RING_SLACK) r cell sides
+_RING_SLACK = 1e-9
+# certified neighbours kept per point: an evenly spread set has about 4 in
+# 3D, and a crowded cell of k points would otherwise keep k^2 pairs
+_ROW = 8
+
+
+@lru_cache(maxsize=64)
+def _stencil_rows(r: int, d: int) -> np.ndarray:
+    """Cell runs a grid search visits at ring radius r, as rows (outer
+    offsets..., x_lo, x_hi): the whole cube of radius 1 (rings 0 and 1) at
+    r = 1, the cells at Chebyshev distance exactly r after that.  A run is
+    contiguous along the last axis, so it is one slice of the sorted order."""
+    rows = []
+    for outer in itertools.product(range(-r, r + 1), repeat=d - 1):
+        if r == 1 or max(map(abs, outer)) == r:
+            rows.append((*outer, -r, r))
+        else:
+            rows += [(*outer, -r, -r), (*outer, r, r)]
+    out = np.array(rows, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+def _ranges(a: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The integer ranges [a[k], a[k] + lens[k]) concatenated."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(a - ends + lens, lens)
+
+
+def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared distances between the columns of X and Y, shape (d, m) or
+    (d, 1): the squares summed in coordinate order, as a kd-tree sums them."""
+    D = X - Y
+    D *= D
+    s = D[0] + D[1]
+    for k in range(2, D.shape[0]):
+        s += D[k]
+    return s
+
+
+class _CellGrid:
+    """Uniform cell grid over the bounding box of P for exact nearest
+    neighbours (see `greedy_close_pairs`).
+
+    Points are sorted by linear cell key once; `starts` is the dense table of
+    where each cell's points start in that order.  `near[near_at[c]:near_at[c
+    + 1]]` lists, ascending, the sorted positions of the points in the cube
+    of radius 1 around cell c (at most 3^d n entries in all).  Ring r
+    certifies a candidate closer than r cell sides: every point outside the
+    cube of radius r is farther.
+    """
+
+    def __init__(self, P: np.ndarray):
+        n, d = P.shape
+        lo = P.min(axis=0)
+        side = float((P.max(axis=0) - lo).max()) / max(1, round(n ** (1.0 / d)))
+        if not math.isfinite(side):
+            raise ValueError("point coordinates span more than the float range")
+        if side == 0.0:  # all points equal: one cell
+            side = 1.0
+        cells = np.floor((P - lo) / side).astype(np.intp)
+        self.dims = cells.max(axis=0) + 1
+        self.strides = np.ones(d, dtype=np.intp)
+        for k in range(d - 2, -1, -1):
+            self.strides[k] = self.strides[k + 1] * self.dims[k + 1]
+        self.key = cells @ self.strides
+        self.order = np.argsort(self.key, kind="stable")
+        ncell = int(self.strides[0] * self.dims[0])
+        self.starts = np.zeros(ncell + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.key, minlength=ncell), out=self.starts[1:])
+        self.P, self.Pt, self.cells = P, np.ascontiguousarray(P[self.order].T), cells
+        # cube radius from each point's cell that covers the whole grid
+        self.reach = np.maximum(cells, self.dims - 1 - cells).max(axis=1)
+        self.safe = side * (1.0 - _RING_SLACK)
+        occupied = np.flatnonzero(self.starts[1:] > self.starts[:-1])
+        a, lens = self._runs(cells[self.order[self.starts[occupied]]], 1)
+        self.near = _ranges(a.ravel(), lens.ravel())
+        per_cell = np.zeros(ncell, dtype=np.intp)
+        per_cell[occupied] = lens.sum(axis=1)
+        self.near_at = np.zeros(ncell + 1, dtype=np.intp)
+        np.cumsum(per_cell, out=self.near_at[1:])
+
+    def _runs(self, c: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Start positions and lengths, shape (len(c), runs), of the ring-r
+        runs around the cells c (cell coordinates, one row each), ascending;
+        a run outside the grid is empty."""
+        d = c.shape[1]
+        rows = _stencil_rows(r, d)
+        lo = np.maximum(c[:, -1:] + rows[:, -2], 0)
+        hi = np.minimum(c[:, -1:] + rows[:, -1], self.dims[-1] - 1)
+        ok = lo <= hi
+        for k in range(d - 1):
+            t = c[:, k:k + 1] + rows[:, k]
+            ok &= (t >= 0) & (t < self.dims[k])
+            t *= self.strides[k]
+            lo += t
+            hi += t
+        a = self.starts[np.where(ok, lo, 0)]
+        return a, self.starts[np.where(ok, hi + 1, 0)] - a
+
+    def certified_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per point i, its nearest points j != i closer than ring 1
+        certifies, at most _ROW of them, sorted by (d2, j): rows
+        start[i]:start[i + 1] of (j, d2), and `bound[i]`, a squared distance
+        no point outside the row undercuts (the certified radius, or the
+        first entry left out when the row was cut).  The first alive j of a
+        row is i's nearest alive point.
+
+        Scores each point's radius-1 cube in blocks of at most _CHUNK pairs,
+        or one point's when those alone are more.
+        """
+        n = self.order.size
+        skey = self.key[self.order]
+        first = self.near_at[skey]
+        count = self.near_at[skey + 1] - first
+        ends = np.cumsum(count)
+        limit = self.safe ** 2
+        bound = np.full(n, limit)
+        I, J, D2 = [], [], []
+        s0 = 0
+        while s0 < n:
+            s1 = max(s0 + 1, int(np.searchsorted(ends, ends[s0] - count[s0] + _CHUNK, "right")))
+            c = count[s0:s1]
+            pos = self.near[_ranges(first[s0:s1], c)]
+            src = np.repeat(np.arange(s0, s1), c)
+            d2 = _sq_dists(self.Pt.take(src, axis=1), self.Pt.take(pos, axis=1))
+            close = (d2 < limit) & (pos != src)
+            src, j, d2 = src[close], self.order[pos[close]], d2[close]
+            by = np.lexsort((j, d2, src))
+            src, j, d2 = src[by], j[by], d2[by]
+            rank = np.arange(src.size) - np.searchsorted(src, src)  # place in its row
+            cut = rank == _ROW
+            bound[self.order[src[cut]]] = d2[cut]
+            keep = rank < _ROW
+            I.append(self.order[src[keep]])
+            J.append(j[keep])
+            D2.append(d2[keep])
+            s0 = s1
+        I, J, D2 = np.concatenate(I), np.concatenate(J), np.concatenate(D2)
+        by = np.argsort(I, kind="stable")
+        start = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(I, minlength=n), out=start[1:])
+        return start, J[by], D2[by], bound
+
+    def nearest_alive(self, i: int, alive: np.ndarray) -> tuple[float, int, int]:
+        """Heap entry (distance, i, j) for the nearest alive j != i: the
+        radius-1 cube of i from the `near` table, then ring after ring, until
+        a ring certifies the best candidate or the rings cover the grid.
+        Among equal squared distances the smallest j wins."""
+        k = self.key[i]
+        x = self.P[i][:, None]
+        was, alive[i] = alive[i], False  # hide i from its own query
+        best, arg = self._fold(x, self.near[self.near_at[k]:self.near_at[k + 1]], alive,
+                               np.inf, -1)
+        r = 1
+        while best >= (r * self.safe) ** 2 and r < self.reach[i]:
+            r += 1
+            a, lens = self._runs(self.cells[i:i + 1], r)
+            best, arg = self._fold(x, _ranges(a[0], lens[0]), alive, best, arg)
+        alive[i] = was
+        return math.sqrt(best), i, int(arg)
+
+    def _fold(self, x, pos, alive, best, arg):
+        """(best, arg) after the alive candidates at sorted positions pos."""
+        j = self.order[pos]
+        keep = alive[j]
+        pos, j = pos[keep], j[keep]
+        if j.size:
+            d2 = _sq_dists(x, self.Pt.take(pos, axis=1))
+            m = d2[d2.argmin()]
+            if m <= best:
+                jm = j[d2 == m].min()
+                if m < best or jm < arg:
+                    best, arg = m, jm
+        return best, arg
 
 
 def greedy_close_pairs(P, n_pairs: int | None = None):
     """Extract floor(n/4) (or `n_pairs`) disjoint closest-available point pairs.
 
     Each round removes the exact closest remaining pair, matching the
-    pigeonhole covering radius with the remaining count.  One kd-tree over
-    all points serves every round: a lazy heap holds, per alive point i, an
-    entry (distance, i, j) to a neighbour j that was its nearest alive one
-    when queried.  Points only die, so a popped entry whose i and j are both
-    alive is the exact closest remaining pair; an entry with a dead i is
-    dropped, and one with a dead j is re-queried for the nearest alive
-    neighbour other than i (excluded by index, so a duplicate point never
-    pairs with itself).  Among equal distances the smallest i wins.  Cost
-    about O(n log n), against O(n^2 log n) for a tree rebuilt each round.
+    pigeonhole covering radius with the remaining count.  A lazy heap holds,
+    per alive point i, an entry (distance, i, j) that is at most i's distance
+    to its nearest alive point and equals it while j is alive.  Points only
+    die, so a popped entry whose i and j are both alive is the exact closest
+    remaining pair; an entry with a dead i is dropped, and one with a dead j
+    is replaced.
+
+    The entries come from a uniform cell grid (`_CellGrid`) whose cell side
+    is the longest bounding-box extent over round(n^(1/d)).  One vectorized
+    pass scores every pair of points in neighbouring cells and keeps, per
+    point, the neighbours closer than one cell side, sorted: these are
+    certified, since every point outside the 3^d cells around i is farther.
+    A dead j is replaced by i's next alive certified neighbour.  When none
+    is left, the entry becomes the lower bound (one cell side, i, -1); only
+    if it comes first does one query search the alive points around i ring
+    by ring, where ring r certifies a candidate closer than r sides, until a
+    ring certifies one or the rings cover the grid.  A point never pairs with
+    itself, also when duplicated.
+
+    A distance is the square root of the squared coordinate differences
+    summed in coordinate order, as a kd-tree computes it.  Ties: among equal
+    squared distances to i the smallest j wins, and among equal heap
+    distances the smallest i; only inputs with exact ties, such as lattices,
+    can pair differently from a kd-tree, whose order on ties is arbitrary.
+    Cost about O(n log n) on a set spread over its bounding box; a cell
+    holding k points costs k^2 distance evaluations.
     Returns (pairs, distances) with pairs as (i, j) index tuples, i < j.
     """
     P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[1] not in (2, 3):
+        raise ValueError(f"points must be an (n, 2) or (n, 3) array, got shape {P.shape}")
+    if not np.isfinite(P).all():
+        raise ValueError("points must be finite")
     n = P.shape[0]
     if n < 8:
         raise ValueError("need at least 8 points")
-    m = n // 4 if n_pairs is None else n_pairs
+    if n_pairs is not None and (not isinstance(n_pairs, (int, np.integer)) or n_pairs < 0):
+        raise ValueError(f"n_pairs must be a non-negative int, got {n_pairs!r}")
+    m = n // 4 if n_pairs is None else int(n_pairs)
     if m > n // 2:
         raise ValueError(f"n_pairs={m} exceeds n // 2 = {n // 2}")
-    tree = cKDTree(P)
-    dd, jj = tree.query(P, k=2)
-    # column 0 is i itself unless a duplicate of i came first
-    rows = np.arange(n)
-    col = (jj[:, 0] == rows).astype(np.intp)
-    heap = list(zip(dd[rows, col].tolist(), range(n), jj[rows, col].tolist()))
+    grid = _CellGrid(P)
+    start, nbr, nd2, bound = grid.certified_rows()
+    start, nbr, nd = start.tolist(), nbr.tolist(), np.sqrt(nd2).tolist()
+    # (far[i], i, -1): i has no row entry alive, so every other alive point
+    # is at least far[i] away (sqrt is monotone); search when it comes first
+    far = np.sqrt(bound).tolist()
+    heap = [(nd[a], i, nbr[a]) if a < b else (far[i], i, -1)
+            for i, (a, b) in enumerate(zip(start, start[1:]))]
     heapq.heapify(heap)
+    at = start[:-1]  # each point's current certified neighbour
     alive = np.ones(n, dtype=bool)
     pairs: list[tuple[int, int]] = []
     dists: list[float] = []
@@ -473,8 +665,15 @@ def greedy_close_pairs(P, n_pairs: int | None = None):
         d, i, j = heapq.heappop(heap)
         if not alive[i]:
             continue
+        if j < 0:
+            heapq.heappush(heap, grid.nearest_alive(i, alive))
+            continue
         if not alive[j]:
-            heapq.heappush(heap, _nearest_alive(tree, P, i, alive))
+            k = at[i] + 1
+            while k < start[i + 1] and not alive[nbr[k]]:
+                k += 1
+            at[i] = k
+            heapq.heappush(heap, (nd[k], i, nbr[k]) if k < start[i + 1] else (far[i], i, -1))
             continue
         pairs.append((min(i, j), max(i, j)))
         dists.append(d)

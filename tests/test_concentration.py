@@ -254,10 +254,12 @@ class TestConfigMetricsRowBuild:
         X = random_config(1000, 3, seed=11)
         tracemalloc.start()
         try:
-            ConfigMetrics(X)
+            cm = ConfigMetrics(X)
+            mats = cm.point_dist, cm.dir_dist, cm.line_dist
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert all(M.shape == (1000, 1000) for M in mats)
         assert peak < 40e6
 
 

@@ -237,3 +237,57 @@ class TestTypes:
     def test_box_frame_orthonormal(self):
         with pytest.raises(ValueError):
             Box([0, 0, 0], [0.1, 0.2, 0.3], np.ones((3, 3)))
+
+
+def old_line_fields(base, dir):
+    """Line's base and dir as the numpy-reduction formulas computed them."""
+    b = np.array(base, dtype=float)
+    v = np.array(dir, dtype=float)
+    n = float(np.linalg.norm(v))
+    if abs(n - 1.0) > 1e-13:
+        v = v / n
+    for c in v:
+        if abs(c) > 1e-14:
+            if c < 0:
+                v = -v
+            break
+    return b, v
+
+
+def line_inputs():
+    rng = np.random.default_rng(12)
+    for dim in (2, 3):
+        for _ in range(200):
+            yield rng.uniform(-2, 2, dim), rng.normal(size=dim)
+        for _ in range(100):
+            # near-unit: norms just inside and just outside 1 +- 1e-13
+            u = rng.normal(size=dim)
+            u /= np.linalg.norm(u)
+            yield rng.uniform(0, 1, dim), u * (1.0 + rng.uniform(-3e-13, 3e-13))
+        for _ in range(100):
+            u = rng.normal(size=dim)
+            u[0] = -abs(u[0])
+            yield rng.uniform(0, 1, dim), u
+        for lead in (1e-15, -1e-15):
+            for _ in range(50):
+                u = rng.normal(size=dim)
+                u[0] = lead
+                yield rng.uniform(0, 1, dim), u
+
+
+def test_line_fields_equal_old_formulas():
+    for base, dir in line_inputs():
+        line = Line(base, dir)
+        b, v = old_line_fields(base, dir)
+        assert np.array_equal(line.base, b) and np.array_equal(line.dir, v)
+
+
+@pytest.mark.parametrize("base, dir", [([0.0, np.nan], [1.0, 0.0]),
+                                       ([0.0, 0.0, np.inf], [1.0, 0.0, 0.0]),
+                                       ([0.0, 0.0], [np.nan, 1.0]),
+                                       ([0.0, 0.0], [0.0, 0.0]),
+                                       ([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+                                       ([0.0, 0.0], 1.0)])
+def test_line_rejects_bad_input(base, dir):
+    with pytest.raises(ValueError):
+        Line(base, dir)

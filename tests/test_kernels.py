@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,3 +177,19 @@ def test_import_and_build_load_no_root_finder_or_quadrature():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_build_pairs_and_pair_pipeline_load_no_scipy(tmp_path):
+    pts = str(Path(__file__).resolve().parent / "golden" / "pts3.pts")
+    out = str(tmp_path / "pairs.csv")
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import heilbronn, heilbronn.cli\n"
+            "from heilbronn.kernels import bump_profile\n"
+            "bump_profile(2), bump_profile(3)\n"
+            "heilbronn.greedy_close_pairs(np.random.default_rng(0).uniform(0, 1, (64, 3)))\n"
+            f"assert heilbronn.cli.main(['pair-pipeline', '-p', {pts!r}, '-o', {out!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert res.stdout.strip().splitlines()[-1] == "[]"

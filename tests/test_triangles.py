@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import tracemalloc
 
@@ -64,6 +65,68 @@ def rebuild_greedy_pairs(P, n_pairs=None):
         i, j = int(live[which]), int(live[jj[which, 1]])
         pairs.append((min(i, j), max(i, j)))
         dists.append(float(dd[which, 1]))
+        alive[i] = alive[j] = False
+    return pairs, np.array(dists)
+
+
+def kdtree_greedy_pairs(P, n_pairs=None):
+    """Reference greedy pairing on one kd-tree and a lazy heap (the pairing
+    before the cell grid): each dead neighbour is re-queried on the full tree
+    with k doubling until an alive neighbour shows."""
+    n = P.shape[0]
+    m = n // 4 if n_pairs is None else n_pairs
+    tree = cKDTree(P)
+    dd, jj = tree.query(P, k=2)
+    rows = np.arange(n)
+    col = (jj[:, 0] == rows).astype(np.intp)
+    heap = list(zip(dd[rows, col].tolist(), range(n), jj[rows, col].tolist()))
+    heapq.heapify(heap)
+    alive = np.ones(n, dtype=bool)
+    pairs, dists = [], []
+    while len(pairs) < m:
+        d, i, j = heapq.heappop(heap)
+        if not alive[i]:
+            continue
+        if not alive[j]:
+            k = 4
+            while True:
+                dk, jk = tree.query(P[i], k=min(k, n))
+                hit = np.flatnonzero(alive[jk] & (jk != i))
+                if hit.size:
+                    heapq.heappush(heap, (float(dk[hit[0]]), i, int(jk[hit[0]])))
+                    break
+                k *= 2
+            continue
+        pairs.append((min(i, j), max(i, j)))
+        dists.append(d)
+        alive[i] = alive[j] = False
+    return pairs, np.array(dists)
+
+
+def dense_sq_dists(P):
+    """All squared distances, the squares summed in coordinate order."""
+    return sum((P[:, None, k] - P[None, :, k]) ** 2 for k in range(P.shape[1]))
+
+
+def dense_greedy_pairs(P, n_pairs=None):
+    """Reference greedy pairing on the full distance matrix: each round every
+    alive i takes its nearest alive j != i (the smallest j among equal
+    squared distances), and the smallest i among the smallest distances
+    pairs with its j."""
+    n = P.shape[0]
+    m = n // 4 if n_pairs is None else n_pairs
+    sq = dense_sq_dists(P)
+    np.fill_diagonal(sq, np.inf)
+    alive = np.ones(n, dtype=bool)
+    pairs, dists = [], []
+    for _ in range(m):
+        S = np.where(alive[:, None] & alive[None, :], sq, np.inf)
+        jj = S.argmin(axis=1)
+        dist = np.sqrt(S[np.arange(n), jj])
+        i = int(np.argmin(dist))
+        j = int(jj[i])
+        pairs.append((min(i, j), max(i, j)))
+        dists.append(float(dist[i]))
         alive[i] = alive[j] = False
     return pairs, np.array(dists)
 
@@ -492,6 +555,208 @@ class TestGreedyPairs:
         assert pairs[0] == (10, 20) and dists[0] == 0.0
         witness, _ = triangle_via_pointline(P)
         assert len(set(witness.indices)) == 3
+
+    @pytest.mark.parametrize("n_pairs", [None, "half"])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [8, 64, 512, 1024, 1280, 4096])
+    def test_equals_kdtree_oracle(self, n, dim, seed, n_pairs):
+        P = np.random.default_rng([n, dim, seed]).uniform(0, 1, (n, dim))
+        m = n // 2 if n_pairs == "half" else None
+        pairs, dists = greedy_close_pairs(P, m)
+        want_pairs, want_dists = kdtree_greedy_pairs(P, m)
+        assert pairs == want_pairs
+        assert np.array_equal(dists, want_dists)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_far_from_origin_equals_kdtree_oracle(self, dim):
+        # a small box far from the origin: cell keys come from differences
+        # of large coordinates
+        P = 1e6 + 1e-3 * np.random.default_rng(dim).uniform(0, 1, (700, dim))
+        pairs, dists = greedy_close_pairs(P, 350)
+        want_pairs, want_dists = kdtree_greedy_pairs(P, 350)
+        assert pairs == want_pairs
+        assert np.array_equal(dists, want_dists)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_duplicate_pairs_equal_kdtree_oracle(self, dim, seed):
+        # 40 points each appear twice: no two distances tie except the zeros,
+        # which pair each point with its own copy
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0, 1, (40, dim))
+        P = np.concatenate([base, base[rng.permutation(40)]])
+        for m in (None, 40):
+            pairs, dists = greedy_close_pairs(P, m)
+            want_pairs, want_dists = kdtree_greedy_pairs(P, m)
+            assert pairs == want_pairs
+            assert np.array_equal(dists, want_dists)
+        assert np.all(dists[:40] == 0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_repeated_points_equal_dense_oracle(self, dim):
+        # a point repeated five times and all-equal sets: ties at 0 go to the
+        # smallest j, then the smallest i
+        rng = np.random.default_rng(dim)
+        P = rng.uniform(0, 1, (60, dim))
+        P[[3, 17, 29, 41, 58]] = P[17]
+        for Q in (P, np.zeros((8, dim)), np.full((13, dim), 0.25)):
+            for m in (None, Q.shape[0] // 2):
+                pairs, dists = greedy_close_pairs(Q, m)
+                want_pairs, want_dists = dense_greedy_pairs(Q, m)
+                assert pairs == want_pairs
+                assert np.array_equal(dists, want_dists)
+        assert greedy_close_pairs(np.zeros((8, dim)))[0] == [(0, 1), (2, 3)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_clustered_equals_dense_oracle(self, dim, seed):
+        # half the points in a 1e-9 ball: one cell holds them all
+        rng = np.random.default_rng(seed)
+        P = rng.uniform(0, 1, (300, dim))
+        P[:150] = 0.3 + 1e-9 * rng.uniform(-1, 1, (150, dim))
+        for m in (None, 150):
+            pairs, dists = greedy_close_pairs(P, m)
+            want_pairs, want_dists = dense_greedy_pairs(P, m)
+            assert pairs == want_pairs
+            assert np.array_equal(dists, want_dists)
+
+    @pytest.mark.parametrize("shape", [(12, 12), (7, 19), (6, 6, 6), (3, 5, 9)])
+    def test_lattice_ties_equal_dense_oracle(self, shape):
+        # every nearest distance ties: the smallest j wins for each i, the
+        # smallest i among equal distances pairs first
+        axes = [np.arange(k) / 8 for k in shape]
+        P = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(shape))
+        for Q in (P, P[np.random.default_rng(0).permutation(P.shape[0])]):
+            for m in (None, Q.shape[0] // 2):
+                pairs, dists = greedy_close_pairs(Q, m)
+                want_pairs, want_dists = dense_greedy_pairs(Q, m)
+                assert pairs == want_pairs
+                assert np.array_equal(dists, want_dists)
+        # row-major order: point 0's neighbours at 1/8 are points 1 and
+        # shape[-1], ...; the smallest index wins
+        assert greedy_close_pairs(P)[0][0] == (0, 1)
+
+    @pytest.mark.parametrize("name", ["random3", "segment3", "plane3", "outlier2", "outlier3",
+                                      "two_clusters3", "sparse_line2"])
+    def test_grid_equals_dense(self, name):
+        # sets that fill few cells of their bounding box: certified rows,
+        # ring searches, whole-grid stops, crowded cells
+        rng = np.random.default_rng(5)
+        t = rng.uniform(0, 1, (400, 1))
+        P = {
+            "random3": rng.uniform(0, 1, (400, 3)),
+            "segment3": t * np.array([[1.0, 2.0, -0.5]]),
+            "plane3": np.column_stack([rng.uniform(0, 1, (400, 2)), np.zeros(400)]),
+            "outlier2": np.vstack([rng.uniform(0, 1, (399, 2)), [[1000.0, -1000.0]]]),
+            "outlier3": np.vstack([rng.uniform(0, 1, (399, 3)), [[50.0, 0.0, 50.0]]]),
+            "two_clusters3": np.vstack([1e-6 * rng.uniform(0, 1, (200, 3)),
+                                        5 + 1e-6 * rng.uniform(0, 1, (200, 3))]),
+            "sparse_line2": np.column_stack([np.sort(rng.uniform(0, 1000, 400)),
+                                             rng.uniform(0, 1e-3, 400)]),
+        }[name]
+        grid = triangles._CellGrid(P)
+        sq = dense_sq_dists(P)
+        np.fill_diagonal(sq, np.inf)
+        # certified rows: the _ROW first j closer than the certified radius,
+        # by (d2, j); the bound is the next one's d2 when there are more
+        start, nbr, nd2, bound = grid.certified_rows()
+        for i in range(P.shape[0]):
+            row = np.flatnonzero(sq[i] < grid.safe ** 2)
+            row = row[np.lexsort((row, sq[i, row]))]
+            assert np.array_equal(nbr[start[i]:start[i + 1]], row[:triangles._ROW])
+            assert np.array_equal(nd2[start[i]:start[i + 1]], sq[i, row[:triangles._ROW]])
+            want = sq[i, row[triangles._ROW]] if row.size > triangles._ROW else grid.safe ** 2
+            assert bound[i] == want
+        # ring searches over all points and over a random alive half
+        for alive in (np.ones(P.shape[0], dtype=bool), rng.uniform(size=P.shape[0]) < 0.5):
+            masked = np.where(alive[None, :], sq, np.inf)
+            for i in range(0, P.shape[0], 3):
+                d, k, j = grid.nearest_alive(i, alive)
+                assert (k, j) == (i, int(masked[i].argmin()))
+                assert d == np.sqrt(masked[i].min())
+        pairs, dists = greedy_close_pairs(P, 200)
+        want_pairs, want_dists = dense_greedy_pairs(P, 200)
+        assert pairs == want_pairs
+        assert np.array_equal(dists, want_dists)
+
+    def test_certified_radius_is_one_side(self):
+        # corners fix the box to [0, 4]^2 and 16 points give a cell side of
+        # 1.  x's nearest point y lies 1.0002 away two cells over, outside
+        # x's radius-1 cube; z lies 1.0005 away inside it, so a certified
+        # radius above 1.0005 sides would return z
+        x, y = (0.9999, 2.5), (2.0001, 2.5)
+        z = (1.5, 2.5 + np.sqrt(1.0005**2 - 0.5001**2))
+        far = [(0, 0), (4, 4), (4, 0), (0.2, 0.3), (3.5, 0.4), (3.6, 1.4), (2.8, 0.2),
+               (3.9, 3.1), (2.9, 3.6), (0.3, 0.9), (1.9, 0.6), (0.1, 4.0), (3.4, 2.2)]
+        P = np.array([x, y, z] + far, dtype=float)
+        grid = triangles._CellGrid(P)
+        assert grid.safe < 1.0 and 1.0 - grid.safe < 1e-6
+        d, _, j = grid.nearest_alive(0, np.ones(len(P), dtype=bool))
+        assert j == 1 and d == np.sqrt(dense_sq_dists(P)[0, 1])
+        start, nbr, _, _ = grid.certified_rows()
+        assert 2 not in nbr[start[0]:start[1]]
+        pairs, dists = greedy_close_pairs(P, 8)
+        want_pairs, want_dists = dense_greedy_pairs(P, 8)
+        assert pairs == want_pairs and np.array_equal(dists, want_dists)
+
+    def test_blocks_bounded_and_split_per_point(self, monkeypatch):
+        # blocks of at most _CHUNK candidate pairs, one point alone when its
+        # candidates are more; the result does not depend on the block size
+        P = np.random.default_rng(9).uniform(0, 1, (600, 3))
+        P[:100] = 0.5
+        want = greedy_close_pairs(P, 300)
+        sizes = []
+        real = triangles._sq_dists
+
+        def spy(X, Y):
+            out = real(X, Y)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(triangles, "_sq_dists", spy)
+        triangles._CellGrid(P).certified_rows()
+        assert max(sizes) <= triangles._CHUNK
+        largest = {}
+        for chunk in (1, 50, 1000):
+            sizes.clear()
+            monkeypatch.setattr(triangles, "_CHUNK", chunk)
+            triangles._CellGrid(P).certified_rows()
+            largest[chunk] = max(sizes)
+            pairs, dists = greedy_close_pairs(P, 300)
+            assert pairs == want[0] and np.array_equal(dists, want[1])
+        # each of the 100 copies scores the other 99 and its neighbours
+        assert largest[50] >= 99 and largest[1000] <= 1000
+
+    @pytest.mark.parametrize("P", [np.zeros(16), np.zeros((16, 1)), np.zeros((16, 4)),
+                                   np.zeros((2, 8, 2))],
+                             ids=["1d", "n1", "n4", "3d-array"])
+    def test_rejects_bad_shapes(self, P):
+        with pytest.raises(ValueError, match="array"):
+            greedy_close_pairs(P)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        P = np.random.default_rng(0).uniform(0, 1, (16, 3))
+        P[5, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            greedy_close_pairs(P)
+
+    def test_rejects_overflowing_extent(self):
+        P = np.random.default_rng(0).uniform(-1, 1, (16, 2)) * 1e308
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="float range"):
+            greedy_close_pairs(P)
+
+    @pytest.mark.parametrize("n_pairs", [-3, -1, 2.5, 3.0, "3", [3]])
+    def test_rejects_bad_n_pairs(self, n_pairs):
+        P = np.random.default_rng(0).uniform(0, 1, (16, 2))
+        with pytest.raises(ValueError, match="n_pairs"):
+            greedy_close_pairs(P, n_pairs)
+
+    def test_numpy_integer_n_pairs(self):
+        P = np.random.default_rng(0).uniform(0, 1, (16, 2))
+        pairs, dists = greedy_close_pairs(P, np.int64(3))
+        assert pairs == greedy_close_pairs(P, 3)[0] and len(dists) == 3
 
     def test_distance_constant(self, rng):
         n = 4096
