@@ -68,7 +68,7 @@ from .incidence import (
 from .search import AnnealSchedule, anneal_max_distance, anneal_max_triangle, \
     exponent_estimate, measure_family
 from .triangles import min_triangle_brute, min_triangle_fast, triangle_via_pointline
-from .tubes import Shading, check_planar_brush, check_space_brush, \
+from .tubes import Shading, _tube_arrays, check_planar_brush, check_space_brush, \
     generate_katz_tao_tubes, measure_kt_constant, two_ends_decompose
 
 EXIT_USAGE = 2
@@ -256,9 +256,7 @@ def _cmd_katz_tao(args) -> int:
     if args.path.endswith(".tubes"):
         tubes = _nonempty(read_tubes(args.path), args.path)
         dim = tubes[0].center.shape[0]
-        family = (np.array([t.center for t in tubes]), np.array([t.dir for t in tubes]),
-                  np.array([t.length for t in tubes]))
-        fit = katz_tao_fit(family, args.delta, dim)
+        fit = katz_tao_fit(_tube_arrays(tubes), args.delta, dim)
     else:
         _, _, lines = _load_lines(args.path)
         fit = katz_tao_fit(_nonempty(lines, args.path), args.delta, lines[0].dim)

@@ -25,6 +25,7 @@ from .configurations import (
 )
 from .geometry import (
     Box,
+    _CellIndex,
     _chords_from_local,
     _cross3,
     _direction_rows,
@@ -65,16 +66,11 @@ def m_points(P, w: float) -> int:
     P = np.asarray(P, dtype=float)
     if P.size == 0:
         return 0
-    n, d = P.shape
+    d = P.shape[1]
     best = 0
     for mask in range(2**d):
         off = np.array([(mask >> ax) & 1 for ax in range(d)]) * (w / 2.0)
-        keys = np.floor((P - off) / w).astype(np.int64)
-        packed = keys[:, 0].copy()
-        for ax in range(1, d):
-            packed = packed * 1_000_003 + keys[:, ax]
-        _, counts = np.unique(packed, return_counts=True)
-        best = max(best, int(counts.max()))
+        best = max(best, int(np.diff(_CellIndex(P, w, off).head).max()))
     return best
 
 
@@ -652,11 +648,6 @@ class UniformityCertificate:
     def valid(self) -> bool:
         return all(mx == 0 or mn >= mx / self.K - 1e-9
                    for mn, mx in self.ratios.values())
-
-    @property
-    def worst_ratio(self) -> float:
-        vals = [mn / mx for mn, mx in self.ratios.values() if mx > 0]
-        return min(vals) if vals else 1.0
 
 
 def uniformize(config: PointLineConfiguration, K: float, delta: float | None = None):

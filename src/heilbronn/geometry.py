@@ -345,6 +345,86 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     return x[new]
 
 
+def _ranges(a: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The integer ranges [a[k], a[k] + lens[k]) concatenated."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(a - ends + lens, lens)
+
+
+class _CellIndex:
+    """Sparse index of the grid cells floor((P - origin) / side) of the rows
+    of an (n, d) array P.
+
+    A cell's key ranks each of its coordinates among the distinct cell
+    coordinates on that axis, so keys fit int64 however far apart the points
+    lie and the index holds occupied cells only.  `order` is the stable sort
+    of the rows by key, `keys` the occupied cells' keys ascending, occupied
+    cell k holds the sorted positions head[k]:head[k + 1], `cell` is each
+    row's occupied-cell number and `cells` each row's cell coordinates.
+    """
+
+    def __init__(self, P: np.ndarray, side: float, origin=0.0):
+        f = np.floor((P - origin) / side)
+        if not np.all(np.abs(f) < 2.0**61):
+            raise ValueError("cell coordinates exceed the int64 range")
+        self.cells = f.astype(np.int64)
+        n = self.cells.shape[0]
+        self.vals = []  # per axis: the distinct cell coordinates, ascending
+        key = np.zeros(n, dtype=np.int64)
+        total = 1
+        for col in self.cells.T.copy():  # contiguous columns search faster
+            vals = _sorted_unique(col)
+            total *= vals.size
+            if total >= 2**62:
+                raise ValueError("too many distinct cell coordinates for int64 keys")
+            self.vals.append(vals)
+            key *= vals.size
+            key += np.searchsorted(vals, col)
+        self.order = np.argsort(key, kind="stable")
+        skey = key[self.order]
+        new = np.ones(n, dtype=bool)
+        np.not_equal(skey[1:], skey[:-1], out=new[1:])
+        self.head = np.append(np.flatnonzero(new), n)
+        self.keys = skey[new]
+        self.cell = np.empty(n, dtype=np.intp)
+        self.cell[self.order] = np.cumsum(new) - 1
+
+    def cubes(self, c: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted positions of the rows in the cells within Chebyshev
+        distance r of each cell of c (cell coordinates, one row each):
+        (positions, counts), each cell's positions ascending and the cells'
+        concatenated in the order of c.
+
+        Each outer axis enumerates only the coordinates that occur, as rank
+        ranges; the cells of one outer rank tuple are one run of keys.  When
+        a cell has more outer rank tuples than there are occupied cells (a
+        wide cube over scattered coordinates), every occupied cell is tested
+        instead, which bounds the temporaries by len(c) occupied cells.
+        """
+        m = c.shape[0]
+        # per axis, the ranks [lo, hi) of the coordinates within r of c's
+        ends = c.T[:, None] + np.array([[-r], [r + 1]])
+        ranks = [np.searchsorted(v, x) for v, x in zip(self.vals, ends)]
+        spans = [int((hi - lo).max(initial=0)) for lo, hi in ranks[:-1]]
+        if math.prod(spans) > self.keys.size:
+            occupied = self.cells[self.order[self.head[:-1]]]
+            b = np.diff(self.head) * (np.abs(occupied - c[:, None]).max(axis=2) <= r)
+            a = np.broadcast_to(self.head[:-1], b.shape)
+            return _ranges(a.ravel(), b.ravel()), b.sum(axis=1)
+        # one row per outer rank tuple offset, one column per cell of c
+        key = np.zeros((1, m), dtype=np.int64)
+        ok = np.ones((1, m), dtype=bool)
+        for v, (lo, hi), span in zip(self.vals, ranks, spans):
+            t = lo + np.arange(span)[:, None]
+            key = (key[:, None] * v.size + t).reshape(-1, m)
+            ok = (ok[:, None] & (t < hi)).reshape(-1, m)
+        key *= self.vals[-1].size
+        a, b = self.head[np.searchsorted(self.keys, key + ranks[-1][:, None])]
+        b -= a
+        b *= ok
+        return _ranges(a.T.ravel(), b.T.ravel()), b.sum(axis=0)
+
+
 def _greedy_net_size(X: np.ndarray, w: float, dist) -> int:
     """Size of the greedy net of the rows of X, taken in order.
 

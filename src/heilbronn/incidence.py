@@ -40,10 +40,6 @@ from .geometry import (
 from .kernels import bump_profile
 
 
-def _dirs_of(lines) -> np.ndarray:
-    return np.array([ln.dir for ln in lines])
-
-
 def incidence_count(w: float, P, lines, dim: int) -> float:
     """Smoothed incidence count at scale w.
 
@@ -197,6 +193,16 @@ def _dyadic_us(delta: float) -> list[float]:
     return us
 
 
+def _slab_sweep(delta: float, lines):
+    """(direction cover at delta, dyadic us from 1 down to delta, and
+    M_L(delta x delta/u x 1) for each u): the inputs of the refined and the
+    capped right-hand sides."""
+    theta_cover = direction_covering_number(_family_arrays(lines)[1], delta)
+    us = _dyadic_us(delta)
+    values, _ = m_lines_sweep(lines, [(delta, min(1.0, delta / u)) for u in us])
+    return theta_cover, us, values
+
+
 def rhs_refined(delta: float, P, lines, eps: float = 0.1):
     """Direction-aware high-low RHS: max over dyadic u of the slab term.
 
@@ -205,10 +211,7 @@ def rhs_refined(delta: float, P, lines, eps: float = 0.1):
     multiplied by delta^(-6-eps) M_P(delta)/|P|.
     """
     P = np.asarray(P, dtype=float)
-    theta_cover = direction_covering_number(_dirs_of(lines), delta)
-    us = _dyadic_us(delta)
-    scales = [(delta, min(1.0, delta / u)) for u in us]
-    values, _ = m_lines_sweep(lines, scales)
+    theta_cover, us, values = _slab_sweep(delta, lines)
     best, best_u = -np.inf, us[0]
     for u, ml in zip(us, values):
         term = min(np.sqrt(theta_cover) * delta, u) * u * ml / len(lines)
@@ -228,13 +231,10 @@ def rhs_direction_capped(delta: float, P, lines, nu: float, kappa: float,
     HypothesisViolation listing the violating scales.
     """
     P = np.asarray(P, dtype=float)
-    theta_cover = direction_covering_number(_dirs_of(lines), delta)
+    theta_cover, us, values = _slab_sweep(delta, lines)
     violations = []
     if theta_cover > nu * delta**-2:
         violations.append(("theta", theta_cover, nu * delta**-2))
-    us = _dyadic_us(delta)
-    scales = [(delta, min(1.0, delta / u)) for u in us]
-    values, _ = m_lines_sweep(lines, scales)
     for u, ml in zip(us, values):
         if ml > u ** (kappa - 2.0) * M * (1 + 1e-9):
             violations.append(("slab_u", u, ml, u ** (kappa - 2.0) * M))
@@ -280,8 +280,7 @@ def rhs_wellspaced(delta: float, P, lines, t1: float, t2: float, K: float,
             violations.append(("katz_tao", u, w, table[(u, w)], cap))
 
     ml_fine = table[(delta, delta)]
-    bases = np.array([ln.base for ln in lines])
-    dirs = np.array([ln.dir for ln in lines])
+    bases, dirs, _ = _family_arrays(lines)
     min_in_tube = np.inf
     for ln in lines:
         perp = points_line_distance(bases, ln)

@@ -13,7 +13,6 @@ minimal distance.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,7 +21,7 @@ import numpy as np
 
 from .concentration import _CHUNK
 from .configurations import _nearest_point_line
-from .geometry import Line, _sorted_unique
+from .geometry import Line, _CellIndex, _ranges, _sorted_unique
 
 
 @dataclass(frozen=True)
@@ -148,38 +147,15 @@ def _cell_blocks(P: np.ndarray, cell: float) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (members, sizes): one block per occupied cell, the cells in order
     of their smallest point index, each block's point indices ascending and
-    concatenated in `members`.  Cell keys are ranked per axis over the keys
-    and their neighbours, so the linear keys fit int64 however far apart the
-    points lie.
+    concatenated in `members`.
     """
-    n, d = P.shape
-    keys = np.floor(P / cell).astype(np.int64)
-    lin = np.zeros(n, dtype=np.int64)
-    ranks = []  # per axis: ranks of the keys - 1, + 0 and + 1, and the rank count
-    for ax in range(d):
-        k = keys[:, ax]
-        ladder = np.stack([k - 1, k, k + 1])
-        vals = _sorted_unique(ladder.ravel())
-        ranks.append((np.searchsorted(vals, ladder), vals.size))
-        lin = lin * vals.size + ranks[-1][0][1]
-    order = np.argsort(lin, kind="stable")
-    slin = lin[order]
-    head = np.flatnonzero(np.concatenate([[True], slin[1:] != slin[:-1]]))
-    cells, counts = slin[head], np.diff(np.append(head, n))
-    first = np.sort(order[head])  # each cell's smallest index, in appearance order
-    near = np.zeros((1, first.size), dtype=np.int64)  # linear keys of the 3^d neighbours
-    for rank, size in ranks:
-        near = (near[:, None, :] * size + rank[None, :, first]).reshape(-1, first.size)
-    pos = np.minimum(np.searchsorted(cells, near.T), cells.size - 1)
-    hit = cells[pos] == near.T
-    lens = counts[pos[hit]]
-    sizes = np.where(hit, counts[pos], 0).sum(axis=1)
-    ends = np.cumsum(lens)
-    at = np.repeat(head[pos[hit]] - (ends - lens), lens)
-    at += np.arange(ends[-1])
+    n = P.shape[0]
+    index = _CellIndex(P, cell)
+    first = np.sort(index.order[index.head[:-1]])  # each cell's smallest index, ascending
+    pos, sizes = index.cubes(index.cells[first], 1)
     # sort each block's members: block * n + index, then the index back
     members = np.repeat(np.arange(first.size, dtype=np.int64) * n, sizes)
-    members += order[at]
+    members += index.order[pos]
     members.sort()
     members %= n
     return members, sizes
@@ -424,35 +400,12 @@ def min_triangle_fast(P) -> TriangleWitness:
     return TriangleWitness(indices=witness, area=float(best))
 
 
-# the computed cell of a point can sit a few roundings across a cell face,
-# so ring r certifies a candidate only below (1 - _RING_SLACK) r cell sides
+# the computed cell of a point can sit a few roundings across a cell face, so
+# the cube of radius r certifies a candidate only below (1 - _RING_SLACK) r sides
 _RING_SLACK = 1e-9
 # certified neighbours kept per point: an evenly spread set has about 4 in
 # 3D, and a crowded cell of k points would otherwise keep k^2 pairs
 _ROW = 8
-
-
-@lru_cache(maxsize=64)
-def _stencil_rows(r: int, d: int) -> np.ndarray:
-    """Cell runs a grid search visits at ring radius r, as rows (outer
-    offsets..., x_lo, x_hi): the whole cube of radius 1 (rings 0 and 1) at
-    r = 1, the cells at Chebyshev distance exactly r after that.  A run is
-    contiguous along the last axis, so it is one slice of the sorted order."""
-    rows = []
-    for outer in itertools.product(range(-r, r + 1), repeat=d - 1):
-        if r == 1 or max(map(abs, outer)) == r:
-            rows.append((*outer, -r, r))
-        else:
-            rows += [(*outer, -r, -r), (*outer, r, r)]
-    out = np.array(rows, dtype=np.intp)
-    out.flags.writeable = False
-    return out
-
-
-def _ranges(a: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The integer ranges [a[k], a[k] + lens[k]) concatenated."""
-    ends = np.cumsum(lens)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(a - ends + lens, lens)
 
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -467,68 +420,39 @@ def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 class _CellGrid:
-    """Uniform cell grid over the bounding box of P for exact nearest
-    neighbours (see `greedy_close_pairs`).
+    """Sparse cell grid over P for exact nearest neighbours (see
+    `greedy_close_pairs`), on a `geometry._CellIndex` with its origin at the
+    bounding box's low corner.
 
-    Points are sorted by linear cell key once; `starts` is the dense table of
-    where each cell's points start in that order.  `near[near_at[c]:near_at[c
-    + 1]]` lists, ascending, the sorted positions of the points in the cube
-    of radius 1 around cell c (at most 3^d n entries in all).  Ring r
-    certifies a candidate closer than r cell sides: every point outside the
-    cube of radius r is farther.
+    `near[near_at[c]:near_at[c + 1]]` lists, ascending, the sorted positions
+    of the points in the cube of radius 1 around occupied cell c (at most
+    3^d n entries in all).  The cube of radius r certifies a candidate closer
+    than r cell sides: every point outside it is farther.
     """
 
     def __init__(self, P: np.ndarray):
         n, d = P.shape
         lo = P.min(axis=0)
-        side = float((P.max(axis=0) - lo).max()) / max(1, round(n ** (1.0 / d)))
-        if not math.isfinite(side):
+        extent = float((P.max(axis=0) - lo).max())
+        if not math.isfinite(extent):
             raise ValueError("point coordinates span more than the float range")
-        if side == 0.0:  # all points equal: one cell
-            side = 1.0
-        cells = np.floor((P - lo) / side).astype(np.intp)
-        self.dims = cells.max(axis=0) + 1
-        self.strides = np.ones(d, dtype=np.intp)
-        for k in range(d - 2, -1, -1):
-            self.strides[k] = self.strides[k + 1] * self.dims[k + 1]
-        self.key = cells @ self.strides
-        self.order = np.argsort(self.key, kind="stable")
-        ncell = int(self.strides[0] * self.dims[0])
-        self.starts = np.zeros(ncell + 1, dtype=np.intp)
-        np.cumsum(np.bincount(self.key, minlength=ncell), out=self.starts[1:])
-        self.P, self.Pt, self.cells = P, np.ascontiguousarray(P[self.order].T), cells
-        # cube radius from each point's cell that covers the whole grid
-        self.reach = np.maximum(cells, self.dims - 1 - cells).max(axis=1)
+        q = np.quantile(P, [0.01, 0.99], axis=0)
+        side = (float((q[1] - q[0]).max()) or extent) / max(1, round(n ** (1.0 / d)))
+        # at most 2^52 cells along an axis, so cell coordinates stay exact
+        side = max(side, extent * 2.0**-52) or 1.0  # all points equal: one cell
+        self.index = index = _CellIndex(P, side, lo)
+        self.P, self.Pt = P, np.ascontiguousarray(P[index.order].T)
         self.safe = side * (1.0 - _RING_SLACK)
-        occupied = np.flatnonzero(self.starts[1:] > self.starts[:-1])
-        a, lens = self._runs(cells[self.order[self.starts[occupied]]], 1)
-        self.near = _ranges(a.ravel(), lens.ravel())
-        per_cell = np.zeros(ncell, dtype=np.intp)
-        per_cell[occupied] = lens.sum(axis=1)
-        self.near_at = np.zeros(ncell + 1, dtype=np.intp)
-        np.cumsum(per_cell, out=self.near_at[1:])
-
-    def _runs(self, c: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Start positions and lengths, shape (len(c), runs), of the ring-r
-        runs around the cells c (cell coordinates, one row each), ascending;
-        a run outside the grid is empty."""
-        d = c.shape[1]
-        rows = _stencil_rows(r, d)
-        lo = np.maximum(c[:, -1:] + rows[:, -2], 0)
-        hi = np.minimum(c[:, -1:] + rows[:, -1], self.dims[-1] - 1)
-        ok = lo <= hi
-        for k in range(d - 1):
-            t = c[:, k:k + 1] + rows[:, k]
-            ok &= (t >= 0) & (t < self.dims[k])
-            t *= self.strides[k]
-            lo += t
-            hi += t
-        a = self.starts[np.where(ok, lo, 0)]
-        return a, self.starts[np.where(ok, hi + 1, 0)] - a
+        # cube radius from each point's cell that covers the whole grid
+        lo_cell, hi_cell = index.cells.min(axis=0), index.cells.max(axis=0)
+        self.reach = np.maximum(index.cells - lo_cell, hi_cell - index.cells).max(axis=1)
+        self.near, counts = index.cubes(index.cells[index.order[index.head[:-1]]], 1)
+        self.near_at = np.zeros(counts.size + 1, dtype=np.intp)
+        np.cumsum(counts, out=self.near_at[1:])
 
     def certified_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per point i, its nearest points j != i closer than ring 1
-        certifies, at most _ROW of them, sorted by (d2, j): rows
+        """Per point i, its nearest points j != i closer than the radius-1
+        cube certifies, at most _ROW of them, sorted by (d2, j): rows
         start[i]:start[i + 1] of (j, d2), and `bound[i]`, a squared distance
         no point outside the row undercuts (the certified radius, or the
         first entry left out when the row was cut).  The first alive j of a
@@ -537,10 +461,11 @@ class _CellGrid:
         Scores each point's radius-1 cube in blocks of at most _CHUNK pairs,
         or one point's when those alone are more.
         """
-        n = self.order.size
-        skey = self.key[self.order]
-        first = self.near_at[skey]
-        count = self.near_at[skey + 1] - first
+        order = self.index.order
+        n = order.size
+        cell = self.index.cell[order]
+        first = self.near_at[cell]
+        count = self.near_at[cell + 1] - first
         ends = np.cumsum(count)
         limit = self.safe ** 2
         bound = np.full(n, limit)
@@ -553,14 +478,14 @@ class _CellGrid:
             src = np.repeat(np.arange(s0, s1), c)
             d2 = _sq_dists(self.Pt.take(src, axis=1), self.Pt.take(pos, axis=1))
             close = (d2 < limit) & (pos != src)
-            src, j, d2 = src[close], self.order[pos[close]], d2[close]
+            src, j, d2 = src[close], order[pos[close]], d2[close]
             by = np.lexsort((j, d2, src))
             src, j, d2 = src[by], j[by], d2[by]
             rank = np.arange(src.size) - np.searchsorted(src, src)  # place in its row
             cut = rank == _ROW
-            bound[self.order[src[cut]]] = d2[cut]
+            bound[order[src[cut]]] = d2[cut]
             keep = rank < _ROW
-            I.append(self.order[src[keep]])
+            I.append(order[src[keep]])
             J.append(j[keep])
             D2.append(d2[keep])
             s0 = s1
@@ -572,25 +497,26 @@ class _CellGrid:
 
     def nearest_alive(self, i: int, alive: np.ndarray) -> tuple[float, int, int]:
         """Heap entry (distance, i, j) for the nearest alive j != i: the
-        radius-1 cube of i from the `near` table, then ring after ring, until
-        a ring certifies the best candidate or the rings cover the grid.
-        Among equal squared distances the smallest j wins."""
-        k = self.key[i]
+        radius-1 cube of i from the `near` table, then the cubes of radius
+        2, 4, 8, ... until one certifies the best candidate or covers the
+        grid.  Among equal squared distances the smallest j wins, so folding
+        the inner cells again changes nothing."""
+        index = self.index
+        k = index.cell[i]
         x = self.P[i][:, None]
         was, alive[i] = alive[i], False  # hide i from its own query
         best, arg = self._fold(x, self.near[self.near_at[k]:self.near_at[k + 1]], alive,
                                np.inf, -1)
         r = 1
         while best >= (r * self.safe) ** 2 and r < self.reach[i]:
-            r += 1
-            a, lens = self._runs(self.cells[i:i + 1], r)
-            best, arg = self._fold(x, _ranges(a[0], lens[0]), alive, best, arg)
+            r = min(2 * r, int(self.reach[i]))
+            best, arg = self._fold(x, index.cubes(index.cells[i:i + 1], r)[0], alive, best, arg)
         alive[i] = was
         return math.sqrt(best), i, int(arg)
 
     def _fold(self, x, pos, alive, best, arg):
         """(best, arg) after the alive candidates at sorted positions pos."""
-        j = self.order[pos]
+        j = self.index.order[pos]
         keep = alive[j]
         pos, j = pos[keep], j[keep]
         if j.size:
@@ -614,24 +540,28 @@ def greedy_close_pairs(P, n_pairs: int | None = None):
     remaining pair; an entry with a dead i is dropped, and one with a dead j
     is replaced.
 
-    The entries come from a uniform cell grid (`_CellGrid`) whose cell side
-    is the longest bounding-box extent over round(n^(1/d)).  One vectorized
-    pass scores every pair of points in neighbouring cells and keeps, per
-    point, the neighbours closer than one cell side, sorted: these are
-    certified, since every point outside the 3^d cells around i is farther.
-    A dead j is replaced by i's next alive certified neighbour.  When none
-    is left, the entry becomes the lower bound (one cell side, i, -1); only
-    if it comes first does one query search the alive points around i ring
-    by ring, where ring r certifies a candidate closer than r sides, until a
-    ring certifies one or the rings cover the grid.  A point never pairs with
-    itself, also when duplicated.
+    The entries come from a sparse cell grid (`_CellGrid`, which stores
+    occupied cells only).  Its cell side is the largest per-axis spread
+    between the 1st and 99th percentiles over round(n^(1/d)), so a few far
+    points do not crowd the rest into one cell; when that spread is 0 the
+    longest bounding-box extent takes its place, and 1.0 when that is 0 too.
+    One vectorized pass scores every pair of points in neighbouring cells
+    and keeps, per point, the neighbours closer than one cell side, sorted:
+    these are certified, since every point outside the 3^d cells around i is
+    farther.  A dead j is replaced by i's next alive certified neighbour.
+    When none is left, the entry becomes the lower bound (one cell side, i,
+    -1); only if it comes first does one query search the alive points in
+    the cubes of radius r = 1, 2, 4, ... cells around i, where radius r
+    certifies a candidate closer than r sides, until a cube certifies one or
+    covers the grid.  A point never pairs with itself, also when duplicated.
 
     A distance is the square root of the squared coordinate differences
     summed in coordinate order, as a kd-tree computes it.  Ties: among equal
     squared distances to i the smallest j wins, and among equal heap
     distances the smallest i; only inputs with exact ties, such as lattices,
     can pair differently from a kd-tree, whose order on ties is arbitrary.
-    Cost about O(n log n) on a set spread over its bounding box; a cell
+    The pairs do not depend on the cell side.  Cost about O(n log n) on a
+    set whose points between the percentiles are spread evenly; a cell
     holding k points costs k^2 distance evaluations.
     Returns (pairs, distances) with pairs as (i, j) index tuples, i < j.
     """

@@ -41,6 +41,30 @@ class TestMPoints:
     def test_all_points_equal(self):
         assert m_points(np.zeros((9, 3)), 0.2) == 9
 
+    @pytest.mark.parametrize("P", [
+        [[0.5e-7, 0.1000003 + 0.5e-7], [1.5e-7, 0.5e-7]],
+        [[0.5e-7, 0.5e-7, 0.1000003 + 0.5e-7], [0.5e-7, 1.5e-7, 0.5e-7]],
+    ], ids=["2d", "3d"])
+    def test_far_cells_do_not_collide(self, P):
+        # cells (0, 1000003) and (1, 0) lie 0.1 apart, so no cube holds both;
+        # a key packed as k0 * 1_000_003 + k1 would be the same for the two
+        assert m_points(np.array(P), 1e-7) == 1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equals_shifted_grid_dict(self, dim):
+        # 1e-7 cubes over the unit cube: cell coordinates up to 10^7
+        rng = np.random.default_rng(dim)
+        P = np.vstack([rng.uniform(0, 1, (300, dim)), 0.3 + 2e-7 * rng.uniform(0, 1, (40, dim))])
+        w = 1e-7
+        want = 0
+        for mask in range(2**dim):
+            off = np.array([(mask >> ax) & 1 for ax in range(dim)]) * (w / 2.0)
+            counts = {}
+            for key in map(tuple, np.floor((P - off) / w).astype(np.int64).tolist()):
+                counts[key] = counts.get(key, 0) + 1
+            want = max(want, max(counts.values()))
+        assert m_points(P, w) == want
+
     def test_separated_packing(self, rng):
         X = generate_vertical(1 / 16, 3)
         P = X.points()

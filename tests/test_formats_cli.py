@@ -287,6 +287,16 @@ class TestHardenedInputs:
         rc, err = _cli(*argv, tub, "-o", str(tmp_path / "o.csv"))
         assert rc == 3 and "Traceback" not in err
 
+    def test_conc_points_far_cells_do_not_collide(self, tmp_path):
+        # two points 0.1 apart in the cells (0, 1000003) and (1, 0)
+        pts = str(tmp_path / "p.pts")
+        write_points(pts, np.array([[0.5e-7, 0.1000003 + 0.5e-7], [1.5e-7, 0.5e-7]]))
+        out = str(tmp_path / "c.csv")
+        rc, err = _cli("conc", "-p", pts, "--mode", "points", "--w", "1e-7", "-o", out)
+        assert rc == 0, err
+        rows = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
+        assert rows[-1].startswith("points,") and rows[-1].endswith(",1")
+
     def test_conc_lines_2d_rejects_u_above_w(self, tmp_path):
         plc = str(tmp_path / "g.plc")
         assert main(["gen", "st-grid", "--count", "8", "-o", plc]) == 0

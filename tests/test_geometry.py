@@ -7,6 +7,7 @@ from heilbronn.geometry import (
     DimensionMismatch,
     Line,
     SphericalRectangle,
+    _CellIndex,
     _sorted_unique,
     covering_number,
     direction_covering_number,
@@ -223,6 +224,69 @@ class TestCoveringNumber:
 def test_sorted_unique_matches_np_unique(keys):
     got = _sorted_unique(keys)
     assert got.dtype == keys.dtype and np.array_equal(got, np.unique(keys))
+
+
+def cell_index_sets():
+    """Inputs for _CellIndex.cubes against brute force, by name: (P, side, origin)."""
+    rng = np.random.default_rng(17)
+    dup = rng.uniform(0, 1, (40, 3))
+    return {
+        "uniform2d": (rng.uniform(0, 1, (300, 2)), 0.07, 0.0),
+        "uniform3d": (rng.uniform(0, 1, (300, 3)), 0.15, 0.0),
+        "negative3d": (rng.uniform(-2, 1, (200, 3)), 0.3, 0.0),
+        "far2d": (np.vstack([1e9 * rng.uniform(-1, 1, (60, 2)), rng.uniform(0, 0.5, (60, 2))]),
+                  0.1, 0.0),
+        "far3d": (np.vstack([1e9 * rng.uniform(-1, 1, (60, 3)), rng.uniform(0, 0.5, (60, 3))]),
+                  0.1, 0.0),
+        "duplicates3d": (np.vstack([dup, dup[::2], dup[:5]]), 0.2, 0.0),
+        "single2d": (np.array([[0.3, -0.7]]), 0.1, 0.0),
+        "origin3d": (rng.uniform(0, 1, (150, 3)), 0.11, np.array([0.05, -0.3, 0.5])),
+        "origin2d": (rng.uniform(-1, 1, (150, 2)), 0.2, -0.13),
+    }
+
+
+CELL_INDEX_SETS = cell_index_sets()
+
+
+class TestCellIndex:
+    @pytest.mark.parametrize("r", [1, 2, 3, "all"])
+    @pytest.mark.parametrize("name", sorted(CELL_INDEX_SETS))
+    def test_cubes_equal_brute_force(self, name, r):
+        # every row whose cell lies within Chebyshev distance r, as index sets
+        P, side, origin = CELL_INDEX_SETS[name]
+        index = _CellIndex(P, side, origin)
+        cells = np.floor((P - origin) / side).astype(np.int64)
+        assert np.array_equal(index.cells, cells)
+        if r == "all":
+            r = int(np.ptp(cells, axis=0).max())
+        q = cells[np.sort(index.order[index.head[:-1]])]
+        pos, counts = index.cubes(q, r)
+        assert counts.sum() == pos.size
+        for c, got in zip(q, np.split(pos, np.cumsum(counts)[:-1])):
+            assert np.all(np.diff(got) > 0)
+            want = np.flatnonzero(np.abs(cells - c).max(axis=1) <= r)
+            assert np.array_equal(np.sort(index.order[got]), want)
+
+    @pytest.mark.parametrize("name", sorted(CELL_INDEX_SETS))
+    def test_sorted_order_heads_and_cells(self, name):
+        P, side, origin = CELL_INDEX_SETS[name]
+        index = _CellIndex(P, side, origin)
+        cells = index.cells
+        assert np.array_equal(index.order, np.lexsort(cells.T[::-1]))
+        assert np.all(np.diff(index.keys) > 0) and np.all(np.diff(index.head) > 0)
+        # a head starts each run of equal cells; every row knows its run
+        assert index.head[0] == 0 and index.head[-1] == P.shape[0]
+        assert np.array_equal(index.cell[index.order[index.head[:-1]]], np.arange(index.keys.size))
+        same = np.all(cells[:, None] == cells[index.order[index.head[:-1]]][None], axis=2)
+        assert np.array_equal(same.argmax(axis=1), index.cell)
+
+    def test_rejects_keys_beyond_int64(self):
+        # 2^21 distinct coordinates on each of 3 axes: 2^63 keys
+        k = np.arange(2**21, dtype=float)
+        with pytest.raises(ValueError, match="int64"):
+            _CellIndex(np.column_stack([k, k, k]), 1.0)
+        with pytest.raises(ValueError, match="int64"):
+            _CellIndex(np.array([[0.0, 0.0], [1.0, 0.0]]), 1e-300)
 
 
 class TestTypes:

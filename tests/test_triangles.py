@@ -680,6 +680,41 @@ class TestGreedyPairs:
         assert pairs == want_pairs
         assert np.array_equal(dists, want_dists)
 
+    def test_outlier_keeps_cells_small(self):
+        # 4095 points in the unit cube and one at (1000, 1000, 1000): a side
+        # from the bounding box would put the 4095 into one cell (k^2
+        # distance evaluations), the percentile spread gives cells of a few
+        # points.  With n // 2 pairs the outlier pairs last, through the
+        # doubling cube search across the empty grid
+        rng = np.random.default_rng(0)
+        P = np.vstack([rng.uniform(0, 1, (4095, 3)), [[1000.0, 1000.0, 1000.0]]])
+        assert np.diff(triangles._CellGrid(P).index.head).max() <= 16
+        pairs, dists = greedy_close_pairs(P)
+        want_pairs, want_dists = rebuild_greedy_pairs(P)
+        assert pairs == want_pairs
+        assert np.array_equal(dists, want_dists)
+        pairs, dists = greedy_close_pairs(P, 2048)
+        want_pairs, want_dists = kdtree_greedy_pairs(P, 2048)
+        assert pairs == want_pairs and pairs[-1][1] == 4095
+        assert np.array_equal(dists, want_dists)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_identical_bulk_falls_back_to_extent(self, dim):
+        # 198 of 200 points equal, one below and one above them on every
+        # axis: the 1st-99th percentile spread is 0, so the side is the
+        # bounding-box extent over round(n^(1/d))
+        rng = np.random.default_rng(dim)
+        P = np.vstack([np.full((198, dim), 0.25), [[0.0, 0.1, 0.2][:dim], [1.7, 1.2, 0.9][:dim]]])
+        P = P[rng.permutation(200)]
+        grid = triangles._CellGrid(P)
+        extent = float(np.ptp(P, axis=0).max())
+        assert grid.safe == extent / round(200 ** (1 / dim)) * (1.0 - triangles._RING_SLACK)
+        for m in (None, 100):
+            pairs, dists = greedy_close_pairs(P, m)
+            want_pairs, want_dists = dense_greedy_pairs(P, m)
+            assert pairs == want_pairs
+            assert np.array_equal(dists, want_dists)
+
     def test_certified_radius_is_one_side(self):
         # corners fix the box to [0, 4]^2 and 16 points give a cell side of
         # 1.  x's nearest point y lies 1.0002 away two cells over, outside
