@@ -58,6 +58,15 @@ CASES = {
     "initial_est2": (["initial-est", "-p", "lines2.plc", "--w", "0.25"], ".csv"),
     "double_count3": (["double-count", "-p", "lines3.plc", "--w", "0.25"], ".csv"),
     "double_count2": (["double-count", "-p", "lines2.plc", "--w", "0.125"], ".csv"),
+    # parallel lines on a 1/4 grid: at w = 0.25 neighbouring lines and grid
+    # points sit exactly w apart, so the nets meet both the tie (a distance
+    # equal to w does not block) and the parallel branch of the line metric
+    "initial_est_vertical": (["initial-est", "-p", "vertical3.plc", "--w", "0.25"], ".csv"),
+    "initial_est_vertical_half": (["initial-est", "-p", "vertical3.plc", "--w", "0.5"],
+                                  ".csv"),
+    "double_count_vertical": (["double-count", "-p", "vertical3.plc", "--w", "0.25"], ".csv"),
+    "double_count_vertical_half": (["double-count", "-p", "vertical3.plc", "--w", "0.5"],
+                                   ".csv"),
     "scan_b2": (["scan-b", "-p", "pts2.pts", "-l", "lines2.plc", "--wmin", "0.125",
                  "--wmax", "0.5"], ".csv"),
     "scan_b3": (["scan-b", "-p", "pts3.pts", "-l", "lines3.plc", "--wmin", "0.125",
