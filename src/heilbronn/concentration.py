@@ -24,6 +24,7 @@ from .configurations import (
     slab_restriction,
 )
 from .geometry import (
+    _CHUNK,
     Box,
     _CellIndex,
     _chords_from_local,
@@ -158,11 +159,6 @@ def _box_candidates(bases: np.ndarray, dirs: np.ndarray,
         centers[k] = (p1 + p2) / 2.0
         frames[k] = _pair_frame(bases[i], dirs[i], bases[j], dirs[j])
     return centers, frames
-
-
-# elements (candidates x scales x members) of one block of the box counter:
-# about ten float/bool temporaries of this size, so roughly 1 MB in flight
-_CHUNK = 1 << 14
 
 
 def _box_counts(bases, dirs, need, centers, frames, halves, reach=np.inf) -> np.ndarray:

@@ -291,11 +291,13 @@ def rescale_config(config: PointLineConfiguration, scale: float,
     """
     if not 0 < scale <= 1:
         raise ValueError("scale must lie in (0, 1]")
+    if not np.isfinite(1.0 / scale):
+        raise ValueError(f"scale {scale!r} too small: 1 / scale overflows")
     if not any(anchor is q or anchor == q for q in config.pairs):
         raise ValueError("anchor must be a member of the configuration")
-    ncubes = int(np.ceil(1.0 / scale - 1e-12))
-    idx = np.minimum(np.floor(anchor.point / scale).astype(int), ncubes - 1)
-    corner = idx * scale
+    # the cube index stays in float: 1 / scale can pass the int64 range
+    last = np.ceil(1.0 / scale - 1e-12) - 1.0
+    corner = np.minimum(np.floor(anchor.point / scale), last) * scale
     lo, hi = corner - RANGE_TOL, corner + scale + RANGE_TOL
     pairs = []
     for pair in config.pairs:

@@ -41,7 +41,16 @@ def canonical_direction(v) -> np.ndarray:
     v = np.array(v, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"direction must be a vector, got shape {v.shape}")
-    n = _norm(v)
+    c = v.tolist()
+    big = max(map(abs, c), default=0.0)
+    if 2.0**-500 < big < 2.0**500:
+        n = _norm(v)
+    else:  # the squared norm may overflow or underflow: divide by the largest coordinate
+        with np.errstate(over="ignore"):
+            n = _norm(v)
+        if (n == math.inf or n == 0.0) and 0.0 < big < math.inf and all(map(math.isfinite, c)):
+            v = v / big
+            n = _norm(v)
     if not math.isfinite(n) or n == 0.0:
         raise ValueError("direction must be a nonzero finite vector")
     if abs(n - 1.0) > 1e-13:  # keep already-unit vectors bit-stable
@@ -221,7 +230,8 @@ def _point_lines_rows(p: np.ndarray, bases: np.ndarray, dirs: np.ndarray) -> np.
 
 
 def _direction_rows(dirs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """direction_distance from v to each row of `dirs`."""
+    """direction_distance from v to each row of `dirs` (or, v an array of
+    rows, from each row of v to the same row of `dirs`)."""
     return np.minimum(np.linalg.norm(dirs - v, axis=1), np.linalg.norm(dirs + v, axis=1))
 
 
@@ -273,6 +283,30 @@ def _lines_min_distance_rows(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
     parallel = nn < 1e-12
     skew = np.abs(np.einsum("ij,ij->i", bases - b1, n)) / np.where(parallel, 1.0, nn)
     return np.where(parallel, perp, skew)
+
+
+def _line_metric_pairs(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
+                       dirs: np.ndarray) -> np.ndarray:
+    """_line_metric_rows pair by pair: entry k is the metric from the line
+    (b1[k], v1[k]) to (bases[k], dirs[k]), each through the elementwise
+    operations of _line_metric_rows.  Only parallel pairs take the point
+    distance, its projection an elementwise dot instead of a BLAS product."""
+    metric = _direction_rows(dirs, v1)
+    if v1.shape[1] == 2:
+        cross = v1[:, 0] * dirs[:, 1] - v1[:, 1] * dirs[:, 0]
+        parallel = np.abs(cross) < 1e-12
+        rest = np.zeros(cross.shape)
+    else:
+        n = np.cross(v1, dirs)
+        nn = np.linalg.norm(n, axis=1)
+        parallel = nn < 1e-12
+        rest = np.abs(np.einsum("ij,ij->i", bases - b1, n)) / np.where(parallel, 1.0, nn)
+    if parallel.any():
+        U = bases[parallel] - b1[parallel]
+        v = v1[parallel]
+        t = np.einsum("ij,ij->i", U, v)
+        rest[parallel] = np.linalg.norm(U - t[:, None] * v, axis=1)
+    return metric + rest
 
 
 def line_box_chord(line: Line, box: Box) -> float:
@@ -425,21 +459,181 @@ class _CellIndex:
         return _ranges(a.T.ravel(), b.T.ravel()), b.sum(axis=0)
 
 
-def _greedy_net_size(X: np.ndarray, w: float, dist) -> int:
-    """Size of the greedy net of the rows of X, taken in order.
+# elements of one block of the vectorized passes (the box counter's
+# candidates x scales x members, the nets' and close pairs' pairs): about ten
+# float/bool temporaries of this size, so roughly 1 MB in flight
+_CHUNK = 1 << 14
+# the greedy nets decide their rows in blocks of _NET_BLOCK, in input order
+_NET_BLOCK = 256
+# Rows with a coordinate beyond _TAME (or not finite) meet every kept row:
+# below it no pair distance of the nets is NaN, so the cell filter is exact.
+_TAME = 2.0**250
 
-    A row joins the net when `dist(kept, row)`, its distances to the rows
-    already kept, are all >= w.  The kept rows fill a preallocated buffer.
+
+def _spans(counts: np.ndarray, cap: int):
+    """Consecutive ranges [s0, s1) of `counts`, each summing to at most cap
+    or holding one item."""
+    ends = np.cumsum(counts)
+    s0 = 0
+    while s0 < counts.size:
+        s1 = max(s0 + 1, int(np.searchsorted(ends, ends[s0] - counts[s0] + cap, "right")))
+        yield s0, s1
+        s0 = s1
+
+
+class _NetCells:
+    """Cells of the index points of a greedy net, and registries of rows by cell.
+
+    Row i queries the cell of pts[i]; a registered row sits in the cell of
+    pts[i], and also of -pts[i] when `antipodal`.  The cells are those of
+    `_CellIndex` from the index points' low corner, with side
+    max(w, extent 2^-40, 2^-500) (1 + 2^-8), extent the longest side of
+    their bounding box: rounding the cell coordinates errs by at most
+    4 extent 2^-53 in distance, so two index points more than one cell apart
+    on an axis are at computed distance >= w, and their coordinate
+    differences are too large for the squares to underflow.  So a pair of
+    tame rows whose cells are not neighbours cannot block.  Wild rows (not
+    `tame`) share one extra cell that neighbours every cell.
     """
-    if w <= 0:
+
+    def __init__(self, pts: np.ndarray, tame: np.ndarray, w: float, antipodal: bool):
+        n = pts.shape[0]
+        T = np.flatnonzero(tame)
+        Q = np.concatenate([pts[T], -pts[T]]) if antipodal else pts[T]
+        if T.size:
+            lo = Q.min(axis=0)
+            extent = float((Q.max(axis=0) - lo).max())
+            side = max(w, extent * 2.0**-40, 2.0**-500) * (1.0 + 2.0**-8)
+            while True:
+                try:
+                    index = _CellIndex(Q, side, lo)
+                    break
+                except ValueError:  # too many distinct cells for int64 keys: coarser cells
+                    side *= 1024.0
+            occupied = index.cells[index.order[index.head[:-1]]]
+            cube = _CellIndex(occupied.astype(float), 1.0)
+            pos, counts = cube.cubes(occupied, 1)
+            nbr, base, cell = cube.order[pos], index.head[:-1], index.cell
+        else:
+            nbr = base = cell = counts = np.zeros(0, dtype=np.intp)
+        wild = n - T.size
+        k = base.size  # the wild rows' cell
+        if wild:
+            nbr = np.insert(nbr, np.cumsum(counts), k)
+            nbr = np.concatenate([nbr, np.arange(k + 1)])
+            counts = np.append(counts + 1, k + 1)
+        self.nbr_at = np.zeros(counts.size + 1, dtype=np.intp)
+        np.cumsum(counts, out=self.nbr_at[1:])
+        self.nbr = nbr
+        self.base = np.append(base, Q.shape[0])  # each cell's first slot
+        self.size = Q.shape[0] + wild
+        self.query = np.full(n, k, dtype=np.intp)
+        self.query[T] = cell[:T.size]
+        self.home = np.full((n, 2 if antipodal else 1), -1, dtype=np.intp)
+        self.home[T] = cell.reshape(self.home.shape[1], -1).T
+        self.home[~tame, 0] = k
+
+    def registry(self) -> tuple[np.ndarray, np.ndarray]:
+        """An empty registry: (slots, count per cell); cell c holds the rows
+        slots[base[c]:base[c] + count[c]]."""
+        return np.empty(self.size, dtype=np.intp), np.zeros(self.base.size, dtype=np.intp)
+
+    def register(self, reg, rows: np.ndarray) -> np.ndarray:
+        """Add rows to a registry; returns the cells they went to."""
+        slots, count = reg
+        c = self.home[rows].ravel()
+        r = np.repeat(rows, self.home.shape[1])[c >= 0]
+        c = c[c >= 0]
+        by = np.argsort(c, kind="stable")
+        c, r = c[by], r[by]
+        slots[self.base[c] + count[c] + np.arange(c.size) - np.searchsorted(c, c)] = r
+        count += np.bincount(c, minlength=count.size)
+        return c
+
+    def pairs(self, reg, rows: np.ndarray):
+        """(I, J) blocks of at most _CHUNK pairs (or one cell's rows):
+        every row I of `rows` with every row J of the registry in its
+        neighbour cells."""
+        slots, count = reg
+        q = self.query[rows]
+        a = self.nbr_at[q]
+        m = self.nbr_at[q + 1] - a
+        for s0, s1 in _spans(m, _CHUNK):
+            c = self.nbr[_ranges(a[s0:s1], m[s0:s1])]
+            r = np.repeat(rows[s0:s1], m[s0:s1])
+            k = count[c]
+            for t0, t1 in _spans(k, _CHUNK):
+                kk = k[t0:t1]
+                yield np.repeat(r[t0:t1], kk), slots[_ranges(self.base[c[t0:t1]], kk)]
+
+
+def _greedy_net_size(pts: np.ndarray, w: float, pair_dist, tame: np.ndarray,
+                     antipodal: bool = False) -> int:
+    """Size of the greedy net of n rows, taken in input order.
+
+    A row joins the net when its distances to the rows already kept are all
+    >= w: the first row joins, a NaN distance blocks and a distance equal to
+    w does not.  pair_dist(I, J) gives the distances of the pairs (row I[k],
+    kept row J[k]), elementwise.  Between tame rows it must be at least the
+    Euclidean distance of their index points pts[i] and pts[j] (or -pts[j],
+    when `antipodal`), as computed, so only pairs in neighbouring cells of
+    `_NetCells` are measured.
+
+    Each block of rows is first checked against the rows kept before it,
+    then its survivors against each other, in order.  Memory is O(n) plus
+    one block of pairs; time is at worst the linear scan's n x kept pairs.
+    """
+    w = float(w)
+    if not w > 0:
         raise ValueError("w must be positive")
-    kept = np.empty_like(X)
-    k = 0
-    for x in X:
-        if k == 0 or np.min(dist(kept[:k], x)) >= w:
-            kept[k] = x
-            k += 1
-    return k
+    n = pts.shape[0]
+    cells = _NetCells(pts, tame, w, antipodal)
+    kept, block = cells.registry(), cells.registry()
+    size = 0
+    for b0 in range(0, n, _NET_BLOCK):
+        rows = np.arange(b0, min(n, b0 + _NET_BLOCK))
+        blocked = np.zeros(rows.size, dtype=bool)
+        for I, J in cells.pairs(kept, rows):
+            blocked[I[~(pair_dist(I, J) >= w)] - b0] = True
+        S = rows[~blocked]
+        touched = cells.register(block, S)
+        late, early = [], []
+        for I, J in cells.pairs(block, S):
+            before = J < I
+            I, J = I[before], J[before]
+            hit = ~(pair_dist(I, J) >= w)
+            late.append(I[hit])
+            early.append(J[hit])
+        block[1][touched] = 0
+        S = S[_keep_in_order(S, late, early)]
+        cells.register(kept, S)
+        size += S.size
+    return size
+
+
+def _keep_in_order(S: np.ndarray, late: list, early: list) -> np.ndarray:
+    """Which of the rows S (ascending) the greedy keeps when row late[k]
+    conflicts with the earlier row early[k] (lists of arrays): a row is kept
+    unless an earlier kept row conflicts with it."""
+    flags = [True] * S.size
+    if late:
+        li = np.searchsorted(S, np.concatenate(late))
+        lj = np.searchsorted(S, np.concatenate(early))
+        by = np.argsort(li, kind="stable")  # a row's earlier rows are decided first
+        for l, e in zip(li[by].tolist(), lj[by].tolist()):
+            if flags[e]:
+                flags[l] = False
+    return np.array(flags, dtype=bool)
+
+
+def _tame(*arrays: np.ndarray) -> np.ndarray:
+    """Rows whose coordinates in every array are at most _TAME in magnitude."""
+    return np.logical_and.reduce([(np.abs(a) <= _TAME).all(axis=1) for a in arrays])
+
+
+def _net_rows(items) -> np.ndarray:
+    X = np.asarray(items, dtype=float)
+    return X.reshape(X.shape[0], -1) if X.size else np.zeros((0, 1))
 
 
 def covering_number(items, w: float) -> int:
@@ -449,19 +643,28 @@ def covering_number(items, w: float) -> int:
     covers with w-balls (so it upper bounds the covering number) and any
     2w-separated subset lower bounds it.
     """
-    return _greedy_net_size(np.asarray(items, dtype=float), w,
-                            lambda C, x: np.linalg.norm(C - x, axis=1))
+    X = _net_rows(items)
+    return _greedy_net_size(X, w, lambda I, J: np.linalg.norm(X[J] - X[I], axis=1), _tame(X))
 
 
 def direction_covering_number(dirs: np.ndarray, w: float) -> int:
     """Greedy covering count for directions identified up to sign."""
-    return _greedy_net_size(np.asarray(dirs, dtype=float), w, _direction_rows)
+    D = _net_rows(dirs)
+    return _greedy_net_size(D, w, lambda I, J: _direction_rows(D[J], D[I]), _tame(D),
+                            antipodal=True)
 
 
 def line_covering_number(lines, w: float) -> int:
-    """Greedy covering count for a family of lines under line_metric."""
-    X = np.array([(ln.base, ln.dir) for ln in lines], dtype=float)
-    return _greedy_net_size(X, w, lambda C, x: _line_metric_rows(x[0], x[1], C[:, 0], C[:, 1]))
+    """Greedy covering count for a family of lines under line_metric.
+
+    The line metric is the direction distance plus a non-negative term, so
+    the net indexes the directions up to sign.
+    """
+    lines = list(lines)
+    B = _net_rows([ln.base for ln in lines])
+    V = _net_rows([ln.dir for ln in lines])
+    return _greedy_net_size(V, w, lambda I, J: _line_metric_pairs(B[I], V[I], B[J], V[J]),
+                            _tame(B, V), antipodal=True)
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:

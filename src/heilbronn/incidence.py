@@ -13,6 +13,8 @@ absorbed silently; every evaluator reports the quantities it used.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +90,19 @@ def normalized_incidence(w: float, P, lines, dim: int) -> float:
     if P.shape[0] == 0 or not lines:
         raise ValueError("normalized incidence needs nonempty families")
     count = incidence_count(w, P, lines, dim)
-    return count / (w ** (dim - 1) * P.shape[0] * len(lines))
+    return _per_volume(count, w ** (dim - 1) * P.shape[0] * len(lines), w)
+
+
+def _per_volume(x: float, norm: float, w: float) -> float:
+    """x / norm for a normalizer carrying the factor w^(d-1); FloatingPointError
+    when the normalizer is not a normal float (w^(d-1) underflowed) or the
+    quotient overflows, instead of a division by zero or a silent inf."""
+    if not sys.float_info.min <= norm < math.inf:
+        raise FloatingPointError(f"w^(d-1) underflows at w = {w!r}")
+    out = x / norm
+    if not math.isfinite(out):
+        raise FloatingPointError(f"the value normalized by w^(d-1) overflows at w = {w!r}")
+    return out
 
 
 def normalized_incidence_many(ws, P, lines, dim: int) -> list[float]:
@@ -96,7 +110,8 @@ def normalized_incidence_many(ws, P, lines, dim: int) -> list[float]:
     if P.shape[0] == 0 or not lines:
         raise ValueError("normalized incidence needs nonempty families")
     counts = incidence_many(ws, P, lines, dim)
-    return [c / (w ** (dim - 1) * P.shape[0] * len(lines)) for c, w in zip(counts, ws)]
+    return [_per_volume(c, w ** (dim - 1) * P.shape[0] * len(lines), w)
+            for c, w in zip(counts, ws)]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +345,7 @@ def initial_estimate_check(config: PointLineConfiguration, w: float) -> TwoSided
     rescaled = rescale_config(config, w, config.pairs[0])
     theta_w = direction_covering_number(rescaled.directions(), w)
     lines_w = line_covering_number(lines, w)
-    rhs = theta_w / (w ** (dim - 1) * lines_w)
+    rhs = _per_volume(theta_w, w ** (dim - 1) * lines_w, w)
     return TwoSidedCheck(lhs=lhs, rhs=rhs)
 
 

@@ -19,9 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .concentration import _CHUNK
 from .configurations import _nearest_point_line
-from .geometry import Line, _CellIndex, _ranges, _sorted_unique
+from .geometry import _CHUNK, Line, _CellIndex, _ranges, _sorted_unique, _spans
 
 
 @dataclass(frozen=True)
@@ -466,13 +465,10 @@ class _CellGrid:
         cell = self.index.cell[order]
         first = self.near_at[cell]
         count = self.near_at[cell + 1] - first
-        ends = np.cumsum(count)
         limit = self.safe ** 2
         bound = np.full(n, limit)
         I, J, D2 = [], [], []
-        s0 = 0
-        while s0 < n:
-            s1 = max(s0 + 1, int(np.searchsorted(ends, ends[s0] - count[s0] + _CHUNK, "right")))
+        for s0, s1 in _spans(count, _CHUNK):
             c = count[s0:s1]
             pos = self.near[_ranges(first[s0:s1], c)]
             src = np.repeat(np.arange(s0, s1), c)
@@ -488,7 +484,6 @@ class _CellGrid:
             I.append(order[src[keep]])
             J.append(j[keep])
             D2.append(d2[keep])
-            s0 = s1
         I, J, D2 = np.concatenate(I), np.concatenate(J), np.concatenate(D2)
         by = np.argsort(I, kind="stable")
         start = np.zeros(n + 1, dtype=np.intp)

@@ -4,16 +4,19 @@ Each `old_*` function below is a test-local copy of a code path that the
 package now routes through one shared primitive: the 3D tube box counter and
 the generator's box probe (now `concentration._box_counts_3d`), the 2D
 segment counter's own slab loop (now `geometry._chords_from_local`), the three
-greedy nets that grew their centres with `np.vstack` (now
-`geometry._greedy_net_size`) and the hand-written scale loops of the ladder
+greedy nets that grew their centres with `np.vstack` and compared each member
+with every kept row (now the pair-based `geometry._greedy_net_size`) and the
+hand-written scale loops of the ladder
 callers (now `dyadic_ladder` / `dyadic_pairs`).  The new code must return
 exactly what the copies return, compared with `==`.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from heilbronn import concentration, incidence, tubes as tubes_mod
+from heilbronn import concentration, geometry, incidence, tubes as tubes_mod
 from heilbronn.concentration import (
     _box_candidates,
     _box_counts_3d,
@@ -22,10 +25,18 @@ from heilbronn.concentration import (
     dyadic_pairs,
     katz_tao_fit,
     plane_reduction_check,
+    uniformize,
 )
-from heilbronn.configurations import generate_vertical
+from heilbronn.configurations import (
+    generate_bush,
+    generate_plane_example,
+    generate_vertical,
+    rescale_config,
+)
 from heilbronn.geometry import (
+    Line,
     _chords_from_local,
+    _line_metric_rows,
     complete_frame,
     covering_number,
     direction_covering_number,
@@ -40,7 +51,7 @@ from heilbronn.tubes import (
     tube_box_counts_3d,
 )
 
-from conftest import random_config, random_lines
+from conftest import random_config, random_lines, separated_config
 
 # ---------------------------------------------------------------------------
 # test-local copies of the replaced code
@@ -187,6 +198,24 @@ def old_line_covering_number(lines, w):
         kb = np.vstack([kb, ln.base])
         kd = np.vstack([kd, ln.dir])
     return len(kept)
+
+
+def old_greedy_net_size(X, w, dist):
+    """The per-member loop the nets ran before they went pair-based: a NaN
+    distance blocks (`np.min(...) >= w`), where old_line_covering_number's
+    `< w` keeps the row."""
+    kept = np.empty_like(X)
+    k = 0
+    for x in X:
+        if k == 0 or np.min(dist(kept[:k], x)) >= w:
+            kept[k] = x
+            k += 1
+    return k
+
+
+def scan_line_covering_number(lines, w):
+    X = np.array([(ln.base, ln.dir) for ln in lines], dtype=float)
+    return old_greedy_net_size(X, w, lambda C, x: _line_metric_rows(x[0], x[1], C[:, 0], C[:, 1]))
 
 
 def old_ladder(start, factor=2.0):
@@ -359,6 +388,9 @@ def tie_points(dim):
 
 
 class TestGreedyNets:
+    """The pair-based nets of `geometry._greedy_net_size` against the linear
+    scans above, which compare each member with every kept row."""
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_covering_number_equals_old(self, dim):
         rng = np.random.default_rng(13)
@@ -386,13 +418,162 @@ class TestGreedyNets:
             for w in (0.05, 0.25, 0.5, 1.0):
                 assert line_covering_number(lines, w) == old_line_covering_number(lines, w)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_uniformized_separated_at_certificate_scales(self, seed):
+        # the highlow benchmark's separated configuration and its checks
+        sub, cert = uniformize(separated_config(300, 3, seed), 8.0, delta=8.0 ** -3)
+        P, lines = sub.points(), sub.lines()
+        assert len(cert.scales) >= 2 and len(lines) > 1
+        for w in cert.scales:
+            dirs = rescale_config(sub, w, sub.pairs[0]).directions()
+            assert covering_number(P, w) == old_covering_number(P, w)
+            assert direction_covering_number(dirs, w) == old_direction_covering_number(dirs, w)
+            assert line_covering_number(lines, w) == old_line_covering_number(lines, w)
+
+    def test_bush_and_plane_families(self):
+        _, bush = generate_bush(1 / 32, 3, 2, seed=1)
+        dirs = np.array([ln.dir for ln in bush])
+        for w in (1 / 64, 1 / 32, 1 / 16):
+            assert direction_covering_number(dirs, w) == old_direction_covering_number(dirs, w)
+        _, plane = generate_plane_example(1 / 16)
+        dirs = np.array([ln.dir for ln in plane])
+        for w in (1 / 32, 1 / 16, 1 / 8, 0.25):
+            assert direction_covering_number(dirs, w) == old_direction_covering_number(dirs, w)
+            assert line_covering_number(plane, w) == old_line_covering_number(plane, w)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_antipodal_and_tied_sets(self, dim):
+        rng = np.random.default_rng(21)
+        D = rng.normal(size=(60, dim))
+        D /= np.linalg.norm(D, axis=1, keepdims=True)
+        antipodal = np.concatenate([D, -D, D[::2], -D[1::3]])[rng.permutation(150)]
+        # a lattice of spacing 1/8: many distances equal the scale exactly
+        lattice = tie_points(dim)
+        for w in (0.05, 0.125, 0.25, 0.5, 1.0, 2.0):
+            assert direction_covering_number(antipodal, w) == \
+                old_direction_covering_number(antipodal, w)
+            assert direction_covering_number(lattice, w) == \
+                old_direction_covering_number(lattice, w)
+            assert covering_number(np.concatenate([lattice, -lattice]), w) == \
+                old_covering_number(np.concatenate([lattice, -lattice]), w)
+        # parallel lines 1/8 apart, and antipodal directions at one base
+        parallel = [Line(p, np.eye(dim)[-1]) for p in lattice]
+        flipped = [Line(lattice[k % 7], d) for k, d in enumerate(antipodal)]
+        for w in (0.125, 0.25, 0.125 * np.sqrt(2), 0.5):
+            assert line_covering_number(parallel, w) == old_line_covering_number(parallel, w)
+            assert line_covering_number(flipped, w) == old_line_covering_number(flipped, w)
+
+    @pytest.mark.parametrize("first", [0, 5])
+    def test_non_finite_rows(self, first):
+        # a NaN distance blocks a row; a NaN first row blocks every later one
+        rng = np.random.default_rng(22)
+        P = rng.uniform(0, 1, (120, 3))
+        P[first] = np.nan
+        P[17, 1] = np.nan
+        P[40] = np.inf
+        P[41] = [-np.inf, 0.0, 0.0]
+        P[60:63] = [[0.0, np.inf, 0.0], [0.0, np.inf, 1.0], [0.0, 0.0, -np.inf]]
+        with np.errstate(invalid="ignore"):
+            for w in (0.05, 0.2, 0.6, np.inf):
+                assert covering_number(P, w) == old_covering_number(P, w)
+                assert direction_covering_number(P, w) == old_direction_covering_number(P, w)
+
+    def test_far_lines(self):
+        # bases beyond geometry._TAME: their distances can be inf or NaN, so
+        # they are compared with every kept line
+        rng = np.random.default_rng(23)
+        lines = random_lines(40, 3, seed=24)
+        far = [Line(s * rng.uniform(-1, 1, 3), rng.normal(size=3)) for s in (1e300, 1e308, 1e100)]
+        far += [Line([1e308, 0.0, 0.0], [1.0, 0.0, 0.0]), Line([-1e308, 0.0, 0.0], [1.0, 0, 0])]
+        family = lines[:20] + far + lines[20:] + far[::-1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for w in (0.1, 0.5, 1.5, np.inf):
+                assert line_covering_number(family, w) == scan_line_covering_number(family, w)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_identical_rows(self, dim):
+        rng = np.random.default_rng(25)
+        x = rng.uniform(0, 1, dim)
+        X = np.tile(x, (700, 1))
+        lines = [Line(x, X[0] + 0.5)] * 300
+        for w in (1e-300, 0.1, np.inf):
+            assert covering_number(X, w) == old_covering_number(X, w) == 1
+            assert direction_covering_number(X, w) == 1
+            assert line_covering_number(lines, w) == 1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_extreme_scales(self, dim):
+        rng = np.random.default_rng(26)
+        P = np.concatenate([rng.uniform(0, 1, (150, dim)), 1e-170 * rng.uniform(0, 1, (50, dim)),
+                            np.zeros((3, dim))])
+        D = rng.normal(size=(150, dim))
+        lines = random_lines(80, dim, seed=27)
+        for w in (1e-300, 5e-324, np.inf):
+            assert covering_number(P, w) == old_covering_number(P, w)
+            assert direction_covering_number(D, w) == old_direction_covering_number(D, w)
+            assert line_covering_number(lines, w) == old_line_covering_number(lines, w)
+
+    def test_independent_of_block_size(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        P = np.concatenate([rng.uniform(0, 1, (200, 3)), np.tile([0.5, 0.5, 0.5], (40, 1))])
+        D = rng.normal(size=(200, 3))
+        lines = random_lines(150, 3, seed=29)
+
+        def nets():
+            return [(covering_number(P, w), direction_covering_number(D, w),
+                     line_covering_number(lines, w)) for w in (0.05, 0.2, 0.7)]
+
+        want = nets()
+        for block, chunk in ((1, 1), (3, 5), (7, 64), (64, 3)):
+            monkeypatch.setattr(geometry, "_NET_BLOCK", block)
+            monkeypatch.setattr(geometry, "_CHUNK", chunk)
+            assert nets() == want
+
+    def test_coarser_cells_when_keys_overflow(self, monkeypatch):
+        # an index refused for too many distinct cells is built again with
+        # cells 1024 times wider, which only adds candidate pairs
+        real = geometry._CellIndex
+        sides = []
+
+        def refuse_fine(P, side, origin=0.0):
+            if side < 0.2:
+                sides.append(side)
+                raise ValueError("too many distinct cell coordinates for int64 keys")
+            return real(P, side, origin)
+
+        P = np.random.default_rng(31).uniform(0, 1, (300, 3))
+        want = [covering_number(P, w) for w in (0.01, 0.05)]
+        monkeypatch.setattr(geometry, "_CellIndex", refuse_fine)
+        assert [covering_number(P, w) for w in (0.01, 0.05)] == want
+        assert len(sides) == 2
+
+    def test_identical_directions_bounded_memory(self):
+        # a quadratic array of pairs would take n^2 = 4e8 entries here
+        D = np.tile([0.6, 0.8, 0.0], (20000, 1))
+        tracemalloc.start()
+        try:
+            assert direction_covering_number(D, 0.1) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_empty_and_bad_scale(self):
         assert covering_number(np.empty((0, 3)), 0.1) == 0
         assert direction_covering_number([], 0.1) == 0
         assert line_covering_number([], 0.1) == 0
         for net in (covering_number, direction_covering_number, line_covering_number):
+            for w in (0.0, -1.0, np.nan):
+                with pytest.raises(ValueError):
+                    net([], w)
+        pts = np.random.default_rng(30).uniform(0, 1, (5, 2))
+        for w in (0.0, np.nan):
             with pytest.raises(ValueError):
-                net([], 0.0)
+                covering_number(pts, w)
+            with pytest.raises(ValueError):
+                direction_covering_number(pts, w)
+            with pytest.raises(ValueError):
+                line_covering_number([Line(p, [1.0, 0.0]) for p in pts], w)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from heilbronn.tubes import Tube2D
 
 from conftest import random_config
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
 
 class TestFormats:
     def test_points_roundtrip(self, tmp_path, rng):
@@ -296,6 +298,34 @@ class TestHardenedInputs:
         assert rc == 0, err
         rows = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
         assert rows[-1].startswith("points,") and rows[-1].endswith(",1")
+
+    @pytest.mark.parametrize("command", ["initial-est", "double-count"])
+    def test_tiny_scale_rescales_in_float(self, tmp_path, capsys, command):
+        # 1 / w passes the int64 range: the cube index used to overflow
+        out = tmp_path / "t.csv"
+        rc = main([command, "-p", os.path.join(GOLDEN, "lines3.plc"), "--w", "1e-19",
+                   "-o", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        row = out.read_text().splitlines()[-1].split(",")
+        assert row[0] == "1e-19" and all(np.isfinite(float(x)) for x in row)
+        if command == "double-count":  # every line and point is its own net member
+            assert row == ["1e-19", "24", "2.4e-18", "1e-19"]
+
+    @pytest.mark.parametrize("w", ["1e-160", "1e-300", "5e-324"])
+    @pytest.mark.parametrize("plc", ["lines3.plc", "vertical3.plc"])
+    def test_underflowing_scale_exits_four(self, tmp_path, capsys, w, plc):
+        # w^2 underflows: a division by zero (or a silent inf) before
+        rc = main(["initial-est", "-p", os.path.join(GOLDEN, plc), "--w", w,
+                   "-o", str(tmp_path / "i.csv")])
+        err = capsys.readouterr().err
+        assert rc == 4 and "numerical failure" in err and "underflows" in err
+        rc = main(["double-count", "-p", os.path.join(GOLDEN, plc), "--w", w,
+                   "-o", str(tmp_path / "d.csv")])
+        err = capsys.readouterr().err
+        if w == "5e-324":  # no cube grid of that side fits the float range
+            assert rc == 3 and "1 / scale overflows" in err
+        else:
+            assert rc == 0, err
 
     def test_conc_lines_2d_rejects_u_above_w(self, tmp_path):
         plc = str(tmp_path / "g.plc")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from heilbronn.geometry import (
     SphericalRectangle,
     _CellIndex,
     _sorted_unique,
+    canonical_direction,
     covering_number,
     direction_covering_number,
     line_box_chord,
@@ -344,6 +347,37 @@ def test_line_fields_equal_old_formulas():
         line = Line(base, dir)
         b, v = old_line_fields(base, dir)
         assert np.array_equal(line.base, b) and np.array_equal(line.dir, v)
+
+
+@pytest.mark.parametrize("dir, unit", [([1e200, 1e200], [1.0, 1.0]),
+                                       ([1e-200, 1e-200], [1.0, 1.0]),
+                                       ([1.7e308, -1.7e308, 0.0], [1.0, -1.0, 0.0]),
+                                       ([-1e-170, -3e-170], [1.0, 3.0]),
+                                       ([5e-324, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                                       ([1e-300, 2e-300, -2e-300], [1.0, 2.0, -2.0])])
+def test_line_accepts_directions_whose_square_leaves_the_float_range(dir, unit):
+    # the largest coordinate scales the direction only where the squared
+    # norm overflows or underflows, which used to raise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = Line(np.zeros(len(dir)), dir).dir
+    assert np.allclose(got, canonical_direction(unit), rtol=0, atol=4e-16)
+
+
+def test_directions_in_range_keep_their_bits():
+    # the same vectors, scaled into the range where the squared norm is
+    # finite and nonzero, take the old formula
+    for s in (1e150, 1e-150, 2.0**-400, 2.0**400):
+        for v in ([1.0, 1.0], [1.0, 3.0], [0.3, -0.4, 0.5]):
+            x = s * np.array(v)
+            assert np.array_equal(canonical_direction(x), old_line_fields([0, 0, 0], x)[1])
+
+
+@pytest.mark.parametrize("dir", [[0.0, 0.0], [np.inf, 0.0], [1e300, -np.inf], [np.nan, 1e300],
+                                 [1e300, np.nan], [np.nan, 1.0], [0.0, -0.0, 0.0]])
+def test_zero_and_non_finite_directions_raise(dir):
+    with pytest.raises(ValueError, match="nonzero finite"):
+        canonical_direction(dir)
 
 
 @pytest.mark.parametrize("base, dir", [([0.0, np.nan], [1.0, 0.0]),
