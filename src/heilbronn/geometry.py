@@ -42,7 +42,7 @@ def canonical_direction(v) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"direction must be a vector, got shape {v.shape}")
     c = v.tolist()
-    big = max(map(abs, c), default=0.0)
+    big = max(map(abs, c)) if c else 0.0
     if 2.0**-500 < big < 2.0**500:
         n = _norm(v)
     else:  # the squared norm may overflow or underflow: divide by the largest coordinate
@@ -51,13 +51,15 @@ def canonical_direction(v) -> np.ndarray:
         if (n == math.inf or n == 0.0) and 0.0 < big < math.inf and all(map(math.isfinite, c)):
             v = v / big
             n = _norm(v)
+            c = v.tolist()
     if not math.isfinite(n) or n == 0.0:
         raise ValueError("direction must be a nonzero finite vector")
     if abs(n - 1.0) > 1e-13:  # keep already-unit vectors bit-stable
         v = v / n
-    for c in v.tolist():
-        if abs(c) > 1e-14:
-            if c < 0:
+        c = v.tolist()
+    for x in c:
+        if abs(x) > 1e-14:
+            if x < 0:
                 v = -v
             break
     v.setflags(write=False)
