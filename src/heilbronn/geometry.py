@@ -467,8 +467,8 @@ class _CellIndex:
 _CHUNK = 1 << 14
 # the greedy nets decide their rows in blocks of _NET_BLOCK, in input order
 _NET_BLOCK = 256
-# Rows with a coordinate beyond _TAME (or not finite) meet every kept row:
-# below it no pair distance of the nets is NaN, so the cell filter is exact.
+# rows with a coordinate beyond _TAME (or not finite) meet every kept row:
+# below it no pair distance of the nets is NaN, so the cell filter is exact
 _TAME = 2.0**250
 
 

@@ -465,14 +465,16 @@ class TestGreedyNets:
 
     @pytest.mark.parametrize("first", [0, 5])
     def test_non_finite_rows(self, first):
-        # a NaN distance blocks a row; a NaN first row blocks every later one
+        # a NaN distance blocks a row; a NaN first row blocks every later one;
+        # non-finite rows sit in the first and in later blocks
         rng = np.random.default_rng(22)
-        P = rng.uniform(0, 1, (120, 3))
+        P = rng.uniform(0, 1, (700, 3))
         P[first] = np.nan
-        P[17, 1] = np.nan
-        P[40] = np.inf
+        P[[17, 300, 650], 1] = np.nan
+        P[[40, 420]] = np.inf
         P[41] = [-np.inf, 0.0, 0.0]
         P[60:63] = [[0.0, np.inf, 0.0], [0.0, np.inf, 1.0], [0.0, 0.0, -np.inf]]
+        P[500:503] = [[0.0, -np.inf, 0.0], [np.inf, np.inf, 0.0], [0.0, 0.0, np.inf]]
         with np.errstate(invalid="ignore"):
             for w in (0.05, 0.2, 0.6, np.inf):
                 assert covering_number(P, w) == old_covering_number(P, w)

@@ -366,8 +366,8 @@ def test_line_accepts_directions_whose_square_leaves_the_float_range(dir, unit):
 
 def test_directions_in_range_keep_their_bits():
     # the same vectors, scaled into the range where the squared norm is
-    # finite and nonzero, take the old formula
-    for s in (1e150, 1e-150, 2.0**-400, 2.0**400):
+    # finite and nonzero, take the old formula (beyond 2^500 after a check)
+    for s in (1e150, 1e-150, 2.0**-400, 2.0**400, 2.0**505, 2.0**-505):
         for v in ([1.0, 1.0], [1.0, 3.0], [0.3, -0.4, 0.5]):
             x = s * np.array(v)
             assert np.array_equal(canonical_direction(x), old_line_fields([0, 0, 0], x)[1])
