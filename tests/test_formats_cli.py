@@ -439,3 +439,18 @@ class TestHardenedInputs:
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              timeout=10)
         assert res.returncode != 0 and "ValueError" in res.stderr
+
+
+class TestBrushCheckGivenK:
+    """A given K below the family's measured constant fails the hypothesis."""
+
+    @pytest.mark.parametrize("argv", [
+        ("tubes2.tubes", "--K", "1"),  # measured K is 2.125
+        ("tubes3.tubes", "--t1", "0.5", "--t2", "1.5", "--K", "1.5"),  # measured K is 2.0
+    ])
+    def test_K_below_measured_exits_four(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "b.csv")
+        rc = main(["brush-check", "-t", os.path.join(GOLDEN, argv[0]), *argv[1:], "-o", out])
+        err = capsys.readouterr().err
+        assert rc == 4 and "Katz-Tao hypothesis failed" in err
+        assert not os.path.exists(out)

@@ -50,6 +50,10 @@ CASES = {
                            "--seed", "4"], ".csv"),
     "brush_check3": (["brush-check", "-t", "tubes3.tubes", "--t1", "0.5", "--t2", "1.5"],
                      ".csv"),
+    # a given K skips the measurement and verifies the family against it
+    "brush_check2_K4": (["brush-check", "-t", "tubes2.tubes", "--K", "4"], ".csv"),
+    "brush_check3_K4": (["brush-check", "-t", "tubes3.tubes", "--t1", "0.5", "--t2", "1.5",
+                         "--K", "4"], ".csv"),
     "gen_kt_tubes2": (["gen", "katz-tao-tubes", "--dim", "2", "--delta", "0.0625",
                        "--count", "16", "--seed", "3"], ".tubes"),
     "gen_kt_tubes3": (["gen", "katz-tao-tubes", "--dim", "3", "--delta", "0.125",
