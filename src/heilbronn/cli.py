@@ -379,15 +379,14 @@ def _cmd_two_ends(args) -> int:
 def _cmd_brush_check(args) -> int:
     tubes = _nonempty(read_tubes(args.path), args.path)
     dim = tubes[0].center.shape[0]
-    shading = Shading.full(tubes) if args.density >= 1.0 else \
+    shading = Shading.full(tubes) if args.density == 1.0 else \
         Shading.random_fraction(tubes, args.density, args.seed)
-    delta = max(t.width for t in tubes)
-    if dim == 2:
-        K = args.K or measure_kt_constant(tubes, delta, args.t1) * 1.01
-        rep = check_planar_brush(tubes, shading, args.t1, K, args.eps)
-    else:
-        K = args.K or measure_kt_constant(tubes, delta, args.t1, args.t2) * 1.01
-        rep = check_space_brush(tubes, shading, args.t1, args.t2, K, args.eps)
+    exponents = (args.t1, args.t2)[:dim - 1]
+    K = args.K
+    if K is None:
+        K = measure_kt_constant(tubes, max(t.width for t in tubes), *exponents) * 1.01
+    check = check_planar_brush if dim == 2 else check_space_brush
+    rep = check(tubes, shading, *exponents, K, args.eps)
     _write_csv(args.output,
                ["shaded union volume against the concentration lower bound"],
                "dim,n_tubes,density,volume,bound,constant_needed",

@@ -136,15 +136,19 @@ def _pair_frame(b1, v1, b2, v2):
     return np.vstack([e1, e2, v1])
 
 
-def _box_candidates(bases: np.ndarray, dirs: np.ndarray,
-                    anchor_cap: int = 48, partner_cap: int = 24):
+# box candidates: one per member line (at most _SINGLES of them), then one per
+# (anchor, partner) pair of at most _ANCHORS anchors and _PARTNERS partners
+_SINGLES, _ANCHORS, _PARTNERS = 192, 48, 24
+
+
+def _box_candidates(bases: np.ndarray, dirs: np.ndarray):
     """Candidate boxes anchored on member lines, as (centers (C, 3), frames
-    (C, 3, 3)): one per line (at most 192 lines), then one per (anchor,
-    partner) pair.  Each candidate is built alone, with scalar dot products."""
+    (C, 3, 3)): one per line, then one per (anchor, partner) pair.  Each
+    candidate is built alone, with scalar dot products."""
     n = bases.shape[0]
-    singles = _subsample(n, 192)
-    partners = _subsample(n, partner_cap)
-    pairs = [(i, j) for i in _subsample(n, anchor_cap) for j in partners if i != j]
+    singles = _subsample(n, _SINGLES)
+    partners = _subsample(n, _PARTNERS)
+    pairs = [(i, j) for i in _subsample(n, _ANCHORS) for j in partners if i != j]
     # filled row by row: collecting thousands of small arrays first leaves the
     # heap fragmented and the process's peak RSS about 0.5 MB higher
     centers = np.empty((len(singles) + len(pairs), 3))
@@ -199,8 +203,7 @@ def _box_counts_3d(bases, dirs, need, centers, frames, scales) -> np.ndarray:
     return _box_counts(bases, dirs, need, centers, frames, halves)
 
 
-def m_lines_sweep(lines, scales, anchor_cap: int = 48, partner_cap: int = 24,
-                  subdivide: bool = True):
+def m_lines_sweep(lines, scales):
     """Max lines captured by a u x w x 1 box, for every (u, w) in `scales`.
 
     `lines` is a list of Line or a (bases, dirs) or (bases, dirs, lengths)
@@ -215,7 +218,7 @@ def m_lines_sweep(lines, scales, anchor_cap: int = 48, partner_cap: int = 24,
     if bases.shape[0] == 0:
         return [0] * len(scales), [None] * len(scales)
     need = 0.5 if lengths is None else np.asarray(lengths, dtype=float) / 2.0
-    best, best_cand = _sweep(bases, dirs, need, scales, anchor_cap, partner_cap, subdivide)
+    best, best_cand = _sweep(bases, dirs, need, scales)
     boxes = []
     for s, (u, w) in enumerate(scales):
         center, frame = best_cand[s]
@@ -223,8 +226,7 @@ def m_lines_sweep(lines, scales, anchor_cap: int = 48, partner_cap: int = 24,
     return best, boxes
 
 
-def _sweep(bases, dirs, need, scales, anchor_cap: int = 48, partner_cap: int = 24,
-           subdivide: bool = True):
+def _sweep(bases, dirs, need, scales, subdivide: bool = True):
     """Per-scale max counts over the candidate boxes, and the realizing
     (center, frame) pairs; `subdivide` adds children around each argmax.
 
@@ -232,7 +234,7 @@ def _sweep(bases, dirs, need, scales, anchor_cap: int = 48, partner_cap: int = 2
     replaces it only with a strictly larger count, children taken in order
     of parent scale, child scale and shift.
     """
-    centers, frames = _box_candidates(bases, dirs, anchor_cap, partner_cap)
+    centers, frames = _box_candidates(bases, dirs)
     counts = _box_counts_3d(bases, dirs, need, centers, frames, scales)
     first = counts.argmax(axis=0)
     best = [int(c) for c in counts.max(axis=0)]
@@ -272,11 +274,11 @@ def _span_steps(extent_parent: float, extent_child: float) -> np.ndarray:
     return np.linspace(-half_span, half_span, k)
 
 
-def m_lines(lines, u: float, w: float, **kw) -> int:
+def m_lines(lines, u: float, w: float) -> int:
     """Approximate max of lines crossing (chord >= 1/2) a u x w x 1 box."""
     if u > w:
         raise ValueError("need u <= w")
-    values, _ = m_lines_sweep(lines, [(u, w)], **kw)
+    values, _ = m_lines_sweep(lines, [(u, w)])
     return values[0]
 
 
@@ -528,39 +530,35 @@ def dyadic_pairs(u0: float, w0: float, factor: float = 2.0) -> list[tuple[float,
             for u in dyadic_ladder(u0, factor, top=w)]
 
 
+def _box_scales(u0: float, w0: float) -> list[tuple[float, float]]:
+    """The dyadic (u, w) grid from (u0, w0) with both extents clipped to 1,
+    without repeats, sorted."""
+    return sorted({(min(u, 1.0), min(w, 1.0)) for u, w in dyadic_pairs(u0, w0)})
+
+
 def katz_tao_fit(family, delta: float, dim: int) -> KatzTaoFit:
     """Fit log box counts against log(u/delta), log(w/delta) on a dyadic grid.
 
     The family is a list of lines or a (bases, dirs, lengths) member array
     tuple; a member with a length counts in a box when its chord reaches half
     of it.  3D boxes are u x w x 1 (the first 64 (u, w) cells in sorted
-    order), 2D boxes w x 1 with a single exponent.
+    order), 2D boxes w x 1 with a single exponent (cells (w, w)).
     """
-    if dim == 3:
-        pairs = [(min(u, 1.0), min(w, 1.0)) for u, w in dyadic_pairs(delta, delta)]
-        pairs = sorted(set(pairs))[:64]
-        if len(pairs) < 4:
-            raise DegenerateGridError("fewer than 4 scale cells")
-        values, _ = m_lines_sweep(family, pairs)
-        A = np.array([[1.0, np.log(u / delta), np.log(w / delta)] for u, w in pairs])
-        y = np.log(np.maximum(values, 1))
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        fitted = np.exp(A @ coef)
-        rows = tuple((u, w, int(v), float(f))
-                     for (u, w), v, f in zip(pairs, values, fitted))
-        return KatzTaoFit(dim=3, delta=delta, exponents=(float(coef[1]), float(coef[2])),
-                          constant=float(np.exp(coef[0])), residuals=rows)
-    bases, dirs, lengths = _family_arrays(family)
-    ws = [min(w, 1.0) for w in dyadic_ladder(delta)]
-    if len(ws) < 4:
+    cells = _box_scales(delta, delta)[:64] if dim == 3 else \
+        [(min(w, 1.0),) * 2 for w in dyadic_ladder(delta)]
+    if len(cells) < 4:
         raise DegenerateGridError("fewer than 4 scale cells")
-    values = m_tubes_2d(bases, dirs, lengths, ws)
-    A = np.array([[1.0, np.log(w / delta)] for w in ws])
+    if dim == 3:
+        values, _ = m_lines_sweep(family, cells)
+    else:
+        values = m_tubes_2d(*_family_arrays(family), [w for _, w in cells])
+    # columns 1, log(u/delta)[, log(w/delta)]: 2D cells have u = w
+    A = np.array([[1.0, np.log(u / delta), np.log(w / delta)][:dim] for u, w in cells])
     y = np.log(np.maximum(values, 1))
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     fitted = np.exp(A @ coef)
-    rows = tuple((w, w, int(v), float(f)) for w, v, f in zip(ws, values, fitted))
-    return KatzTaoFit(dim=2, delta=delta, exponents=(float(coef[1]),),
+    rows = tuple((u, w, int(v), float(f)) for (u, w), v, f in zip(cells, values, fitted))
+    return KatzTaoFit(dim=dim, delta=delta, exponents=tuple(float(c) for c in coef[1:]),
                       constant=float(np.exp(coef[0])), residuals=rows)
 
 

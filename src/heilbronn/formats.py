@@ -32,11 +32,62 @@ def _parse_header(line: str, tag: str, path: str):
     if (len(parts) != 4 or parts[0] != tag or parts[1] != "v1"
             or not parts[2].startswith("dim=") or not parts[3].startswith("n=")):
         raise FormatError(f"{path}:1: expected header '{tag} v1 dim=<d> n=<count>'")
-    dim = int(parts[2][4:])
-    count = int(parts[3][2:])
+    try:
+        dim, count = int(parts[2][4:]), int(parts[3][2:])
+    except ValueError:
+        raise FormatError(f"{path}:1: dimension and count must be integers") from None
     if dim not in (2, 3):
         raise FormatError(f"{path}:1: dimension must be 2 or 3")
     return dim, count
+
+
+def _floats(fields):
+    """The fields as floats, or None when one of them is not a number."""
+    try:
+        return [float(x) for x in fields]
+    except ValueError:
+        return None
+
+
+def _parse_file(path: str, tag: str, parse_record):
+    """(dim, records, violations) of a data file, each line parsed once.
+
+    `parse_record(fields, dim)` returns (record, problems) for one non-blank
+    line; the line's record is kept when it has no problems.  Every
+    violation carries the file's path and, but for the count check, the
+    line number.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        return 0, [], [f"{path}: unreadable ({exc})"]
+    if not lines:
+        return 0, [], [f"{path}:1: empty file"]
+    try:
+        dim, count = _parse_header(lines[0], tag, path)
+    except FormatError as exc:
+        return 0, [], [str(exc)]
+    records, out, seen = [], [], 0
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        seen += 1
+        record, problems = parse_record(line.split(), dim)
+        out += [f"{path}:{ln}: {p}" for p in problems]
+        if not problems:
+            records.append(record)
+    if seen != count:
+        out.append(f"{path}: header declares n={count}, found {seen}")
+    return dim, records, out
+
+
+def _read_file(path: str, tag: str, parse_record):
+    """(dim, records) of a data file; FormatError with its first violations."""
+    dim, records, violations = _parse_file(path, tag, parse_record)
+    if violations:
+        raise FormatError("; ".join(violations[:5]))
+    return dim, records
 
 
 def write_points(path: str, points: np.ndarray) -> None:
@@ -47,26 +98,20 @@ def write_points(path: str, points: np.ndarray) -> None:
             fh.write(" ".join(_fmt(x) for x in row) + "\n")
 
 
+def _points_record(fields, dim: int):
+    if len(fields) != dim:
+        return None, [f"expected {dim} coordinates"]
+    row = _floats(fields)
+    if row is None:
+        return None, ["non-numeric coordinate"]
+    if not all(map(math.isfinite, row)):
+        return None, ["non-finite coordinate"]
+    return row, []
+
+
 def read_points(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError(f"{path}:1: empty file")
-    dim, count = _parse_header(lines[0], "pts", path)
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        vals = line.split()
-        if len(vals) != dim:
-            raise FormatError(f"{path}:{ln}: expected {dim} coordinates")
-        row = [float(v) for v in vals]
-        if not all(map(math.isfinite, row)):
-            raise FormatError(f"{path}:{ln}: non-finite coordinate")
-        rows.append(row)
-    if len(rows) != count:
-        raise FormatError(f"{path}: header declares n={count}, found {len(rows)}")
-    return np.array(rows, dtype=float).reshape(count, dim)
+    dim, rows = _read_file(path, "pts", _points_record)
+    return np.array(rows, dtype=float).reshape(len(rows), dim)
 
 
 def write_config(path: str, config: PointLineConfiguration) -> None:
@@ -79,72 +124,39 @@ def write_config(path: str, config: PointLineConfiguration) -> None:
             fh.write(f"p {p} q {q} v {v}\n")
 
 
-def _parse_plc_line(line: str, dim: int, path: str, ln: int):
-    vals = line.split()
-    if len(vals) != 3 * dim + 3 or vals[0] != "p" or vals[dim + 1] != "q" \
-            or vals[2 * dim + 2] != "v":
-        raise FormatError(f"{path}:{ln}: expected 'p <{dim}> q <{dim}> v <{dim}>'")
-    p = np.array([float(x) for x in vals[1:dim + 1]])
-    q = np.array([float(x) for x in vals[dim + 2:2 * dim + 2]])
-    v = np.array([float(x) for x in vals[2 * dim + 3:]])
-    if not np.isfinite(np.concatenate((p, q, v))).all():
-        raise FormatError(f"{path}:{ln}: non-finite coordinate")
-    return p, q, v
+def _config_record(fields, dim: int):
+    """A `p <point> q <base> v <dir>` line: its pair, and the format and
+    invariant problems (unit direction, point on its line and in the cube)."""
+    if len(fields) != 3 * dim + 3 or fields[0] != "p" or fields[dim + 1] != "q" \
+            or fields[2 * dim + 2] != "v":
+        return None, [f"expected 'p <{dim}> q <{dim}> v <{dim}>'"]
+    x = _floats(fields[1:dim + 1] + fields[dim + 2:2 * dim + 2] + fields[2 * dim + 3:])
+    if x is None:
+        return None, ["non-numeric coordinate"]
+    p, q, v = (np.array(x[k * dim:(k + 1) * dim]) for k in range(3))
+    if not np.isfinite(x).all():
+        return None, ["non-finite coordinate"]
+    nv = float(np.linalg.norm(v))
+    if abs(nv - 1.0) > UNIT_READ_TOL:
+        return None, [f"direction norm {nv:.9f} is not unit"]
+    line = Line(q, v)
+    problems = []
+    dist = point_line_distance(p, line)
+    if dist > ONLINE_READ_TOL:
+        problems.append(f"point is {dist:.3e} off its line")
+    if np.any(p < -1e-9) or np.any(p > 1 + 1e-9):
+        problems.append("point outside the unit cube")
+    return (None if problems else PointLinePair(p, line)), problems
 
 
 def read_config(path: str) -> PointLineConfiguration:
-    violations = validate_config_file(path)
-    if violations:
-        raise FormatError("; ".join(violations[:5]))
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    dim, _ = _parse_header(lines[0], "plc", path)
-    pairs = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        p, q, v = _parse_plc_line(line, dim, path, ln)
-        pairs.append(PointLinePair(p, Line(q, v)))
+    dim, pairs = _read_file(path, "plc", _config_record)
     return PointLineConfiguration(dim=dim, pairs=tuple(pairs), provenance=path)
 
 
 def validate_config_file(path: str) -> list[str]:
     """Format and invariant check; returns violations with line numbers."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        return [f"{path}: unreadable ({exc})"]
-    if not lines:
-        return [f"{path}:1: empty file"]
-    out = []
-    try:
-        dim, count = _parse_header(lines[0], "plc", path)
-    except FormatError as exc:
-        return [str(exc)]
-    seen = 0
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        seen += 1
-        try:
-            p, q, v = _parse_plc_line(line, dim, path, ln)
-        except (FormatError, ValueError) as exc:
-            out.append(str(exc))
-            continue
-        nv = float(np.linalg.norm(v))
-        if abs(nv - 1.0) > UNIT_READ_TOL:
-            out.append(f"{path}:{ln}: direction norm {nv:.9f} is not unit")
-            continue
-        line_obj = Line(q, v)
-        dist = point_line_distance(p, line_obj)
-        if dist > ONLINE_READ_TOL:
-            out.append(f"{path}:{ln}: point is {dist:.3e} off its line")
-        if np.any(p < -1e-9) or np.any(p > 1 + 1e-9):
-            out.append(f"{path}:{ln}: point outside the unit cube")
-    if seen != count:
-        out.append(f"{path}: header declares n={count}, found {seen}")
-    return out
+    return _parse_file(path, "plc", _config_record)[2]
 
 
 def write_tubes(path: str, tubes) -> None:
@@ -158,68 +170,34 @@ def write_tubes(path: str, tubes) -> None:
             fh.write(f"c {c} v {v} w {_fmt(t.width)} l {_fmt(t.length)}\n")
 
 
+def _tube_record(fields, dim: int):
+    """A `c <center> v <dir> w <width> l <length>` line: its tube, and the
+    format and invariant problems (unit direction, 0 < width <= length)."""
+    if (len(fields) != 2 * dim + 6 or fields[0] != "c" or fields[dim + 1] != "v"
+            or fields[2 * dim + 2] != "w" or fields[2 * dim + 4] != "l"):
+        return None, [f"expected 'c <{dim}> v <{dim}> w <w> l <l>'"]
+    x = _floats(fields[1:dim + 1] + fields[dim + 2:2 * dim + 2]
+                + [fields[2 * dim + 3], fields[2 * dim + 5]])
+    if x is None:
+        return None, ["non-numeric field"]
+    if not np.isfinite(x).all():
+        return None, ["non-finite field"]
+    c, v = np.array(x[:dim]), np.array(x[dim:2 * dim])
+    w, length = x[2 * dim:]
+    problems = []
+    if abs(np.linalg.norm(v) - 1.0) > UNIT_READ_TOL:
+        problems.append("direction norm is not unit")
+    if not 0 < w <= length:
+        problems.append("need 0 < width <= length")
+    return (None if problems else (Tube2D if dim == 2 else Tube3D)(c, v, w, length)), problems
+
+
 def read_tubes(path: str):
-    violations = validate_tubes_file(path)
-    if violations:
-        raise FormatError("; ".join(violations[:5]))
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    dim, _ = _parse_header(lines[0], "tubes", path)
-    cls = Tube2D if dim == 2 else Tube3D
-    tubes = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        vals = line.split()
-        c = np.array([float(x) for x in vals[1:dim + 1]])
-        v = np.array([float(x) for x in vals[dim + 2:2 * dim + 2]])
-        w = float(vals[2 * dim + 3])
-        length = float(vals[2 * dim + 5])
-        tubes.append(cls(c, v, w, length))
-    return tubes
+    return _read_file(path, "tubes", _tube_record)[1]
 
 
 def validate_tubes_file(path: str) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        return [f"{path}: unreadable ({exc})"]
-    if not lines:
-        return [f"{path}:1: empty file"]
-    out = []
-    try:
-        dim, count = _parse_header(lines[0], "tubes", path)
-    except FormatError as exc:
-        return [str(exc)]
-    seen = 0
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        seen += 1
-        vals = line.split()
-        if (len(vals) != 2 * dim + 6 or vals[0] != "c" or vals[dim + 1] != "v"
-                or vals[2 * dim + 2] != "w" or vals[2 * dim + 4] != "l"):
-            out.append(f"{path}:{ln}: expected 'c <{dim}> v <{dim}> w <w> l <l>'")
-            continue
-        try:
-            c = np.array([float(x) for x in vals[1:dim + 1]])
-            v = np.array([float(x) for x in vals[dim + 2:2 * dim + 2]])
-            w = float(vals[2 * dim + 3])
-            length = float(vals[2 * dim + 5])
-        except ValueError:
-            out.append(f"{path}:{ln}: non-numeric field")
-            continue
-        if not np.isfinite([*c, *v, w, length]).all():
-            out.append(f"{path}:{ln}: non-finite field")
-            continue
-        if abs(np.linalg.norm(v) - 1.0) > UNIT_READ_TOL:
-            out.append(f"{path}:{ln}: direction norm is not unit")
-        if not 0 < w <= length:
-            out.append(f"{path}:{ln}: need 0 < width <= length")
-    if seen != count:
-        out.append(f"{path}: header declares n={count}, found {seen}")
-    return out
+    return _parse_file(path, "tubes", _tube_record)[2]
 
 
 def validate_file(path: str) -> list[str]:
@@ -230,14 +208,7 @@ def validate_file(path: str) -> list[str]:
     except OSError as exc:
         return [f"{path}: unreadable ({exc})"]
     tag = first.split()[0] if first.split() else ""
-    if tag == "plc":
-        return validate_config_file(path)
-    if tag == "tubes":
-        return validate_tubes_file(path)
-    if tag == "pts":
-        try:
-            read_points(path)
-            return []
-        except FormatError as exc:
-            return [str(exc)]
-    return [f"{path}:1: unknown format tag {tag!r}"]
+    parsers = {"plc": _config_record, "tubes": _tube_record, "pts": _points_record}
+    if tag not in parsers:
+        return [f"{path}:1: unknown format tag {tag!r}"]
+    return _parse_file(path, tag, parsers[tag])[2]

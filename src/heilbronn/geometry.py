@@ -262,17 +262,6 @@ def line_metric(l1: Line, l2: Line) -> float:
     return direction_distance(l1.dir, l2.dir) + lines_min_distance(l1, l2)
 
 
-def line_metric_many(line: Line, bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """line_metric from one line to many lines given as (n,d) base/dir arrays."""
-    return _line_metric_rows(line.base, line.dir, np.asarray(bases, dtype=float),
-                             np.asarray(dirs, dtype=float))
-
-
-def _line_metric_rows(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
-                      dirs: np.ndarray) -> np.ndarray:
-    return _direction_rows(dirs, v1) + _lines_min_distance_rows(b1, v1, bases, dirs)
-
-
 def _lines_min_distance_rows(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
                              dirs: np.ndarray) -> np.ndarray:
     """lines_min_distance from the line (b1, v1) to each (base, dir) row."""
@@ -289,10 +278,11 @@ def _lines_min_distance_rows(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
 
 def _line_metric_pairs(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
                        dirs: np.ndarray) -> np.ndarray:
-    """_line_metric_rows pair by pair: entry k is the metric from the line
+    """The line metric pair by pair: entry k is the metric from the line
     (b1[k], v1[k]) to (bases[k], dirs[k]), each through the elementwise
-    operations of _line_metric_rows.  Only parallel pairs take the point
-    distance, its projection an elementwise dot instead of a BLAS product."""
+    operations of _direction_rows + _lines_min_distance_rows.  Only parallel
+    pairs take the point distance, its projection an elementwise dot instead
+    of a BLAS product."""
     metric = _direction_rows(dirs, v1)
     if v1.shape[1] == 2:
         cross = v1[:, 0] * dirs[:, 1] - v1[:, 1] * dirs[:, 0]
@@ -329,13 +319,6 @@ def line_box_chord(line: Line, box: Box) -> float:
         tmin = max(tmin, lo)
         tmax = min(tmax, hi)
     return float(max(0.0, tmax - tmin))
-
-
-def lines_box_chords(bases: np.ndarray, dirs: np.ndarray, box: Box) -> np.ndarray:
-    """Vectorized line_box_chord over (n,d) base/dir arrays."""
-    B = (np.asarray(bases, dtype=float) - box.center) @ box.frame.T
-    V = np.asarray(dirs, dtype=float) @ box.frame.T
-    return _chords_from_local(B, V, box.half_extents[None])[0]
 
 
 def _chords_from_local(B: np.ndarray, V: np.ndarray, half: np.ndarray,

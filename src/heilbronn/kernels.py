@@ -184,20 +184,3 @@ def eta_kernel(w: float, x, dim: int | None = None) -> float:
     r = np.linalg.norm(x, axis=-1) if x.ndim else float(abs(x))
     return float(prof.eta(r / w) / w**dim)
 
-
-def line_pair_weight(w: float, dist, dim: int) -> np.ndarray:
-    """Integral of eta_w along an infinite line at distance `dist` from the point.
-
-    Equals w^{1-d} G(dist / w); vanishes once dist exceeds 1.5x the chi
-    support times w (well inside the contractual 3w support bound).
-    """
-    prof = bump_profile(dim)
-    dist = np.asarray(dist, dtype=float)
-    return prof.line_profile(dist / w) * w ** (1 - dim)
-
-
-def kernel_floor(dim: int) -> tuple[float, float]:
-    """(c, floor) such that the normalized pair profile G(tau) >= floor for tau <= c."""
-    prof = bump_profile(dim)
-    c = 0.5
-    return c, float(prof.line_profile(c))

@@ -16,23 +16,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import HypothesisViolation, _box_counts_3d, _segment_rect_counts, \
-    _sweep, dyadic_ladder, dyadic_pairs, m_tubes_2d
+from .concentration import HypothesisViolation, _box_counts_3d, _box_scales, \
+    _segment_rect_counts, _sweep, dyadic_ladder, m_tubes_2d
 from .geometry import SphericalRectangle, _sorted_unique, canonical_direction, \
     complete_frame, direction_distance
 
 
 @dataclass(frozen=True, eq=False)
-class Tube2D:
-    """Planar tube: `width` x `length` rectangle around center with unit dir."""
+class _Tube:
+    """Tube of the given `width` and `length` around center, with unit dir.
+
+    Tubes are equal when their fields are, and only tubes of the same class.
+    """
 
     center: np.ndarray
     dir: np.ndarray
     width: float
     length: float
 
+    def __init__(self, center, dir, width, length):
+        c = np.array(center, dtype=float)
+        v = canonical_direction(dir)
+        if c.shape != (self._dim,) or v.shape != (self._dim,):
+            raise ValueError(f"{type(self).__name__} lives in {self._space}")
+        if not 0 < width <= length:
+            raise ValueError("need 0 < width <= length")
+        c.setflags(write=False)
+        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "dir", v)
+        object.__setattr__(self, "width", float(width))
+        object.__setattr__(self, "length", float(length))
+
     def __eq__(self, other):
-        if not isinstance(other, Tube2D):
+        if type(other) is not type(self):
             return NotImplemented
         return (np.array_equal(self.center, other.center)
                 and np.array_equal(self.dir, other.dir)
@@ -41,18 +57,11 @@ class Tube2D:
     def __hash__(self):
         return hash((tuple(self.center), tuple(self.dir), self.width, self.length))
 
-    def __init__(self, center, dir, width, length):
-        c = np.array(center, dtype=float)
-        v = canonical_direction(dir)
-        if c.shape != (2,) or v.shape != (2,):
-            raise ValueError("Tube2D lives in the plane")
-        if not 0 < width <= length:
-            raise ValueError("need 0 < width <= length")
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "dir", v)
-        object.__setattr__(self, "width", float(width))
-        object.__setattr__(self, "length", float(length))
+
+class Tube2D(_Tube):
+    """Planar tube: `width` x `length` rectangle around center with unit dir."""
+
+    _dim, _space = 2, "the plane"
 
     def contains(self, points, dilate: float = 1.0) -> np.ndarray:
         """Membership of points in the (optionally dilated) tube."""
@@ -64,27 +73,10 @@ class Tube2D:
                (np.abs(s) <= dilate * self.width / 2.0)
 
 
-@dataclass(frozen=True)
-class Tube3D:
+class Tube3D(_Tube):
     """Spatial tube: cylinder of diameter `width` and given `length`."""
 
-    center: np.ndarray
-    dir: np.ndarray
-    width: float
-    length: float
-
-    def __init__(self, center, dir, width, length):
-        c = np.array(center, dtype=float)
-        v = canonical_direction(dir)
-        if c.shape != (3,) or v.shape != (3,):
-            raise ValueError("Tube3D lives in space")
-        if not 0 < width <= length:
-            raise ValueError("need 0 < width <= length")
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "dir", v)
-        object.__setattr__(self, "width", float(width))
-        object.__setattr__(self, "length", float(length))
+    _dim, _space = 3, "space"
 
 
 class Shading:
@@ -116,7 +108,9 @@ class Shading:
 
     @classmethod
     def random_fraction(cls, tubes, density: float, seed: int = 0) -> "Shading":
-        """One random window of the given density per tube."""
+        """One random window of the given density in (0, 1] per tube."""
+        if not 0 < density <= 1:
+            raise ValueError(f"shading density must lie in (0, 1], got {density}")
         rng = np.random.default_rng(seed)
         ivs = []
         for t in tubes:
@@ -821,19 +815,6 @@ def _tube_arrays(tubes):
             np.array([t.length for t in tubes]))
 
 
-def _verify_kt_2d(tubes, delta: float, t: float, K: float):
-    centers, dirs, lengths = _tube_arrays(tubes)
-    ws = dyadic_ladder(delta)
-    values = m_tubes_2d(centers, dirs, lengths, [min(w, 1.0) for w in ws])
-    violations = []
-    for w, got in zip(ws, values):
-        cap = K * (w / delta) ** t
-        if got > cap * (1 + 1e-9):
-            violations.append((w, got, cap))
-    if violations:
-        raise HypothesisViolation("planar Katz-Tao hypothesis failed", violations)
-
-
 def tube_box_counts_3d(tubes, scales):
     """Max tubes whose axis-chord in a u x w x 1 box is at least half their length."""
     if not tubes:
@@ -843,51 +824,76 @@ def tube_box_counts_3d(tubes, scales):
     return best
 
 
-def _box_scales_3d(delta: float) -> list[tuple[float, float]]:
-    return sorted({(min(u, 1.0), min(w, 1.0)) for u, w in dyadic_pairs(delta, delta)})
+def _kt_profile(tubes, delta: float, t1: float, t2: float | None):
+    """Katz-Tao profile rows (scale, count, a, b) of a tube family at width delta.
+
+    3D: scale (u, w) on the clipped dyadic grid from delta, count the tubes
+    in the best u x w x 1 box, a = (u/delta)^t1 and b = (w/delta)^t2.  2D:
+    scale (w,) on the dyadic ladder from delta, count the segments in the
+    best min(w, 1) x 1 rectangle, a = (w/delta)^t1 and b = 1 (t2 unused).
+    The family is Katz-Tao with constant K when every count is at most
+    K * a * b.  Raises ValueError for a non-finite exponent.
+    """
+    dim = tubes[0].center.shape[0]
+    exponents = (t1,) if dim == 2 else (t1, t2)
+    if not np.isfinite(exponents).all():
+        raise ValueError(f"Katz-Tao exponents must be finite, got {exponents}")
+    if dim == 3:
+        scales = _box_scales(delta, delta)
+        counts = tube_box_counts_3d(tubes, scales)
+        return [((u, w), got, (u / delta) ** t1, (w / delta) ** t2)
+                for (u, w), got in zip(scales, counts)]
+    ws = dyadic_ladder(delta)
+    counts = m_tubes_2d(*_tube_arrays(tubes), [min(w, 1.0) for w in ws])
+    return [((w,), got, (w / delta) ** t1, 1.0) for w, got in zip(ws, counts)]
 
 
-def _verify_kt_3d(tubes, delta: float, t1: float, t2: float, K: float):
-    scales = _box_scales_3d(delta)
-    values = tube_box_counts_3d(tubes, scales)
+def _verify_kt(tubes, delta: float, K: float, t1: float, t2: float | None = None):
+    """Raise HypothesisViolation unless every profile count is at most K * a * b."""
     violations = []
-    for (u, w), got in zip(scales, values):
-        cap = K * (u / delta) ** t1 * (w / delta) ** t2
+    for scale, got, a, b in _kt_profile(tubes, delta, t1, t2):
+        cap = K * a * b
         if got > cap * (1 + 1e-9):
-            violations.append((u, w, got, cap))
+            violations.append((*scale, got, cap))
     if violations:
-        raise HypothesisViolation("spatial Katz-Tao hypothesis failed", violations)
+        kind = "planar" if tubes[0].center.shape[0] == 2 else "spatial"
+        raise HypothesisViolation(f"{kind} Katz-Tao hypothesis failed", violations)
+
+
+def _check_brush(tubes, shading: Shading, exponents, K: float, eps: float,
+                 bound) -> BrushReport:
+    """Verify the Katz-Tao hypothesis with K and measure the shaded union
+    against `bound(delta, density, n_tubes)`."""
+    if not (np.isfinite(K) and K > 0):
+        raise ValueError(f"Katz-Tao constant K must be finite and positive, got {K}")
+    if not np.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
+    delta = max(tb.width for tb in tubes)
+    lam = shading.min_density()
+    if lam < delta:
+        raise ValueError("shading density must be at least the tube width")
+    _verify_kt(tubes, delta, K, *exponents)
+    vol = shading_union_volume(tubes, shading, delta / 4.0)
+    value = bound(delta, lam, len(tubes))
+    return BrushReport(measured_volume=vol, bound=value,
+                       constant_needed=value / vol if vol > 0 else np.inf,
+                       density=lam, exponents=tuple(exponents), kt_constant=K)
 
 
 def check_planar_brush(tubes, shading: Shading, t: float, K: float,
                        eps: float = 0.1) -> BrushReport:
     """Measured shaded-union area against the planar concentration lower bound."""
-    delta = max(tb.width for tb in tubes)
-    lam = shading.min_density()
-    if lam < delta:
-        raise ValueError("shading density must be at least the tube width")
-    _verify_kt_2d(tubes, delta, t, K)
-    vol = shading_union_volume(tubes, shading, delta / 4.0)
-    bound = delta**eps * lam**2 * delta**t * len(tubes) / K
-    return BrushReport(measured_volume=vol, bound=bound,
-                       constant_needed=bound / vol if vol > 0 else np.inf,
-                       density=lam, exponents=(t,), kt_constant=K)
+    return _check_brush(tubes, shading, (t,), K, eps,
+                        lambda delta, lam, n: delta**eps * lam**2 * delta**t * n / K)
 
 
 def check_space_brush(tubes, shading: Shading, t1: float, t2: float, K: float,
                       eps: float = 0.1) -> BrushReport:
     """Measured shaded-union volume against the hairbrush lower bound."""
-    delta = max(tb.width for tb in tubes)
-    lam = shading.min_density()
-    if lam < delta:
-        raise ValueError("shading density must be at least the tube width")
-    _verify_kt_3d(tubes, delta, t1, t2, K)
-    vol = shading_union_volume(tubes, shading, delta / 4.0)
-    alpha = (2.0 + t1) / (2.0 * t1 + 2.0 * t2)
-    bound = delta**eps * K**-alpha * lam**2.5 * delta**2 * len(tubes) ** alpha
-    return BrushReport(measured_volume=vol, bound=bound,
-                       constant_needed=bound / vol if vol > 0 else np.inf,
-                       density=lam, exponents=(t1, t2), kt_constant=K)
+    def bound(delta, lam, n):
+        alpha = (2.0 + t1) / (2.0 * t1 + 2.0 * t2)
+        return delta**eps * K**-alpha * lam**2.5 * delta**2 * n ** alpha
+    return _check_brush(tubes, shading, (t1, t2), K, eps, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +912,7 @@ def generate_katz_tao_tubes(delta: float, t1: float, t2: float, count: int,
     """
     rng = np.random.default_rng(seed)
     if dim == 3:
-        scales = sorted({(min(u, 1.0), min(w, 1.0)) for u, w in dyadic_pairs(delta, 2 * delta)})
+        scales = _box_scales(delta, 2 * delta)
         caps = [cap_constant * (u / delta) ** t1 * (w / delta) ** t2 for u, w in scales]
     else:
         scales = sorted({(min(w, 1.0), 1.0) for w in dyadic_ladder(2 * delta)})
@@ -946,17 +952,7 @@ def measure_kt_constant(tubes, delta: float, t1: float, t2: float | None = None)
     With this constant the family is certified Katz-Tao by construction, so
     it can feed the brush checks as the verified hypothesis.
     """
-    dim = tubes[0].center.shape[0]
     worst = 1.0
-    if dim == 3:
-        scales = _box_scales_3d(delta)
-        values = tube_box_counts_3d(tubes, scales)
-        for (u, w), got in zip(scales, values):
-            worst = max(worst, got / ((u / delta) ** t1 * (w / delta) ** t2))
-    else:
-        centers, dirs, lengths = _tube_arrays(tubes)
-        ws = dyadic_ladder(delta)
-        values = m_tubes_2d(centers, dirs, lengths, [min(w, 1.0) for w in ws])
-        for w, got in zip(ws, values):
-            worst = max(worst, got / (w / delta) ** t1)
+    for _, got, a, b in _kt_profile(tubes, delta, t1, t2):
+        worst = max(worst, got / (a * b))
     return float(worst)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from heilbronn.configurations import make_config
-from heilbronn.geometry import Line
+from heilbronn.geometry import Line, _chords_from_local, _direction_rows, \
+    _lines_min_distance_rows
 
 
 def random_config(n, dim, seed, spread=1.0):
@@ -46,6 +47,26 @@ def cross_block(B):
     cy = np.multiply.outer(B[:, 2], B[:, 0]) - np.multiply.outer(B[:, 0], B[:, 2])
     cz = np.multiply.outer(B[:, 0], B[:, 1]) - np.multiply.outer(B[:, 1], B[:, 0])
     return np.sqrt(cx * cx + cy * cy + cz * cz)
+
+
+def line_metric_rows(b1, v1, bases, dirs):
+    """The line metric from the line (b1, v1) to each (base, dir) row, from
+    the geometry row kernels (as ConfigMetrics sums them)."""
+    return _direction_rows(dirs, v1) + _lines_min_distance_rows(b1, v1, bases, dirs)
+
+
+def line_metric_many(line, bases, dirs):
+    """line_metric from one line to many lines given as (n, d) base/dir arrays."""
+    return line_metric_rows(line.base, line.dir, np.asarray(bases, dtype=float),
+                            np.asarray(dirs, dtype=float))
+
+
+def lines_box_chords(bases, dirs, box):
+    """line_box_chord over (n, d) base/dir arrays, through the box counter's
+    clipping (`_chords_from_local`)."""
+    B = (np.asarray(bases, dtype=float) - box.center) @ box.frame.T
+    V = np.asarray(dirs, dtype=float) @ box.frame.T
+    return _chords_from_local(B, V, box.half_extents[None])[0]
 
 
 def random_lines(n, dim, seed):

@@ -6,6 +6,7 @@ Tolerances are pinned here and nowhere else.
 
 import numpy as np
 
+from heilbronn import concentration
 from heilbronn.concentration import (
     ConfigMetrics,
     m_config,
@@ -299,15 +300,18 @@ def test_11_hairbrush_bounds():
                    f"worst constant {worst:.2f} (<= 1e3)")
 
 
-def test_12_concentration_calculus():
+def test_12_concentration_calculus(monkeypatch):
     rng = np.random.default_rng(12)
     worst_box = 0.0
+    # box candidates from 16 anchors and 8 partners, not the library's 48 and 24
+    monkeypatch.setattr(concentration, "_ANCHORS", 16)
+    monkeypatch.setattr(concentration, "_PARTNERS", 8)
     for seed in range(200):
         lines = random_lines(int(rng.integers(20, 45)), 3, seed=seed)
         u, w = sorted(rng.choice([0.05, 0.1, 0.2, 0.4], 2))
         A, B = rng.choice([2.0, 4.0], 2)
         scales = [(u, w), (min(A * u, 1.0), min(max(B * w, A * u), 1.0))]
-        vals, _ = m_lines_sweep(lines, scales, anchor_cap=16, partner_cap=8)
+        vals, _ = m_lines_sweep(lines, scales)
         uu, ww = scales[1]
         factor = (uu / u) ** 2 * (ww / w) ** 2
         worst_box = max(worst_box, vals[1] / (factor * max(vals[0], 1)))

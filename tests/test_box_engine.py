@@ -144,6 +144,13 @@ def old_counts_for_candidate(bases, dirs, need, center, frame, scales):
         yield int(np.count_nonzero(chords >= need))
 
 
+def fewer_candidates(monkeypatch, anchors, partners):
+    """Build the box candidates from fewer anchors and partners than the
+    library's fixed 48 and 24."""
+    monkeypatch.setattr(concentration, "_ANCHORS", anchors)
+    monkeypatch.setattr(concentration, "_PARTNERS", partners)
+
+
 def old_sweep(bases, dirs, need, scales, anchor_cap=48, partner_cap=24, subdivide=True):
     cands = old_box_candidates(bases, dirs, anchor_cap, partner_cap)
     best = [0] * len(scales)
@@ -321,12 +328,12 @@ class TestCandidates:
 class TestSweep3D:
     @pytest.mark.parametrize("name", sorted(FAMILIES_3D))
     @pytest.mark.parametrize("subdivide", [True, False])
-    def test_sweep_equals_old(self, name, subdivide):
+    def test_sweep_equals_old(self, name, subdivide, monkeypatch):
         bases, dirs = arrays(FAMILIES_3D[name]())
         scales = SCALES if subdivide else SCALES + [(1 / 32, 1 / 8)]
-        kw = dict(anchor_cap=12, partner_cap=6, subdivide=subdivide)
-        best, cands = concentration._sweep(bases, dirs, 0.5, scales, **kw)
-        old_best, old_cands = old_sweep(bases, dirs, 0.5, scales, **kw)
+        fewer_candidates(monkeypatch, 12, 6)
+        best, cands = concentration._sweep(bases, dirs, 0.5, scales, subdivide)
+        old_best, old_cands = old_sweep(bases, dirs, 0.5, scales, 12, 6, subdivide)
         assert best == old_best
         for (c, f), (oc, of) in zip(cands, old_cands):
             assert same_bits(c, oc) and same_bits(f, of)
@@ -349,9 +356,10 @@ class TestSweep3D:
         assert got == old and max(got) > 1
 
     @pytest.mark.parametrize("name", ["axis", "degenerate", "vertical", "random60"])
-    def test_counter_equals_per_scale_generator(self, name):
+    def test_counter_equals_per_scale_generator(self, name, monkeypatch):
         bases, dirs = arrays(FAMILIES_3D[name]())
-        centers, frames = _box_candidates(bases, dirs, 8, 4)
+        fewer_candidates(monkeypatch, 8, 4)
+        centers, frames = _box_candidates(bases, dirs)
         got = _box_counts_3d(bases, dirs, 0.5, centers, frames, SCALES)
         want = [list(old_counts_for_candidate(bases, dirs, 0.5, c, f, SCALES))
                 for c, f in zip(centers, frames)]
@@ -365,7 +373,8 @@ class TestChunks:
     def test_small_chunks(self, chunk, monkeypatch):
         fam = tube_family(30, 3, 8)
         centers, dirs, lengths = tube_arrays(fam)
-        cc, ff = _box_candidates(centers, dirs, 6, 5)
+        fewer_candidates(monkeypatch, 6, 5)
+        cc, ff = _box_candidates(centers, dirs)
         want = _box_counts_3d(centers, dirs, lengths / 2.0, cc, ff, SCALES)
         monkeypatch.setattr(concentration, "_CHUNK", chunk)
         assert same_bits(_box_counts_3d(centers, dirs, lengths / 2.0, cc, ff, SCALES), want)
@@ -373,11 +382,12 @@ class TestChunks:
                                                                c, f, SCALES))
                                  for c, f in zip(cc, ff)]
 
-    def test_several_chunks_and_a_remainder(self):
+    def test_several_chunks_and_a_remainder(self, monkeypatch):
         # 300 members x 6 scales: 9 candidates per block, 101 candidates
         lines = random_lines(300, 3, 9)
         bases, dirs = arrays(lines)
-        cc, ff = _box_candidates(bases, dirs, 6, 6)
+        fewer_candidates(monkeypatch, 6, 6)
+        cc, ff = _box_candidates(bases, dirs)
         cc, ff = cc[:101], ff[:101]
         n, S, C = len(lines), len(SCALES), len(cc)
         per_block = concentration._CHUNK // (S * n)
@@ -386,29 +396,30 @@ class TestChunks:
         assert got.tolist() == [list(old_counts_for_candidate(bases, dirs, 0.5, c, f, SCALES))
                                 for c, f in zip(cc, ff)]
 
-    def test_scales_split_when_one_candidate_is_too_big(self):
+    def test_scales_split_when_one_candidate_is_too_big(self, monkeypatch):
         # 3000 members: one candidate's 6 scales exceed a block, so the
         # scales are cut in slices of 5 plus a remainder
         lines = random_lines(3000, 3, 10)
         bases, dirs = arrays(lines)
         assert len(SCALES) * len(lines) > concentration._CHUNK
-        cc, ff = _box_candidates(bases, dirs, 2, 2)
+        fewer_candidates(monkeypatch, 2, 2)
+        cc, ff = _box_candidates(bases, dirs)
         cc, ff = cc[:3], ff[:3]
         got = _box_counts_3d(bases, dirs, 0.5, cc, ff, SCALES)
         assert got.tolist() == [list(old_counts_for_candidate(bases, dirs, 0.5, c, f, SCALES))
                                 for c, f in zip(cc, ff)]
 
-    def test_peak_memory_is_bounded(self):
+    def test_peak_memory_is_bounded(self, monkeypatch):
         # 2048 lines x 64 scales: an unblocked (scales, members) pass of one
         # candidate alone would hold about ten 1 MB temporaries
         _, lines = generate_bush(1 / 32, 3, 2)
         bases, dirs = arrays(lines)
         assert len(lines) == 2048
         scales = [(k / 64, k / 64) for k in range(1, 65)]
+        fewer_candidates(monkeypatch, 2, 2)
         tracemalloc.start()
         try:
-            values, _ = m_lines_sweep((bases, dirs), scales, anchor_cap=2, partner_cap=2,
-                                      subdivide=False)
+            values, _ = concentration._sweep(bases, dirs, 0.5, scales, subdivide=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

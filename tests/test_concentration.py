@@ -30,11 +30,10 @@ from heilbronn.geometry import (
     _direction_rows,
     _lines_min_distance_rows,
     complete_frame,
-    line_metric_many,
-    lines_box_chords,
 )
 
-from conftest import random_config, random_lines, separated_config
+from conftest import line_metric_many, lines_box_chords, random_config, random_lines, \
+    separated_config
 
 
 class TestMPoints:

@@ -36,12 +36,10 @@ from heilbronn.configurations import (
 from heilbronn.geometry import (
     Line,
     _chords_from_local,
-    _line_metric_rows,
     complete_frame,
     covering_number,
     direction_covering_number,
     line_covering_number,
-    line_metric_many,
 )
 from heilbronn.tubes import (
     Tube2D,
@@ -51,7 +49,8 @@ from heilbronn.tubes import (
     tube_box_counts_3d,
 )
 
-from conftest import random_config, random_lines, separated_config
+from conftest import line_metric_many, line_metric_rows, random_config, random_lines, \
+    separated_config
 
 # ---------------------------------------------------------------------------
 # test-local copies of the replaced code
@@ -215,7 +214,7 @@ def old_greedy_net_size(X, w, dist):
 
 def scan_line_covering_number(lines, w):
     X = np.array([(ln.base, ln.dir) for ln in lines], dtype=float)
-    return old_greedy_net_size(X, w, lambda C, x: _line_metric_rows(x[0], x[1], C[:, 0], C[:, 1]))
+    return old_greedy_net_size(X, w, lambda C, x: line_metric_rows(x[0], x[1], C[:, 0], C[:, 1]))
 
 
 def old_ladder(start, factor=2.0):
@@ -653,10 +652,12 @@ class TestLadderCallers:
         monkeypatch.setattr(tubes_mod, "tube_box_counts_3d",
                             _spy(calls, lambda fam, scales: [1] * len(scales)))
         fam = tube_family(4, 3, 21)
-        tubes_mod._verify_kt_3d(fam, delta, 1.0, 1.0, 10.0)
+        rows = tubes_mod._kt_profile(fam, delta, 1.0, 1.0)
+        tubes_mod._verify_kt(fam, delta, 10.0, 1.0, 1.0)
         measure_kt_constant(fam, delta, 1.0, 1.0)
         expected = sorted(set(old_pairs(delta, delta)))
-        assert [c[1] for c in calls] == [expected, expected]
+        assert [scale for scale, *_ in rows] == expected
+        assert [c[1] for c in calls] == [expected] * 3
 
     @pytest.mark.parametrize("delta", [1 / 16, 0.1, (1 + 5e-10) / 8])
     def test_verify_and_measure_2d(self, delta, monkeypatch):
@@ -664,10 +665,13 @@ class TestLadderCallers:
         monkeypatch.setattr(tubes_mod, "m_tubes_2d",
                             _spy(calls, lambda *a: [1] * len(a[3])))
         fam = tube_family(4, 2, 22)
-        tubes_mod._verify_kt_2d(fam, delta, 1.0, 10.0)
+        rows = tubes_mod._kt_profile(fam, delta, 1.0, None)
+        tubes_mod._verify_kt(fam, delta, 10.0, 1.0)
         measure_kt_constant(fam, delta, 1.0)
+        # the weights take the ladder's own w, the counts the clipped one
+        assert [scale for scale, *_ in rows] == [(w,) for w in old_ladder(delta)]
         ws = [min(w, 1.0) for w in old_ladder(delta)]
-        assert [c[3] for c in calls] == [ws, ws]
+        assert [c[3] for c in calls] == [ws] * 3
 
     @pytest.mark.parametrize("delta", [1 / 16, 0.1, (1 + 5e-10) / 16])
     def test_generate(self, delta, monkeypatch):

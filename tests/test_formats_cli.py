@@ -454,3 +454,39 @@ class TestBrushCheckGivenK:
         err = capsys.readouterr().err
         assert rc == 4 and "Katz-Tao hypothesis failed" in err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--K", "0"), "K must be finite and positive"),  # was replaced by the measured K
+        (("--K", "-1"), "K must be finite and positive"),  # was a hypothesis failure
+        (("--K", "nan"), "K must be finite and positive"),  # wrote nan,nan
+        (("--K", "inf"), "K must be finite and positive"),  # wrote a bound of 0
+        (("--t1", "nan"), "exponents must be finite"),  # wrote nan
+        (("--t2", "nan"), "exponents must be finite"),
+        (("--eps", "nan"), "eps must be finite"),  # wrote nan
+        (("--density", "nan"), "density must lie in (0, 1]"),  # OverflowError traceback
+        (("--density", "0"), "density must lie in (0, 1]"),
+        (("--density", "2"), "density must lie in (0, 1]"),  # was taken as a full shading
+    ])
+    def test_bad_brush_inputs_exit_three(self, tmp_path, capsys, argv, message):
+        out = str(tmp_path / "b.csv")
+        rc = main(["brush-check", "-t", os.path.join(GOLDEN, "tubes3.tubes"), *argv, "-o", out])
+        err = capsys.readouterr().err
+        assert rc == 3 and message in err
+        assert not os.path.exists(out)
+
+
+class TestFormatErrorsCarryLine:
+    @pytest.mark.parametrize("name,text,where", [
+        ("a.pts", "pts v1 dim=2 n=2\n0.1 0.2\n0.3 zz\n", "a.pts:3: non-numeric"),
+        ("a.plc", "plc v1 dim=2 n=1\np 0 zz q 0 0 v 0 1\n", "a.plc:2: non-numeric"),
+        ("a.tubes", "tubes v1 dim=2 n=1\nc 0.5 zz v 1 0 w 0.01 l 1\n", "a.tubes:2: non-numeric"),
+        ("b.pts", "pts v1 dim=x n=1\n0.1 0.2\n", "b.pts:1: dimension and count"),
+        ("b.plc", "plc v1 dim=2 n=one\np 0 0 q 0 0 v 0 1\n", "b.plc:1: dimension and count"),
+    ])
+    def test_read_and_validate(self, tmp_path, name, text, where):
+        # a bare float() or int() message used to be all the user saw
+        path = _write(tmp_path / name, text)
+        read = {"pts": read_points, "plc": read_config, "tubes": read_tubes}[name.split(".")[1]]
+        with pytest.raises(FormatError, match=where):
+            read(path)
+        assert [where in v for v in validate_file(path)] == [True]

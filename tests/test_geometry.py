@@ -16,11 +16,11 @@ from heilbronn.geometry import (
     direction_covering_number,
     line_box_chord,
     line_metric,
-    line_metric_many,
-    lines_box_chords,
     point_line_distance,
     points_line_distance,
 )
+
+from conftest import line_metric_many, lines_box_chords
 
 
 def x_axis(dim=3):

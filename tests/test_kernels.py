@@ -15,9 +15,19 @@ from heilbronn.kernels import (
     _sphere_surface,
     bump_profile,
     eta_kernel,
-    kernel_floor,
-    line_pair_weight,
 )
+
+
+def line_pair_weight(w, dist, dim):
+    """Integral of eta_w along an infinite line at distance `dist` from the
+    point: w^(1-d) G(dist / w)."""
+    return bump_profile(dim).line_profile(np.asarray(dist, dtype=float) / w) * w ** (1 - dim)
+
+
+def kernel_floor(dim):
+    """(c, floor) such that the normalized pair profile G(tau) >= floor for tau <= c."""
+    c = 0.5
+    return c, float(bump_profile(dim).line_profile(c))
 
 
 @pytest.fixture(scope="module", params=[2, 3])

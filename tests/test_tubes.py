@@ -35,6 +35,34 @@ def random_tubes(n, delta, seed, dim=2):
             for _ in range(n)]
 
 
+class TestTubeEquality:
+    @pytest.mark.parametrize("cls,center,dir", [
+        (Tube2D, [0.5, 0.25], [3.0, 4.0]),
+        (Tube3D, [0.5, 0.25, 0.75], [2.0, -1.0, 2.0]),
+    ])
+    def test_equal_tubes_compare_and_hash_equal(self, cls, center, dir):
+        # a Tube3D used to raise ValueError on == and TypeError on hash()
+        t, copy = cls(center, dir, 0.1, 1.0), cls(list(center), dir, 0.1, 1.0)
+        assert t == copy and hash(t) == hash(copy) and len({t, copy}) == 1
+        assert t != cls(center, dir, 0.1, 0.5) and t != cls(center, dir, 0.05, 1.0)
+        assert t != cls(np.add(center, 1e-3), dir, 0.1, 1.0)
+        assert t.__eq__(tuple(center)) is NotImplemented
+
+    def test_planar_never_equals_spatial(self):
+        flat = Tube2D([0.5, 0.5], [1.0, 0.0], 0.1, 1.0)
+        space = Tube3D([0.5, 0.5, 0.0], [1.0, 0.0, 0.0], 0.1, 1.0)
+        assert flat != space and space != flat and len({flat, space}) == 2
+        assert not issubclass(Tube3D, Tube2D) and not issubclass(Tube2D, Tube3D)
+
+    def test_constructor_checks_the_dimension(self):
+        with pytest.raises(ValueError, match="Tube2D lives in the plane"):
+            Tube2D([0.5, 0.5, 0.5], [1.0, 0.0, 0.0], 0.1, 1.0)
+        with pytest.raises(ValueError, match="Tube3D lives in space"):
+            Tube3D([0.5, 0.5], [1.0, 0.0], 0.1, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Tube3D([0.5, 0.5, 0.5], [1.0, 0.0, 0.0], 0.1, 1.0).width = 0.2
+
+
 class TestRichPoints:
     def test_single_region(self, rng):
         net = rng.uniform(0, 1, (500, 2))
