@@ -136,17 +136,17 @@ def _pair_frame(b1, v1, b2, v2):
     return np.vstack([e1, e2, v1])
 
 
-# box candidates: one per member line (at most _SINGLES of them), then one per
-# (anchor, partner) pair of at most _ANCHORS anchors and _PARTNERS partners
-_SINGLES, _ANCHORS, _PARTNERS = 192, 48, 24
+# at most this many member lines anchor the pair candidates of the box search,
+# each paired with at most _PARTNERS partners
+_ANCHORS, _PARTNERS = 48, 24
 
 
 def _box_candidates(bases: np.ndarray, dirs: np.ndarray):
     """Candidate boxes anchored on member lines, as (centers (C, 3), frames
-    (C, 3, 3)): one per line, then one per (anchor, partner) pair.  Each
-    candidate is built alone, with scalar dot products."""
+    (C, 3, 3)): one per line (at most 192 lines), then one per (anchor,
+    partner) pair.  Each candidate is built alone, with scalar dot products."""
     n = bases.shape[0]
-    singles = _subsample(n, _SINGLES)
+    singles = _subsample(n, 192)
     partners = _subsample(n, _PARTNERS)
     pairs = [(i, j) for i in _subsample(n, _ANCHORS) for j in partners if i != j]
     # filled row by row: collecting thousands of small arrays first leaves the
