@@ -91,6 +91,10 @@ CASES = {
                          "--span", "0.125", "--rich-constant", "0.05"], ".csv"),
     "anneal_distance": (["anneal", "--objective", "distance", "--n", "6", "--moves", "40",
                          "--epochs", "5", "--seed", "2"], ".plc"),
+    "anneal_triangle": (["anneal", "--objective", "triangle", "--n", "6", "--moves", "40",
+                         "--epochs", "3", "--seed", "0"], ".pts"),
+    "exponent_vertical_count": (["exponent", "--family", "vertical_count", "--rungs",
+                                 "0.25,0.125,0.0625", "--dim", "3"], ".csv"),
 }
 
 
