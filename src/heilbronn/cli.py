@@ -29,7 +29,6 @@ from .concentration import (
     katz_tao_fit,
     m_config,
     m_lines,
-    m_lines_2d,
     m_points,
     plane_reduction_check,
     uniformize,
@@ -232,13 +231,11 @@ def _cmd_conc(args) -> int:
         dim = _nonempty(lines, args.path)[0].dim
         if args.u is not None and args.u > args.w:
             raise ValueError("need u <= w")
-        if dim == 2:
-            val = m_lines_2d(lines, args.w)
-        elif args.u is None:
+        if args.u is None and dim == 3:
             print("usage error: --mode lines in 3D needs --u", file=sys.stderr)
             return EXIT_USAGE
-        else:
-            val = m_lines(lines, args.u, args.w)
+        # a 2D rectangle is w x 1: u is not used there
+        val = m_lines(lines, args.w if args.u is None else args.u, args.w)
         rows.append(f"lines,{'' if args.u is None else args.u},,{args.w},{val}")
     elif args.u is None or args.v is None:
         print("usage error: --mode config needs --u and --v", file=sys.stderr)

@@ -136,23 +136,46 @@ def _pair_frame(b1, v1, b2, v2):
     return np.vstack([e1, e2, v1])
 
 
-# at most this many member lines anchor the pair candidates of the box search,
-# each paired with at most _PARTNERS partners
+# at most this many member lines anchor the pair candidates of the 3D box
+# search, each paired with at most _PARTNERS partners
 _ANCHORS, _PARTNERS = 48, 24
 
 
 def _box_candidates(bases: np.ndarray, dirs: np.ndarray):
-    """Candidate boxes anchored on member lines, as (centers (C, 3), frames
-    (C, 3, 3)): one per line (at most 192 lines), then one per (anchor,
-    partner) pair.  Each candidate is built alone, with scalar dot products."""
-    n = bases.shape[0]
-    singles = _subsample(n, 192)
-    partners = _subsample(n, _PARTNERS)
-    pairs = [(i, j) for i in _subsample(n, _ANCHORS) for j in partners if i != j]
+    """Candidate boxes anchored on member lines, as (centers (C, d), frames
+    (C, d, d)): one per line, then one per (anchor, partner) pair, each built
+    alone with scalar dot products.
+
+    3D: at most 192 lines, _ANCHORS anchors and _PARTNERS partners; a line's
+    box is centred at its point nearest the cube centre, a pair's at the
+    midpoint of their closest points, in the frame `_pair_frame`.  2D: at
+    most 384 lines, 64 anchors and 32 partners; a line's rectangle is centred
+    at its base, a pair's where the two lines cross (the midpoint of their
+    bases when parallel), in the `complete_frame` of the (anchor) line.
+    """
+    n, d = bases.shape
+    cap, anchor_cap, partner_cap = (384, 64, 32) if d == 2 else (192, _ANCHORS, _PARTNERS)
+    singles = _subsample(n, cap)
+    partners = _subsample(n, partner_cap)
+    pairs = [(i, j) for i in _subsample(n, anchor_cap) for j in partners if i != j]
     # filled row by row: collecting thousands of small arrays first leaves the
     # heap fragmented and the process's peak RSS about 0.5 MB higher
-    centers = np.empty((len(singles) + len(pairs), 3))
-    frames = np.empty((len(centers), 3, 3))
+    centers = np.empty((len(singles) + len(pairs), d))
+    frames = np.empty((len(centers), d, d))
+    if d == 2:
+        centers[:len(singles)] = bases[singles]
+        for k, (i, j) in enumerate(pairs, len(singles)):
+            centers[k] = (bases[i] + bases[j]) / 2.0
+            cross = dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0]
+            if abs(cross) > 1e-12:
+                dbase = bases[j] - bases[i]
+                t = (dbase[0] * dirs[j][1] - dbase[1] * dirs[j][0]) / cross
+                centers[k] = bases[i] + t * dirs[i]
+        # complete_frame of every anchor direction v at once: rows (-v1, v0), v
+        v = dirs[np.concatenate([singles, [i for i, _ in pairs]]).astype(np.intp)]
+        frames[:, 0] = np.stack([-v[:, 1], v[:, 0]], axis=1)
+        frames[:, 1] = v
+        return centers, frames
     cube_center = np.full(3, 0.5)
     for k, i in enumerate(singles):
         t = (cube_center - bases[i]) @ dirs[i]
@@ -163,6 +186,23 @@ def _box_candidates(bases: np.ndarray, dirs: np.ndarray):
         centers[k] = (p1 + p2) / 2.0
         frames[k] = _pair_frame(bases[i], dirs[i], bases[j], dirs[j])
     return centers, frames
+
+
+def _box_halves(scales, d: int) -> np.ndarray:
+    """(S, d) half-extents of the box of each (u, w) in `scales`: the
+    u x w x 1 box in 3D, the w x 1 rectangle in 2D (u unused)."""
+    return np.array([[u / 2.0, w / 2.0, 0.5][3 - d:] for u, w in scales]).reshape(-1, d)
+
+
+def _need_reach(lengths, d: int):
+    """(need, reach) of `_box_counts` for a family's members: a line counts
+    when its chord reaches 1/2, a member with a length when it reaches half
+    of it.  A 2D segment's chord is clipped to the segment; a 3D tube's is
+    the chord of its whole axis line."""
+    if lengths is None:
+        return 0.5, np.inf
+    need = np.asarray(lengths, dtype=float) / 2.0
+    return need, (need if d == 2 else np.inf)
 
 
 def _box_counts(bases, dirs, need, centers, frames, halves, reach=np.inf) -> np.ndarray:
@@ -195,51 +235,58 @@ def _box_counts(bases, dirs, need, centers, frames, halves, reach=np.inf) -> np.
     return counts
 
 
-def _box_counts_3d(bases, dirs, need, centers, frames, scales) -> np.ndarray:
-    """(C, S) counts of members with chord >= `need` in the u x w x 1 box of
-    each candidate (centers (C, 3), frames (C, 3, 3)) at each (u, w) in
-    `scales`."""
-    halves = np.array([[u / 2.0, w / 2.0, 0.5] for u, w in scales]).reshape(-1, 3)
-    return _box_counts(bases, dirs, need, centers, frames, halves)
+def _box_search(family, scales):
+    """The checked box search of a 2D or 3D member family (see
+    `m_lines_sweep`): (per-scale maxima, (center, frame) of each maximum's
+    box, (S, d) half-extents)."""
+    scales = [tuple(map(float, s)) for s in scales]
+    bases, dirs, lengths = _family_arrays(family)
+    d = bases.shape[1] if bases.ndim == 2 else 3  # an empty line list checks as 3D
+    for u, w in scales:
+        if d == 2 and not (0 < w <= 1 + 1e-9):
+            raise ValueError(f"need 0 < w <= 1, got {w}")
+        if d == 3 and not (0 < u <= w <= 1 + 1e-9):
+            raise ValueError(f"need 0 < u <= w <= 1, got ({u}, {w})")
+    halves = _box_halves(scales, d)
+    if bases.shape[0] == 0:
+        return [0] * len(scales), [None] * len(scales), halves
+    need, reach = _need_reach(lengths, d)
+    return (*_sweep(bases, dirs, need, scales, reach=reach), halves)
 
 
 def m_lines_sweep(lines, scales):
-    """Max lines captured by a u x w x 1 box, for every (u, w) in `scales`.
+    """Max members captured by the box of every (u, w) in `scales`: a
+    u x w x 1 box in 3D, a w x 1 rectangle in 2D (u unused).
 
     `lines` is a list of Line or a (bases, dirs) or (bases, dirs, lengths)
     tuple; with lengths a member counts when its chord reaches half its length.
-    Returns (values, boxes): per-scale maxima and the realizing boxes.
+    Scales need 0 < u <= w <= 1 in 3D and 0 < w <= 1 in 2D, with 1e-9 of
+    slack above 1.  Returns (values, boxes): per-scale maxima and the
+    realizing boxes, whose extents are clipped to 1.
     """
-    scales = [tuple(map(float, s)) for s in scales]
-    for u, w in scales:
-        if not (0 < u <= w <= 1 + 1e-9):
-            raise ValueError(f"need 0 < u <= w <= 1, got ({u}, {w})")
-    bases, dirs, lengths = _family_arrays(lines)
-    if bases.shape[0] == 0:
-        return [0] * len(scales), [None] * len(scales)
-    need = 0.5 if lengths is None else np.asarray(lengths, dtype=float) / 2.0
-    best, best_cand = _sweep(bases, dirs, need, scales)
-    boxes = []
-    for s, (u, w) in enumerate(scales):
-        center, frame = best_cand[s]
-        boxes.append(Box(center, np.array([u / 2.0, w / 2.0, 0.5]), frame))
-    return best, boxes
+    values, cands, halves = _box_search(lines, scales)
+    return values, [None if c is None else Box(c[0], np.minimum(h, 0.5), c[1])
+                    for c, h in zip(cands, halves)]
 
 
-def _sweep(bases, dirs, need, scales, subdivide: bool = True):
+def _sweep(bases, dirs, need, scales, subdivide: bool = True, reach=np.inf):
     """Per-scale max counts over the candidate boxes, and the realizing
-    (center, frame) pairs; `subdivide` adds children around each argmax.
+    (center, frame) pairs; in 3D `subdivide` adds children around each
+    argmax (a 2D search scores its candidates alone).  `need` and `reach`
+    are those of `_box_counts`.
 
     A scale's box is the first candidate reaching its maximum; a child
     replaces it only with a strictly larger count, children taken in order
     of parent scale, child scale and shift.
     """
+    d = bases.shape[1]
+    halves = _box_halves(scales, d)
     centers, frames = _box_candidates(bases, dirs)
-    counts = _box_counts_3d(bases, dirs, need, centers, frames, scales)
+    counts = _box_counts(bases, dirs, need, centers, frames, halves, reach)
     first = counts.argmax(axis=0)
     best = [int(c) for c in counts.max(axis=0)]
     best_cand = [(centers[k], frames[k]) for k in first]
-    if not subdivide:
+    if not subdivide or d == 2:
         return best, best_cand
     for (u_p, w_p), (center, frame) in zip(scales, list(best_cand)):
         blocks = []
@@ -256,7 +303,7 @@ def _sweep(bases, dirs, need, scales, subdivide: bool = True):
             continue
         kids = np.concatenate(blocks)
         kid_frames = np.broadcast_to(frame, (kids.shape[0], 3, 3))
-        counts = _box_counts_3d(bases, dirs, need, kids, kid_frames, scales)
+        counts = _box_counts(bases, dirs, need, kids, kid_frames, halves, reach)
         top = counts.max(axis=0)
         first = counts.argmax(axis=0)
         for s in np.flatnonzero(top > best):
@@ -275,70 +322,25 @@ def _span_steps(extent_parent: float, extent_child: float) -> np.ndarray:
 
 
 def m_lines(lines, u: float, w: float) -> int:
-    """Approximate max of lines crossing (chord >= 1/2) a u x w x 1 box."""
+    """Approximate max of lines crossing (chord >= 1/2) a u x w x 1 box (a
+    w x 1 rectangle in 2D)."""
     if u > w:
         raise ValueError("need u <= w")
     values, _ = m_lines_sweep(lines, [(u, w)])
     return values[0]
 
 
-# 2D: rectangles w x length around line or segment families
-
-
-def _segment_rect_counts(centers, dirs, lengths, rect_centers, rect_dirs, widths) -> np.ndarray:
-    """(R, W) counts of segments whose chord inside the w x 1 rectangle at
-    (rect_centers[r], long side along rect_dirs[r]) is >= half their length,
-    for each w in `widths`.
-
-    `lengths=None` treats members as infinite lines with chord threshold 1/2.
-    """
-    frames = np.empty((rect_dirs.shape[0], 2, 2))
-    frames[:, 0, 0] = -rect_dirs[:, 1]
-    frames[:, 0, 1] = rect_dirs[:, 0]
-    frames[:, 1] = rect_dirs
-    halves = np.array([[w / 2.0, 0.5] for w in widths]).reshape(-1, 2)
-    reach = np.inf if lengths is None else lengths / 2.0
-    return _box_counts(centers, dirs, 0.5 if lengths is None else reach, rect_centers,
-                       frames, halves, reach)
-
-
 def m_tubes_2d(centers, dirs, lengths, widths) -> list[int]:
     """Max segments concentrated in a w x 1 rectangle, for every w in `widths`
-    (2D families).
+    (2D families): the maxima of `m_lines_sweep` at the scales (w, w).
 
     `lengths=None` treats members as infinite lines with chord threshold 1/2.
-    The candidate rectangles do not depend on w, so every width is scored
-    against the same set in one pass.  Raises ValueError unless every width
-    lies in (0, 1].
+    Raises ValueError unless every width lies in (0, 1].
     """
-    widths = [float(w) for w in widths]
-    for w in widths:
-        if not (0 < w <= 1 + 1e-9):
-            raise ValueError(f"need 0 < w <= 1, got {w}")
-    centers = np.asarray(centers, dtype=float)
-    dirs = np.asarray(dirs, dtype=float)
-    n = centers.shape[0]
-    if n == 0:
-        return [0] * len(widths)
-    anchors = _subsample(n, 384)
-    partners = _subsample(n, 32)
-    pairs = [(i, j) for i in _subsample(n, 64) for j in partners if i != j]
-    rect_centers = np.empty((len(anchors) + len(pairs), 2))
-    rect_dirs = np.empty_like(rect_centers)
-    rect_centers[:len(anchors)] = centers[anchors]
-    rect_dirs[:len(anchors)] = dirs[anchors]
-    for r, (i, j) in enumerate(pairs, len(anchors)):
-        mid = (centers[i] + centers[j]) / 2.0
-        cross = dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0]
-        if abs(cross) > 1e-12:
-            # intersection point of the two axis lines
-            dbase = centers[j] - centers[i]
-            t = (dbase[0] * dirs[j][1] - dbase[1] * dirs[j][0]) / cross
-            mid = centers[i] + t * dirs[i]
-        rect_centers[r] = mid
-        rect_dirs[r] = dirs[i]
-    counts = _segment_rect_counts(centers, dirs, lengths, rect_centers, rect_dirs, widths)
-    return [int(c) for c in counts.max(axis=0)]
+    # (n, 2) even when empty, so that the widths are checked as 2D
+    family = tuple(np.asarray(a, dtype=float).reshape(len(a), 2) for a in (centers, dirs))
+    family += () if lengths is None else (lengths,)
+    return _box_search(family, [(w, w) for w in widths])[0]
 
 
 def m_lines_2d(lines, w: float) -> int:
@@ -548,10 +550,7 @@ def katz_tao_fit(family, delta: float, dim: int) -> KatzTaoFit:
         [(min(w, 1.0),) * 2 for w in dyadic_ladder(delta)]
     if len(cells) < 4:
         raise DegenerateGridError("fewer than 4 scale cells")
-    if dim == 3:
-        values, _ = m_lines_sweep(family, cells)
-    else:
-        values = m_tubes_2d(*_family_arrays(family), [w for _, w in cells])
+    values, _ = m_lines_sweep(family, cells)
     # columns 1, log(u/delta)[, log(w/delta)]: 2D cells have u = w
     A = np.array([[1.0, np.log(u / delta), np.log(w / delta)][:dim] for u, w in cells])
     y = np.log(np.maximum(values, 1))

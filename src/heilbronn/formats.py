@@ -154,11 +154,6 @@ def read_config(path: str) -> PointLineConfiguration:
     return PointLineConfiguration(dim=dim, pairs=tuple(pairs), provenance=path)
 
 
-def validate_config_file(path: str) -> list[str]:
-    """Format and invariant check; returns violations with line numbers."""
-    return _parse_file(path, "plc", _config_record)[2]
-
-
 def write_tubes(path: str, tubes) -> None:
     tubes = list(tubes)
     dim = tubes[0].center.shape[0] if tubes else 2
@@ -194,10 +189,6 @@ def _tube_record(fields, dim: int):
 
 def read_tubes(path: str):
     return _read_file(path, "tubes", _tube_record)[1]
-
-
-def validate_tubes_file(path: str) -> list[str]:
-    return _parse_file(path, "tubes", _tube_record)[2]
 
 
 def validate_file(path: str) -> list[str]:

@@ -25,7 +25,6 @@ from .concentration import (
     _family_arrays,
     dyadic_pairs,
     m_lines,
-    m_lines_2d,
     m_lines_sweep,
     m_points,
 )
@@ -154,21 +153,21 @@ class MultiscaleReport:
         return "\n".join(lines) + "\n"
 
 
-def rhs_basic(w: float, P, lines, dim: int, eps: float = 0.1,
-              ml_value: int | None = None) -> float:
+def _basic_rhs(w: float, mp: int, ml: int, n_points: int, n_lines: int, dim: int,
+               eps: float) -> float:
+    """The basic high-low right-hand side from M_P(w) and M_L at w."""
+    lead = w ** (-6.0 - eps) if dim == 3 else w ** -3.0
+    return lead * (mp / n_points) * (ml / n_lines)
+
+
+def rhs_basic(w: float, P, lines, dim: int, eps: float = 0.1) -> float:
     """Basic high-low right-hand side at scale w.
 
     2D: w^-3 (M_P/|P|) (M_L(w x 1)/|L|); 3D: w^(-6-eps) with the w x w x 1 box.
     """
     P = np.asarray(P, dtype=float)
-    mp = m_points(P, w)
-    if ml_value is None:
-        ml_value = m_lines(lines, w, w) if dim == 3 else m_lines_2d(lines, w)
-    if dim == 3:
-        lead = w ** (-6.0 - eps)
-    else:
-        lead = w ** -3.0
-    return lead * (mp / P.shape[0]) * (ml_value / len(lines))
+    return _basic_rhs(w, m_points(P, w), m_lines(lines, w, w), P.shape[0], len(lines),
+                      dim, eps)
 
 
 def dyadic_scan(P, lines, w_min: float, w_max: float, dim: int,
@@ -182,17 +181,18 @@ def dyadic_scan(P, lines, w_min: float, w_max: float, dim: int,
         ws.append(w)
         w /= 2.0
     bs = normalized_incidence_many(ws, P, lines, dim)
+    n_points = np.asarray(P).shape[0]
     rows = []
     for i, w in enumerate(ws):
         diff = abs(bs[i] - bs[i + 1]) if i + 1 < len(ws) else 0.0
         mp = m_points(P, w)
-        ml = m_lines(lines, w, w) if dim == 3 else m_lines_2d(lines, w)
-        rhs = rhs_basic(w, P, lines, dim, eps, ml_value=ml)
+        ml = m_lines(lines, w, w)
+        rhs = _basic_rhs(w, mp, ml, n_points, len(lines), dim, eps)
         ratio = diff**2 / rhs if rhs > 0 else np.inf
         rows.append(MultiscaleRow(scale=w, b_value=bs[i], b_difference=diff,
                                   m_points=mp, m_lines=ml, rhs_basic=rhs, ratio=ratio))
-    return MultiscaleReport(dim=dim, n_points=np.asarray(P).shape[0],
-                            n_lines=len(lines), rows=tuple(rows))
+    return MultiscaleReport(dim=dim, n_points=n_points, n_lines=len(lines),
+                            rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +274,12 @@ def rhs_wellspaced(delta: float, P, lines, t1: float, t2: float, K: float,
     Verifies the point non-concentration bound M_P(delta) <= A delta^3 |P|,
     the C0-uniformity of the line family at scale delta, and the Katz-Tao
     box bounds with (t1, t2, K) on a dyadic probe grid.  The unspecified
-    order-one exponent on C0 is pinned to 1.
+    order-one exponent on C0 is pinned to 1.  Raises ValueError unless
+    t1 + t2 > 0 (the exponent alpha divides by it).
     """
+    if t1 + t2 <= 0:
+        raise ValueError(f"alpha = (t1 + 2) / (2 (t1 + t2)) needs t1 + t2 > 0, "
+                         f"got t1={t1}, t2={t2}")
     P = np.asarray(P, dtype=float)
     n_lines = len(lines)
     violations = []

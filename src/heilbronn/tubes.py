@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import HypothesisViolation, _box_counts_3d, _box_scales, \
-    _segment_rect_counts, _sweep, dyadic_ladder, m_tubes_2d
+from .concentration import HypothesisViolation, _box_counts, _box_halves, _box_scales, \
+    _need_reach, _sweep, dyadic_ladder, m_tubes_2d
 from .geometry import SphericalRectangle, _sorted_unique, canonical_direction, \
     complete_frame, direction_distance
 
@@ -820,7 +820,8 @@ def tube_box_counts_3d(tubes, scales):
     if not tubes:
         return [0] * len(scales)
     centers, dirs, lengths = _tube_arrays(tubes)
-    best, _ = _sweep(centers, dirs, lengths / 2.0, scales, subdivide=False)
+    need, reach = _need_reach(lengths, 3)
+    best, _ = _sweep(centers, dirs, need, scales, subdivide=False, reach=reach)
     return best
 
 
@@ -889,7 +890,14 @@ def check_planar_brush(tubes, shading: Shading, t: float, K: float,
 
 def check_space_brush(tubes, shading: Shading, t1: float, t2: float, K: float,
                       eps: float = 0.1) -> BrushReport:
-    """Measured shaded-union volume against the hairbrush lower bound."""
+    """Measured shaded-union volume against the hairbrush lower bound.
+
+    Raises ValueError unless t1 + t2 > 0 (the bound's exponent divides by it).
+    """
+    if t1 + t2 <= 0:
+        raise ValueError(f"alpha = (2 + t1) / (2 (t1 + t2)) needs t1 + t2 > 0, "
+                         f"got t1={t1}, t2={t2}")
+
     def bound(delta, lam, n):
         alpha = (2.0 + t1) / (2.0 * t1 + 2.0 * t2)
         return delta**eps * K**-alpha * lam**2.5 * delta**2 * n ** alpha
@@ -915,8 +923,9 @@ def generate_katz_tao_tubes(delta: float, t1: float, t2: float, count: int,
         scales = _box_scales(delta, 2 * delta)
         caps = [cap_constant * (u / delta) ** t1 * (w / delta) ** t2 for u, w in scales]
     else:
-        scales = sorted({(min(w, 1.0), 1.0) for w in dyadic_ladder(2 * delta)})
-        caps = [cap_constant * (u / delta) ** t1 for u, _ in scales]
+        scales = sorted({(min(w, 1.0),) * 2 for w in dyadic_ladder(2 * delta)})
+        caps = [cap_constant * (w / delta) ** t1 for _, w in scales]
+    halves = _box_halves(scales, dim)
     tubes: list = []
     attempts = 0
     budget = 100 * count if max_attempts is None else max_attempts
@@ -933,14 +942,9 @@ def generate_katz_tao_tubes(delta: float, t1: float, t2: float, count: int,
         k = len(tubes)
         centers[k] = cand.center
         dirs[k] = cand.dir
-        if dim == 3:
-            counts = _box_counts_3d(centers[:k + 1], dirs[:k + 1], lengths[:k + 1] / 2.0,
-                                    cand.center[None], complete_frame(cand.dir)[None],
-                                    scales)[0]
-        else:
-            counts = _segment_rect_counts(centers[:k + 1], dirs[:k + 1], lengths[:k + 1],
-                                          cand.center[None], cand.dir[None],
-                                          [u for u, _ in scales])[0]
+        need, reach = _need_reach(lengths[:k + 1], dim)
+        counts = _box_counts(centers[:k + 1], dirs[:k + 1], need, cand.center[None],
+                             complete_frame(cand.dir)[None], halves, reach)[0]
         if all(got <= cap for got, cap in zip(counts, caps)):
             tubes.append(cand)
     return tubes, len(tubes) == count

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from heilbronn.concentration import _box_counts, _box_halves, _need_reach
 from heilbronn.configurations import make_config
 from heilbronn.geometry import Line, _chords_from_local, _direction_rows, \
     _lines_min_distance_rows
@@ -67,6 +68,15 @@ def lines_box_chords(bases, dirs, box):
     B = (np.asarray(bases, dtype=float) - box.center) @ box.frame.T
     V = np.asarray(dirs, dtype=float) @ box.frame.T
     return _chords_from_local(B, V, box.half_extents[None])[0]
+
+
+def box_counts(bases, dirs, lengths, centers, frames, scales):
+    """(C, S) counts of the boxes (centers (C, d), frames (C, d, d)) at each
+    (u, w) of `scales`, through the box search's counter: members count as
+    the search counts them, lines when `lengths` is None."""
+    d = bases.shape[1]
+    need, reach = _need_reach(lengths, d)
+    return _box_counts(bases, dirs, need, centers, frames, _box_halves(scales, d), reach)
 
 
 def random_lines(n, dim, seed):

@@ -1,16 +1,18 @@
 """Oracles for the batched box engine.
 
 `concentration._box_counts` scores every candidate box against every scale in
-blocks of at most `_CHUNK` (candidate, scale, member) elements.  The 3D sweep,
-`tube_box_counts_3d` and the 3D generator probe reach it through
-`_box_counts_3d`; `m_tubes_2d` (all widths in one pass) and the 2D generator
-probe through `_segment_rect_counts`.  The `old_*` functions below are
+blocks of at most `_CHUNK` (candidate, scale, member) elements.  One box
+search serves both dimensions: `_box_candidates` builds the 2D and 3D
+candidates, `_box_halves` maps (u, w) scales to half-extents (the w x 1
+rectangle in 2D), and `_sweep` scores them for `m_lines_sweep`,
+`m_tubes_2d` (all widths in one pass) and `tube_box_counts_3d`; the generator
+probe calls `_box_counts` directly.  The `old_*` functions below are
 test-local copies of the code they replace: one box per chord call, the
 per-scale candidate generator, the per-candidate `_sweep` loop, one
-`m_tubes_2d` call per width, and frames built with `np.cross` and
-`np.linalg.norm`.  The new code must return exactly what the copies return,
-compared with `==`, and arrays bit for bit (`same_bits`, which also tells
--0.0 from 0.0).
+`m_tubes_2d` call per width with its own rectangle loop, and frames built
+with `np.cross` and `np.linalg.norm`.  The new code must return exactly what
+the copies return, compared with `==`, and arrays bit for bit (`same_bits`,
+which also tells -0.0 from 0.0).
 """
 
 import tracemalloc
@@ -21,10 +23,8 @@ import pytest
 from heilbronn import concentration
 from heilbronn.concentration import (
     _box_candidates,
-    _box_counts_3d,
     _closest_points,
     _pair_frame,
-    _segment_rect_counts,
     _span_steps,
     _subsample,
     dyadic_pairs,
@@ -38,10 +38,10 @@ from heilbronn.configurations import (
     generate_st_grid,
     generate_vertical,
 )
-from heilbronn.geometry import Line, complete_frame
+from heilbronn.geometry import Box, Line, complete_frame
 from heilbronn.tubes import Tube2D, Tube3D, tube_box_counts_3d
 
-from conftest import random_lines
+from conftest import box_counts, random_lines
 
 # ---------------------------------------------------------------------------
 # test-local copies of the replaced code
@@ -214,6 +214,25 @@ def old_m_tubes_2d(centers, dirs, lengths, w):
     return best
 
 
+def old_rect_candidates(centers, dirs):
+    """The (center, long-side direction) rectangles of the old `m_tubes_2d`,
+    in its order."""
+    n = centers.shape[0]
+    rects = [(centers[i], dirs[i]) for i in _subsample(n, 384)]
+    for i in _subsample(n, 64):
+        for j in _subsample(n, 32):
+            if i == j:
+                continue
+            mid = (centers[i] + centers[j]) / 2.0
+            cross = dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0]
+            if abs(cross) > 1e-12:
+                dbase = centers[j] - centers[i]
+                t = (dbase[0] * dirs[j][1] - dbase[1] * dirs[j][0]) / cross
+                mid = centers[i] + t * dirs[i]
+            rects.append((mid, dirs[i]))
+    return rects
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -347,6 +366,15 @@ class TestSweep3D:
         for box, (c, f) in zip(boxes, old_cands):
             assert same_bits(box.center, c) and same_bits(box.frame, f)
 
+    def test_width_just_above_one_has_a_box(self):
+        # widths up to 1 + 1e-9 count; the box of such a scale used to be
+        # refused ("half-extents must be sorted ascending")
+        lines = random_lines(40, 3, 12)
+        scales = [(0.5, 1.0), (0.5, 1.0 + 1e-10), (1.0 + 1e-10, 1.0 + 1e-10)]
+        values, boxes = m_lines_sweep(lines, scales)
+        assert values == old_sweep(*arrays(lines), 0.5, scales)[0] and values[0] > 1
+        assert [b.half_extents.tolist() for b in boxes] == [[0.25, 0.5, 0.5]] * 2 + [[0.5] * 3]
+
     @pytest.mark.parametrize("seed", [6, 7])
     def test_tube_counts_non_unit_lengths(self, seed):
         fam = tube_family(40, 3, seed)
@@ -360,7 +388,7 @@ class TestSweep3D:
         bases, dirs = arrays(FAMILIES_3D[name]())
         fewer_candidates(monkeypatch, 8, 4)
         centers, frames = _box_candidates(bases, dirs)
-        got = _box_counts_3d(bases, dirs, 0.5, centers, frames, SCALES)
+        got = box_counts(bases, dirs, None, centers, frames, SCALES)
         want = [list(old_counts_for_candidate(bases, dirs, 0.5, c, f, SCALES))
                 for c, f in zip(centers, frames)]
         assert got.tolist() == want
@@ -375,9 +403,9 @@ class TestChunks:
         centers, dirs, lengths = tube_arrays(fam)
         fewer_candidates(monkeypatch, 6, 5)
         cc, ff = _box_candidates(centers, dirs)
-        want = _box_counts_3d(centers, dirs, lengths / 2.0, cc, ff, SCALES)
+        want = box_counts(centers, dirs, lengths, cc, ff, SCALES)
         monkeypatch.setattr(concentration, "_CHUNK", chunk)
-        assert same_bits(_box_counts_3d(centers, dirs, lengths / 2.0, cc, ff, SCALES), want)
+        assert same_bits(box_counts(centers, dirs, lengths, cc, ff, SCALES), want)
         assert want.tolist() == [list(old_counts_for_candidate(centers, dirs, lengths / 2.0,
                                                                c, f, SCALES))
                                  for c, f in zip(cc, ff)]
@@ -392,7 +420,7 @@ class TestChunks:
         n, S, C = len(lines), len(SCALES), len(cc)
         per_block = concentration._CHUNK // (S * n)
         assert C * S * n > 5 * concentration._CHUNK and C % per_block != 0
-        got = _box_counts_3d(bases, dirs, 0.5, cc, ff, SCALES)
+        got = box_counts(bases, dirs, None, cc, ff, SCALES)
         assert got.tolist() == [list(old_counts_for_candidate(bases, dirs, 0.5, c, f, SCALES))
                                 for c, f in zip(cc, ff)]
 
@@ -405,7 +433,7 @@ class TestChunks:
         fewer_candidates(monkeypatch, 2, 2)
         cc, ff = _box_candidates(bases, dirs)
         cc, ff = cc[:3], ff[:3]
-        got = _box_counts_3d(bases, dirs, 0.5, cc, ff, SCALES)
+        got = box_counts(bases, dirs, None, cc, ff, SCALES)
         assert got.tolist() == [list(old_counts_for_candidate(bases, dirs, 0.5, c, f, SCALES))
                                 for c, f in zip(cc, ff)]
 
@@ -466,9 +494,38 @@ class TestRects2D:
         centers, dirs, lengths = tube_arrays(FAMILIES_2D["random"]())
         rc, rd = centers[:9] + 0.01, dirs[::-1][:9]
         monkeypatch.setattr(concentration, "_CHUNK", 50)
-        got = _segment_rect_counts(centers, dirs, lengths, rc, rd, WIDTHS)
+        frames = np.array([complete_frame(v) for v in rd])
+        got = box_counts(centers, dirs, lengths, rc, frames, [(w, w) for w in WIDTHS])
         assert got.tolist() == [[old_segment_rect_counts(centers, dirs, lengths, c, d, w)
                                  for w in WIDTHS] for c, d in zip(rc, rd)]
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES_2D))
+    def test_candidates_equal_old(self, name):
+        centers, dirs, _ = tube_arrays(FAMILIES_2D[name]())
+        got_centers, got_frames = _box_candidates(centers, dirs)
+        old = old_rect_candidates(centers, dirs)
+        assert same_bits(got_centers, np.array([c for c, _ in old]))
+        assert same_bits(got_frames, np.array([[[-d[1], d[0]], d] for _, d in old]))
+        assert same_bits(got_frames, np.array([complete_frame(d) for _, d in old]))
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES_2D))
+    @pytest.mark.parametrize("as_lines", [False, True])
+    def test_m_lines_sweep_2d_boxes_equal_old(self, name, as_lines):
+        # the first old rectangle reaching each width's maximum, at extents
+        # clipped to 1; u is not used in 2D
+        centers, dirs, lengths = tube_arrays(FAMILIES_2D[name]())
+        family = (centers, dirs) if as_lines else (centers, dirs, lengths)
+        lengths = None if as_lines else lengths
+        values, boxes = m_lines_sweep(family, [(w, w) for w in WIDTHS])
+        assert values == [old_m_tubes_2d(centers, dirs, lengths, w) for w in WIDTHS]
+        assert m_lines_sweep(family, [(1e-3, w) for w in WIDTHS])[0] == values
+        rects = old_rect_candidates(centers, dirs)
+        for w, v, box in zip(WIDTHS, values, boxes):
+            c, d = next((c, d) for c, d in rects
+                        if old_segment_rect_counts(centers, dirs, lengths, c, d, w) == v)
+            assert isinstance(box, Box) and same_bits(box.center, c)
+            assert same_bits(box.frame, np.array([[-d[1], d[0]], d]))
+            assert box.half_extents.tolist() == [min(w / 2.0, 0.5), 0.5]
 
     def test_empty_family(self):
         assert m_tubes_2d(np.empty((0, 2)), np.empty((0, 2)), None, [0.5, 1.0]) == [0, 0]

@@ -2,7 +2,8 @@
 
 Each `old_*` function below is a test-local copy of a code path that the
 package now routes through one shared primitive: the 3D tube box counter and
-the generator's box probe (now `concentration._box_counts_3d`), the 2D
+the generator's box probe (now `concentration._box_counts` at the
+half-extents of `concentration._box_halves`, in 2D and 3D), the 2D
 segment counter's own slab loop (now `geometry._chords_from_local`), the three
 greedy nets that grew their centres with `np.vstack` and compared each member
 with every kept row (now the pair-based `geometry._greedy_net_size`) and the
@@ -19,8 +20,6 @@ import pytest
 from heilbronn import concentration, geometry, incidence, tubes as tubes_mod
 from heilbronn.concentration import (
     _box_candidates,
-    _box_counts_3d,
-    _segment_rect_counts,
     dyadic_ladder,
     dyadic_pairs,
     katz_tao_fit,
@@ -49,8 +48,8 @@ from heilbronn.tubes import (
     tube_box_counts_3d,
 )
 
-from conftest import line_metric_many, line_metric_rows, random_config, random_lines, \
-    separated_config
+from conftest import box_counts, line_metric_many, line_metric_rows, random_config, \
+    random_lines, separated_config
 
 # ---------------------------------------------------------------------------
 # test-local copies of the replaced code
@@ -296,8 +295,8 @@ class TestBoxCounter:
     def test_probe_equals_old(self, fam):
         centers, dirs, lengths = arrays(fam)
         for t in fam[:8]:
-            got = _box_counts_3d(centers, dirs, lengths / 2.0, t.center[None],
-                                 complete_frame(t.dir)[None], SCALES_3D)[0].tolist()
+            got = box_counts(centers, dirs, lengths, t.center[None],
+                             complete_frame(t.dir)[None], SCALES_3D)[0].tolist()
             assert got == [old_probe_count_3d(centers, dirs, lengths, t.center, t.dir, u, w)
                            for u, w in SCALES_3D]
 
@@ -322,7 +321,8 @@ class TestBoxCounter:
         widths = [1 / 64, 1 / 8, 0.25, 0.5, 1.0]
         rc = np.array([c for c, _ in rects])
         rd = np.array([d for _, d in rects], dtype=float)
-        got = _segment_rect_counts(centers, dirs, lengths, rc, rd, widths)
+        frames = np.array([complete_frame(v) for v in rd])
+        got = box_counts(centers, dirs, lengths, rc, frames, [(w, w) for w in widths])
         assert got.tolist() == [[old_segment_rect_counts(centers, dirs, lengths, c, d, w, 1.0)
                                  for w in widths] for c, d in zip(rc, rd)]
 
@@ -675,12 +675,13 @@ class TestLadderCallers:
 
     @pytest.mark.parametrize("delta", [1 / 16, 0.1, (1 + 5e-10) / 16])
     def test_generate(self, delta, monkeypatch):
+        # the probe's half-extents: u x w x 1 boxes in 3D, w x 1 rectangles in 2D
         seen3, seen2 = [], []
-        monkeypatch.setattr(tubes_mod, "_box_counts_3d",
-                            _spy(seen3, concentration._box_counts_3d))
-        monkeypatch.setattr(tubes_mod, "_segment_rect_counts",
-                            _spy(seen2, concentration._segment_rect_counts))
+        monkeypatch.setattr(tubes_mod, "_box_counts", _spy(seen3, concentration._box_counts))
         generate_katz_tao_tubes(delta, 1.0, 1.0, 1, dim=3)
+        monkeypatch.setattr(tubes_mod, "_box_counts", _spy(seen2, concentration._box_counts))
         generate_katz_tao_tubes(delta, 1.0, 1.0, 1, dim=2)
-        assert seen3[0][5] == sorted(set(old_pairs(delta, 2 * delta)))
-        assert [c[5] for c in seen2] == [sorted({min(w, 1.0) for w in old_ladder(2 * delta)})]
+        assert seen3[0][5].tolist() == [[u / 2.0, w / 2.0, 0.5]
+                                        for u, w in sorted(set(old_pairs(delta, 2 * delta)))]
+        assert [c[5].tolist() for c in seen2] == \
+            [[[w / 2.0, 0.5] for w in sorted({min(w, 1.0) for w in old_ladder(2 * delta)})]]

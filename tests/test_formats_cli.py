@@ -12,7 +12,6 @@ from heilbronn.formats import (
     read_config,
     read_points,
     read_tubes,
-    validate_config_file,
     validate_file,
     write_config,
     write_points,
@@ -53,7 +52,7 @@ class TestFormats:
         X = generate_vertical(1 / 8, 2)
         path = str(tmp_path / "ok.plc")
         write_config(path, X)
-        assert validate_config_file(path) == []
+        assert validate_file(path) == []
 
     def test_offline_point_flagged_with_line_number(self, tmp_path):
         path = str(tmp_path / "bad.plc")
@@ -61,7 +60,7 @@ class TestFormats:
             fh.write("plc v1 dim=2 n=2\n")
             fh.write("p 0 0 q 0 0 v 0 1\n")
             fh.write("p 0.501 0.5 q 0.5 0 v 0 1\n")  # 1e-3 off its line
-        out = validate_config_file(path)
+        out = validate_file(path)
         assert len(out) == 1 and ":3:" in out[0] and "off its line" in out[0]
 
     def test_non_unit_direction_flagged(self, tmp_path):
@@ -69,7 +68,7 @@ class TestFormats:
         with open(path, "w") as fh:
             fh.write("plc v1 dim=2 n=1\n")
             fh.write("p 0 0 q 0 0 v 0 1.01\n")
-        out = validate_config_file(path)
+        out = validate_file(path)
         assert len(out) == 1 and "not unit" in out[0]
 
     def test_count_mismatch_flagged(self, tmp_path):
@@ -77,7 +76,7 @@ class TestFormats:
         with open(path, "w") as fh:
             fh.write("plc v1 dim=2 n=5\n")
             fh.write("p 0 0 q 0 0 v 0 1\n")
-        out = validate_config_file(path)
+        out = validate_file(path)
         assert any("declares n=5" in v for v in out)
 
     def test_unknown_tag(self, tmp_path):
@@ -242,7 +241,7 @@ class TestHardenedInputs:
 
     def test_non_finite_plc_point_flagged(self, tmp_path):
         path = _write(tmp_path / "n.plc", "plc v1 dim=2 n=1\np nan 0.5 q 0.5 0 v 0 1\n")
-        violations = validate_config_file(path)
+        violations = validate_file(path)
         assert len(violations) == 1 and "n.plc:2: non-finite" in violations[0]
 
     @pytest.mark.parametrize("line", [
@@ -342,6 +341,19 @@ class TestHardenedInputs:
         rc, err = _cli("conc", "-p", plc, "--mode", "lines", "--w", w, "-o", out)
         assert rc == 3 and "0 < w <= 1" in err and "Traceback" not in err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("plc,u", [("lines3.plc", ["--u", "0.5"]), ("lines2.plc", [])])
+    def test_conc_lines_width_just_above_one(self, tmp_path, plc, u):
+        # a width within the 1e-9 slack above 1 counts; the 3D sweep's box
+        # refused its half-extent (exit 3, "half-extents must be sorted")
+        counts = []
+        for w in ("1", "1.0000000001"):
+            out = str(tmp_path / f"c{w}.csv")
+            rc, err = _cli("conc", "-p", os.path.join(GOLDEN, plc), "--mode", "lines", *u,
+                           "--w", w, "-o", out)
+            assert rc == 0, err
+            counts.append(int(open(out).read().splitlines()[-1].split(",")[-1]))
+        assert counts[0] == counts[1] > 1
 
     @pytest.mark.parametrize("rich", ["nan", "inf", "-1", "0"])
     def test_two_ends_rejects_bad_rich_constant(self, tmp_path, rich):
@@ -472,6 +484,27 @@ class TestBrushCheckGivenK:
         rc = main(["brush-check", "-t", os.path.join(GOLDEN, "tubes3.tubes"), *argv, "-o", out])
         err = capsys.readouterr().err
         assert rc == 3 and message in err
+        assert not os.path.exists(out)
+
+
+class TestExponentSum:
+    """Both 9/2-power exponents divide by 2 (t1 + t2)."""
+
+    @pytest.mark.parametrize("argv", [
+        # a ZeroDivisionError traceback
+        ("brush-check", "-t", "tubes3.tubes", "--t1", "1", "--t2", "-1"),
+        ("highlow-check", "-p", "pts3.pts", "-l", "lines3.plc", "--delta", "0.125",
+         "--variant", "wellspaced", "--t1", "1", "--t2", "-1", "--K", "100", "--A", "1000",
+         "--C0", "100"),
+        # a negative sum has no meaning for the bound either (this one exited 4)
+        ("brush-check", "-t", "tubes3.tubes", "--t1", "0.5", "--t2", "-1.5", "--K", "4"),
+    ])
+    def test_t1_plus_t2_at_most_zero_exits_three(self, tmp_path, argv):
+        argv = [os.path.join(GOLDEN, a) if a.endswith((".tubes", ".pts", ".plc")) else a
+                for a in argv]
+        out = str(tmp_path / "x.csv")
+        rc, err = _cli(*argv, "-o", out)
+        assert rc == 3 and "needs t1 + t2 > 0" in err and "Traceback" not in err
         assert not os.path.exists(out)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from heilbronn import incidence
 from heilbronn.concentration import _CHUNK, HypothesisViolation, m_lines
 from heilbronn.configurations import (
     generate_bush,
@@ -211,6 +212,22 @@ class TestDyadicScan:
         text = rep.to_csv()
         assert text.count("\n") == len(rep.rows) + 9
         assert "rhs_basic" in text
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_each_rung_counts_once_and_matches_rhs_basic(self, rng, dim, monkeypatch):
+        # the row's M_P and M_L feed its rhs_basic; neither is counted twice
+        P = rng.uniform(0, 1, (80, dim))
+        lines = random_lines(80, dim, seed=10)
+        calls = []
+        for name in ("m_points", "m_lines"):
+            real = getattr(incidence, name)
+            monkeypatch.setattr(incidence, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        rep = dyadic_scan(P, lines, 0.125, 0.5, dim)
+        assert sorted(calls) == ["m_lines"] * 3 + ["m_points"] * 3
+        monkeypatch.undo()
+        assert [r.rhs_basic for r in rep.rows] == [rhs_basic(r.scale, P, lines, dim)
+                                                   for r in rep.rows]
 
 
 class TestRhsBasic:
