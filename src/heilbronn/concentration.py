@@ -96,20 +96,12 @@ def _subsample(n: int, cap: int) -> np.ndarray:
 
 
 def _closest_points(b1, v1, b2, v2):
-    """Closest points of two infinite 3D lines (on line1, on line2)."""
+    """Closest points of two infinite 3D lines with unit directions (on line1,
+    on line2); for parallel lines, b1 and its foot on line2."""
     w0 = b1 - b2
-    a = 1.0
-    b = float(v1 @ v2)
-    c = 1.0
-    dd = float(v1 @ w0)
-    e = float(v2 @ w0)
-    den = a * c - b * b
-    if abs(den) < 1e-14:
-        t1 = 0.0
-        t2 = e
-    else:
-        t1 = (b * e - c * dd) / den
-        t2 = (a * e - b * dd) / den
+    b, dd, e = float(v1 @ v2), float(v1 @ w0), float(v2 @ w0)
+    den = 1.0 - b * b
+    t1, t2 = (0.0, e) if abs(den) < 1e-14 else ((b * e - dd) / den, (e - b * dd) / den)
     return b1 + t1 * v1, b2 + t2 * v2
 
 
@@ -146,15 +138,13 @@ def _box_candidates(bases: np.ndarray, dirs: np.ndarray):
     (C, d, d)): one per line, then one per (anchor, partner) pair, each built
     alone with scalar dot products.
 
-    3D: at most 192 lines, _ANCHORS anchors and _PARTNERS partners; a line's
-    box is centred at its point nearest the cube centre, a pair's at the
-    midpoint of their closest points, in the frame `_pair_frame`.  2D: at
-    most 384 lines, 64 anchors and 32 partners; a line's rectangle is centred
-    at its base, a pair's where the two lines cross (the midpoint of their
-    bases when parallel), in the `complete_frame` of the (anchor) line.
+    Both dimensions share the subsampling and the candidate order; each has
+    its own caps and its own centres and frames (`_fill_rects`,
+    `_fill_boxes`).
     """
     n, d = bases.shape
-    cap, anchor_cap, partner_cap = (384, 64, 32) if d == 2 else (192, _ANCHORS, _PARTNERS)
+    (cap, anchor_cap, partner_cap), fill = (((384, 64, 32), _fill_rects) if d == 2
+                                           else ((192, _ANCHORS, _PARTNERS), _fill_boxes))
     singles = _subsample(n, cap)
     partners = _subsample(n, partner_cap)
     pairs = [(i, j) for i in _subsample(n, anchor_cap) for j in partners if i != j]
@@ -162,20 +152,32 @@ def _box_candidates(bases: np.ndarray, dirs: np.ndarray):
     # heap fragmented and the process's peak RSS about 0.5 MB higher
     centers = np.empty((len(singles) + len(pairs), d))
     frames = np.empty((len(centers), d, d))
-    if d == 2:
-        centers[:len(singles)] = bases[singles]
-        for k, (i, j) in enumerate(pairs, len(singles)):
-            centers[k] = (bases[i] + bases[j]) / 2.0
-            cross = dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0]
-            if abs(cross) > 1e-12:
-                dbase = bases[j] - bases[i]
-                t = (dbase[0] * dirs[j][1] - dbase[1] * dirs[j][0]) / cross
-                centers[k] = bases[i] + t * dirs[i]
-        # complete_frame of every anchor direction v at once: rows (-v1, v0), v
-        v = dirs[np.concatenate([singles, [i for i, _ in pairs]]).astype(np.intp)]
-        frames[:, 0] = np.stack([-v[:, 1], v[:, 0]], axis=1)
-        frames[:, 1] = v
-        return centers, frames
+    fill(bases, dirs, singles, pairs, centers, frames)
+    return centers, frames
+
+
+def _fill_rects(bases, dirs, singles, pairs, centers, frames):
+    """2D candidates: a line's rectangle is centred at its base, a pair's
+    where the two lines cross (the midpoint of their bases when parallel),
+    in the `complete_frame` of the (anchor) line."""
+    centers[:len(singles)] = bases[singles]
+    for k, (i, j) in enumerate(pairs, len(singles)):
+        centers[k] = (bases[i] + bases[j]) / 2.0
+        cross = dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0]
+        if abs(cross) > 1e-12:
+            dbase = bases[j] - bases[i]
+            t = (dbase[0] * dirs[j][1] - dbase[1] * dirs[j][0]) / cross
+            centers[k] = bases[i] + t * dirs[i]
+    # complete_frame of every anchor direction v at once: rows (-v1, v0), v
+    v = dirs[np.concatenate([singles, [i for i, _ in pairs]]).astype(np.intp)]
+    frames[:, 0] = np.stack([-v[:, 1], v[:, 0]], axis=1)
+    frames[:, 1] = v
+
+
+def _fill_boxes(bases, dirs, singles, pairs, centers, frames):
+    """3D candidates: a line's box is centred at its point nearest the cube
+    centre, a pair's at the midpoint of their closest points, in the frame
+    `_pair_frame`."""
     cube_center = np.full(3, 0.5)
     for k, i in enumerate(singles):
         t = (cube_center - bases[i]) @ dirs[i]
@@ -185,7 +187,6 @@ def _box_candidates(bases: np.ndarray, dirs: np.ndarray):
         p1, p2 = _closest_points(bases[i], dirs[i], bases[j], dirs[j])
         centers[k] = (p1 + p2) / 2.0
         frames[k] = _pair_frame(bases[i], dirs[i], bases[j], dirs[j])
-    return centers, frames
 
 
 def _box_halves(scales, d: int) -> np.ndarray:
@@ -235,25 +236,6 @@ def _box_counts(bases, dirs, need, centers, frames, halves, reach=np.inf) -> np.
     return counts
 
 
-def _box_search(family, scales):
-    """The checked box search of a 2D or 3D member family (see
-    `m_lines_sweep`): (per-scale maxima, (center, frame) of each maximum's
-    box, (S, d) half-extents)."""
-    scales = [tuple(map(float, s)) for s in scales]
-    bases, dirs, lengths = _family_arrays(family)
-    d = bases.shape[1] if bases.ndim == 2 else 3  # an empty line list checks as 3D
-    for u, w in scales:
-        if d == 2 and not (0 < w <= 1 + 1e-9):
-            raise ValueError(f"need 0 < w <= 1, got {w}")
-        if d == 3 and not (0 < u <= w <= 1 + 1e-9):
-            raise ValueError(f"need 0 < u <= w <= 1, got ({u}, {w})")
-    halves = _box_halves(scales, d)
-    if bases.shape[0] == 0:
-        return [0] * len(scales), [None] * len(scales), halves
-    need, reach = _need_reach(lengths, d)
-    return (*_sweep(bases, dirs, need, scales, reach=reach), halves)
-
-
 def m_lines_sweep(lines, scales):
     """Max members captured by the box of every (u, w) in `scales`: a
     u x w x 1 box in 3D, a w x 1 rectangle in 2D (u unused).
@@ -264,14 +246,24 @@ def m_lines_sweep(lines, scales):
     slack above 1.  Returns (values, boxes): per-scale maxima and the
     realizing boxes, whose extents are clipped to 1.
     """
-    values, cands, halves = _box_search(lines, scales)
-    return values, [None if c is None else Box(c[0], np.minimum(h, 0.5), c[1])
-                    for c, h in zip(cands, halves)]
+    scales = [tuple(map(float, s)) for s in scales]
+    bases, dirs, lengths = _family_arrays(lines)
+    d = bases.shape[1] if bases.ndim == 2 else 3  # an empty line list checks as 3D
+    for u, w in scales:
+        if d == 2 and not (0 < w <= 1 + 1e-9):
+            raise ValueError(f"need 0 < w <= 1, got {w}")
+        if d == 3 and not (0 < u <= w <= 1 + 1e-9):
+            raise ValueError(f"need 0 < u <= w <= 1, got ({u}, {w})")
+    if bases.shape[0] == 0:
+        return [0] * len(scales), [None] * len(scales)
+    need, reach = _need_reach(lengths, d)
+    values, cands, halves = _sweep(bases, dirs, need, scales, reach=reach)
+    return values, [Box(c, np.minimum(h, 0.5), f) for (c, f), h in zip(cands, halves)]
 
 
 def _sweep(bases, dirs, need, scales, subdivide: bool = True, reach=np.inf):
-    """Per-scale max counts over the candidate boxes, and the realizing
-    (center, frame) pairs; in 3D `subdivide` adds children around each
+    """Per-scale max counts over the candidate boxes, the realizing
+    (center, frame) pairs and the (S, d) half-extents of the scales; in 3D `subdivide` adds children around each
     argmax (a 2D search scores its candidates alone).  `need` and `reach`
     are those of `_box_counts`.
 
@@ -287,7 +279,7 @@ def _sweep(bases, dirs, need, scales, subdivide: bool = True, reach=np.inf):
     best = [int(c) for c in counts.max(axis=0)]
     best_cand = [(centers[k], frames[k]) for k in first]
     if not subdivide or d == 2:
-        return best, best_cand
+        return best, best_cand, halves
     for (u_p, w_p), (center, frame) in zip(scales, list(best_cand)):
         blocks = []
         for (u_c, w_c) in scales:
@@ -309,7 +301,7 @@ def _sweep(bases, dirs, need, scales, subdivide: bool = True, reach=np.inf):
         for s in np.flatnonzero(top > best):
             best[s] = int(top[s])
             best_cand[s] = (kids[first[s]], frame)
-    return best, best_cand
+    return best, best_cand, halves
 
 
 def _span_steps(extent_parent: float, extent_child: float) -> np.ndarray:
@@ -340,7 +332,7 @@ def m_tubes_2d(centers, dirs, lengths, widths) -> list[int]:
     # (n, 2) even when empty, so that the widths are checked as 2D
     family = tuple(np.asarray(a, dtype=float).reshape(len(a), 2) for a in (centers, dirs))
     family += () if lengths is None else (lengths,)
-    return _box_search(family, [(w, w) for w in widths])[0]
+    return m_lines_sweep(family, [(w, w) for w in widths])[0]
 
 
 def m_lines_2d(lines, w: float) -> int:

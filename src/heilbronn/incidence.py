@@ -208,11 +208,20 @@ def _dyadic_us(delta: float) -> list[float]:
     return us
 
 
-def _slab_sweep(delta: float, lines):
+def _require_3d(bases, rhs: str):
+    """Raise ValueError for a 2D family: the `rhs` right-hand side is 3D only."""
+    if bases.ndim == 2 and bases.shape[1] != 3:
+        raise ValueError(f"the {rhs} high-low right-hand side needs a 3D line family, "
+                         f"got dim={bases.shape[1]}")
+
+
+def _slab_sweep(delta: float, lines, rhs: str):
     """(direction cover at delta, dyadic us from 1 down to delta, and
     M_L(delta x delta/u x 1) for each u): the inputs of the refined and the
-    capped right-hand sides."""
-    theta_cover = direction_covering_number(_family_arrays(lines)[1], delta)
+    capped right-hand sides.  Raises ValueError for a 2D family."""
+    bases, dirs, _ = _family_arrays(lines)
+    _require_3d(bases, rhs)
+    theta_cover = direction_covering_number(dirs, delta)
     us = _dyadic_us(delta)
     values, _ = m_lines_sweep(lines, [(delta, min(1.0, delta / u)) for u in us])
     return theta_cover, us, values
@@ -226,7 +235,7 @@ def rhs_refined(delta: float, P, lines, eps: float = 0.1):
     multiplied by delta^(-6-eps) M_P(delta)/|P|.
     """
     P = np.asarray(P, dtype=float)
-    theta_cover, us, values = _slab_sweep(delta, lines)
+    theta_cover, us, values = _slab_sweep(delta, lines, "refined")
     best, best_u = -np.inf, us[0]
     for u, ml in zip(us, values):
         term = min(np.sqrt(theta_cover) * delta, u) * u * ml / len(lines)
@@ -246,7 +255,7 @@ def rhs_direction_capped(delta: float, P, lines, nu: float, kappa: float,
     HypothesisViolation listing the violating scales.
     """
     P = np.asarray(P, dtype=float)
-    theta_cover, us, values = _slab_sweep(delta, lines)
+    theta_cover, us, values = _slab_sweep(delta, lines, "capped")
     violations = []
     if theta_cover > nu * delta**-2:
         violations.append(("theta", theta_cover, nu * delta**-2))
@@ -275,11 +284,13 @@ def rhs_wellspaced(delta: float, P, lines, t1: float, t2: float, K: float,
     the C0-uniformity of the line family at scale delta, and the Katz-Tao
     box bounds with (t1, t2, K) on a dyadic probe grid.  The unspecified
     order-one exponent on C0 is pinned to 1.  Raises ValueError unless
-    t1 + t2 > 0 (the exponent alpha divides by it).
+    t1 + t2 > 0 (the exponent alpha divides by it) and for a 2D family.
     """
     if t1 + t2 <= 0:
         raise ValueError(f"alpha = (t1 + 2) / (2 (t1 + t2)) needs t1 + t2 > 0, "
                          f"got t1={t1}, t2={t2}")
+    bases, dirs, _ = _family_arrays(lines)
+    _require_3d(bases, "well-spaced")
     P = np.asarray(P, dtype=float)
     n_lines = len(lines)
     violations = []
@@ -299,7 +310,6 @@ def rhs_wellspaced(delta: float, P, lines, t1: float, t2: float, K: float,
             violations.append(("katz_tao", u, w, table[(u, w)], cap))
 
     ml_fine = table[(delta, delta)]
-    bases, dirs, _ = _family_arrays(lines)
     min_in_tube = np.inf
     for ln in lines:
         perp = points_line_distance(bases, ln)

@@ -821,7 +821,7 @@ def tube_box_counts_3d(tubes, scales):
         return [0] * len(scales)
     centers, dirs, lengths = _tube_arrays(tubes)
     need, reach = _need_reach(lengths, 3)
-    best, _ = _sweep(centers, dirs, need, scales, subdivide=False, reach=reach)
+    best, _, _ = _sweep(centers, dirs, need, scales, subdivide=False, reach=reach)
     return best
 
 

@@ -351,7 +351,7 @@ class TestSweep3D:
         bases, dirs = arrays(FAMILIES_3D[name]())
         scales = SCALES if subdivide else SCALES + [(1 / 32, 1 / 8)]
         fewer_candidates(monkeypatch, 12, 6)
-        best, cands = concentration._sweep(bases, dirs, 0.5, scales, subdivide)
+        best, cands, _ = concentration._sweep(bases, dirs, 0.5, scales, subdivide)
         old_best, old_cands = old_sweep(bases, dirs, 0.5, scales, 12, 6, subdivide)
         assert best == old_best
         for (c, f), (oc, of) in zip(cands, old_cands):
@@ -447,7 +447,7 @@ class TestChunks:
         fewer_candidates(monkeypatch, 2, 2)
         tracemalloc.start()
         try:
-            values, _ = concentration._sweep(bases, dirs, 0.5, scales, subdivide=False)
+            values, _, _ = concentration._sweep(bases, dirs, 0.5, scales, subdivide=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -488,7 +488,7 @@ class TestBrushCheckGivenK:
 
 
 class TestExponentSum:
-    """Both 9/2-power exponents divide by 2 (t1 + t2)."""
+    """The hairbrush and well-spaced exponents alpha both divide by 2 (t1 + t2)."""
 
     @pytest.mark.parametrize("argv", [
         # a ZeroDivisionError traceback
@@ -505,6 +505,25 @@ class TestExponentSum:
         out = str(tmp_path / "x.csv")
         rc, err = _cli(*argv, "-o", out)
         assert rc == 3 and "needs t1 + t2 > 0" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
+
+class TestHighlowPlanarFamily:
+    """The refined, capped and well-spaced right-hand sides use the 3D box
+    bound; a 2D line family is refused (basic and scan-b take both)."""
+
+    @pytest.mark.parametrize("variant,name", [
+        (("refined",), "refined"),
+        (("capped", "--nu", "100", "--kappa", "1", "--M", "1000"), "capped"),
+        (("wellspaced", "--K", "1000", "--A", "1e6", "--C0", "1000"), "well-spaced"),
+    ])
+    def test_2d_lines_exit_three(self, tmp_path, variant, name):
+        out = str(tmp_path / "h.csv")
+        rc, err = _cli("highlow-check", "-p", os.path.join(GOLDEN, "pts2.pts"),
+                       "-l", os.path.join(GOLDEN, "lines2.plc"), "--delta", "0.125",
+                       "--variant", *variant, "-o", out)
+        assert rc == 3 and "Traceback" not in err
+        assert f"the {name} high-low right-hand side needs a 3D line family, got dim=2" in err
         assert not os.path.exists(out)
 
 
