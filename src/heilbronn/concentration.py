@@ -346,14 +346,15 @@ def m_lines_2d(lines, w: float) -> int:
 
 
 class ConfigMetrics:
-    """Pairwise point / direction / line distances of a configuration, by anchor row.
+    """Pairwise point / direction / line distances of a configuration.
 
     Row i holds the distances from member i to all n members, computed from
     the geometry row kernels over the full member arrays, so an entry does
-    not depend on which rows are asked for.  Rows are computed on demand and
-    cached: `local_counts` with a subset fills only the subset's rows, and
-    the n x n matrices `point_dist`, `dir_dist` and `line_dist` are built
-    (every row) the first time one of them or an unrestricted count is read.
+    not depend on which rows are asked for.  One subset is kept with its
+    three subset x subset matrices, the last one asked for: a subset inside
+    it is sliced from them, any other subset computes its own rows.  The
+    n x n matrices `point_dist`, `dir_dist` and `line_dist` are those of the
+    subset of all members.
     """
 
     def __init__(self, config: PointLineConfiguration):
@@ -361,34 +362,36 @@ class ConfigMetrics:
         self._P = config.points()
         self._D = config.directions()
         self._bases = config.line_bases()
-        self._rows = {}  # anchor -> (point, direction, line) distance rows
-        self._full = None
-        self._sub = None  # (subset, its three matrices)
+        self._kept = None  # (subset, its point, direction and line matrices)
 
     def _compute_row(self, i: int):
+        """(point, direction, line) distances from member i to every member."""
         P, D, bases = self._P, self._D, self._bases
         dd = _direction_rows(D, D[i])
         return (np.linalg.norm(P - P[i], axis=1), dd,
                 dd + _lines_min_distance_rows(bases[i], D[i], bases, D))
 
-    def _row(self, i: int):
-        """(point, direction, line) distances from member i to every member."""
-        if self._full is not None:
-            return tuple(mat[i] for mat in self._full)
-        if i not in self._rows:
-            self._rows[i] = self._compute_row(i)
-        return self._rows[i]
-
-    def _matrices(self):
-        if self._full is None:
-            n = len(self.config)
-            full = tuple(np.empty((n, n)) for _ in range(3))
-            for i in range(n):
-                row = self._rows.pop(i, None) or self._compute_row(i)
-                for mat, r in zip(full, row):
-                    mat[i] = r
-            self._full = full
-        return self._full
+    def _matrices(self, subset=None):
+        """The three matrices on subset x subset (all members for None), kept."""
+        n = len(self.config)
+        subset = np.arange(n) if subset is None else np.arange(n)[subset]
+        if self._kept is not None:
+            kept, mats = self._kept
+            if np.array_equal(kept, subset):
+                return mats
+            where = np.full(n, -1)
+            where[kept] = np.arange(kept.size)
+            pos = where[subset]
+            if np.all(pos >= 0):
+                mats = tuple(mat[np.ix_(pos, pos)] for mat in mats)
+                self._kept = (subset, mats)
+                return mats
+        mats = tuple(np.empty((subset.size, subset.size)) for _ in range(3))
+        for j, i in enumerate(subset.tolist()):
+            for mat, r in zip(mats, self._compute_row(i)):
+                mat[j] = r[subset]
+        self._kept = (subset, mats)
+        return mats
 
     @property
     def point_dist(self) -> np.ndarray:
@@ -402,30 +405,15 @@ class ConfigMetrics:
     def line_dist(self) -> np.ndarray:
         return self._matrices()[2]
 
-    def _subset_matrices(self, subset):
-        """The three matrices restricted to subset x subset, from the subset's
-        rows; the last subset's are kept for the next call."""
-        subset = np.arange(len(self.config))[subset]
-        if self._sub is None or not np.array_equal(self._sub[0], subset):
-            mats = tuple(np.empty((subset.size, subset.size)) for _ in range(3))
-            for j, i in enumerate(subset.tolist()):
-                for mat, r in zip(mats, self._row(i)):
-                    mat[j] = r[subset]
-            self._sub = (subset,) + mats
-        return self._sub[1:]
-
     def local_counts(self, u: float, v: float, w: float,
                      subset: np.ndarray | None = None) -> np.ndarray:
         """Per-anchor counts of members within the (u, v, w) scale triple.
 
         A scale of 1 means "anywhere within unit range" and is treated as
         unconstrained (the cube diameter exceeds 1).  With `subset`, anchors
-        and members are the subset's, and only the subset's rows are computed.
+        and members are the subset's.
         """
-        if subset is None:
-            pd, dd, ld = self._matrices()
-        else:
-            pd, dd, ld = self._subset_matrices(subset)
+        pd, dd, ld = self._matrices(subset)
         uu = np.inf if u >= 1 else u
         vv = np.inf if v >= 1 else v
         ww = np.inf if w >= 1 else w
@@ -646,8 +634,8 @@ def uniformize(config: PointLineConfiguration, K: float, delta: float | None = N
     configuration distance and must be finite and positive.  Returns
     (subset, certificate).
     """
-    if K < 2:
-        raise ValueError("K must be at least 2")
+    if not (np.isfinite(K) and K >= 2):
+        raise ValueError(f"uniformize needs a finite K >= 2, got {K}")
     n = len(config)
     if n < 2:
         raise EmptyConfigurationError("uniformize needs at least 2 pairs")
@@ -663,8 +651,8 @@ def uniformize(config: PointLineConfiguration, K: float, delta: float | None = N
     alive = np.arange(n)
     q = 5  # residues mod 5 of cube indices: one class is 4 cubes apart
     for s in scales:
-        cube = np.floor(P[alive] / s).astype(np.int64)
-        cls = cube % q
+        # the cube index stays in float: 1 / s can pass the int64 range
+        cls = np.floor(P[alive] / s) % q
         packed = cls[:, 0].copy()
         for ax in range(1, cls.shape[1]):
             packed = packed * q + cls[:, ax]

@@ -8,7 +8,9 @@ count is a sum of table lookups over pairs within the kernel support.  The
 right-hand-side evaluators mirror the high-low inequalities: the basic form,
 the direction-aware refinement, the capped variant with verified hypotheses,
 and the well-spaced variant with the 9/2 exponent.  Slack factors are never
-absorbed silently; every evaluator reports the quantities it used.
+absorbed silently; every evaluator reports the quantities it used and raises
+ValueError for a parameter (eps, nu, kappa, M, t1, t2, K, A, C0) that is not
+finite.
 """
 
 from __future__ import annotations
@@ -85,11 +87,7 @@ def incidence_many(ws, P, lines, dim: int) -> list[float]:
 
 def normalized_incidence(w: float, P, lines, dim: int) -> float:
     """B(w): incidence count normalized by w^(d-1) |P| |L| (about 1 at random)."""
-    P = np.asarray(P, dtype=float)
-    if P.shape[0] == 0 or not lines:
-        raise ValueError("normalized incidence needs nonempty families")
-    count = incidence_count(w, P, lines, dim)
-    return _per_volume(count, w ** (dim - 1) * P.shape[0] * len(lines), w)
+    return normalized_incidence_many([w], P, lines, dim)[0]
 
 
 def _per_volume(x: float, norm: float, w: float) -> float:
@@ -153,6 +151,13 @@ class MultiscaleReport:
         return "\n".join(lines) + "\n"
 
 
+def _require_finite(**params):
+    """Raise ValueError naming the high-low parameters that are not finite."""
+    bad = [f"{name}={value}" for name, value in params.items() if not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"high-low parameters must be finite, got {', '.join(bad)}")
+
+
 def _basic_rhs(w: float, mp: int, ml: int, n_points: int, n_lines: int, dim: int,
                eps: float) -> float:
     """The basic high-low right-hand side from M_P(w) and M_L at w."""
@@ -165,6 +170,7 @@ def rhs_basic(w: float, P, lines, dim: int, eps: float = 0.1) -> float:
 
     2D: w^-3 (M_P/|P|) (M_L(w x 1)/|L|); 3D: w^(-6-eps) with the w x w x 1 box.
     """
+    _require_finite(eps=eps)
     P = np.asarray(P, dtype=float)
     return _basic_rhs(w, m_points(P, w), m_lines(lines, w, w), P.shape[0], len(lines),
                       dim, eps)
@@ -173,6 +179,7 @@ def rhs_basic(w: float, P, lines, dim: int, eps: float = 0.1) -> float:
 def dyadic_scan(P, lines, w_min: float, w_max: float, dim: int,
                 eps: float = 0.1) -> MultiscaleReport:
     """B(w) with successive differences and concentration data on a dyadic ladder."""
+    _require_finite(eps=eps)
     if not 0 < w_min < w_max <= 1:
         raise ValueError("need 0 < w_min < w_max <= 1")
     ws = []
@@ -234,6 +241,7 @@ def rhs_refined(delta: float, P, lines, eps: float = 0.1):
     min(cover(theta)^{1/2} delta, u) * u * M_L(delta x delta/u x 1) / |L|,
     multiplied by delta^(-6-eps) M_P(delta)/|P|.
     """
+    _require_finite(eps=eps)
     P = np.asarray(P, dtype=float)
     theta_cover, us, values = _slab_sweep(delta, lines, "refined")
     best, best_u = -np.inf, us[0]
@@ -254,6 +262,7 @@ def rhs_direction_capped(delta: float, P, lines, nu: float, kappa: float,
     M_L(delta x delta/u x 1) is at most u^(kappa-2) M.  A violation raises
     HypothesisViolation listing the violating scales.
     """
+    _require_finite(nu=nu, kappa=kappa, M=M, eps=eps)
     P = np.asarray(P, dtype=float)
     theta_cover, us, values = _slab_sweep(delta, lines, "capped")
     violations = []
@@ -286,6 +295,7 @@ def rhs_wellspaced(delta: float, P, lines, t1: float, t2: float, K: float,
     order-one exponent on C0 is pinned to 1.  Raises ValueError unless
     t1 + t2 > 0 (the exponent alpha divides by it) and for a 2D family.
     """
+    _require_finite(t1=t1, t2=t2, K=K, A=A, C0=C0, eps=eps)
     if t1 + t2 <= 0:
         raise ValueError(f"alpha = (t1 + 2) / (2 (t1 + t2)) needs t1 + t2 > 0, "
                          f"got t1={t1}, t2={t2}")

@@ -35,6 +35,18 @@ def _smoothstep_down(u: np.ndarray) -> np.ndarray:
     return 1.0 - (10 * u**3 - 15 * u**4 + 6 * u**5)
 
 
+def _chi(r, r1: float, R: float) -> np.ndarray:
+    """The base bump at radius r with plateau radius r1 and outer radius R:
+    exactly 1 for r <= r1 and 0 for r >= R; only the join between them (and
+    a nan radius) runs the quintic."""
+    r = np.asarray(r, dtype=float)
+    plateau = r <= r1
+    out = np.where(plateau, 1.0, 0.0)
+    join = ~(plateau | (r >= R))
+    out[join] = _smoothstep_down((r[join] - r1) / (R - r1))
+    return out
+
+
 def _sphere_surface(dim: int) -> float:
     return 2 * np.pi if dim == 2 else 4 * np.pi
 
@@ -54,10 +66,7 @@ class BumpProfile:
 
     def chi(self, r) -> np.ndarray:
         """Radial value of the base bump at |x| = r (scale 1)."""
-        r = np.asarray(r, dtype=float)
-        u = (r - self.plateau_radius) / (self.support_radius - self.plateau_radius)
-        out = _smoothstep_down(u)
-        return np.where(r <= self.plateau_radius, 1.0, np.where(r >= self.support_radius, 0.0, out))
+        return _chi(r, self.plateau_radius, self.support_radius)
 
     def eta(self, t) -> np.ndarray:
         """Radial value of eta_1 at |x| = t."""
@@ -77,9 +86,7 @@ class BumpProfile:
 
 def _chi_mass(R: float, dim: int) -> float:
     r = np.linspace(0.0, R, 4001)
-    u = (r - R / 2.0) / (R / 2.0)
-    vals = np.where(r <= R / 2.0, 1.0, _smoothstep_down(u))
-    integrand = vals * r ** (dim - 1)
+    integrand = _chi(r, R / 2.0, R) * r ** (dim - 1)
     return _sphere_surface(dim) * float(np.trapezoid(integrand, r))
 
 
@@ -104,13 +111,6 @@ def _build_profile(dim: int) -> BumpProfile:
     R = _SUPPORT_RADIUS[dim]
     r1 = R / 2.0
 
-    def chi(r):
-        # Only the join r1 < r < R needs the quintic; elsewhere chi is exactly 1 or 0.
-        out = np.where(r <= r1, 1.0, 0.0)
-        join = (r > r1) & (r < R)
-        out[join] = _smoothstep_down((r[join] - r1) / (R - r1))
-        return out
-
     # eta_1(t) = int chi(|y|) * 2^d chi(2|t e1 - y|) dy, reduced by symmetry to
     # an (a, rho) grid: a along e1, rho the distance from the e1 axis (3D, with
     # ring weight 2 pi rho) or the transverse coordinate (2D, even in rho).
@@ -120,7 +120,7 @@ def _build_profile(dim: int) -> BumpProfile:
     a = np.linspace(-R, support + R / 2, na)
     rho = np.linspace(0.0, R, nb)
     rho2 = rho**2
-    first = chi(np.sqrt(a[:, None] ** 2 + rho2))
+    first = _chi(np.sqrt(a[:, None] ** 2 + rho2), r1, R)
     live = first.any(axis=1)
     ring, scale = (2 * np.pi * rho, 8.0) if dim == 3 else (1.0, 4.0)
     vals = np.empty_like(tgrid)
@@ -132,7 +132,7 @@ def _build_profile(dim: int) -> BumpProfile:
         # integrand and its inner integral are exactly 0.
         d = t - a
         near = (2.0 * np.sqrt(d**2) < R) & live
-        second = chi(2.0 * np.sqrt(d[near, None] ** 2 + rho2)) * scale
+        second = _chi(2.0 * np.sqrt(d[near, None] ** 2 + rho2), r1, R) * scale
         inner.fill(0.0)
         inner[near] = _simpson(first[near] * second * ring, rho)
         vals[i] = _simpson(inner, a)

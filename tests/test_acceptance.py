@@ -4,6 +4,9 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 Tolerances are pinned here and nowhere else.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from heilbronn import concentration
@@ -232,30 +235,15 @@ def test_09_st_grid_matching():
     report(9, ok, f"grid-family both-sides matching (window [1e-2,1e2]): {detail}")
 
 
-def _tube_grid(n_side, delta):
-    tubes = []
-    for i in range(n_side):
-        off = 0.1 + 0.8 * i / max(n_side - 1, 1)
-        tubes.append(Tube2D([off, 0.5], [0, 1], delta, 1.0))
-        tubes.append(Tube2D([0.5, off], [1, 0], delta, 1.0))
-    return tubes
-
-
 def test_10_two_ends_certificates():
     import time
     delta, span = 2.0**-8, 2.0**-3
-    rng = np.random.default_rng(10)
-    angles = np.linspace(0, np.pi, 400, endpoint=False)
-    corpus = {
-        "pencil": [Tube2D([0.5, 0.5], [np.cos(a), np.sin(a)], delta, 1.0)
-                   for a in angles],
-        "random": [Tube2D(rng.uniform(0.1, 0.9, 2), rng.normal(size=2), delta, 1.0)
-                   for _ in range(1000)],
-        "grid": _tube_grid(300, delta),
-        "bush-union": [Tube2D(c, [np.cos(a), np.sin(a)], delta, 1.0)
-                       for c in ([0.3, 0.3], [0.7, 0.6], [0.4, 0.8])
-                       for a in np.linspace(0, np.pi, 150, endpoint=False)],
-    }
+    script = Path(__file__).resolve().parents[1] / "scripts" / "two_ends_certificates.py"
+    spec = importlib.util.spec_from_file_location("two_ends_certificates", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # the corpus the certificate script writes its CSV from
+    corpus = dict(module.corpus(delta))
     t0 = time.time()
     bad = []
     for name, tubes in corpus.items():

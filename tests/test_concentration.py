@@ -472,21 +472,15 @@ def eager_uniformize(config, K, delta):
 
 
 def _record_rows(monkeypatch):
-    """Anchors whose rows ConfigMetrics computes (not finds cached) from now
-    on, in call order; building the n x n matrices fails the test."""
+    """Anchors whose rows ConfigMetrics computes from now on, in call order."""
     seen = []
-    row = ConfigMetrics._row
+    compute_row = ConfigMetrics._compute_row
 
     def recording_row(self, i):
-        if i not in self._rows:
-            seen.append(i)
-        return row(self, i)
+        seen.append(i)
+        return compute_row(self, i)
 
-    def no_matrices(self):
-        raise AssertionError("n x n matrices built")
-
-    monkeypatch.setattr(ConfigMetrics, "_row", recording_row)
-    monkeypatch.setattr(ConfigMetrics, "_matrices", no_matrices)
+    monkeypatch.setattr(ConfigMetrics, "_compute_row", recording_row)
     return seen
 
 
@@ -539,29 +533,37 @@ class TestRowsOnDemand:
         assert peak < 2e6
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_subset_counts_and_matrices_bit_identical(self, dim):
+    def test_subset_counts_and_matrices_bit_identical(self, dim, monkeypatch):
         X = random_config(300, dim, seed=20 + dim)
         eager = EagerConfigMetrics(X)
         mets = ConfigMetrics(X)
+        seen = _record_rows(monkeypatch)
         rng = np.random.default_rng(dim)
         subsets = [np.sort(rng.choice(300, size=k, replace=False)) for k in (1, 7, 7, 120)]
-        for subset in subsets + [subsets[1]]:
+        # after the 120: a subset inside it, the same again, one outside it,
+        # and the subset of all members (None)
+        asked = subsets + [subsets[3][::3], subsets[3][::3], subsets[1], None, subsets[2],
+                           None]
+        previous = None
+        for subset in asked:
+            members = np.arange(300) if subset is None else subset
+            del seen[:]
             for u, v, w in TestConfigMetricsRowBuild.SCALES:
                 assert np.array_equal(mets.local_counts(u, v, w, subset=subset),
                                       eager.local_counts(u, v, w, subset=subset))
-            for got, full in zip(mets._subset_matrices(subset),
+            for got, full in zip(mets._matrices(subset),
                                  (eager.point_dist, eager.dir_dist, eager.line_dist)):
-                assert np.array_equal(got, full[np.ix_(subset, subset)])
-        assert mets._full is None
-        assert sorted(mets._rows) == sorted(set().union(*(s.tolist() for s in subsets)))
-        # reading a matrix fills every row, the cached ones included
+                assert np.array_equal(got, full[np.ix_(members, members)])
+            # a subset inside the kept one (the last asked for) computes no
+            # row; any other subset computes its own rows, once each
+            inside = previous is not None and set(members.tolist()) <= set(previous.tolist())
+            assert seen == ([] if inside else members.tolist())
+            previous = members
+        del seen[:]
         assert np.array_equal(mets.line_dist, eager.line_dist)
         assert np.array_equal(mets.point_dist, eager.point_dist)
         assert np.array_equal(mets.dir_dist, eager.dir_dist)
-        for u, v, w in TestConfigMetricsRowBuild.SCALES:
-            assert np.array_equal(mets.local_counts(u, v, w, subset=subsets[2]),
-                                  eager.local_counts(u, v, w, subset=subsets[2]))
-            assert np.array_equal(mets.local_counts(u, v, w), eager.local_counts(u, v, w))
+        assert seen == []
 
     def test_construction_allocates_no_matrix(self):
         X = random_config(1000, 3, seed=11)

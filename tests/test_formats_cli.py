@@ -445,6 +445,21 @@ class TestHardenedInputs:
                        "-o", str(tmp_path / "u.plc"))
         assert rc == 3 and "Traceback" not in err and "delta" in err
 
+    @pytest.mark.parametrize("K", ["inf", "nan"])
+    def test_uniformize_rejects_non_finite_K(self, tmp_path, K):
+        # inf certified scale 0 after a divide-by-zero warning; nan failed
+        # with "cannot convert float NaN to integer"
+        rc, err = _cli("uniformize", "-p", os.path.join(GOLDEN, "lines3.plc"), f"--K={K}",
+                       "--delta", "0.3", "-o", str(tmp_path / "u.plc"))
+        assert rc == 3 and "Traceback" not in err and f"finite K >= 2, got {K}" in err
+        assert not os.path.exists(tmp_path / "u.plc")
+
+    def test_uniformize_huge_K_separates_in_float(self, tmp_path):
+        # the cube index P / K^-1 passed the int64 range: an invalid-cast warning
+        rc, err = _cli("uniformize", "-p", os.path.join(GOLDEN, "lines3.plc"), "--K", "1e308",
+                       "--delta", "0.3", "-o", str(tmp_path / "u.plc"))
+        assert rc == 0 and err == ""
+
     def test_measure_kt_constant_rejects_zero_delta(self):
         code = ("from heilbronn.tubes import Tube3D, measure_kt_constant\n"
                 "measure_kt_constant([Tube3D([0.5] * 3, [0, 0, 1], 0.1, 1.0)], 0.0, 1.0, 1.0)\n")
@@ -524,6 +539,29 @@ class TestHighlowPlanarFamily:
                        "--variant", *variant, "-o", out)
         assert rc == 3 and "Traceback" not in err
         assert f"the {name} high-low right-hand side needs a 3D line family, got dim=2" in err
+        assert not os.path.exists(out)
+
+
+class TestHighlowNonFinite:
+    """Every high-low right-hand side refuses a parameter that is not finite."""
+
+    @pytest.mark.parametrize("variant,name", [
+        (("basic", "--eps", "nan"), "eps=nan"),  # wrote rhs nan, ratio inf
+        (("refined", "--eps", "inf"), "eps=inf"),  # wrote rhs inf
+        (("capped", "--M", "nan"), "M=nan"),  # wrote rhs nan, ratio inf
+        (("capped", "--kappa", "nan"), "kappa=nan"),  # exited 4, hypotheses failed
+        (("capped", "--nu", "nan", "--kappa", "1", "--M", "1000"), "nu=nan"),  # skipped theta
+        (("wellspaced", "--t1", "nan"), "t1=nan"),  # wrote rhs nan, ratio inf
+        (("wellspaced", "--K", "nan"), "K=nan"),
+        (("wellspaced", "--C0", "nan"), "C0=nan"),
+    ])
+    def test_exit_three(self, tmp_path, variant, name):
+        out = str(tmp_path / "h.csv")
+        rc, err = _cli("highlow-check", "-p", os.path.join(GOLDEN, "pts3.pts"),
+                       "-l", os.path.join(GOLDEN, "lines3.plc"), "--delta", "0.125",
+                       "--variant", *variant, "-o", out)
+        assert rc == 3 and "Traceback" not in err
+        assert f"high-low parameters must be finite, got {name}" in err
         assert not os.path.exists(out)
 
 
