@@ -19,7 +19,6 @@ from .configurations import (
 from .geometry import (
     Box,
     Line,
-    SphericalRectangle,
     covering_number,
     line_box_chord,
     line_metric,
@@ -30,8 +29,6 @@ from .concentration import (
     HypothesisViolation,
     KatzTaoFit,
     UniformityCertificate,
-    covering_profiles,
-    direction_profile,
     katz_tao_fit,
     m_config,
     m_lines,
@@ -51,7 +48,7 @@ from .incidence import (
     rhs_refined,
     rhs_wellspaced,
 )
-from .kernels import BumpProfile, bump_profile, eta_kernel
+from .kernels import BumpProfile, bump_profile
 from .search import AnnealSchedule, ExponentFit, anneal_max_distance, \
     anneal_max_triangle, exponent_estimate
 from .triangles import (
@@ -69,8 +66,6 @@ from .tubes import (
     check_planar_brush,
     check_space_brush,
     generate_katz_tao_tubes,
-    rich_points,
     shading_union_volume,
-    spherical_two_ends,
     two_ends_decompose,
 )

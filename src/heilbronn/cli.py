@@ -325,8 +325,7 @@ def _cmd_highlow_check(args) -> int:
         rhs = ws.value
         lhs2 = abs(bs[0] - bs[1]) ** 4.5
         extra = [f"alpha: {ws.alpha:.6g}"]
-    rows = [f"{d:.12g},{bs[0]:.12g},{bs[1]:.12g},{lhs2:.12g},{rhs:.12g},"
-            f"{lhs2 / rhs if rhs > 0 else float('inf'):.12g}"]
+    rows = [f"{d:.12g},{bs[0]:.12g},{bs[1]:.12g},{lhs2:.12g},{rhs:.12g},{lhs2 / rhs:.12g}"]
     _write_csv(args.output,
                ["high-low check: squared (or 9/2-power) difference vs RHS",
                 f"variant: {args.variant}"] + extra,

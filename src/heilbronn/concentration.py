@@ -1,4 +1,4 @@
-"""Concentration numbers, covering profiles, Katz-Tao fits and uniformization.
+"""Concentration numbers, Katz-Tao fits and uniformization.
 
 Concentration numbers measure how strongly a family clusters at a scale: the
 maximal number of points in a w-cube, of lines crossing a u x w x 1 box, or
@@ -20,7 +20,6 @@ from .configurations import (
     EmptyConfigurationError,
     PointLineConfiguration,
     min_config_distance,
-    rescale_config,
     slab_restriction,
 )
 from .geometry import (
@@ -33,10 +32,9 @@ from .geometry import (
     _lines_min_distance_rows,
     _norm,
     complete_frame,
-    covering_number,
-    direction_covering_number,
-    line_covering_number,
 )
+
+_MAX_TRIPLES = 10**5  # the scale triples a uniformize ladder may have
 
 
 class HypothesisViolation(ValueError):
@@ -438,37 +436,6 @@ def m_config(config: PointLineConfiguration, u: float, v: float, w: float,
     return int(metrics.local_counts(u, v, w).max())
 
 
-@dataclass(frozen=True)
-class CoveringProfileRow:
-    scale: float
-    points_cover: int
-    lines_cover: int
-    directions_cover: int
-    m_config_point: int
-    sandwich_lower: float
-
-
-def covering_profiles(config: PointLineConfiguration, scales,
-                      metrics: ConfigMetrics | None = None) -> list[CoveringProfileRow]:
-    """Covering numbers of P[X], L[X], theta[X] per scale with sandwich data."""
-    if metrics is None:
-        metrics = ConfigMetrics(config)
-    P = config.points()
-    lines = config.lines()
-    dirs = config.directions()
-    rows = []
-    for w in scales:
-        pc = covering_number(P, w)
-        lc = line_covering_number(lines, w)
-        tc = direction_covering_number(dirs, w)
-        mx = m_config(config, min(w, 1.0), 1.0, 1.0, metrics)
-        rows.append(CoveringProfileRow(scale=float(w), points_cover=pc,
-                                       lines_cover=lc, directions_cover=tc,
-                                       m_config_point=mx,
-                                       sandwich_lower=len(config) / mx))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Katz-Tao fits
 
@@ -482,11 +449,6 @@ class KatzTaoFit:
     exponents: tuple[float, ...]
     constant: float
     residuals: tuple[tuple[float, float, int, float], ...]  # (u, w, measured, fitted)
-
-    @property
-    def max_residual(self) -> float:
-        return max(abs(np.log(max(m, 1)) - np.log(f))
-                   for (_, _, m, f) in self.residuals)
 
 
 def dyadic_ladder(start: float, factor: float = 2.0, top: float = 1.0) -> list[float]:
@@ -631,8 +593,9 @@ def uniformize(config: PointLineConfiguration, K: float, delta: float | None = N
     buckets members by the dyadic class of their local count at each scale
     triple and keeps the largest bucket, until all triples have counts within
     a factor K or 500 rounds have run.  `delta` defaults to the minimal
-    configuration distance and must be finite and positive.  Returns
-    (subset, certificate).
+    configuration distance and must be finite and positive; a ladder of
+    m = floor(log(1/delta) / log K) scales with m^3 > _MAX_TRIPLES = 10^5 scale
+    triples raises ValueError.  Returns (subset, certificate).
     """
     if not (np.isfinite(K) and K >= 2):
         raise ValueError(f"uniformize needs a finite K >= 2, got {K}")
@@ -644,8 +607,11 @@ def uniformize(config: PointLineConfiguration, K: float, delta: float | None = N
     if not (np.isfinite(delta) and delta > 0):
         raise ValueError(f"uniformize needs a finite delta > 0 (the minimal "
                          f"configuration distance by default), got {delta}")
-    m = max(1, int(np.floor(np.log(1.0 / delta) / np.log(K))))
-    scales = tuple(float(K) ** -(j + 1) for j in range(m))
+    m = np.floor(np.log(1.0 / delta) / np.log(K))  # inf when 1 / delta overflows
+    if m ** 3 > _MAX_TRIPLES:
+        raise ValueError(f"uniformize: delta={delta!r} and K={K!r} give a ladder of "
+                         f"m={m:.0f} scales, over the cap of {_MAX_TRIPLES} triples")
+    scales = tuple(float(K) ** -(j + 1) for j in range(max(1, int(m))))
 
     P = config.points()
     alive = np.arange(n)
@@ -692,28 +658,3 @@ def uniformize(config: PointLineConfiguration, K: float, delta: float | None = N
     cert = UniformityCertificate(K=float(K), scales=scales, ratios=ratios,
                                  retained=len(pairs), original=n)
     return subset, cert
-
-
-def direction_profile(config: PointLineConfiguration, w: float,
-                      delta: float | None = None) -> list[float]:
-    """Direction-spread exponents across the w-power rescaling ladder.
-
-    beta_j solves w^beta = w^2 |theta[X_{w^j}]|_w for the nested rescalings
-    anchored at the first pair; the sequence is truncated when a rescaled
-    configuration runs empty.
-    """
-    if not 0 < w < 1:
-        raise ValueError("w must lie in (0, 1)")
-    if delta is None:
-        delta = min_config_distance(config)
-    depth = int(np.floor(np.log(delta) / np.log(w)))
-    betas = []
-    current = config
-    for _ in range(depth + 1):
-        cover = direction_covering_number(current.directions(), w)
-        betas.append(2.0 + np.log(cover) / np.log(w))
-        try:
-            current = rescale_config(current, w, current.pairs[0])
-        except (EmptyConfigurationError, ValueError):
-            break
-    return betas

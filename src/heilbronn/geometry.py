@@ -149,47 +149,6 @@ class Box:
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def dilate(self, factor: float) -> "Box":
-        return Box(self.center, self.half_extents * factor, self.frame)
-
-
-@dataclass(frozen=True)
-class SphericalRectangle:
-    """Neighborhood of a great-circle arc on S^2.
-
-    The arc has center direction `center`, tangent `axis` (orthogonal to the
-    center), and total length `length`; the rectangle is the neighborhood of
-    total width `width` (so an "a x b" rectangle has width=a, length=b).
-    """
-
-    center: np.ndarray
-    axis: np.ndarray
-    width: float
-    length: float
-
-    def __init__(self, center, axis, width, length):
-        c = canonical_direction(center)
-        a = np.array(axis, dtype=float)
-        a = a - (a @ c) * c
-        n = np.linalg.norm(a)
-        if n < 1e-12:
-            raise ValueError("axis must not be parallel to center direction")
-        a = a / n
-        a.setflags(write=False)
-        if not (0 < width <= length <= 2 * np.pi):
-            raise ValueError("need 0 < width <= length <= 2*pi")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "axis", a)
-        object.__setattr__(self, "width", float(width))
-        object.__setattr__(self, "length", float(length))
-
-    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arc endpoints on the sphere."""
-        h = self.length / 2.0
-        e1 = np.cos(h) * self.center + np.sin(h) * self.axis
-        e2 = np.cos(h) * self.center - np.sin(h) * self.axis
-        return e1, e2
-
 
 def point_line_distance(p, line: Line) -> float:
     """Euclidean distance from p to the infinite line."""

@@ -8,13 +8,14 @@ count is a sum of table lookups over pairs within the kernel support.  The
 right-hand-side evaluators mirror the high-low inequalities: the basic form,
 the direction-aware refinement, the capped variant with verified hypotheses,
 and the well-spaced variant with the 9/2 exponent.  Slack factors are never
-absorbed silently; every evaluator reports the quantities it used and raises
+absorbed silently; every evaluator reports the quantities it used, raises
 ValueError for a parameter (eps, nu, kappa, M, t1, t2, K, A, C0) that is not
-finite.
+finite and FloatingPointError for a value that is not a positive normal float.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -158,6 +159,25 @@ def _require_finite(**params):
         raise ValueError(f"high-low parameters must be finite, got {', '.join(bad)}")
 
 
+def _range_checked(rhs: str, value=lambda out: out):
+    """Decorate the `rhs` right-hand side: FloatingPointError when a step overflows
+    or the value read from its result is not a positive normal float."""
+    def decorate(evaluate):
+        @functools.wraps(evaluate)
+        def checked(*args, **kwargs):
+            try:
+                v = value(out := evaluate(*args, **kwargs))
+            except OverflowError:
+                v = math.inf
+            if not sys.float_info.min <= v < math.inf:
+                raise FloatingPointError(f"the {rhs} high-low right-hand side is {v!r}, "
+                                         "not a positive normal float")
+            return out
+        return checked
+    return decorate
+
+
+@_range_checked("basic")
 def _basic_rhs(w: float, mp: int, ml: int, n_points: int, n_lines: int, dim: int,
                eps: float) -> float:
     """The basic high-low right-hand side from M_P(w) and M_L at w."""
@@ -195,9 +215,8 @@ def dyadic_scan(P, lines, w_min: float, w_max: float, dim: int,
         mp = m_points(P, w)
         ml = m_lines(lines, w, w)
         rhs = _basic_rhs(w, mp, ml, n_points, len(lines), dim, eps)
-        ratio = diff**2 / rhs if rhs > 0 else np.inf
         rows.append(MultiscaleRow(scale=w, b_value=bs[i], b_difference=diff,
-                                  m_points=mp, m_lines=ml, rhs_basic=rhs, ratio=ratio))
+                                  m_points=mp, m_lines=ml, rhs_basic=rhs, ratio=diff**2 / rhs))
     return MultiscaleReport(dim=dim, n_points=n_points, n_lines=len(lines),
                             rows=tuple(rows))
 
@@ -234,6 +253,7 @@ def _slab_sweep(delta: float, lines, rhs: str):
     return theta_cover, us, values
 
 
+@_range_checked("refined", value=lambda out: out[0])
 def rhs_refined(delta: float, P, lines, eps: float = 0.1):
     """Direction-aware high-low RHS: max over dyadic u of the slab term.
 
@@ -253,6 +273,7 @@ def rhs_refined(delta: float, P, lines, eps: float = 0.1):
     return lead * best, best_u
 
 
+@_range_checked("capped")
 def rhs_direction_capped(delta: float, P, lines, nu: float, kappa: float,
                          M: float, eps: float = 0.1) -> float:
     """Capped high-low RHS nu^(kappa/4) delta^(-6-eps) (M_P/|P|) (M/|L|).
@@ -285,6 +306,7 @@ class WellSpacedRhs:
     ml_fine: int     # M_L(delta x delta x 1)
 
 
+@_range_checked("well-spaced", value=lambda out: out.value)
 def rhs_wellspaced(delta: float, P, lines, t1: float, t2: float, K: float,
                    A: float, C0: float, eps: float = 0.1) -> WellSpacedRhs:
     """Well-spaced high-low RHS with the 9/2-power normalization.
@@ -292,10 +314,12 @@ def rhs_wellspaced(delta: float, P, lines, t1: float, t2: float, K: float,
     Verifies the point non-concentration bound M_P(delta) <= A delta^3 |P|,
     the C0-uniformity of the line family at scale delta, and the Katz-Tao
     box bounds with (t1, t2, K) on a dyadic probe grid.  The unspecified
-    order-one exponent on C0 is pinned to 1.  Raises ValueError unless
-    t1 + t2 > 0 (the exponent alpha divides by it) and for a 2D family.
+    order-one exponent on C0 is pinned to 1.  Raises ValueError unless C0 > 0
+    and t1 + t2 > 0 (alpha divides by it), and for a 2D family.
     """
     _require_finite(t1=t1, t2=t2, K=K, A=A, C0=C0, eps=eps)
+    if C0 <= 0:
+        raise ValueError(f"the uniformity constant C0 must be positive, got {C0}")
     if t1 + t2 <= 0:
         raise ValueError(f"alpha = (t1 + 2) / (2 (t1 + t2)) needs t1 + t2 > 0, "
                          f"got t1={t1}, t2={t2}")

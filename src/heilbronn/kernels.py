@@ -68,11 +68,6 @@ class BumpProfile:
         """Radial value of the base bump at |x| = r (scale 1)."""
         return _chi(r, self.plateau_radius, self.support_radius)
 
-    def eta(self, t) -> np.ndarray:
-        """Radial value of eta_1 at |x| = t."""
-        return np.interp(np.asarray(t, dtype=float), self.eta_grid, self.eta_values,
-                         left=self.eta_values[0], right=0.0)
-
     def line_profile(self, tau) -> np.ndarray:
         """G(tau): integral of eta_1 over an infinite line at distance tau from 0."""
         return np.interp(np.asarray(tau, dtype=float), self.line_grid, self.line_values,
@@ -167,20 +162,3 @@ def bump_profile(dim: int) -> BumpProfile:
     if dim not in _PROFILES:
         _PROFILES[dim] = _build_profile(dim)
     return _PROFILES[dim]
-
-
-def eta_kernel(w: float, x, dim: int | None = None) -> float:
-    """Value of the scale-w smoothing kernel at the point x.
-
-    eta_w = chi_w * chi_{w/2} with chi_s(x) = s^{-d} chi(x/s); by scaling
-    eta_w(x) = w^{-d} eta_1(x/w).
-    """
-    if w <= 0:
-        raise ValueError("w must be positive")
-    x = np.asarray(x, dtype=float)
-    if dim is None:
-        dim = x.shape[-1]
-    prof = bump_profile(dim)
-    r = np.linalg.norm(x, axis=-1) if x.ndim else float(abs(x))
-    return float(prof.eta(r / w) / w**dim)
-

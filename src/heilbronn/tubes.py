@@ -18,8 +18,7 @@ import numpy as np
 
 from .concentration import HypothesisViolation, _box_counts, _box_halves, _box_scales, \
     _need_reach, _sweep, dyadic_ladder, m_tubes_2d
-from .geometry import SphericalRectangle, _sorted_unique, canonical_direction, \
-    complete_frame, direction_distance
+from .geometry import _sorted_unique, canonical_direction, complete_frame, direction_distance
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,15 +61,6 @@ class Tube2D(_Tube):
     """Planar tube: `width` x `length` rectangle around center with unit dir."""
 
     _dim, _space = 2, "the plane"
-
-    def contains(self, points, dilate: float = 1.0) -> np.ndarray:
-        """Membership of points in the (optionally dilated) tube."""
-        P = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = P - self.center
-        t = rel @ self.dir
-        s = rel @ np.array([-self.dir[1], self.dir[0]])
-        return (np.abs(t) <= dilate * self.length / 2.0) & \
-               (np.abs(s) <= dilate * self.width / 2.0)
 
 
 class Tube3D(_Tube):
@@ -150,19 +140,6 @@ def _subtract_windows(intervals, windows):
                 nxt.append((whi, hi))
         out = nxt
     return out
-
-
-def rich_points(net, regions, r: int) -> np.ndarray:
-    """Net points contained in at least r of the regions (exact counting)."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    net = np.asarray(net, dtype=float)
-    if net.size == 0 or not regions:
-        return net[:0]
-    counts = np.zeros(net.shape[0], dtype=np.int64)
-    for reg in regions:
-        counts += reg.contains(net)
-    return net[counts >= r]
 
 
 # ---------------------------------------------------------------------------
@@ -548,129 +525,6 @@ def _approx_residual_overlap(tubes, alive_intervals, h: float):
         counts += inside & ok
     measured = int(counts.max()) if counts.size else 0
     return measured, max(upper, measured)
-
-
-# ---------------------------------------------------------------------------
-# spherical variant
-
-
-@dataclass(frozen=True)
-class SphericalTwoEndsResult:
-    rectangles_out: tuple[SphericalRectangle, ...]
-    selection: tuple[tuple[int, ...], ...]
-    overlap_upper: int
-    cap_results: tuple[TwoEndsResult, ...]
-
-
-def _tangent_frame(c: np.ndarray):
-    f = complete_frame(c)
-    return f[0], f[1]
-
-
-def _gnomonic(points: np.ndarray, c: np.ndarray, e1: np.ndarray, e2: np.ndarray):
-    scale = points @ c
-    proj = points / scale[:, None] - c
-    return np.stack([proj @ e1, proj @ e2], axis=1)
-
-
-def _inverse_gnomonic(xy: np.ndarray, c: np.ndarray, e1: np.ndarray, e2: np.ndarray):
-    v = c + xy[:, 0:1] * e1 + xy[:, 1:2] * e2
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def spherical_two_ends(rects, delta: float, span: float, b: float,
-                       cap_radius: float = 0.1, **kw) -> SphericalTwoEndsResult:
-    """Two-ends decomposition for spherical rectangles via tangent projection.
-
-    Splits long rectangles into arcs of length at most cap_radius/8, groups
-    them into caps, maps each cap gnomonically to its tangent plane, runs the
-    planar decomposition there, and lifts the excision windows back.
-    """
-    if not (span < 0.1 + 1e-12 and delta <= 0.1 * span * b + 1e-12):
-        raise ValueError("need span < 0.1 and delta <= 0.1 * span * b")
-    pieces: list[tuple[int, SphericalRectangle]] = []
-    for idx, rect in enumerate(rects):
-        n_split = max(1, int(np.ceil(rect.length / (cap_radius / 8.0))))
-        if n_split == 1:
-            pieces.append((idx, rect))
-            continue
-        seg = rect.length / n_split
-        for k in range(n_split):
-            ang = -rect.length / 2.0 + (k + 0.5) * seg
-            c = np.cos(ang) * rect.center + np.sin(ang) * rect.axis
-            a = -np.sin(ang) * rect.center + np.cos(ang) * rect.axis
-            pieces.append((idx, SphericalRectangle(c, a, rect.width, seg)))
-
-    centers = np.array([p.center for _, p in pieces])
-    caps: dict[int, list[int]] = {}
-    cap_dirs: list[np.ndarray] = []
-    for pi, c in enumerate(centers):
-        assigned = None
-        for ci, cd in enumerate(cap_dirs):
-            if np.arccos(np.clip(c @ cd, -1, 1)) < cap_radius / 2.0:
-                assigned = ci
-                break
-        if assigned is None:
-            cap_dirs.append(c)
-            assigned = len(cap_dirs) - 1
-        caps.setdefault(assigned, []).append(pi)
-
-    out_rects: list[SphericalRectangle] = []
-    selection: list[set[int]] = [set() for _ in range(len(rects))]
-    cap_results = []
-    overlap_upper = 0
-    for ci, members in sorted(caps.items()):
-        cd = cap_dirs[ci]
-        e1, e2 = _tangent_frame(cd)
-        tubes = []
-        members_used: list[int] = []
-        for pi in members:
-            _, rect = pieces[pi]
-            ends = np.array(rect.endpoints())
-            xy = _gnomonic(ends, cd, e1, e2)
-            mid = xy.mean(axis=0)
-            axis_vec = xy[0] - xy[1]
-            ln = np.linalg.norm(axis_vec)
-            if ln < 1e-12:
-                continue
-            tubes.append(Tube2D(mid, axis_vec / ln, rect.width, max(ln, rect.width * 1.01)))
-            members_used.append(pi)
-        if not tubes:
-            continue
-        # recenter and rescale so the longest piece has unit length; the
-        # excision windows have absolute length span * b, converted into the
-        # rescaled units
-        centroid = np.mean([t.center for t in tubes], axis=0)
-        scale = 1.0 / max(t.length for t in tubes)
-        scaled = [Tube2D((t.center - centroid) * scale, t.dir,
-                         t.width * scale, t.length * scale) for t in tubes]
-        delta_planar = max(t.width for t in scaled)
-        span_planar = min(0.9, span * b * scale)
-        reach = max(float(np.abs(t.center).max()) + t.length for t in scaled)
-        res = two_ends_decompose(scaled, delta_planar, span_planar,
-                                 domain_half=max(2.0, reach), **kw)
-        cap_results.append(res)
-        overlap_upper = max(overlap_upper, res.overlap_upper)
-        base = len(out_rects)
-        for rep in res.tubes_out:
-            ends2 = np.stack([rep.center - rep.length / 2.0 * rep.dir,
-                              rep.center + rep.length / 2.0 * rep.dir]) / scale + centroid
-            S = _inverse_gnomonic(ends2, cd, e1, e2)
-            mid = S.sum(axis=0)
-            mid /= np.linalg.norm(mid)
-            axis = S[1] - S[0]
-            length = float(np.arccos(np.clip(S[0] @ S[1], -1, 1)))
-            width = rep.width / scale
-            out_rects.append(SphericalRectangle(mid, axis, max(width, 1e-12),
-                                                max(length, width * 1.01)))
-        for local_i, pi in enumerate(members_used):
-            orig = pieces[pi][0]
-            for ridx in res.selection[local_i]:
-                selection[orig].add(base + ridx)
-    return SphericalTwoEndsResult(rectangles_out=tuple(out_rects),
-                                  selection=tuple(tuple(sorted(s)) for s in selection),
-                                  overlap_upper=overlap_upper,
-                                  cap_results=tuple(cap_results))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ from heilbronn.geometry import Line, _chords_from_local, _direction_rows, \
     _lines_min_distance_rows
 
 
+def eta_table(prof, t):
+    """eta_1 at radii t, read from the kernel table of `prof` (0 beyond it)."""
+    return np.interp(np.asarray(t, dtype=float), prof.eta_grid, prof.eta_values,
+                     left=prof.eta_values[0], right=0.0)
+
+
 def random_config(n, dim, seed, spread=1.0):
     """Random incident point-line pairs in the unit cube."""
     rng = np.random.default_rng(seed)

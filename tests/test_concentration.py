@@ -6,8 +6,6 @@ import pytest
 from heilbronn.concentration import (
     ConfigMetrics,
     DegenerateGridError,
-    covering_profiles,
-    direction_profile,
     katz_tao_fit,
     m_config,
     m_lines,
@@ -30,6 +28,8 @@ from heilbronn.geometry import (
     _direction_rows,
     _lines_min_distance_rows,
     complete_frame,
+    covering_number,
+    direction_covering_number,
 )
 
 from conftest import line_metric_many, lines_box_chords, random_config, random_lines, \
@@ -289,17 +289,19 @@ class TestConfigMetricsRowBuild:
 class TestCoveringProfiles:
     def test_vertical_directions_collapse(self):
         X = generate_vertical(1 / 16, 3)
-        rows = covering_profiles(X, [1 / 4, 1 / 8])
-        for row in rows:
-            assert row.directions_cover == 1
+        for w in (1 / 4, 1 / 8):
+            assert direction_covering_number(X.directions(), w) == 1
 
     def test_sandwich_on_uniformized(self):
+        # |P|_w is sandwiched by |X| / M(w, 1, 1) up to the certificate's K
         X = separated_config(400, 3, seed=3, K=8, levels=2)
         sub, cert = uniformize(X, 8.0, delta=8.0**-2)
-        rows = covering_profiles(sub, list(cert.scales))
-        for row in rows:
-            assert row.points_cover >= row.sandwich_lower / 8.0
-            assert row.points_cover <= cert.K * len(sub) / row.m_config_point * 8
+        metrics = ConfigMetrics(sub)
+        for w in cert.scales:
+            cover = covering_number(sub.points(), w)
+            mx = m_config(sub, min(w, 1.0), 1.0, 1.0, metrics)
+            assert cover >= len(sub) / mx / 8.0
+            assert cover <= cert.K * len(sub) / mx * 8
 
 
 class TestKatzTaoFit:
@@ -327,7 +329,8 @@ class TestKatzTaoFit:
     def test_bush_flags_concentration(self):
         _, lines = generate_bush(1 / 16, 3, 1, seed=0)
         fit = katz_tao_fit(lines, 1 / 16, 3)
-        assert fit.max_residual > 0.5  # concentration at a point resists the fit
+        worst = max(abs(np.log(max(m, 1)) - np.log(f)) for (_, _, m, f) in fit.residuals)
+        assert worst > 0.5  # concentration at a point resists the fit
 
 
 class TestPlaneReduction:
@@ -595,22 +598,3 @@ class TestRescaledCounts:
         rescaled = rescale_config(sub, scale, anchor)
         m = m_config(sub, scale, 1.0, 1.0, mets)
         assert len(rescaled) >= m / (2 * cert.K)
-
-
-class TestDirectionProfile:
-    def test_vertical_all_two(self):
-        X = generate_vertical(1 / 32, 3)
-        betas = direction_profile(X, 1 / 4)
-        assert all(b == pytest.approx(2.0, abs=1e-9) for b in betas)
-
-    def test_isotropic_starts_near_zero(self):
-        X = random_config(800, 3, seed=12)
-        betas = direction_profile(X, 1 / 4, delta=1 / 64)
-        assert betas[0] <= 0.75
-
-    def test_monotone_on_uniformized(self):
-        X = separated_config(500, 3, seed=6, K=8, levels=2)
-        sub, _ = uniformize(X, 8.0, delta=8.0**-2)
-        betas = direction_profile(sub, 1 / 8, delta=1 / 64)
-        for a, b in zip(betas, betas[1:]):
-            assert b >= a - 0.1

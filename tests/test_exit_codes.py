@@ -1,0 +1,121 @@
+"""The exit-code contract of the numeric CLI options.
+
+Each case runs one command in process on the golden inputs with one numeric
+option set to an extreme value.  Whatever the value, the command must end
+with a documented exit code (0 ok, 2 usage, 3 validation, 4 numerical),
+print no traceback and write no CSV data field that is inf or nan.  Every
+other option keeps a value under which the command exits 0, so the option
+under test is the one that decides.
+"""
+
+import math
+import resource
+from pathlib import Path
+
+import pytest
+
+from heilbronn.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+VALUES = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e308"]
+
+HIGHLOW = ["highlow-check", "-p", "pts3.pts", "-l", "lines3.plc", "--delta", "0.125"]
+
+# (command, base argv that exits 0, the numeric options varied on it)
+COMMANDS = [
+    ("uniformize", ["uniformize", "-p", "lines3.plc", "--K", "2", "--delta", "0.3"],
+     ["--K", "--delta"]),
+    ("basic", HIGHLOW + ["--variant", "basic"], ["--delta", "--eps"]),
+    ("refined", HIGHLOW + ["--variant", "refined"], ["--delta", "--eps"]),
+    ("capped", HIGHLOW + ["--variant", "capped", "--nu", "100", "--kappa", "1",
+                          "--M", "1000"],
+     ["--delta", "--eps", "--nu", "--kappa", "--M"]),
+    ("wellspaced", HIGHLOW + ["--variant", "wellspaced", "--K", "1000", "--A", "1e6",
+                              "--C0", "1000"],
+     ["--delta", "--eps", "--t1", "--t2", "--K", "--A", "--C0"]),
+]
+
+CASES = [(name, opt, value) for name, _, opts in COMMANDS for opt in opts
+         for value in VALUES]
+BASE = {name: argv for name, argv, _ in COMMANDS}
+
+
+def _argv(name, out, *extra):
+    """The base argv of `name` on the golden inputs, then `extra` (a later
+    occurrence of an option wins) and the output path."""
+    argv = [str(GOLDEN / a) if (GOLDEN / a).is_file() else a for a in BASE[name]]
+    return argv + list(extra) + ["-o", str(out)]
+
+
+def _data_fields(path):
+    """The fields of the rows after the header of a CSV the CLI wrote."""
+    rows = [r for r in path.read_text().splitlines() if not r.startswith("#")]
+    return [f for r in rows[1:] for f in r.split(",")]
+
+
+@pytest.fixture
+def bounded_memory():
+    """Cap this process's address space at 2 GB above its current size for
+    one case, so that a command asking for too much (a uniformize ladder of
+    10^9 scale triples did) fails with MemoryError instead of exhausting the
+    machine."""
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        yield
+        return
+    size = int(statm.read_text().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + 2 * 1024**3
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("name", sorted(BASE))
+def test_base_command_exits_zero(name, tmp_path):
+    assert main(_argv(name, tmp_path / "out")) == 0
+
+
+@pytest.mark.parametrize("name,opt,value", CASES)
+def test_exit_code_documented(name, opt, value, tmp_path, capsys, bounded_memory):
+    out = tmp_path / "out"
+    try:
+        # --opt=value, so that a value like -inf is not read as an option
+        rc = main(_argv(name, out, f"{opt}={value}"))
+    except SystemExit as exc:  # argparse's usage errors
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if rc == 0:
+        csv = out.with_name("out.cert.csv") if name == "uniformize" else out
+        for field in _data_fields(csv):
+            try:
+                x = float(field)
+            except ValueError:
+                continue
+            assert math.isfinite(x), f"{field} in {csv.read_text()}"
+
+
+@pytest.mark.parametrize("extra,message", [
+    # w ** (-6 - eps) raised OverflowError
+    (["--eps=1000"], "the basic high-low right-hand side is inf"),
+    # w ** (-6 - eps) underflowed to 0 and the ratio was written as inf
+    (["--eps=-1e308"], "the basic high-low right-hand side is 0.0"),
+])
+def test_basic_rhs_out_of_range_exits_four(extra, message, tmp_path, capsys):
+    assert main(_argv("basic", tmp_path / "out", *extra)) == 4
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_uniformize_names_the_ladder_it_refuses(tmp_path, capsys, bounded_memory):
+    # 996 scales would be about 10^9 scale triples
+    assert main(_argv("uniformize", tmp_path / "out", "--delta=1e-300")) == 3
+    assert ("delta=1e-300 and K=2.0 give a ladder of m=996 scales"
+            in capsys.readouterr().err)

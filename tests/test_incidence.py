@@ -26,7 +26,7 @@ from heilbronn.incidence import (
 )
 from heilbronn.kernels import bump_profile
 
-from conftest import random_lines, separated_config
+from conftest import eta_table, random_lines, separated_config
 
 
 class TestIncidenceCount:
@@ -39,7 +39,7 @@ class TestIncidenceCount:
         P = np.array([[0.5, 0.5, 0.4]])
         got = incidence_count(w, P, [line], 3)
         sig = np.arange(-3 * w, 3 * w, w / 256)
-        vals = prof.eta(np.abs(sig) / w) / w**3
+        vals = eta_table(prof, np.abs(sig) / w) / w**3
         want = w**2 * simpson(vals, x=sig)
         assert got == pytest.approx(want, rel=1e-3)
 

@@ -14,8 +14,9 @@ from heilbronn.kernels import (
     _smoothstep_down,
     _sphere_surface,
     bump_profile,
-    eta_kernel,
 )
+
+from conftest import eta_table
 
 
 def line_pair_weight(w, dist, dim):
@@ -60,18 +61,10 @@ class TestEta:
 
     def test_support_radius(self, profile):
         assert profile.eta_support <= 3.0
-        assert float(profile.eta(profile.eta_support * 1.01)) == 0.0
+        assert float(eta_table(profile, profile.eta_support * 1.01)) == 0.0
 
     def test_nonnegative(self, profile):
         assert np.all(profile.eta_values >= 0)
-
-    def test_scaling(self):
-        # eta_w(x) = w^-d eta_1(x/w)
-        w = 0.2
-        x = np.array([0.05, 0.02, 0.01])
-        v = eta_kernel(w, x)
-        prof = bump_profile(3)
-        assert v == pytest.approx(float(prof.eta(np.linalg.norm(x) / w)) / w**3)
 
     def test_center_matches_monte_carlo(self):
         # independent MC estimate of (chi_1 * chi_{1/2})(0) in 3D
@@ -83,10 +76,6 @@ class TestEta:
         mc = float(np.mean(prof.chi(r) * 8 * prof.chi(2 * r)) * R**3)
         assert mc == pytest.approx(prof.eta_values[0], rel=1e-2)
 
-    def test_kernel_vanishes_beyond_3w(self):
-        for w in (0.1, 0.03):
-            assert eta_kernel(w, np.array([3.001 * w, 0, 0])) == 0.0
-
 
 class TestLineProfile:
     def test_matches_dense_quadrature(self, profile):
@@ -95,7 +84,7 @@ class TestLineProfile:
         for tau in (0.0, 0.3, 0.9):
             sig = np.arange(-3 * w, 3 * w, w / 256)
             radii = np.sqrt((tau * w) ** 2 + sig**2)
-            vals = profile.eta(radii / w) / w**profile.dim
+            vals = eta_table(profile, radii / w) / w**profile.dim
             want = simpson(vals, x=sig)
             got = float(line_pair_weight(w, tau * w, profile.dim))
             if want > 1e-12:

@@ -6,7 +6,7 @@ import pytest
 
 from heilbronn import tubes as tubes_mod
 from heilbronn.concentration import HypothesisViolation
-from heilbronn.geometry import SphericalRectangle, complete_frame, direction_distance
+from heilbronn.geometry import complete_frame, direction_distance
 from heilbronn.tubes import (
     Shading,
     Tube2D,
@@ -16,9 +16,7 @@ from heilbronn.tubes import (
     check_space_brush,
     generate_katz_tao_tubes,
     measure_kt_constant,
-    rich_points,
     shading_union_volume,
-    spherical_two_ends,
     two_ends_decompose,
 )
 
@@ -61,28 +59,6 @@ class TestTubeEquality:
             Tube3D([0.5, 0.5], [1.0, 0.0], 0.1, 1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             Tube3D([0.5, 0.5, 0.5], [1.0, 0.0, 0.0], 0.1, 1.0).width = 0.2
-
-
-class TestRichPoints:
-    def test_single_region(self, rng):
-        net = rng.uniform(0, 1, (500, 2))
-        t = Tube2D([0.5, 0.5], [1, 0], 0.2, 1.0)
-        rich = rich_points(net, [t], 1)
-        inside = t.contains(net)
-        assert len(rich) == int(inside.sum())
-
-    def test_r_above_count_empty(self, rng):
-        net = rng.uniform(0, 1, (200, 2))
-        tubes = [Tube2D([0.5, 0.5], [1, 0], 0.2, 1.0)]
-        assert len(rich_points(net, tubes, 2)) == 0
-
-    def test_matches_linear_scan(self, rng):
-        net = rng.uniform(0, 1, (400, 2))
-        tubes = random_tubes(15, 0.1, seed=3)
-        r = 3
-        rich = rich_points(net, tubes, r)
-        counts = np.array([sum(bool(t.contains(p)[0]) for t in tubes) for p in net])
-        assert len(rich) == int((counts >= r).sum())
 
 
 class TestTwoEnds:
@@ -131,49 +107,6 @@ class TestTwoEnds:
         tubes = pencil(10, 0.01)
         with pytest.raises(ValueError):
             two_ends_decompose(tubes, 0.2, 0.1)
-
-
-class TestSphericalTwoEnds:
-    def test_gnomonic_distortion(self):
-        # a projected spherical rectangle nests between planar rectangles
-        # scaled by 1 -/+ 0.1 at cap radius 0.1
-        from heilbronn.tubes import _gnomonic, _tangent_frame
-        c = np.array([0.0, 0.0, 1.0])
-        e1, e2 = _tangent_frame(c)
-        a, b = 0.004, 0.08
-        rect = SphericalRectangle([np.sin(0.05), 0, np.cos(0.05)],
-                                  [np.cos(0.05), 0, -np.sin(0.05)], a, b)
-        ends = np.array(rect.endpoints())
-        xy = _gnomonic(ends, c, e1, e2)
-        length = np.linalg.norm(xy[0] - xy[1])
-        assert (1 - 0.1) * b <= length <= (1 + 0.1) * b
-
-    def test_single_cap_matches_planar(self):
-        rng = np.random.default_rng(5)
-        rects = []
-        for _ in range(15):
-            v = np.array([0, 0, 1.0]) + 0.01 * rng.normal(size=3)
-            v /= np.linalg.norm(v)
-            rects.append(SphericalRectangle(v, rng.normal(size=3), 4e-4, 0.1))
-        res = spherical_two_ends(rects, 4e-4, 0.08, 0.1)
-        assert len(res.cap_results) >= 1
-        assert res.overlap_upper >= 1
-
-    def test_antipodal_caps_processed_independently(self):
-        rng = np.random.default_rng(6)
-        rects = []
-        for pole in (np.array([0, 0, 1.0]), np.array([1.0, 0, 0])):
-            for _ in range(8):
-                v = pole + 0.01 * rng.normal(size=3)
-                v /= np.linalg.norm(v)
-                rects.append(SphericalRectangle(v, rng.normal(size=3), 4e-4, 0.1))
-        res = spherical_two_ends(rects, 4e-4, 0.08, 0.1)
-        assert len(res.cap_results) >= 2
-
-    def test_parameter_constraints(self):
-        r = SphericalRectangle([0, 0, 1], [1, 0, 0], 0.01, 0.1)
-        with pytest.raises(ValueError):
-            spherical_two_ends([r], 0.01, 0.5, 0.1)
 
 
 class TestShadingVolume:
