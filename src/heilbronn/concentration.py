@@ -31,6 +31,8 @@ from .geometry import (
     _direction_rows,
     _lines_min_distance_rows,
     _norm,
+    _range_checked,
+    _require_finite,
     complete_frame,
 )
 
@@ -187,9 +189,11 @@ def _fill_boxes(bases, dirs, singles, pairs, centers, frames):
         frames[k] = _pair_frame(bases[i], dirs[i], bases[j], dirs[j])
 
 
+@_range_checked("the smallest box half-extent", value=lambda h: h.min(initial=1.0))
 def _box_halves(scales, d: int) -> np.ndarray:
     """(S, d) half-extents of the box of each (u, w) in `scales`: the
-    u x w x 1 box in 3D, the w x 1 rectangle in 2D (u unused)."""
+    u x w x 1 box in 3D, the w x 1 rectangle in 2D (u unused).
+    FloatingPointError when one is not a positive normal float."""
     return np.array([[u / 2.0, w / 2.0, 0.5][3 - d:] for u, w in scales]).reshape(-1, d)
 
 
@@ -344,83 +348,42 @@ def m_lines_2d(lines, w: float) -> int:
 
 
 class ConfigMetrics:
-    """Pairwise point / direction / line distances of a configuration.
+    """Pairwise point / direction / line distances between the members of
+    `subset` (an index array or mask; all members when None).
 
-    Row i holds the distances from member i to all n members, computed from
-    the geometry row kernels over the full member arrays, so an entry does
-    not depend on which rows are asked for.  One subset is kept with its
-    three subset x subset matrices, the last one asked for: a subset inside
-    it is sliced from them, any other subset computes its own rows.  The
-    n x n matrices `point_dist`, `dir_dist` and `line_dist` are those of the
-    subset of all members.
+    `point_dist`, `dir_dist` and `line_dist` are the k x k matrices, built at
+    construction.  Each row is computed from the geometry row kernels over all
+    n members and then indexed by the subset, so an entry does not depend on
+    which subset holds it.
     """
 
-    def __init__(self, config: PointLineConfiguration):
-        self.config = config
-        self._P = config.points()
-        self._D = config.directions()
-        self._bases = config.line_bases()
-        self._kept = None  # (subset, its point, direction and line matrices)
+    def __init__(self, config: PointLineConfiguration, subset=None):
+        P, D, bases = config.points(), config.directions(), config.line_bases()
+        members = np.arange(len(config))
+        if subset is not None:
+            members = members[subset]
+        k = members.size
+        self.point_dist, self.dir_dist, self.line_dist = (np.empty((k, k)) for _ in range(3))
+        for j, i in enumerate(members.tolist()):
+            dd = _direction_rows(D, D[i])
+            self.point_dist[j] = np.linalg.norm(P - P[i], axis=1)[members]
+            self.dir_dist[j] = dd[members]
+            self.line_dist[j] = (dd + _lines_min_distance_rows(bases[i], D[i], bases, D))[members]
 
-    def _compute_row(self, i: int):
-        """(point, direction, line) distances from member i to every member."""
-        P, D, bases = self._P, self._D, self._bases
-        dd = _direction_rows(D, D[i])
-        return (np.linalg.norm(P - P[i], axis=1), dd,
-                dd + _lines_min_distance_rows(bases[i], D[i], bases, D))
-
-    def _matrices(self, subset=None):
-        """The three matrices on subset x subset (all members for None), kept."""
-        n = len(self.config)
-        subset = np.arange(n) if subset is None else np.arange(n)[subset]
-        if self._kept is not None:
-            kept, mats = self._kept
-            if np.array_equal(kept, subset):
-                return mats
-            where = np.full(n, -1)
-            where[kept] = np.arange(kept.size)
-            pos = where[subset]
-            if np.all(pos >= 0):
-                mats = tuple(mat[np.ix_(pos, pos)] for mat in mats)
-                self._kept = (subset, mats)
-                return mats
-        mats = tuple(np.empty((subset.size, subset.size)) for _ in range(3))
-        for j, i in enumerate(subset.tolist()):
-            for mat, r in zip(mats, self._compute_row(i)):
-                mat[j] = r[subset]
-        self._kept = (subset, mats)
-        return mats
-
-    @property
-    def point_dist(self) -> np.ndarray:
-        return self._matrices()[0]
-
-    @property
-    def dir_dist(self) -> np.ndarray:
-        return self._matrices()[1]
-
-    @property
-    def line_dist(self) -> np.ndarray:
-        return self._matrices()[2]
-
-    def local_counts(self, u: float, v: float, w: float,
-                     subset: np.ndarray | None = None) -> np.ndarray:
+    def local_counts(self, u: float, v: float, w: float) -> np.ndarray:
         """Per-anchor counts of members within the (u, v, w) scale triple.
 
         A scale of 1 means "anywhere within unit range" and is treated as
-        unconstrained (the cube diameter exceeds 1).  With `subset`, anchors
-        and members are the subset's.
+        unconstrained (the cube diameter exceeds 1).
         """
-        pd, dd, ld = self._matrices(subset)
         uu = np.inf if u >= 1 else u
         vv = np.inf if v >= 1 else v
         ww = np.inf if w >= 1 else w
-        mask = (pd <= uu) & (dd <= vv) & (ld <= ww)
+        mask = (self.point_dist <= uu) & (self.dir_dist <= vv) & (self.line_dist <= ww)
         return mask.sum(axis=1)
 
 
-def m_config(config: PointLineConfiguration, u: float, v: float, w: float,
-             metrics: ConfigMetrics | None = None) -> int:
+def m_config(config: PointLineConfiguration, u: float, v: float, w: float) -> int:
     """Max over member anchors of pairs within point/direction/line scales.
 
     Because the direction distance never exceeds the line distance, the
@@ -431,9 +394,7 @@ def m_config(config: PointLineConfiguration, u: float, v: float, w: float,
             raise ValueError("scales must lie in (0, 1]")
     if len(config) == 0:
         return 0
-    if metrics is None:
-        metrics = ConfigMetrics(config)
-    return int(metrics.local_counts(u, v, w).max())
+    return int(ConfigMetrics(config).local_counts(u, v, w).max())
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +436,12 @@ def dyadic_pairs(u0: float, w0: float, factor: float = 2.0) -> list[tuple[float,
 
 
 def _box_scales(u0: float, w0: float) -> list[tuple[float, float]]:
-    """The dyadic (u, w) grid from (u0, w0) with both extents clipped to 1,
-    without repeats, sorted."""
-    return sorted({(min(u, 1.0), min(w, 1.0)) for u, w in dyadic_pairs(u0, w0)})
+    """The (u, w) of `dyadic_pairs(u0, w0)` with both extents clipped to 1,
+    sorted.  They come distinct and sorted by u, then w: at most one rung of a
+    doubling ladder reaches 1, so clipping keeps each ladder increasing."""
+    ws = dyadic_ladder(w0)
+    us = dyadic_ladder(u0, top=ws[-1]) if ws else []
+    return [(min(u, 1.0), min(w, 1.0)) for u in us for w in ws if u <= w + 1e-9]
 
 
 def katz_tao_fit(family, delta: float, dim: int) -> KatzTaoFit:
@@ -527,15 +491,23 @@ class PlaneReductionReport:
     slab_bound: float
 
 
+@_range_checked("the plane-reduction bound")
+def _plane_bound(delta: float, u: float, w: float, gamma: float) -> float:
+    return delta**-3 * u ** (1 + gamma) * w ** (2 - gamma)
+
+
 def plane_reduction_check(config: PointLineConfiguration, delta: float,
                           gamma: float) -> PlaneReductionReport:
     """Compare measured box concentration against delta^-3 u^(1+g) w^(2-g).
 
     Also restricts the configuration to the worst box and reports the size of
-    the collapsed 2D configuration against (u/w)^(gamma-2).
+    the collapsed 2D configuration against (u/w)^(gamma-2).  Raises ValueError
+    for a gamma that is not finite and FloatingPointError for a bound that is
+    not a positive normal float.
     """
     if config.dim != 3:
         raise ValueError("plane reduction check requires a 3D configuration")
+    _require_finite("plane-reduction", gamma=gamma)
     if not 0 < delta < 1:
         raise ValueError(f"plane reduction check needs 0 < delta < 1, got {delta}")
     dmin = min_config_distance(config)
@@ -551,7 +523,7 @@ def plane_reduction_check(config: PointLineConfiguration, delta: float,
     rows = []
     worst = (0.0, 0)
     for idx, ((u, w), v) in enumerate(zip(pairs, values)):
-        bound = delta**-3 * u ** (1 + gamma) * w ** (2 - gamma)
+        bound = _plane_bound(delta, u, w, gamma)
         ratio = v / bound
         rows.append(PlaneReductionRow(u=u, w=w, measured=v, bound=bound, ratio=ratio))
         if ratio > worst[0]:
@@ -628,12 +600,12 @@ def uniformize(config: PointLineConfiguration, K: float, delta: float | None = N
         if alive.size == 0:
             raise EmptyConfigurationError("separation phase removed all pairs")
 
-    metrics = ConfigMetrics(config)
+    metrics = ConfigMetrics(config, alive)
     triples = [(si, sj, sk) for si in scales for sj in scales for sk in scales]
     for _ in range(500):
         stable = True
         for (si, sj, sk) in triples:
-            counts = metrics.local_counts(si, sj, sk, subset=alive)
+            counts = metrics.local_counts(si, sj, sk)
             cmax, cmin = int(counts.max()), int(counts.min())
             if cmax <= K * cmin:
                 continue
@@ -641,6 +613,7 @@ def uniformize(config: PointLineConfiguration, K: float, delta: float | None = N
             vals, sizes = np.unique(buckets, return_counts=True)
             keep = vals[int(np.argmax(sizes))]
             alive = alive[buckets == keep]
+            metrics = ConfigMetrics(config, alive)
             stable = False
             break
         if stable or alive.size < 2:
@@ -653,7 +626,7 @@ def uniformize(config: PointLineConfiguration, K: float, delta: float | None = N
                                     provenance=f"uniformize({config.provenance},K={K})")
     ratios = {}
     for (si, sj, sk) in triples:
-        counts = metrics.local_counts(si, sj, sk, subset=alive)
+        counts = metrics.local_counts(si, sj, sk)
         ratios[(si, sj, sk)] = (int(counts.min()), int(counts.max()))
     cert = UniformityCertificate(K=float(K), scales=scales, ratios=ratios,
                                  retained=len(pairs), original=n)

@@ -9,7 +9,9 @@ every operation in this module is pure.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,36 @@ ON_LINE_TOL = 1e-9    # point-on-line tolerance
 
 class DimensionMismatch(ValueError):
     """Raised when objects of different ambient dimension are combined."""
+
+
+def _require_finite(kind: str, **params):
+    """Raise ValueError naming the `kind` parameters that are not finite."""
+    bad = [f"{name}={value}" for name, value in params.items() if not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"{kind} parameters must be finite, got {', '.join(bad)}")
+
+
+def _require_normal(what: str, v: float) -> float:
+    """v; FloatingPointError naming `what` when v is not a positive normal float."""
+    if not sys.float_info.min <= v < math.inf:
+        raise FloatingPointError(f"{what} is {float(v)!r}, not a positive normal float")
+    return v
+
+
+def _range_checked(what: str, value=lambda out: out):
+    """Decorate a function: FloatingPointError when a step overflows or `what`,
+    the value read from its result, is not a positive normal float."""
+    def decorate(evaluate):
+        @functools.wraps(evaluate)
+        def checked(*args, **kwargs):
+            try:
+                v = value(out := evaluate(*args, **kwargs))
+            except OverflowError:
+                v = math.inf
+            _require_normal(what, v)
+            return out
+        return checked
+    return decorate
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:

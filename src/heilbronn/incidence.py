@@ -15,7 +15,6 @@ finite and FloatingPointError for a value that is not a positive normal float.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -36,6 +35,8 @@ from .geometry import (
     DimensionMismatch,
     _direction_rows,
     _points_lines_block,
+    _range_checked,
+    _require_finite,
     covering_number,
     direction_covering_number,
     line_covering_number,
@@ -152,32 +153,7 @@ class MultiscaleReport:
         return "\n".join(lines) + "\n"
 
 
-def _require_finite(**params):
-    """Raise ValueError naming the high-low parameters that are not finite."""
-    bad = [f"{name}={value}" for name, value in params.items() if not math.isfinite(value)]
-    if bad:
-        raise ValueError(f"high-low parameters must be finite, got {', '.join(bad)}")
-
-
-def _range_checked(rhs: str, value=lambda out: out):
-    """Decorate the `rhs` right-hand side: FloatingPointError when a step overflows
-    or the value read from its result is not a positive normal float."""
-    def decorate(evaluate):
-        @functools.wraps(evaluate)
-        def checked(*args, **kwargs):
-            try:
-                v = value(out := evaluate(*args, **kwargs))
-            except OverflowError:
-                v = math.inf
-            if not sys.float_info.min <= v < math.inf:
-                raise FloatingPointError(f"the {rhs} high-low right-hand side is {v!r}, "
-                                         "not a positive normal float")
-            return out
-        return checked
-    return decorate
-
-
-@_range_checked("basic")
+@_range_checked("the basic high-low right-hand side")
 def _basic_rhs(w: float, mp: int, ml: int, n_points: int, n_lines: int, dim: int,
                eps: float) -> float:
     """The basic high-low right-hand side from M_P(w) and M_L at w."""
@@ -190,7 +166,7 @@ def rhs_basic(w: float, P, lines, dim: int, eps: float = 0.1) -> float:
 
     2D: w^-3 (M_P/|P|) (M_L(w x 1)/|L|); 3D: w^(-6-eps) with the w x w x 1 box.
     """
-    _require_finite(eps=eps)
+    _require_finite("high-low", eps=eps)
     P = np.asarray(P, dtype=float)
     return _basic_rhs(w, m_points(P, w), m_lines(lines, w, w), P.shape[0], len(lines),
                       dim, eps)
@@ -199,7 +175,7 @@ def rhs_basic(w: float, P, lines, dim: int, eps: float = 0.1) -> float:
 def dyadic_scan(P, lines, w_min: float, w_max: float, dim: int,
                 eps: float = 0.1) -> MultiscaleReport:
     """B(w) with successive differences and concentration data on a dyadic ladder."""
-    _require_finite(eps=eps)
+    _require_finite("high-low", eps=eps)
     if not 0 < w_min < w_max <= 1:
         raise ValueError("need 0 < w_min < w_max <= 1")
     ws = []
@@ -253,7 +229,7 @@ def _slab_sweep(delta: float, lines, rhs: str):
     return theta_cover, us, values
 
 
-@_range_checked("refined", value=lambda out: out[0])
+@_range_checked("the refined high-low right-hand side", value=lambda out: out[0])
 def rhs_refined(delta: float, P, lines, eps: float = 0.1):
     """Direction-aware high-low RHS: max over dyadic u of the slab term.
 
@@ -261,7 +237,7 @@ def rhs_refined(delta: float, P, lines, eps: float = 0.1):
     min(cover(theta)^{1/2} delta, u) * u * M_L(delta x delta/u x 1) / |L|,
     multiplied by delta^(-6-eps) M_P(delta)/|P|.
     """
-    _require_finite(eps=eps)
+    _require_finite("high-low", eps=eps)
     P = np.asarray(P, dtype=float)
     theta_cover, us, values = _slab_sweep(delta, lines, "refined")
     best, best_u = -np.inf, us[0]
@@ -273,7 +249,7 @@ def rhs_refined(delta: float, P, lines, eps: float = 0.1):
     return lead * best, best_u
 
 
-@_range_checked("capped")
+@_range_checked("the capped high-low right-hand side")
 def rhs_direction_capped(delta: float, P, lines, nu: float, kappa: float,
                          M: float, eps: float = 0.1) -> float:
     """Capped high-low RHS nu^(kappa/4) delta^(-6-eps) (M_P/|P|) (M/|L|).
@@ -283,7 +259,7 @@ def rhs_direction_capped(delta: float, P, lines, nu: float, kappa: float,
     M_L(delta x delta/u x 1) is at most u^(kappa-2) M.  A violation raises
     HypothesisViolation listing the violating scales.
     """
-    _require_finite(nu=nu, kappa=kappa, M=M, eps=eps)
+    _require_finite("high-low", nu=nu, kappa=kappa, M=M, eps=eps)
     P = np.asarray(P, dtype=float)
     theta_cover, us, values = _slab_sweep(delta, lines, "capped")
     violations = []
@@ -306,7 +282,7 @@ class WellSpacedRhs:
     ml_fine: int     # M_L(delta x delta x 1)
 
 
-@_range_checked("well-spaced", value=lambda out: out.value)
+@_range_checked("the well-spaced high-low right-hand side", value=lambda out: out.value)
 def rhs_wellspaced(delta: float, P, lines, t1: float, t2: float, K: float,
                    A: float, C0: float, eps: float = 0.1) -> WellSpacedRhs:
     """Well-spaced high-low RHS with the 9/2-power normalization.
@@ -317,7 +293,7 @@ def rhs_wellspaced(delta: float, P, lines, t1: float, t2: float, K: float,
     order-one exponent on C0 is pinned to 1.  Raises ValueError unless C0 > 0
     and t1 + t2 > 0 (alpha divides by it), and for a 2D family.
     """
-    _require_finite(t1=t1, t2=t2, K=K, A=A, C0=C0, eps=eps)
+    _require_finite("high-low", t1=t1, t2=t2, K=K, A=A, C0=C0, eps=eps)
     if C0 <= 0:
         raise ValueError(f"the uniformity constant C0 must be positive, got {C0}")
     if t1 + t2 <= 0:

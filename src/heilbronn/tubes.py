@@ -18,7 +18,8 @@ import numpy as np
 
 from .concentration import HypothesisViolation, _box_counts, _box_halves, _box_scales, \
     _need_reach, _sweep, dyadic_ladder, m_tubes_2d
-from .geometry import _sorted_unique, canonical_direction, complete_frame, direction_distance
+from .geometry import _range_checked, _require_normal, _sorted_unique, canonical_direction, \
+    complete_frame, direction_distance
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,8 +308,7 @@ def _stab_max(lo: np.ndarray, hi: np.ndarray, alive_intervals):
 
 
 def two_ends_decompose(tubes, delta: float, span: float,
-                       rich_constant: float = 4.0,
-                       domain_half: float = 2.0) -> TwoEndsResult:
+                       rich_constant: float = 4.0) -> TwoEndsResult:
     """Iterative excision of short coaxial windows until residuals spread out.
 
     `span` is the length of the excised windows relative to unit tubes (the
@@ -325,7 +325,8 @@ def two_ends_decompose(tubes, delta: float, span: float,
     id, one axial coordinate and one alive flag per net point (17 bytes) and
     one count per cell of the family's bounding box (8 bytes), updating the
     counts by the points each round excises: about 145 MB for 48 unit tubes
-    at delta = 2^-6.
+    at delta = 2^-6.  Raises FloatingPointError when (delta/10)^2 or the rich
+    threshold is not a positive normal float.
     """
     tubes = list(tubes)
     n = len(tubes)
@@ -340,13 +341,14 @@ def two_ends_decompose(tubes, delta: float, span: float,
     if span < 8.0 * delta:
         raise ValueError("need span >= 8 * delta for the excision geometry")
     for t in tubes:
-        if np.any(np.abs(t.center) > domain_half + 1e-9):
-            raise ValueError(f"tubes must lie within [-{domain_half}, {domain_half}]^2")
+        if np.any(np.abs(t.center) > 2.0 + 1e-9):
+            raise ValueError("tubes must lie within [-2.0, 2.0]^2")
     h = delta / 10.0
-    r = rich_constant * span**-2 * np.sqrt(n)
+    h2 = _require_normal("the squared net step (delta/10)^2", h**2)
+    r = _require_normal("the rich threshold", rich_constant * span**-2 * np.sqrt(n))
     max_rounds = int(np.ceil(3.0 * np.log(1.0 / delta) / np.log(2.0 / span)))
 
-    est_cells = sum(16 * t.length * t.width / h**2 + 8 * t.length / h for t in tubes)
+    est_cells = sum(16 * t.length * t.width / h2 + 8 * t.length / h for t in tubes)
     exact = est_cells <= 4e7
 
     picks: list[list[tuple[float, np.ndarray, np.ndarray]]] = [[] for _ in range(n)]
@@ -679,6 +681,11 @@ def tube_box_counts_3d(tubes, scales):
     return best
 
 
+@_range_checked("a Katz-Tao profile weight (scale/delta)^t")
+def _kt_weight(ratio: float, t: float) -> float:
+    return ratio ** t
+
+
 def _kt_profile(tubes, delta: float, t1: float, t2: float | None):
     """Katz-Tao profile rows (scale, count, a, b) of a tube family at width delta.
 
@@ -687,7 +694,8 @@ def _kt_profile(tubes, delta: float, t1: float, t2: float | None):
     scale (w,) on the dyadic ladder from delta, count the segments in the
     best min(w, 1) x 1 rectangle, a = (w/delta)^t1 and b = 1 (t2 unused).
     The family is Katz-Tao with constant K when every count is at most
-    K * a * b.  Raises ValueError for a non-finite exponent.
+    K * a * b.  Raises ValueError for a non-finite exponent and
+    FloatingPointError for a weight that is not a positive normal float.
     """
     dim = tubes[0].center.shape[0]
     exponents = (t1,) if dim == 2 else (t1, t2)
@@ -696,11 +704,11 @@ def _kt_profile(tubes, delta: float, t1: float, t2: float | None):
     if dim == 3:
         scales = _box_scales(delta, delta)
         counts = tube_box_counts_3d(tubes, scales)
-        return [((u, w), got, (u / delta) ** t1, (w / delta) ** t2)
+        return [((u, w), got, _kt_weight(u / delta, t1), _kt_weight(w / delta, t2))
                 for (u, w), got in zip(scales, counts)]
     ws = dyadic_ladder(delta)
     counts = m_tubes_2d(*_tube_arrays(tubes), [min(w, 1.0) for w in ws])
-    return [((w,), got, (w / delta) ** t1, 1.0) for w, got in zip(ws, counts)]
+    return [((w,), got, _kt_weight(w / delta, t1), 1.0) for w, got in zip(ws, counts)]
 
 
 def _verify_kt(tubes, delta: float, K: float, t1: float, t2: float | None = None):
@@ -763,26 +771,25 @@ def check_space_brush(tubes, shading: Shading, t1: float, t2: float, K: float,
 
 
 def generate_katz_tao_tubes(delta: float, t1: float, t2: float, count: int,
-                            seed: int = 0, dim: int = 3, cap_constant: float = 2.0,
-                            max_attempts: int | None = None):
+                            seed: int = 0, dim: int = 3):
     """Rejection-sampled tube family targeting the concentration axioms.
 
     Candidates are accepted only while every dyadic box probe anchored at the
-    candidate stays below cap_constant * (u/delta)^t1 * (w/delta)^t2 (2D: the
+    candidate stays below 2 * (u/delta)^t1 * (w/delta)^t2 (2D: the
     single-exponent w x 1 variant).  Returns (tubes, complete_flag); the flag
-    is False when the attempt budget (default 100 * count) was exhausted.
+    is False when the attempt budget of 100 * count was exhausted.
     """
     rng = np.random.default_rng(seed)
     if dim == 3:
         scales = _box_scales(delta, 2 * delta)
-        caps = [cap_constant * (u / delta) ** t1 * (w / delta) ** t2 for u, w in scales]
+        caps = [2.0 * (u / delta) ** t1 * (w / delta) ** t2 for u, w in scales]
     else:
         scales = sorted({(min(w, 1.0),) * 2 for w in dyadic_ladder(2 * delta)})
-        caps = [cap_constant * (w / delta) ** t1 for _, w in scales]
+        caps = [2.0 * (w / delta) ** t1 for _, w in scales]
     halves = _box_halves(scales, dim)
     tubes: list = []
     attempts = 0
-    budget = 100 * count if max_attempts is None else max_attempts
+    budget = 100 * count
     tube_cls = Tube3D if dim == 3 else Tube2D
     # rows 0..k-1 hold the k accepted tubes, row k the candidate (all of length 1)
     centers = np.empty((count + 1, dim))

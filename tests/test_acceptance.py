@@ -12,7 +12,6 @@ import numpy as np
 from heilbronn import concentration
 from heilbronn.concentration import (
     ConfigMetrics,
-    m_config,
     m_lines_sweep,
     uniformize,
 )
@@ -311,12 +310,12 @@ def test_12_concentration_calculus(monkeypatch):
         for _ in range(7):
             u, v, w = rng.uniform(0.05, 0.45, 3)
             A, B, C = rng.choice([2.0, 4.0], 3)
-            small = m_config(X, u, v, w, mets)
-            big = m_config(X, min(A * u, 1), min(B * v, 1), min(C * w, 1), mets)
+            small = mets.local_counts(u, v, w).max()
+            big = mets.local_counts(min(A * u, 1), min(B * v, 1), min(C * w, 1)).max()
             worst_lip = max(worst_lip, big / (A**3 * B**2 * C**4 * small))
         for _ in range(4):
             u, v, w = rng.uniform(0.05, 1.0, 3)
-            if m_config(X, u, v, w, mets) != m_config(X, u, min(v, w), w, mets):
+            if mets.local_counts(u, v, w).max() != mets.local_counts(u, min(v, w), w).max():
                 identity_ok = False
     ok = worst_box <= 64 and worst_lip <= 64 and identity_ok
     report(12, ok, f"box inflation constant {worst_box:.2f} (<= 64), "

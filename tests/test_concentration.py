@@ -166,7 +166,8 @@ class TestMConfig:
         rng = np.random.default_rng(0)
         for _ in range(100):
             u, v, w = rng.uniform(0.05, 1.0, 3)
-            assert m_config(X, u, v, w, mets) == m_config(X, u, min(v, w), w, mets)
+            assert (mets.local_counts(u, v, w).max()
+                    == mets.local_counts(u, min(v, w), w).max())
 
     def test_lipschitz_inflation(self):
         # M(Au, Bv, Cw) <= 64 A^3 B^2 C^4 M(u, v, w) on random configurations
@@ -177,8 +178,8 @@ class TestMConfig:
             for _ in range(10):
                 u, v, w = rng.uniform(0.03, 0.4, 3)
                 A, B, C = rng.choice([2.0, 4.0], 3)
-                big = m_config(X, min(A * u, 1), min(B * v, 1), min(C * w, 1), mets)
-                small = m_config(X, u, v, w, mets)
+                big = mets.local_counts(min(A * u, 1), min(B * v, 1), min(C * w, 1)).max()
+                small = mets.local_counts(u, v, w).max()
                 assert big <= 64 * A**3 * B**2 * C**4 * small
 
 
@@ -299,7 +300,7 @@ class TestCoveringProfiles:
         metrics = ConfigMetrics(sub)
         for w in cert.scales:
             cover = covering_number(sub.points(), w)
-            mx = m_config(sub, min(w, 1.0), 1.0, 1.0, metrics)
+            mx = metrics.local_counts(min(w, 1.0), 1.0, 1.0).max()
             assert cover >= len(sub) / mx / 8.0
             assert cover <= cert.K * len(sub) / mx * 8
 
@@ -474,22 +475,23 @@ def eager_uniformize(config, K, delta):
     return alive, scales, ratios, separated
 
 
-def _record_rows(monkeypatch):
-    """Anchors whose rows ConfigMetrics computes from now on, in call order."""
+def _record_subsets(monkeypatch):
+    """Member indices of every ConfigMetrics built from now on, in call order."""
     seen = []
-    compute_row = ConfigMetrics._compute_row
+    init = ConfigMetrics.__init__
 
-    def recording_row(self, i):
-        seen.append(i)
-        return compute_row(self, i)
+    def recording_init(self, config, subset=None):
+        members = np.arange(len(config))
+        seen.append(members if subset is None else members[subset])
+        init(self, config, subset)
 
-    monkeypatch.setattr(ConfigMetrics, "_compute_row", recording_row)
+    monkeypatch.setattr(ConfigMetrics, "__init__", recording_init)
     return seen
 
 
 class TestRowsOnDemand:
-    """ConfigMetrics rows computed on demand and uniformize on them, against
-    the eager build that filled every row at construction."""
+    """ConfigMetrics built on a subset, and uniformize on it, against the
+    eager build that fills all n rows."""
 
     # (configuration, K, delta; None for the minimal configuration distance).
     # The coarse deltas keep 11 to 300 pairs through the separation phase and
@@ -512,75 +514,67 @@ class TestRowsOnDemand:
         if delta is None:
             delta = min_config_distance(X)
         alive, scales, ratios, separated = eager_uniformize(X, K, delta)
-        seen = _record_rows(monkeypatch)
+        seen = _record_subsets(monkeypatch)
         sub, cert = uniformize(X, K, delta=delta)
         kept = np.array([X.pairs.index(p) for p in sub.pairs])
         assert np.array_equal(kept, alive)
         assert cert.scales == scales and cert.ratios == ratios
         assert (cert.retained, cert.original) == (alive.size, len(X))
-        # rows are computed for the separation phase's survivors only, once each
-        assert sorted(seen) == separated.tolist()
+        # the metrics of the separation phase's survivors, then of each
+        # bucket prune's survivors, each inside the one before
+        assert np.array_equal(seen[0], separated)
+        assert np.array_equal(seen[-1], alive)
+        for before, after in zip(seen, seen[1:]):
+            assert set(after.tolist()) < set(before.tolist())
 
     def test_uniformize_random_1000_fills_survivor_rows_only(self, monkeypatch):
         X = random_config(1000, 3, seed=13)
-        seen = _record_rows(monkeypatch)
+        seen = _record_subsets(monkeypatch)
         tracemalloc.start()
         try:
             sub, cert = uniformize(X, 4.0, delta=2.0 ** -6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sorted(seen) == sorted(X.pairs.index(p) for p in sub.pairs)
-        assert len(seen) < 10
+        assert [m.tolist() for m in seen] == [sorted(X.pairs.index(p) for p in sub.pairs)]
+        assert len(seen[0]) < 10
         # the eager metrics held 24 MB of matrices here
         assert peak < 2e6
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_subset_counts_and_matrices_bit_identical(self, dim, monkeypatch):
+    def test_subset_counts_and_matrices_bit_identical(self, dim):
         X = random_config(300, dim, seed=20 + dim)
         eager = EagerConfigMetrics(X)
-        mets = ConfigMetrics(X)
-        seen = _record_rows(monkeypatch)
         rng = np.random.default_rng(dim)
-        subsets = [np.sort(rng.choice(300, size=k, replace=False)) for k in (1, 7, 7, 120)]
-        # after the 120: a subset inside it, the same again, one outside it,
-        # and the subset of all members (None)
-        asked = subsets + [subsets[3][::3], subsets[3][::3], subsets[1], None, subsets[2],
-                           None]
-        previous = None
-        for subset in asked:
-            members = np.arange(300) if subset is None else subset
-            del seen[:]
-            for u, v, w in TestConfigMetricsRowBuild.SCALES:
-                assert np.array_equal(mets.local_counts(u, v, w, subset=subset),
-                                      eager.local_counts(u, v, w, subset=subset))
-            for got, full in zip(mets._matrices(subset),
+        subsets = [np.sort(rng.choice(300, size=k, replace=False)) for k in (1, 7, 120)]
+        mask = rng.random(300) < 0.3
+        for subset in subsets + [subsets[2][::-1], mask, None]:
+            members = np.arange(300) if subset is None else np.arange(300)[subset]
+            mets = ConfigMetrics(X, subset)
+            for got, full in zip((mets.point_dist, mets.dir_dist, mets.line_dist),
                                  (eager.point_dist, eager.dir_dist, eager.line_dist)):
                 assert np.array_equal(got, full[np.ix_(members, members)])
-            # a subset inside the kept one (the last asked for) computes no
-            # row; any other subset computes its own rows, once each
-            inside = previous is not None and set(members.tolist()) <= set(previous.tolist())
-            assert seen == ([] if inside else members.tolist())
-            previous = members
-        del seen[:]
-        assert np.array_equal(mets.line_dist, eager.line_dist)
-        assert np.array_equal(mets.point_dist, eager.point_dist)
-        assert np.array_equal(mets.dir_dist, eager.dir_dist)
-        assert seen == []
+            for u, v, w in TestConfigMetricsRowBuild.SCALES:
+                assert np.array_equal(mets.local_counts(u, v, w),
+                                      eager.local_counts(u, v, w, subset=members))
 
-    def test_construction_allocates_no_matrix(self):
+    def test_construction_memory_tracks_subset(self):
         X = random_config(1000, 3, seed=11)
         tracemalloc.start()
         try:
+            few = ConfigMetrics(X, np.arange(0, 1000, 143))
+            built_few = tracemalloc.get_traced_memory()[1]
+            del few
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
             mets = ConfigMetrics(X)
-            built = tracemalloc.get_traced_memory()[0]
-            mets.point_dist
-            full = tracemalloc.get_traced_memory()
+            held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert built < 1e6
+        assert mets.point_dist.shape == (1000, 1000)
+        assert built_few < 1e6
         # three 1000 x 1000 matrices are 24 MB
-        assert 24e6 <= full[0] < 26e6 and full[1] < 40e6
+        assert 24e6 <= held < 26e6
 
 
 class TestRescaledCounts:
@@ -596,5 +590,5 @@ class TestRescaledCounts:
         counts = mets.local_counts(scale, 1.0, 1.0)
         anchor = sub.pairs[int(np.argmax(counts))]
         rescaled = rescale_config(sub, scale, anchor)
-        m = m_config(sub, scale, 1.0, 1.0, mets)
+        m = mets.local_counts(scale, 1.0, 1.0).max()
         assert len(rescaled) >= m / (2 * cert.K)

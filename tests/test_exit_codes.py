@@ -34,6 +34,15 @@ COMMANDS = [
     ("wellspaced", HIGHLOW + ["--variant", "wellspaced", "--K", "1000", "--A", "1e6",
                               "--C0", "1000"],
      ["--delta", "--eps", "--t1", "--t2", "--K", "--A", "--C0"]),
+    ("plane-check", ["plane-check", "-p", "lines3.plc", "--delta", "0.125"],
+     ["--delta", "--gamma"]),
+    ("brush2", ["brush-check", "-t", "tubes2.tubes"], ["--t1", "--K", "--density", "--eps"]),
+    ("brush3", ["brush-check", "-t", "tubes3.tubes", "--t1", "0.5", "--t2", "1.5"],
+     ["--t1", "--t2", "--K", "--density", "--eps"]),
+    ("two-ends", ["two-ends", "-t", "pencil48.tubes", "--delta", "0.015625", "--span", "0.25"],
+     ["--delta", "--span", "--rich-constant"]),
+    ("katz-tao-plc", ["katz-tao", "-p", "lines3.plc", "--delta", "0.125"], ["--delta"]),
+    ("katz-tao-tubes", ["katz-tao", "-p", "tubes3.tubes", "--delta", "0.125"], ["--delta"]),
 ]
 
 CASES = [(name, opt, value) for name, _, opts in COMMANDS for opt in opts

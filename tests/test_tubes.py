@@ -222,12 +222,12 @@ class TestKatzTaoGenerator:
         assert K <= 16.0  # families stay close to the requested profile
 
     def test_partial_flag(self):
-        # tight caps with a small attempt budget leave the family incomplete
-        fam, complete = generate_katz_tao_tubes(1 / 8, 1.0, 1.0, 500, seed=4,
-                                                dim=3, cap_constant=1.0,
-                                                max_attempts=600)
+        # exponents 1/2 cap every probe box at 2 * 8^(1/2) * 8^(1/2) = 16 tubes
+        # or fewer; 40 tubes of width 1/8 saturate them (29 fit with seed 4),
+        # so the family spends its whole budget of 100 * 40 attempts
+        fam, complete = generate_katz_tao_tubes(1 / 8, 0.5, 0.5, 40, seed=4, dim=3)
         assert not complete
-        assert len(fam) < 500
+        assert len(fam) < 40
 
 
 # ---------------------------------------------------------------------------
