@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Scaling sweeps: pipeline triangle area vs n, and construction counts vs
-delta, written as gnuplot-friendly CSV tables.
+delta, each written by `heilbronn exponent` as a CSV table (with its `.log`).
 
 Usage: python scripts/exponent_sweep.py [outdir]
 """
@@ -8,30 +8,28 @@ Usage: python scripts/exponent_sweep.py [outdir]
 import sys
 from pathlib import Path
 
-from heilbronn.search import exponent_estimate, measure_family
+from heilbronn import cli
+
+# (family, rungs, seeds, dim)
+SWEEPS = [
+    ("vertical_count", [2.0**-k for k in range(3, 8)], 1, 3),
+    ("pipeline_area", [2**e for e in range(6, 12)], 5, 3),
+    ("anneal_distance", [8, 16, 32, 64], 3, 2),
+]
 
 
-def sweep(family, rungs, seeds, outdir, dim=3):
-    by_rung = {r: [measure_family(family, r, seed=s, dim=dim) for s in range(seeds)]
-               for r in rungs}
-    fit = exponent_estimate(by_rung)
-    path = Path(outdir) / f"{family}.csv"
-    with open(path, "w") as fh:
-        fh.write(f"# family {family}: slope {fit.slope:.4f} "
-                 f"intercept {fit.intercept:.4f} r2 {fit.r_squared:.4f}\n")
-        fh.write("rung,median\n")
-        for r, v in zip(fit.ladder, fit.values):
-            fh.write(f"{r:.10g},{v:.10g}\n")
-    print(f"{family}: slope = {fit.slope:.4f} (r2 = {fit.r_squared:.3f}) -> {path}")
-
-
-def main():
+def main() -> int:
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results")
     outdir.mkdir(exist_ok=True)
-    sweep("vertical_count", [2.0**-k for k in range(3, 8)], 1, outdir, dim=3)
-    sweep("pipeline_area", [2**e for e in range(6, 12)], 5, outdir, dim=3)
-    sweep("anneal_distance", [8, 16, 32, 64], 3, outdir, dim=2)
+    for family, rungs, seeds, dim in SWEEPS:
+        path = outdir / f"{family}.csv"
+        rc = cli.main(["exponent", "--family", family, "--rungs", ",".join(map(repr, rungs)),
+                       "--seeds", str(seeds), "--dim", str(dim), "-o", str(path)])
+        if rc != 0:
+            return rc
+        print(f"{family} -> {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

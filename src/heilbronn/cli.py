@@ -123,7 +123,7 @@ def _write_csv(path: str, comments: list[str], header: str, rows: list[str]) -> 
 
 def _load_lines(path: str):
     cfg = read_config(path)
-    return cfg, cfg.points(), cfg.lines()
+    return cfg, cfg.lines()
 
 
 def _nonempty(items, path: str):
@@ -227,7 +227,7 @@ def _cmd_conc(args) -> int:
         val = m_points(P, args.w)
         rows.append(f"points,{args.u or ''},{args.v or ''},{args.w},{val}")
     elif args.mode == "lines":
-        _, _, lines = _load_lines(args.path)
+        _, lines = _load_lines(args.path)
         dim = _nonempty(lines, args.path)[0].dim
         if args.u is not None and args.u > args.w:
             raise ValueError("need u <= w")
@@ -251,12 +251,10 @@ def _cmd_conc(args) -> int:
 
 def _cmd_katz_tao(args) -> int:
     if args.path.endswith(".tubes"):
-        tubes = _nonempty(read_tubes(args.path), args.path)
-        dim = tubes[0].center.shape[0]
-        fit = katz_tao_fit(_tube_arrays(tubes), args.delta, dim)
+        fit = katz_tao_fit(_tube_arrays(_nonempty(read_tubes(args.path), args.path)),
+                           args.delta)
     else:
-        _, _, lines = _load_lines(args.path)
-        fit = katz_tao_fit(_nonempty(lines, args.path), args.delta, lines[0].dim)
+        fit = katz_tao_fit(_nonempty(_load_lines(args.path)[1], args.path), args.delta)
     rows = [f"{u:.12g},{w:.12g},{m},{f:.12g}" for (u, w, m, f) in fit.residuals]
     exps = ";".join(f"{e:.6g}" for e in fit.exponents)
     _write_csv(args.output,
@@ -296,7 +294,7 @@ def _cmd_uniformize(args) -> int:
 
 def _cmd_scan_b(args) -> int:
     P = read_points(args.points)
-    cfg, _, lines = _load_lines(args.lines)
+    cfg, lines = _load_lines(args.lines)
     report = dyadic_scan(P, lines, args.wmin, args.wmax, cfg.dim)
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         fh.write(report.to_csv())
@@ -305,7 +303,7 @@ def _cmd_scan_b(args) -> int:
 
 def _cmd_highlow_check(args) -> int:
     P = read_points(args.points)
-    cfg, _, lines = _load_lines(args.lines)
+    cfg, lines = _load_lines(args.lines)
     dim = cfg.dim
     d = args.delta
     bs = normalized_incidence(d, P, lines, dim), normalized_incidence(2 * d, P, lines, dim)

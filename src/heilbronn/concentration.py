@@ -405,8 +405,6 @@ def m_config(config: PointLineConfiguration, u: float, v: float, w: float) -> in
 class KatzTaoFit:
     """Least-squares concentration exponents with the realized constant."""
 
-    dim: int
-    delta: float
     exponents: tuple[float, ...]
     constant: float
     residuals: tuple[tuple[float, float, int, float], ...]  # (u, w, measured, fitted)
@@ -444,14 +442,19 @@ def _box_scales(u0: float, w0: float) -> list[tuple[float, float]]:
     return [(min(u, 1.0), min(w, 1.0)) for u in us for w in ws if u <= w + 1e-9]
 
 
-def katz_tao_fit(family, delta: float, dim: int) -> KatzTaoFit:
+def katz_tao_fit(family, delta: float) -> KatzTaoFit:
     """Fit log box counts against log(u/delta), log(w/delta) on a dyadic grid.
 
-    The family is a list of lines or a (bases, dirs, lengths) member array
-    tuple; a member with a length counts in a box when its chord reaches half
-    of it.  3D boxes are u x w x 1 (the first 64 (u, w) cells in sorted
-    order), 2D boxes w x 1 with a single exponent (cells (w, w)).
+    The family is a non-empty list of lines or a (bases, dirs, lengths)
+    member array tuple, whose members give the dimension; a member with a
+    length counts in a box when its chord reaches half of it.  3D boxes are
+    u x w x 1 (the first 64 (u, w) cells in sorted order), 2D boxes w x 1
+    with a single exponent (cells (w, w)).
     """
+    family = _family_arrays(family)
+    if len(family[0]) == 0:
+        raise ValueError("a Katz-Tao fit needs a non-empty family")
+    dim = family[0].shape[1]
     cells = _box_scales(delta, delta)[:64] if dim == 3 else \
         [(min(w, 1.0),) * 2 for w in dyadic_ladder(delta)]
     if len(cells) < 4:
@@ -463,7 +466,7 @@ def katz_tao_fit(family, delta: float, dim: int) -> KatzTaoFit:
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     fitted = np.exp(A @ coef)
     rows = tuple((u, w, int(v), float(f)) for (u, w), v, f in zip(cells, values, fitted))
-    return KatzTaoFit(dim=dim, delta=delta, exponents=tuple(float(c) for c in coef[1:]),
+    return KatzTaoFit(exponents=tuple(float(c) for c in coef[1:]),
                       constant=float(np.exp(coef[0])), residuals=rows)
 
 
@@ -482,8 +485,6 @@ class PlaneReductionRow:
 
 @dataclass(frozen=True)
 class PlaneReductionReport:
-    delta: float
-    gamma: float
     precondition_ok: bool
     rows: tuple[PlaneReductionRow, ...]
     fitted_constant: float
@@ -515,8 +516,7 @@ def plane_reduction_check(config: PointLineConfiguration, delta: float,
     pairs = sorted({(min(u, 1.0), min(w, 1.0)) for u, w in dyadic_pairs(delta, 2.0 * delta)
                     if u * w >= delta * (1 - 1e-12)})
     if not pairs:
-        return PlaneReductionReport(delta=delta, gamma=gamma,
-                                    precondition_ok=precondition_ok,
+        return PlaneReductionReport(precondition_ok=precondition_ok,
                                     rows=(), fitted_constant=0.0,
                                     slab_count=0, slab_bound=np.inf)
     values, boxes = m_lines_sweep(config.lines(), pairs)
@@ -531,8 +531,7 @@ def plane_reduction_check(config: PointLineConfiguration, delta: float,
     u, w = pairs[worst[1]]
     restricted = slab_restriction(config, boxes[worst[1]])
     slab_bound = (u / w) ** (gamma - 2)
-    return PlaneReductionReport(delta=delta, gamma=gamma,
-                                precondition_ok=precondition_ok,
+    return PlaneReductionReport(precondition_ok=precondition_ok,
                                 rows=tuple(rows), fitted_constant=worst[0],
                                 slab_count=len(restricted), slab_bound=slab_bound)
 
@@ -622,8 +621,7 @@ def uniformize(config: PointLineConfiguration, K: float, delta: float | None = N
     pairs = tuple(config.pairs[i] for i in alive)
     if not pairs:
         raise EmptyConfigurationError("uniformization removed all pairs")
-    subset = PointLineConfiguration(dim=config.dim, pairs=pairs,
-                                    provenance=f"uniformize({config.provenance},K={K})")
+    subset = PointLineConfiguration(dim=config.dim, pairs=pairs)
     ratios = {}
     for (si, sj, sk) in triples:
         counts = metrics.local_counts(si, sj, sk)

@@ -67,7 +67,6 @@ class PointLineConfiguration:
 
     dim: int
     pairs: tuple[PointLinePair, ...]
-    provenance: str | None = None
 
     def __post_init__(self):
         for pair in self.pairs:
@@ -108,7 +107,7 @@ class PointLineConfiguration:
         return issues
 
 
-def make_config(points, lines, dim: int | None = None, provenance: str | None = None) -> PointLineConfiguration:
+def make_config(points, lines, dim: int | None = None) -> PointLineConfiguration:
     """Build a configuration from parallel sequences of points and lines."""
     lines = list(lines)
     if dim is None:
@@ -116,7 +115,7 @@ def make_config(points, lines, dim: int | None = None, provenance: str | None = 
             raise EmptyConfigurationError("cannot infer dimension of empty configuration")
         dim = lines[0].dim
     pairs = tuple(PointLinePair(p, ln) for p, ln in zip(points, lines, strict=True))
-    return PointLineConfiguration(dim=dim, pairs=pairs, provenance=provenance)
+    return PointLineConfiguration(dim=dim, pairs=pairs)
 
 
 def min_config_distance(config: PointLineConfiguration, return_witness: bool = False):
@@ -168,7 +167,7 @@ def generate_vertical(delta: float, dim: int) -> PointLineConfiguration:
     vertical[-1] = 1.0
     points = np.hstack([base_coords, np.zeros((base_coords.shape[0], 1))])
     lines = [Line(p, vertical) for p in points]
-    return make_config(points, lines, dim=dim, provenance=f"vertical(delta={delta},dim={dim})")
+    return make_config(points, lines, dim=dim)
 
 
 def _fibonacci_hemisphere(count: int, margin: float) -> np.ndarray:
@@ -307,8 +306,7 @@ def rescale_config(config: PointLineConfiguration, scale: float,
             pairs.append(PointLinePair(q, line))
     if not pairs:
         raise EmptyConfigurationError("no pairs survive the rescaling")
-    return PointLineConfiguration(dim=config.dim, pairs=tuple(pairs),
-                                  provenance=f"rescale({config.provenance},{scale})")
+    return PointLineConfiguration(dim=config.dim, pairs=tuple(pairs))
 
 
 def slab_restriction(config: PointLineConfiguration, box) -> PointLineConfiguration:
@@ -340,5 +338,4 @@ def slab_restriction(config: PointLineConfiguration, box) -> PointLineConfigurat
             continue
         q2 = np.clip(q2, 0.0, 1.0)
         pairs.append(PointLinePair(q2, Line(q2, v2)))
-    return PointLineConfiguration(dim=2, pairs=tuple(pairs),
-                                  provenance=f"slab({config.provenance})")
+    return PointLineConfiguration(dim=2, pairs=tuple(pairs))

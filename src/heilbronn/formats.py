@@ -151,7 +151,7 @@ def _config_record(fields, dim: int):
 
 def read_config(path: str) -> PointLineConfiguration:
     dim, pairs = _read_file(path, "plc", _config_record)
-    return PointLineConfiguration(dim=dim, pairs=tuple(pairs), provenance=path)
+    return PointLineConfiguration(dim=dim, pairs=tuple(pairs))
 
 
 def write_tubes(path: str, tubes) -> None:

@@ -130,9 +130,6 @@ class MultiscaleRow:
 
 @dataclass(frozen=True)
 class MultiscaleReport:
-    dim: int
-    n_points: int
-    n_lines: int
     rows: tuple[MultiscaleRow, ...]
 
     def to_csv(self) -> str:
@@ -172,10 +169,9 @@ def rhs_basic(w: float, P, lines, dim: int, eps: float = 0.1) -> float:
                       dim, eps)
 
 
-def dyadic_scan(P, lines, w_min: float, w_max: float, dim: int,
-                eps: float = 0.1) -> MultiscaleReport:
-    """B(w) with successive differences and concentration data on a dyadic ladder."""
-    _require_finite("high-low", eps=eps)
+def dyadic_scan(P, lines, w_min: float, w_max: float, dim: int) -> MultiscaleReport:
+    """B(w) with successive differences and concentration data on a dyadic
+    ladder; the basic right-hand sides take eps = 0.1."""
     if not 0 < w_min < w_max <= 1:
         raise ValueError("need 0 < w_min < w_max <= 1")
     ws = []
@@ -190,11 +186,10 @@ def dyadic_scan(P, lines, w_min: float, w_max: float, dim: int,
         diff = abs(bs[i] - bs[i + 1]) if i + 1 < len(ws) else 0.0
         mp = m_points(P, w)
         ml = m_lines(lines, w, w)
-        rhs = _basic_rhs(w, mp, ml, n_points, len(lines), dim, eps)
+        rhs = _basic_rhs(w, mp, ml, n_points, len(lines), dim, 0.1)
         rows.append(MultiscaleRow(scale=w, b_value=bs[i], b_difference=diff,
                                   m_points=mp, m_lines=ml, rhs_basic=rhs, ratio=diff**2 / rhs))
-    return MultiscaleReport(dim=dim, n_points=n_points, n_lines=len(lines),
-                            rows=tuple(rows))
+    return MultiscaleReport(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +273,6 @@ def rhs_direction_capped(delta: float, P, lines, nu: float, kappa: float,
 class WellSpacedRhs:
     value: float
     alpha: float
-    ml_coarse: int   # M_L(sqrt(delta) x sqrt(delta) x 1)
-    ml_fine: int     # M_L(delta x delta x 1)
 
 
 @_range_checked("the well-spaced high-low right-hand side", value=lambda out: out.value)
@@ -335,8 +328,7 @@ def rhs_wellspaced(delta: float, P, lines, t1: float, t2: float, K: float,
     ml_coarse = table[(root, root)]
     value = (C0 * delta**-eps * delta**-2.5 * K**alpha * A**3.5
              * ml_coarse ** (1 - alpha) * ml_fine**alpha / n_lines)
-    return WellSpacedRhs(value=value, alpha=alpha,
-                         ml_coarse=ml_coarse, ml_fine=ml_fine)
+    return WellSpacedRhs(value=value, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ and returned, so the reported objective never degrades with more moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,8 @@ class AnnealSchedule:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.t0 < np.inf:
+            raise ValueError(f"t0 must be finite and non-negative, got {self.t0}")
         if not 0 < self.cooling < 1:
             raise ValueError("cooling must lie in (0, 1)")
         if self.moves_per_epoch < 1 or self.epochs < 1:
@@ -147,9 +149,12 @@ def anneal_max_distance(n: int, dim: int, schedule: AnnealSchedule,
                 t = float(np.clip(rng.normal(0.0, 0.2 + temp), lo_t, hi_t))
                 saved = state.move(k, point=np.clip(p + t * v, 0.0, 1.0))
             elif kind == 1:
-                v = state.dirs[k] + (0.3 + temp) * rng.normal(size=dim)
-                nv = np.linalg.norm(v)
-                if nv < 1e-12:
+                # a t0 near the float maximum can overflow the direction:
+                # it is skipped, like a direction too short to normalize
+                with np.errstate(over="ignore"):
+                    v = state.dirs[k] + (0.3 + temp) * rng.normal(size=dim)
+                    nv = np.linalg.norm(v)
+                if not 1e-12 <= nv < np.inf:
                     continue
                 saved = state.move(k, direction=v / nv)
             else:
@@ -167,8 +172,7 @@ def anneal_max_distance(n: int, dim: int, schedule: AnnealSchedule,
         temp *= schedule.cooling
     pts, dirs = best
     pairs = tuple(PointLinePair(p, Line(p, v)) for p, v in zip(pts, dirs))
-    return PointLineConfiguration(dim=dim, pairs=pairs,
-                                  provenance=f"anneal_max_distance(n={n},seed={schedule.seed})")
+    return PointLineConfiguration(dim=dim, pairs=pairs)
 
 
 def _min_triangle_value(P: np.ndarray) -> tuple[float, tuple[int, int, int]]:
@@ -184,8 +188,7 @@ def _min_with_vertex(P: np.ndarray, k: int) -> float:
     return _upper_argmin(_pair_cross_blocks(B), np.tri(B.shape[0], dtype=bool))[2] / 2.0
 
 
-def anneal_max_triangle(n: int, dim: int, schedule: AnnealSchedule,
-                        init=None) -> np.ndarray:
+def anneal_max_triangle(n: int, dim: int, schedule: AnnealSchedule) -> np.ndarray:
     """Search for a point set maximizing the minimal triangle area.
 
     Incremental scoring: a move of point k only needs the triangles through
@@ -195,8 +198,7 @@ def anneal_max_triangle(n: int, dim: int, schedule: AnnealSchedule,
     if n < 3:
         raise ValueError("need n >= 3")
     rng = np.random.default_rng(schedule.seed)
-    P = np.asarray(init, dtype=float).copy() if init is not None \
-        else rng.uniform(0, 1, (n, dim))
+    P = rng.uniform(0, 1, (n, dim))
     obj, argmin = _min_triangle_value(P)
     best_obj, best = obj, P.copy()
     temp = schedule.t0
@@ -205,7 +207,8 @@ def anneal_max_triangle(n: int, dim: int, schedule: AnnealSchedule,
             k = int(rng.integers(n))
             old = P[k].copy()
             if rng.random() < 0.8:
-                P[k] = np.clip(P[k] + (0.1 + temp) * rng.normal(size=dim), 0.0, 1.0)
+                with np.errstate(over="ignore"):  # an overflowing step clips to a face
+                    P[k] = np.clip(P[k] + (0.1 + temp) * rng.normal(size=dim), 0.0, 1.0)
             else:
                 P[k] = rng.uniform(0, 1, dim)
             if k in argmin:
@@ -253,7 +256,7 @@ def exponent_estimate(values_by_rung: dict[float, list[float]]) -> ExponentFit:
                        r_squared=r2)
 
 
-def measure_family(family: str, rung, seed: int = 0, **kw) -> float:
+def measure_family(family: str, rung, dim: int, seed: int = 0) -> float:
     """Measured quantity for one (family, rung, seed) experiment cell.
 
     Families: 'vertical_count' (|X| vs delta), 'pipeline_area' (triangle
@@ -262,19 +265,16 @@ def measure_family(family: str, rung, seed: int = 0, **kw) -> float:
     n = rung).
     """
     if family == "vertical_count":
-        return float(len(generate_vertical(float(rung), kw.get("dim", 3))))
+        return float(len(generate_vertical(float(rung), dim)))
     if family == "pipeline_area":
         from .triangles import triangle_via_pointline
         rng = np.random.default_rng(seed)
-        P = rng.uniform(0, 1, (int(rung), kw.get("dim", 3)))
+        P = rng.uniform(0, 1, (int(rung), dim))
         witness, _ = triangle_via_pointline(P)
         return float(witness.area)
+    sched = AnnealSchedule(moves_per_epoch=200, epochs=25, seed=seed)
     if family == "anneal_distance":
-        sched = kw.get("schedule") or AnnealSchedule(moves_per_epoch=200, epochs=25,
-                                                     seed=seed)
-        sched = replace(sched, seed=seed)
         n = int(rung)
-        dim = kw.get("dim", 2)
         init = None
         try:
             cand = generate_vertical(1.0 / (2 * n ** (1.0 / (dim - 1))), dim)
@@ -285,10 +285,7 @@ def measure_family(family: str, rung, seed: int = 0, **kw) -> float:
         X = anneal_max_distance(n, dim, sched, init=init)
         return float(min_config_distance(X))
     if family == "anneal_triangle":
-        sched = kw.get("schedule") or AnnealSchedule(moves_per_epoch=200, epochs=25,
-                                                     seed=seed)
-        sched = replace(sched, seed=seed)
-        P = anneal_max_triangle(int(rung), kw.get("dim", 2), sched)
+        P = anneal_max_triangle(int(rung), dim, sched)
         from .triangles import min_triangle_fast
         return float(min_triangle_fast(P).area)
     raise ValueError(f"unknown family {family!r}")

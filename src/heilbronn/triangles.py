@@ -35,12 +35,10 @@ class TriangleWitness:
 class PairPipelineReport:
     """Diagnostics from the close-pair to point-line pipeline."""
 
-    n_points: int
     n_pairs: int
     max_pair_length: float
     config_distance: float
     area_bound: float
-    pair_length_constant: float
 
 
 def triangle_area(a, b, c) -> float:
@@ -524,8 +522,8 @@ class _CellGrid:
         return best, arg
 
 
-def greedy_close_pairs(P, n_pairs: int | None = None):
-    """Extract floor(n/4) (or `n_pairs`) disjoint closest-available point pairs.
+def greedy_close_pairs(P):
+    """Extract floor(n/4) disjoint closest-available point pairs.
 
     Each round removes the exact closest remaining pair, matching the
     pigeonhole covering radius with the remaining count.  A lazy heap holds,
@@ -568,11 +566,7 @@ def greedy_close_pairs(P, n_pairs: int | None = None):
     n = P.shape[0]
     if n < 8:
         raise ValueError("need at least 8 points")
-    if n_pairs is not None and (not isinstance(n_pairs, (int, np.integer)) or n_pairs < 0):
-        raise ValueError(f"n_pairs must be a non-negative int, got {n_pairs!r}")
-    m = n // 4 if n_pairs is None else int(n_pairs)
-    if m > n // 2:
-        raise ValueError(f"n_pairs={m} exceeds n // 2 = {n // 2}")
+    m = n // 4
     grid = _CellGrid(P)
     start, nbr, nd2, bound = grid.certified_rows()
     start, nbr, nd = start.tolist(), nbr.tolist(), np.sqrt(nd2).tolist()
@@ -614,17 +608,15 @@ def triangle_via_pointline(P) -> tuple[TriangleWitness, PairPipelineReport]:
     area <= max_pair_length * distance / 2 by construction.
     """
     P = np.asarray(P, dtype=float)
-    n, d = P.shape
     pairs, dists = greedy_close_pairs(P)
-    m = len(pairs)
+    n, m = P.shape[0], len(pairs)
     max_len = float(np.max(dists))
-    const = max_len * n ** (1.0 / d) / 2.0
 
     for (i, j), dist in zip(pairs, dists):
         if dist == 0.0:
             k = next(t for t in range(n) if t not in (i, j))
             tri = tuple(sorted((i, j, k)))
-            report = PairPipelineReport(n, m, max_len, 0.0, 0.0, const)
+            report = PairPipelineReport(m, max_len, 0.0, 0.0)
             return TriangleWitness(indices=tri, area=0.0), report
 
     anchors = np.array([P[i] for i, _ in pairs])
@@ -633,7 +625,6 @@ def triangle_via_pointline(P) -> tuple[TriangleWitness, PairPipelineReport]:
     tri_pts = (pairs[a][0], pairs[b][0], pairs[b][1])
     area = triangle_area(P[tri_pts[0]], P[tri_pts[1]], P[tri_pts[2]])
     bound = max_len * best / 2.0
-    report = PairPipelineReport(n_points=n, n_pairs=m, max_pair_length=max_len,
-                                config_distance=best, area_bound=bound,
-                                pair_length_constant=const)
+    report = PairPipelineReport(n_pairs=m, max_pair_length=max_len,
+                                config_distance=best, area_bound=bound)
     return TriangleWitness(indices=tuple(sorted(tri_pts)), area=float(area)), report

@@ -157,7 +157,6 @@ class TwoEndsResult:
     overlap_upper: int                            # certified upper bound on it
     rich_threshold: float
     rounds_run: int
-    max_rounds: int
     delta: float
     span: float                                   # the Delta parameter
     n_tubes: int
@@ -379,7 +378,7 @@ def two_ends_decompose(tubes, delta: float, span: float,
                          selection=tuple(tuple(s) for s in selection),
                          overlap_measured=int(measured), overlap_upper=int(upper),
                          rich_threshold=float(r), rounds_run=rounds_run,
-                         max_rounds=max_rounds, delta=delta, span=span,
+                         delta=delta, span=span,
                          n_tubes=n, exact_net=exact)
 
 
@@ -662,8 +661,6 @@ class BrushReport:
     bound: float
     constant_needed: float
     density: float
-    exponents: tuple[float, ...]
-    kt_constant: float
 
 
 def _tube_arrays(tubes):
@@ -683,6 +680,8 @@ def tube_box_counts_3d(tubes, scales):
 
 @_range_checked("a Katz-Tao profile weight (scale/delta)^t")
 def _kt_weight(ratio: float, t: float) -> float:
+    if not np.isfinite(t):
+        raise ValueError(f"Katz-Tao exponents must be finite, got {t}")
     return ratio ** t
 
 
@@ -694,13 +693,11 @@ def _kt_profile(tubes, delta: float, t1: float, t2: float | None):
     scale (w,) on the dyadic ladder from delta, count the segments in the
     best min(w, 1) x 1 rectangle, a = (w/delta)^t1 and b = 1 (t2 unused).
     The family is Katz-Tao with constant K when every count is at most
-    K * a * b.  Raises ValueError for a non-finite exponent and
-    FloatingPointError for a weight that is not a positive normal float.
+    K * a * b.  The weights come from `_kt_weight`: ValueError for a
+    non-finite exponent, FloatingPointError for a weight that is not a
+    positive normal float.
     """
     dim = tubes[0].center.shape[0]
-    exponents = (t1,) if dim == 2 else (t1, t2)
-    if not np.isfinite(exponents).all():
-        raise ValueError(f"Katz-Tao exponents must be finite, got {exponents}")
     if dim == 3:
         scales = _box_scales(delta, delta)
         counts = tube_box_counts_3d(tubes, scales)
@@ -740,7 +737,7 @@ def _check_brush(tubes, shading: Shading, exponents, K: float, eps: float,
     value = bound(delta, lam, len(tubes))
     return BrushReport(measured_volume=vol, bound=value,
                        constant_needed=value / vol if vol > 0 else np.inf,
-                       density=lam, exponents=tuple(exponents), kt_constant=K)
+                       density=lam)
 
 
 def check_planar_brush(tubes, shading: Shading, t: float, K: float,
@@ -769,6 +766,10 @@ def check_space_brush(tubes, shading: Shading, t1: float, t2: float, K: float,
 # ---------------------------------------------------------------------------
 # Katz-Tao test-family generator
 
+# rungs of the generator's dyadic probe ladder, so at most 64 x 64 box scales
+# in 3D; delta = 1/128 gives 7
+_MAX_PROBE_RUNGS = 64
+
 
 def generate_katz_tao_tubes(delta: float, t1: float, t2: float, count: int,
                             seed: int = 0, dim: int = 3):
@@ -776,16 +777,24 @@ def generate_katz_tao_tubes(delta: float, t1: float, t2: float, count: int,
 
     Candidates are accepted only while every dyadic box probe anchored at the
     candidate stays below 2 * (u/delta)^t1 * (w/delta)^t2 (2D: the
-    single-exponent w x 1 variant).  Returns (tubes, complete_flag); the flag
-    is False when the attempt budget of 100 * count was exhausted.
+    single-exponent w x 1 variant), the weights taken by `_kt_weight`.  The
+    probes sit on the dyadic ladder from 2 * delta; a ladder of more than
+    _MAX_PROBE_RUNGS rungs raises ValueError.  Returns (tubes,
+    complete_flag); the flag is False when the attempt budget of 100 * count
+    was exhausted.
     """
     rng = np.random.default_rng(seed)
+    ws = dyadic_ladder(2 * delta)
+    if len(ws) > _MAX_PROBE_RUNGS:
+        raise ValueError(f"delta={delta!r} gives a probe ladder of {len(ws)} scales, "
+                         f"over the cap of {_MAX_PROBE_RUNGS}")
     if dim == 3:
         scales = _box_scales(delta, 2 * delta)
-        caps = [2.0 * (u / delta) ** t1 * (w / delta) ** t2 for u, w in scales]
+        caps = [2.0 * _kt_weight(u / delta, t1) * _kt_weight(w / delta, t2)
+                for u, w in scales]
     else:
-        scales = sorted({(min(w, 1.0),) * 2 for w in dyadic_ladder(2 * delta)})
-        caps = [2.0 * (w / delta) ** t1 for _, w in scales]
+        scales = sorted({(min(w, 1.0),) * 2 for w in ws})
+        caps = [2.0 * _kt_weight(w / delta, t1) for _, w in scales]
     halves = _box_halves(scales, dim)
     tubes: list = []
     attempts = 0

@@ -308,7 +308,7 @@ class TestCoveringProfiles:
 class TestKatzTaoFit:
     def test_vertical_unit_constant(self):
         X = generate_vertical(1 / 16, 3)
-        fit = katz_tao_fit(X.lines(), 1 / 16, 3)
+        fit = katz_tao_fit(X.lines(), 1 / 16)
         # one line per delta x delta x 1 box at the base scale
         base = [r for r in fit.residuals if r[0] == r[1] == 1 / 16]
         assert base[0][2] <= 2
@@ -317,7 +317,7 @@ class TestKatzTaoFit:
         # coplanar family: the thinnest w = 1 slab already captures most
         # lines, the family's defining maximal planar concentration
         _, lines = generate_plane_example(1 / 16)
-        fit = katz_tao_fit(lines, 1 / 16, 3)
+        fit = katz_tao_fit(lines, 1 / 16)
         assert len(fit.exponents) == 2
         rows_w1 = {u: m for (u, w, m, f) in fit.residuals if w == 1.0}
         assert rows_w1[1 / 16] >= 0.5 * len(lines)
@@ -325,11 +325,18 @@ class TestKatzTaoFit:
     def test_degenerate_grid(self):
         _, lines = generate_plane_example(1 / 4)
         with pytest.raises(DegenerateGridError):
-            katz_tao_fit(lines, 0.9, 3)
+            katz_tao_fit(lines, 0.9)
+
+    def test_empty_family_raises(self):
+        # the dimension comes from the members
+        with pytest.raises(ValueError, match="non-empty family"):
+            katz_tao_fit([], 1 / 16)
+        with pytest.raises(ValueError, match="non-empty family"):
+            katz_tao_fit((np.empty((0, 3)), np.empty((0, 3))), 1 / 16)
 
     def test_bush_flags_concentration(self):
         _, lines = generate_bush(1 / 16, 3, 1, seed=0)
-        fit = katz_tao_fit(lines, 1 / 16, 3)
+        fit = katz_tao_fit(lines, 1 / 16)
         worst = max(abs(np.log(max(m, 1)) - np.log(f)) for (_, _, m, f) in fit.residuals)
         assert worst > 0.5  # concentration at a point resists the fit
 

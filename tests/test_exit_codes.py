@@ -3,13 +3,15 @@
 Each case runs one command in process on the golden inputs with one numeric
 option set to an extreme value.  Whatever the value, the command must end
 with a documented exit code (0 ok, 2 usage, 3 validation, 4 numerical),
-print no traceback and write no CSV data field that is inf or nan.  Every
+print no traceback and write no CSV data field that is inf or nan (no token
+of the file, for the commands that write a `.tubes` or `.plc` file).  Every
 other option keeps a value under which the command exits 0, so the option
 under test is the one that decides.
 """
 
 import math
 import resource
+import warnings
 from pathlib import Path
 
 import pytest
@@ -43,7 +45,13 @@ COMMANDS = [
      ["--delta", "--span", "--rich-constant"]),
     ("katz-tao-plc", ["katz-tao", "-p", "lines3.plc", "--delta", "0.125"], ["--delta"]),
     ("katz-tao-tubes", ["katz-tao", "-p", "tubes3.tubes", "--delta", "0.125"], ["--delta"]),
+    ("gen-kt-tubes", ["gen", "katz-tao-tubes", "--dim", "3", "--delta", "0.125", "--count",
+                      "12", "--seed", "5"], ["--delta", "--t1", "--t2"]),
+    ("anneal", ["anneal", "--objective", "distance", "--n", "6", "--moves", "40",
+                "--epochs", "5", "--seed", "2"], ["--t0", "--cooling"]),
 ]
+# commands that write a .tubes or .plc file instead of a CSV
+FILES = {"gen-kt-tubes", "anneal"}
 
 CASES = [(name, opt, value) for name, _, opts in COMMANDS for opt in opts
          for value in VALUES]
@@ -102,13 +110,14 @@ def test_exit_code_documented(name, opt, value, tmp_path, capsys, bounded_memory
     assert rc in (0, 2, 3, 4), err
     assert "Traceback" not in err
     if rc == 0:
-        csv = out.with_name("out.cert.csv") if name == "uniformize" else out
-        for field in _data_fields(csv):
+        written = out.with_name("out.cert.csv") if name == "uniformize" else out
+        fields = written.read_text().split() if name in FILES else _data_fields(written)
+        for field in fields:
             try:
                 x = float(field)
             except ValueError:
                 continue
-            assert math.isfinite(x), f"{field} in {csv.read_text()}"
+            assert math.isfinite(x), f"{field} in {written.read_text()}"
 
 
 @pytest.mark.parametrize("extra,message", [
@@ -128,3 +137,28 @@ def test_uniformize_names_the_ladder_it_refuses(tmp_path, capsys, bounded_memory
     assert main(_argv("uniformize", tmp_path / "out", "--delta=1e-300")) == 3
     assert ("delta=1e-300 and K=2.0 give a ladder of m=996 scales"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("name,option,message", [
+    # exited 0 with "only 0 of 12 tubes accepted"
+    ("gen-kt-tubes", "--t1=nan", "Katz-Tao exponents must be finite, got nan"),
+    ("gen-kt-tubes", "--t2=-inf", "Katz-Tao exponents must be finite, got -inf"),
+    # took 25 s on a 2-core VM and exited 0, probing about 960k box scales
+    ("gen-kt-tubes", "--delta=1e-300", "delta=1e-300 gives a probe ladder of 996 scales"),
+    # exited 0: a nan temperature rejected every worsening move
+    ("anneal", "--t0=nan", "t0 must be finite and non-negative, got nan"),
+    ("anneal", "--t0=inf", "t0 must be finite and non-negative, got inf"),
+    # exited 3 only through numpy's "scale < 0"
+    ("anneal", "--t0=-1", "t0 must be finite and non-negative, got -1.0"),
+])
+def test_refused_value_exits_three(name, option, message, tmp_path, capsys):
+    assert main(_argv(name, tmp_path / "out", option)) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_anneal_skips_a_direction_that_overflows(tmp_path):
+    # with t0 = 1e308 a rotated direction overflows; its nan unit vector
+    # entered the state with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(_argv("anneal", tmp_path / "out", "--t0=1e308")) == 0

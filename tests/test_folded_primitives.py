@@ -361,16 +361,16 @@ class TestKatzTaoLengths:
     def test_unit_lengths_equal_lines(self):
         fam = tube_family(20, 3, 10)
         centers, dirs, lengths = arrays(fam)
-        with_lengths = katz_tao_fit((centers, dirs, lengths), 1 / 8, 3)
-        as_lines = katz_tao_fit((centers, dirs), 1 / 8, 3)
+        with_lengths = katz_tao_fit((centers, dirs, lengths), 1 / 8)
+        as_lines = katz_tao_fit((centers, dirs), 1 / 8)
         assert with_lengths == as_lines
 
     def test_2d_line_list_fits(self):
         lines = random_lines(20, 2, seed=11)
-        fit = katz_tao_fit(lines, 1 / 16, 2)
+        fit = katz_tao_fit(lines, 1 / 16)
         bases = np.array([ln.base for ln in lines])
         dirs = np.array([ln.dir for ln in lines])
-        assert fit == katz_tao_fit((bases, dirs, None), 1 / 16, 2)
+        assert fit == katz_tao_fit((bases, dirs, None), 1 / 16)
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +623,10 @@ class TestLadderCallers:
     @pytest.mark.parametrize("delta", [1 / 16, 0.1, (1 + 5e-10) / 8])
     def test_katz_tao_fit(self, delta):
         lines = random_lines(8, 3, seed=17)
-        fit = katz_tao_fit(lines, delta, 3)
+        fit = katz_tao_fit(lines, delta)
         assert [(u, w) for u, w, _, _ in fit.residuals] == sorted(set(old_pairs(delta, delta)))[:64]
         segs = arrays(tube_family(8, 2, 18, unit=False))
-        fit = katz_tao_fit(segs, delta, 2)
+        fit = katz_tao_fit(segs, delta)
         assert [w for _, w, _, _ in fit.residuals] == [min(w, 1.0) for w in old_ladder(delta)]
 
     @pytest.mark.parametrize("delta", [1 / 16, 0.1, 0.3, 0.6])

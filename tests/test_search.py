@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from heilbronn.configurations import generate_erdos_parabola, generate_vertical, \
-    min_config_distance
+from heilbronn.configurations import generate_vertical, min_config_distance
 from heilbronn.search import (
     AnnealSchedule,
     _min_with_vertex,
@@ -67,13 +66,6 @@ class TestAnnealTriangle:
     def test_three_points_reach_half(self):
         P = anneal_max_triangle(3, 2, short_schedule(2, moves=500, epochs=30))
         assert min_triangle_brute(P).area >= 0.4
-
-    def test_seeded_with_parabola(self):
-        init = generate_erdos_parabola(5)
-        base = min_triangle_brute(init).area
-        P = anneal_max_triangle(init.shape[0], 2,
-                                short_schedule(7, moves=200, epochs=8), init=init)
-        assert min_triangle_brute(P).area >= base - 1e-15
 
     def test_scaling_trend(self):
         # Delta * n^2 should not collapse as n grows

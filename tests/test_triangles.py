@@ -51,11 +51,11 @@ def triu_brute(P):
     return witness, best2 / 2.0
 
 
-def rebuild_greedy_pairs(P, n_pairs=None):
+def rebuild_greedy_pairs(P):
     """Reference greedy pairing: a kd-tree rebuilt over the survivors every
     round, the first argmin of the nearest-neighbour distance wins."""
     n = P.shape[0]
-    m = n // 4 if n_pairs is None else n_pairs
+    m = n // 4
     alive = np.ones(n, dtype=bool)
     pairs, dists = [], []
     for _ in range(m):
@@ -69,12 +69,12 @@ def rebuild_greedy_pairs(P, n_pairs=None):
     return pairs, np.array(dists)
 
 
-def kdtree_greedy_pairs(P, n_pairs=None):
+def kdtree_greedy_pairs(P):
     """Reference greedy pairing on one kd-tree and a lazy heap (the pairing
     before the cell grid): each dead neighbour is re-queried on the full tree
     with k doubling until an alive neighbour shows."""
     n = P.shape[0]
-    m = n // 4 if n_pairs is None else n_pairs
+    m = n // 4
     tree = cKDTree(P)
     dd, jj = tree.query(P, k=2)
     rows = np.arange(n)
@@ -108,13 +108,13 @@ def dense_sq_dists(P):
     return sum((P[:, None, k] - P[None, :, k]) ** 2 for k in range(P.shape[1]))
 
 
-def dense_greedy_pairs(P, n_pairs=None):
+def dense_greedy_pairs(P):
     """Reference greedy pairing on the full distance matrix: each round every
     alive i takes its nearest alive j != i (the smallest j among equal
     squared distances), and the smallest i among the smallest distances
     pairs with its j."""
     n = P.shape[0]
-    m = n // 4 if n_pairs is None else n_pairs
+    m = n // 4
     sq = dense_sq_dists(P)
     np.fill_diagonal(sq, np.inf)
     alive = np.ones(n, dtype=bool)
@@ -530,20 +530,6 @@ class TestGreedyPairs:
         assert pairs == want_pairs
         assert np.array_equal(dists, want_dists)
 
-    @pytest.mark.parametrize("n_pairs", [0, 1, 5, 32])
-    def test_explicit_n_pairs_equals_rebuild_oracle(self, n_pairs):
-        P = np.random.default_rng(7).uniform(0, 1, (64, 3))
-        pairs, dists = greedy_close_pairs(P, n_pairs)
-        want_pairs, want_dists = rebuild_greedy_pairs(P, n_pairs)
-        assert pairs == want_pairs
-        assert np.array_equal(dists, want_dists)
-
-    def test_n_pairs_above_half_raises(self, rng):
-        P = rng.uniform(0, 1, (64, 2))
-        greedy_close_pairs(P, 32)
-        with pytest.raises(ValueError):
-            greedy_close_pairs(P, 33)
-
     @pytest.mark.parametrize("seed", range(50))
     def test_duplicate_point_never_pairs_with_itself(self, seed):
         P = np.random.default_rng(seed).uniform(0, 1, (64, 3))
@@ -556,25 +542,38 @@ class TestGreedyPairs:
         witness, _ = triangle_via_pointline(P)
         assert len(set(witness.indices)) == 3
 
-    @pytest.mark.parametrize("n_pairs", [None, "half"])
+    @pytest.mark.parametrize("dead", [None, "half"])
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("n", [8, 64, 512, 1024, 1280, 4096])
-    def test_equals_kdtree_oracle(self, n, dim, seed, n_pairs):
+    def test_equals_kdtree_oracle(self, n, dim, seed, dead):
+        # dead=None: the pairing.  dead="half": the search for the nearest
+        # alive point, with a random half of the points dead as at the end of
+        # the pairing, from every third point
         P = np.random.default_rng([n, dim, seed]).uniform(0, 1, (n, dim))
-        m = n // 2 if n_pairs == "half" else None
-        pairs, dists = greedy_close_pairs(P, m)
-        want_pairs, want_dists = kdtree_greedy_pairs(P, m)
-        assert pairs == want_pairs
-        assert np.array_equal(dists, want_dists)
+        if dead is None:
+            pairs, dists = greedy_close_pairs(P)
+            want_pairs, want_dists = kdtree_greedy_pairs(P)
+            assert pairs == want_pairs
+            assert np.array_equal(dists, want_dists)
+            return
+        live = np.sort(np.random.default_rng(seed).permutation(n)[:n // 2])
+        alive = np.zeros(n, dtype=bool)
+        alive[live] = True
+        tree = cKDTree(P[live])
+        grid = triangles._CellGrid(P)
+        for i in range(0, n, 3):
+            dd, jj = tree.query(P[i], k=2)
+            d, j = next((d, int(live[j])) for d, j in zip(dd, jj) if live[j] != i)
+            assert grid.nearest_alive(i, alive) == (d, i, j)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_far_from_origin_equals_kdtree_oracle(self, dim):
         # a small box far from the origin: cell keys come from differences
         # of large coordinates
         P = 1e6 + 1e-3 * np.random.default_rng(dim).uniform(0, 1, (700, dim))
-        pairs, dists = greedy_close_pairs(P, 350)
-        want_pairs, want_dists = kdtree_greedy_pairs(P, 350)
+        pairs, dists = greedy_close_pairs(P)
+        want_pairs, want_dists = kdtree_greedy_pairs(P)
         assert pairs == want_pairs
         assert np.array_equal(dists, want_dists)
 
@@ -586,12 +585,11 @@ class TestGreedyPairs:
         rng = np.random.default_rng(seed)
         base = rng.uniform(0, 1, (40, dim))
         P = np.concatenate([base, base[rng.permutation(40)]])
-        for m in (None, 40):
-            pairs, dists = greedy_close_pairs(P, m)
-            want_pairs, want_dists = kdtree_greedy_pairs(P, m)
-            assert pairs == want_pairs
-            assert np.array_equal(dists, want_dists)
-        assert np.all(dists[:40] == 0.0)
+        pairs, dists = greedy_close_pairs(P)
+        want_pairs, want_dists = kdtree_greedy_pairs(P)
+        assert pairs == want_pairs
+        assert np.array_equal(dists, want_dists)
+        assert np.all(dists == 0.0)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_repeated_points_equal_dense_oracle(self, dim):
@@ -601,11 +599,10 @@ class TestGreedyPairs:
         P = rng.uniform(0, 1, (60, dim))
         P[[3, 17, 29, 41, 58]] = P[17]
         for Q in (P, np.zeros((8, dim)), np.full((13, dim), 0.25)):
-            for m in (None, Q.shape[0] // 2):
-                pairs, dists = greedy_close_pairs(Q, m)
-                want_pairs, want_dists = dense_greedy_pairs(Q, m)
-                assert pairs == want_pairs
-                assert np.array_equal(dists, want_dists)
+            pairs, dists = greedy_close_pairs(Q)
+            want_pairs, want_dists = dense_greedy_pairs(Q)
+            assert pairs == want_pairs
+            assert np.array_equal(dists, want_dists)
         assert greedy_close_pairs(np.zeros((8, dim)))[0] == [(0, 1), (2, 3)]
 
     @pytest.mark.parametrize("seed", range(3))
@@ -615,11 +612,10 @@ class TestGreedyPairs:
         rng = np.random.default_rng(seed)
         P = rng.uniform(0, 1, (300, dim))
         P[:150] = 0.3 + 1e-9 * rng.uniform(-1, 1, (150, dim))
-        for m in (None, 150):
-            pairs, dists = greedy_close_pairs(P, m)
-            want_pairs, want_dists = dense_greedy_pairs(P, m)
-            assert pairs == want_pairs
-            assert np.array_equal(dists, want_dists)
+        pairs, dists = greedy_close_pairs(P)
+        want_pairs, want_dists = dense_greedy_pairs(P)
+        assert pairs == want_pairs
+        assert np.array_equal(dists, want_dists)
 
     @pytest.mark.parametrize("shape", [(12, 12), (7, 19), (6, 6, 6), (3, 5, 9)])
     def test_lattice_ties_equal_dense_oracle(self, shape):
@@ -628,11 +624,10 @@ class TestGreedyPairs:
         axes = [np.arange(k) / 8 for k in shape]
         P = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(shape))
         for Q in (P, P[np.random.default_rng(0).permutation(P.shape[0])]):
-            for m in (None, Q.shape[0] // 2):
-                pairs, dists = greedy_close_pairs(Q, m)
-                want_pairs, want_dists = dense_greedy_pairs(Q, m)
-                assert pairs == want_pairs
-                assert np.array_equal(dists, want_dists)
+            pairs, dists = greedy_close_pairs(Q)
+            want_pairs, want_dists = dense_greedy_pairs(Q)
+            assert pairs == want_pairs
+            assert np.array_equal(dists, want_dists)
         # row-major order: point 0's neighbours at 1/8 are points 1 and
         # shape[-1], ...; the smallest index wins
         assert greedy_close_pairs(P)[0][0] == (0, 1)
@@ -675,8 +670,8 @@ class TestGreedyPairs:
                 d, k, j = grid.nearest_alive(i, alive)
                 assert (k, j) == (i, int(masked[i].argmin()))
                 assert d == np.sqrt(masked[i].min())
-        pairs, dists = greedy_close_pairs(P, 200)
-        want_pairs, want_dists = dense_greedy_pairs(P, 200)
+        pairs, dists = greedy_close_pairs(P)
+        want_pairs, want_dists = dense_greedy_pairs(P)
         assert pairs == want_pairs
         assert np.array_equal(dists, want_dists)
 
@@ -684,18 +679,13 @@ class TestGreedyPairs:
         # 4095 points in the unit cube and one at (1000, 1000, 1000): a side
         # from the bounding box would put the 4095 into one cell (k^2
         # distance evaluations), the percentile spread gives cells of a few
-        # points.  With n // 2 pairs the outlier pairs last, through the
-        # doubling cube search across the empty grid
+        # points
         rng = np.random.default_rng(0)
         P = np.vstack([rng.uniform(0, 1, (4095, 3)), [[1000.0, 1000.0, 1000.0]]])
         assert np.diff(triangles._CellGrid(P).index.head).max() <= 16
         pairs, dists = greedy_close_pairs(P)
         want_pairs, want_dists = rebuild_greedy_pairs(P)
         assert pairs == want_pairs
-        assert np.array_equal(dists, want_dists)
-        pairs, dists = greedy_close_pairs(P, 2048)
-        want_pairs, want_dists = kdtree_greedy_pairs(P, 2048)
-        assert pairs == want_pairs and pairs[-1][1] == 4095
         assert np.array_equal(dists, want_dists)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -709,11 +699,10 @@ class TestGreedyPairs:
         grid = triangles._CellGrid(P)
         extent = float(np.ptp(P, axis=0).max())
         assert grid.safe == extent / round(200 ** (1 / dim)) * (1.0 - triangles._RING_SLACK)
-        for m in (None, 100):
-            pairs, dists = greedy_close_pairs(P, m)
-            want_pairs, want_dists = dense_greedy_pairs(P, m)
-            assert pairs == want_pairs
-            assert np.array_equal(dists, want_dists)
+        pairs, dists = greedy_close_pairs(P)
+        want_pairs, want_dists = dense_greedy_pairs(P)
+        assert pairs == want_pairs
+        assert np.array_equal(dists, want_dists)
 
     def test_certified_radius_is_one_side(self):
         # corners fix the box to [0, 4]^2 and 16 points give a cell side of
@@ -731,8 +720,8 @@ class TestGreedyPairs:
         assert j == 1 and d == np.sqrt(dense_sq_dists(P)[0, 1])
         start, nbr, _, _ = grid.certified_rows()
         assert 2 not in nbr[start[0]:start[1]]
-        pairs, dists = greedy_close_pairs(P, 8)
-        want_pairs, want_dists = dense_greedy_pairs(P, 8)
+        pairs, dists = greedy_close_pairs(P)
+        want_pairs, want_dists = dense_greedy_pairs(P)
         assert pairs == want_pairs and np.array_equal(dists, want_dists)
 
     def test_blocks_bounded_and_split_per_point(self, monkeypatch):
@@ -740,7 +729,7 @@ class TestGreedyPairs:
         # candidates are more; the result does not depend on the block size
         P = np.random.default_rng(9).uniform(0, 1, (600, 3))
         P[:100] = 0.5
-        want = greedy_close_pairs(P, 300)
+        want = greedy_close_pairs(P)
         sizes = []
         real = triangles._sq_dists
 
@@ -758,7 +747,7 @@ class TestGreedyPairs:
             monkeypatch.setattr(triangles, "_CHUNK", chunk)
             triangles._CellGrid(P).certified_rows()
             largest[chunk] = max(sizes)
-            pairs, dists = greedy_close_pairs(P, 300)
+            pairs, dists = greedy_close_pairs(P)
             assert pairs == want[0] and np.array_equal(dists, want[1])
         # each of the 100 copies scores the other 99 and its neighbours
         assert largest[50] >= 99 and largest[1000] <= 1000
@@ -781,17 +770,6 @@ class TestGreedyPairs:
         P = np.random.default_rng(0).uniform(-1, 1, (16, 2)) * 1e308
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="float range"):
             greedy_close_pairs(P)
-
-    @pytest.mark.parametrize("n_pairs", [-3, -1, 2.5, 3.0, "3", [3]])
-    def test_rejects_bad_n_pairs(self, n_pairs):
-        P = np.random.default_rng(0).uniform(0, 1, (16, 2))
-        with pytest.raises(ValueError, match="n_pairs"):
-            greedy_close_pairs(P, n_pairs)
-
-    def test_numpy_integer_n_pairs(self):
-        P = np.random.default_rng(0).uniform(0, 1, (16, 2))
-        pairs, dists = greedy_close_pairs(P, np.int64(3))
-        assert pairs == greedy_close_pairs(P, 3)[0] and len(dists) == 3
 
     def test_distance_constant(self, rng):
         n = 4096

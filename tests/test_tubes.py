@@ -471,7 +471,7 @@ def old_two_ends_decompose(tubes, delta, span, rich_constant=4.0):
                          selection=tuple(tuple(s) for s in selection),
                          overlap_measured=int(measured), overlap_upper=int(upper),
                          rich_threshold=float(r), rounds_run=rounds_run,
-                         max_rounds=max_rounds, delta=delta, span=span,
+                         delta=delta, span=span,
                          n_tubes=n, exact_net=exact)
 
 
