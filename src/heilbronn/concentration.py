@@ -433,13 +433,30 @@ def dyadic_pairs(u0: float, w0: float, factor: float = 2.0) -> list[tuple[float,
             for u in dyadic_ladder(u0, factor, top=w)]
 
 
-def _box_scales(u0: float, w0: float) -> list[tuple[float, float]]:
-    """The (u, w) of `dyadic_pairs(u0, w0)` with both extents clipped to 1,
-    sorted.  They come distinct and sorted by u, then w: at most one rung of a
-    doubling ladder reaches 1, so clipping keeps each ladder increasing."""
+def _box_scales(u0: float, w0: float, d: int) -> list[tuple[float, float]]:
+    """The Katz-Tao box grid, both extents clipped to 1: in 3D the (u, w) of
+    `dyadic_pairs(u0, w0)` sorted by u, then w (distinct: at most one rung of a
+    doubling ladder reaches 1), in 2D (w, w) for each w on the ladder from w0."""
     ws = dyadic_ladder(w0)
+    if d == 2:
+        return [(min(w, 1.0),) * 2 for w in ws]
     us = dyadic_ladder(u0, top=ws[-1]) if ws else []
     return [(min(u, 1.0), min(w, 1.0)) for u in us for w in ws if u <= w + 1e-9]
+
+
+@_range_checked("a Katz-Tao profile weight (scale/delta)^t")
+def _kt_weight(ratio: float, t: float) -> float:
+    if not np.isfinite(t):
+        raise ValueError(f"Katz-Tao exponents must be finite, got {t}")
+    return ratio ** t
+
+
+def _kt_weights(scales, delta: float, t1: float, t2: float | None):
+    """(a, b) = ((u/delta)^t1, (w/delta)^t2) for each (u, w) in `scales`, b = 1 when
+    t2 is None (2D), through `_kt_weight`: a family is Katz-Tao with constant K
+    when each box holds at most K * a * b members."""
+    return [(_kt_weight(u / delta, t1), 1.0 if t2 is None else _kt_weight(w / delta, t2))
+            for u, w in scales]
 
 
 def katz_tao_fit(family, delta: float) -> KatzTaoFit:
@@ -455,8 +472,7 @@ def katz_tao_fit(family, delta: float) -> KatzTaoFit:
     if len(family[0]) == 0:
         raise ValueError("a Katz-Tao fit needs a non-empty family")
     dim = family[0].shape[1]
-    cells = _box_scales(delta, delta)[:64] if dim == 3 else \
-        [(min(w, 1.0),) * 2 for w in dyadic_ladder(delta)]
+    cells = _box_scales(delta, delta, dim)[:64 if dim == 3 else None]
     if len(cells) < 4:
         raise DegenerateGridError("fewer than 4 scale cells")
     values, _ = m_lines_sweep(family, cells)
@@ -513,8 +529,7 @@ def plane_reduction_check(config: PointLineConfiguration, delta: float,
         raise ValueError(f"plane reduction check needs 0 < delta < 1, got {delta}")
     dmin = min_config_distance(config)
     precondition_ok = dmin >= delta * (1 - 1e-9)
-    pairs = sorted({(min(u, 1.0), min(w, 1.0)) for u, w in dyadic_pairs(delta, 2.0 * delta)
-                    if u * w >= delta * (1 - 1e-12)})
+    pairs = [(u, w) for u, w in _box_scales(delta, 2 * delta, 3) if u * w >= delta * (1 - 1e-12)]
     if not pairs:
         return PlaneReductionReport(precondition_ok=precondition_ok,
                                     rows=(), fitted_constant=0.0,

@@ -159,6 +159,8 @@ def generate_vertical(delta: float, dim: int) -> PointLineConfiguration:
         raise EmptyConfigurationError("need 0 < delta < 1/2")
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
+    if not np.isfinite(1.0 / (2.0 * delta)):
+        raise ValueError(f"delta {delta!r} too small: 1 / (2 delta) overflows")
     k = int(np.floor(1.0 / (2.0 * delta)))
     axes = [np.arange(k) * 2.0 * delta for _ in range(dim - 1)]
     grids = np.meshgrid(*axes, indexing="ij") if axes else []
@@ -194,7 +196,11 @@ def generate_bush(delta: float, dim: int, n_bushes: int, seed: int = 0):
         angles = np.arange(0.0, np.pi, delta)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
-        dirs = _fibonacci_hemisphere(max(1, round(delta ** -2)), margin=delta)
+        try:
+            count = round(delta ** -2)
+        except OverflowError:
+            raise ValueError(f"delta {delta!r} too small: delta^-2 overflows") from None
+        dirs = _fibonacci_hemisphere(max(1, count), margin=delta)
     for c in centers:
         for v in dirs:
             lines.append(Line(c, v))
@@ -209,6 +215,8 @@ def generate_plane_example(delta: float):
     """
     if not 0 < delta < 0.5:
         raise ValueError("need 0 < delta < 1/2")
+    if not np.isfinite(1.0 / (2.0 * delta)):
+        raise ValueError(f"delta {delta!r} too small: 1 / (2 delta) overflows")
     k = int(np.floor(1.0 / (2.0 * delta)))
     if k < 2:
         raise ValueError("delta too coarse for the coplanar family")

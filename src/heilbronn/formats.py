@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .configurations import PointLineConfiguration, PointLinePair
-from .geometry import Line, point_line_distance
+from .geometry import Line, _point_rows, point_line_distance
 from .tubes import Tube2D, Tube3D
 
 UNIT_READ_TOL = 1e-6
@@ -91,7 +91,7 @@ def _read_file(path: str, tag: str, parse_record):
 
 
 def write_points(path: str, points: np.ndarray) -> None:
-    P = np.asarray(points, dtype=float)
+    P = _point_rows(points)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"pts v1 dim={P.shape[1]} n={P.shape[0]}\n")
         for row in P:

@@ -55,6 +55,14 @@ def _range_checked(what: str, value=lambda out: out):
     return decorate
 
 
+def _point_rows(P) -> np.ndarray:
+    """P as an (n, 2) or (n, 3) float array; ValueError for any other shape."""
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[1] not in (2, 3):
+        raise ValueError(f"points must be an (n, 2) or (n, 3) array, got shape {P.shape}")
+    return P
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Validate and return a point as a read-only float vector."""
     p = np.array(x, dtype=float)
@@ -192,21 +200,13 @@ def point_line_distance(p, line: Line) -> float:
 
 def points_line_distance(P: np.ndarray, line: Line) -> np.ndarray:
     """Vectorized point_line_distance for an (n, d) array of points."""
-    return _points_line_rows(np.asarray(P, dtype=float), line.base, line.dir)
-
-
-def _points_line_rows(P: np.ndarray, base: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Distances from the rows of P to the line through `base` with unit direction v."""
-    U = P - base
-    t = U @ v
-    return np.linalg.norm(U - t[:, None] * v, axis=1)
+    return _points_lines_block(np.asarray(P, dtype=float), line.base[None], line.dir[None])[0]
 
 
 def _points_lines_block(P: np.ndarray, bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Distances from the rows of P to each line (bases[j], unit dirs[j]): (m, n).
 
-    Row j goes through the operations of _points_line_rows(P, bases[j],
-    dirs[j]), the projection one (n, d) x d BLAS product per line (a stacked
+    The projection is one (n, d) x d BLAS product per line (a stacked
     matmul), so a row does not depend on the other lines of the block.
     Temporaries are (m, n, d); callers bound m * n.
     """
@@ -256,7 +256,7 @@ def line_metric(l1: Line, l2: Line) -> float:
 def _lines_min_distance_rows(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
                              dirs: np.ndarray) -> np.ndarray:
     """lines_min_distance from the line (b1, v1) to each (base, dir) row."""
-    perp = _points_line_rows(bases, b1, v1)
+    perp = _points_lines_block(bases, b1[None], v1[None])[0]
     if v1.shape[0] == 2:
         cross = v1[0] * dirs[:, 1] - v1[1] * dirs[:, 0]
         return np.where(np.abs(cross) < 1e-12, perp, 0.0)

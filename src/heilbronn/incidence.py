@@ -25,6 +25,7 @@ from .concentration import (
     _CHUNK,
     HypothesisViolation,
     _family_arrays,
+    _kt_weights,
     dyadic_pairs,
     m_lines,
     m_lines_sweep,
@@ -307,8 +308,8 @@ def rhs_wellspaced(delta: float, P, lines, t1: float, t2: float, K: float,
     allscales = sorted(set(pairs + probe))
     values, _ = m_lines_sweep(lines, allscales)
     table = dict(zip(allscales, values))
-    for (u, w) in probe:
-        cap = K * (u / delta) ** t1 * (w / delta) ** t2
+    for (u, w), (a, b) in zip(probe, _kt_weights(probe, delta, t1, t2)):
+        cap = K * a * b
         if table[(u, w)] > cap * (1 + 1e-9):
             violations.append(("katz_tao", u, w, table[(u, w)], cap))
 

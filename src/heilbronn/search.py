@@ -20,7 +20,7 @@ from .configurations import (
     generate_vertical,
     min_config_distance,
 )
-from .geometry import Line, _point_lines_rows, _points_line_rows
+from .geometry import Line, _point_lines_rows, _points_lines_block, _require_finite
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class _DistanceState:
             self._refresh_column(j)
 
     def _refresh_column(self, j):
-        self.D[:, j] = _points_line_rows(self.points, self.points[j], self.dirs[j])
+        self.D[:, j] = _points_lines_block(self.points, self.points[[j]], self.dirs[[j]])[0]
         self.D[j, j] = np.inf
 
     def _refresh_row(self, i):
@@ -262,8 +262,9 @@ def measure_family(family: str, rung, dim: int, seed: int = 0) -> float:
     Families: 'vertical_count' (|X| vs delta), 'pipeline_area' (triangle
     area vs n), 'anneal_distance' (annealed minimal distance at fixed
     n = rung), 'anneal_triangle' (annealed minimal triangle area at
-    n = rung).
+    n = rung).  Raises ValueError for a rung that is not finite.
     """
+    _require_finite(family, rung=rung)
     if family == "vertical_count":
         return float(len(generate_vertical(float(rung), dim)))
     if family == "pipeline_area":

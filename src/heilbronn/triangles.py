@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .configurations import _nearest_point_line
-from .geometry import _CHUNK, Line, _CellIndex, _ranges, _sorted_unique, _spans
+from .geometry import _CHUNK, Line, _CellIndex, _point_rows, _ranges, _sorted_unique, _spans
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def _brute_doubled(P: np.ndarray) -> tuple[tuple[int, int, int], float]:
 
 def min_triangle_brute(P) -> TriangleWitness:
     """Exact minimizer over all C(n,3) triples, lexicographic tie-break."""
-    P = np.asarray(P, dtype=float)
+    P = _point_rows(P)
     if P.shape[0] < 3:
         raise ValueError("need at least 3 points")
     witness, best2 = _brute_doubled(P)
@@ -374,7 +374,7 @@ def min_triangle_fast(P) -> TriangleWitness:
     the brute force, whose tie rule (the lexicographically first minimal
     triple) can pick another witness.
     """
-    P = np.asarray(P, dtype=float)
+    P = _point_rows(P)
     n, d = P.shape
     if n < 3:
         raise ValueError("need at least 3 points")
@@ -558,9 +558,7 @@ def greedy_close_pairs(P):
     holding k points costs k^2 distance evaluations.
     Returns (pairs, distances) with pairs as (i, j) index tuples, i < j.
     """
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[1] not in (2, 3):
-        raise ValueError(f"points must be an (n, 2) or (n, 3) array, got shape {P.shape}")
+    P = _point_rows(P)
     if not np.isfinite(P).all():
         raise ValueError("points must be finite")
     n = P.shape[0]

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import HypothesisViolation, _box_counts, _box_halves, _box_scales, \
-    _need_reach, _sweep, dyadic_ladder, m_tubes_2d
-from .geometry import _range_checked, _require_normal, _sorted_unique, canonical_direction, \
+    _kt_weights, _need_reach, _sweep, dyadic_ladder, m_tubes_2d
+from .geometry import _require_normal, _sorted_unique, canonical_direction, \
     complete_frame, direction_distance
 
 
@@ -678,34 +678,16 @@ def tube_box_counts_3d(tubes, scales):
     return best
 
 
-@_range_checked("a Katz-Tao profile weight (scale/delta)^t")
-def _kt_weight(ratio: float, t: float) -> float:
-    if not np.isfinite(t):
-        raise ValueError(f"Katz-Tao exponents must be finite, got {t}")
-    return ratio ** t
-
-
 def _kt_profile(tubes, delta: float, t1: float, t2: float | None):
-    """Katz-Tao profile rows (scale, count, a, b) of a tube family at width delta.
-
-    3D: scale (u, w) on the clipped dyadic grid from delta, count the tubes
-    in the best u x w x 1 box, a = (u/delta)^t1 and b = (w/delta)^t2.  2D:
-    scale (w,) on the dyadic ladder from delta, count the segments in the
-    best min(w, 1) x 1 rectangle, a = (w/delta)^t1 and b = 1 (t2 unused).
-    The family is Katz-Tao with constant K when every count is at most
-    K * a * b.  The weights come from `_kt_weight`: ValueError for a
-    non-finite exponent, FloatingPointError for a weight that is not a
-    positive normal float.
-    """
+    """Katz-Tao profile rows ((u, w), count, a, b) of a tube family at width
+    delta: on the grid `_box_scales(delta, delta, dim)`, the tubes in the best
+    u x w x 1 box (2D: w x 1 rectangle) and the `_kt_weights` (2D: t2 unused)."""
     dim = tubes[0].center.shape[0]
-    if dim == 3:
-        scales = _box_scales(delta, delta)
-        counts = tube_box_counts_3d(tubes, scales)
-        return [((u, w), got, _kt_weight(u / delta, t1), _kt_weight(w / delta, t2))
-                for (u, w), got in zip(scales, counts)]
-    ws = dyadic_ladder(delta)
-    counts = m_tubes_2d(*_tube_arrays(tubes), [min(w, 1.0) for w in ws])
-    return [((w,), got, _kt_weight(w / delta, t1), 1.0) for w, got in zip(ws, counts)]
+    scales = _box_scales(delta, delta, dim)
+    weights = _kt_weights(scales, delta, t1, t2 if dim == 3 else None)
+    counts = tube_box_counts_3d(tubes, scales) if dim == 3 else \
+        m_tubes_2d(*_tube_arrays(tubes), [w for _, w in scales])
+    return [(scale, got, a, b) for scale, got, (a, b) in zip(scales, counts, weights)]
 
 
 def _verify_kt(tubes, delta: float, K: float, t1: float, t2: float | None = None):
@@ -777,33 +759,28 @@ def generate_katz_tao_tubes(delta: float, t1: float, t2: float, count: int,
 
     Candidates are accepted only while every dyadic box probe anchored at the
     candidate stays below 2 * (u/delta)^t1 * (w/delta)^t2 (2D: the
-    single-exponent w x 1 variant), the weights taken by `_kt_weight`.  The
+    single-exponent w x 1 variant), the weights taken by `_kt_weights`.  The
     probes sit on the dyadic ladder from 2 * delta; a ladder of more than
     _MAX_PROBE_RUNGS rungs raises ValueError.  Returns (tubes,
     complete_flag); the flag is False when the attempt budget of 100 * count
     was exhausted.
     """
     rng = np.random.default_rng(seed)
-    ws = dyadic_ladder(2 * delta)
-    if len(ws) > _MAX_PROBE_RUNGS:
-        raise ValueError(f"delta={delta!r} gives a probe ladder of {len(ws)} scales, "
+    rungs = len(dyadic_ladder(2 * delta))
+    if rungs > _MAX_PROBE_RUNGS:
+        raise ValueError(f"delta={delta!r} gives a probe ladder of {rungs} scales, "
                          f"over the cap of {_MAX_PROBE_RUNGS}")
-    if dim == 3:
-        scales = _box_scales(delta, 2 * delta)
-        caps = [2.0 * _kt_weight(u / delta, t1) * _kt_weight(w / delta, t2)
-                for u, w in scales]
-    else:
-        scales = sorted({(min(w, 1.0),) * 2 for w in ws})
-        caps = [2.0 * _kt_weight(w / delta, t1) for _, w in scales]
+    scales = _box_scales(delta, 2 * delta, dim)
+    caps = [2.0 * a * b for a, b in _kt_weights(scales, delta, t1, t2 if dim == 3 else None)]
     halves = _box_halves(scales, dim)
     tubes: list = []
     attempts = 0
     budget = 100 * count
     tube_cls = Tube3D if dim == 3 else Tube2D
-    # rows 0..k-1 hold the k accepted tubes, row k the candidate (all of length 1)
+    # rows 0..k-1 hold the k accepted tubes, row k the candidate
     centers = np.empty((count + 1, dim))
     dirs = np.empty((count + 1, dim))
-    lengths = np.ones(count + 1)
+    need, reach = _need_reach(1.0, dim)  # every tube has length 1
     while len(tubes) < count and attempts < budget:
         attempts += 1
         center = rng.uniform(0.2, 0.8, size=dim)
@@ -812,7 +789,6 @@ def generate_katz_tao_tubes(delta: float, t1: float, t2: float, count: int,
         k = len(tubes)
         centers[k] = cand.center
         dirs[k] = cand.dir
-        need, reach = _need_reach(lengths[:k + 1], dim)
         counts = _box_counts(centers[:k + 1], dirs[:k + 1], need, cand.center[None],
                              complete_frame(cand.dir)[None], halves, reach)[0]
         if all(got <= cap for got, cap in zip(counts, caps)):

@@ -3,10 +3,10 @@
 Each case runs one command in process on the golden inputs with one numeric
 option set to an extreme value.  Whatever the value, the command must end
 with a documented exit code (0 ok, 2 usage, 3 validation, 4 numerical),
-print no traceback and write no CSV data field that is inf or nan (no token
-of the file, for the commands that write a `.tubes` or `.plc` file).  Every
-other option keeps a value under which the command exits 0, so the option
-under test is the one that decides.
+print no traceback and write no CSV data field that is inf or nan (for the
+commands that write a `.tubes`, `.plc` or `.pts` file: no token of the file,
+and the file passes `validate_file`).  Every other option keeps a value under
+which the command exits 0, so the option under test is the one that decides.
 """
 
 import math
@@ -17,10 +17,13 @@ from pathlib import Path
 import pytest
 
 from heilbronn.cli import main
+from heilbronn.formats import validate_file
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 VALUES = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e308"]
+# the integer --dim takes these instead: the dimensions around 2 and 3
+DIMS = ["-1", "0", "1", "4"]
 
 HIGHLOW = ["highlow-check", "-p", "pts3.pts", "-l", "lines3.plc", "--delta", "0.125"]
 
@@ -49,12 +52,25 @@ COMMANDS = [
                       "12", "--seed", "5"], ["--delta", "--t1", "--t2"]),
     ("anneal", ["anneal", "--objective", "distance", "--n", "6", "--moves", "40",
                 "--epochs", "5", "--seed", "2"], ["--t0", "--cooling"]),
+    ("anneal-triangle", ["anneal", "--objective", "triangle", "--n", "5", "--moves", "40",
+                         "--epochs", "5", "--seed", "2"], ["--dim"]),
+    ("gen-vertical", ["gen", "vertical", "--dim", "3", "--delta", "0.125"], ["--delta"]),
+    ("gen-plane", ["gen", "plane", "--delta", "0.125"], ["--delta"]),
+    ("gen-bush", ["gen", "bush", "--dim", "3", "--delta", "0.1"], ["--delta"]),
+    ("gen-random-points", ["gen", "random-points", "--count", "8", "--seed", "1"], ["--dim"]),
+    ("exponent-vertical", ["exponent", "--family", "vertical_count", "--dim", "3",
+                           "--rungs", "0.25,0.125,0.0625"], ["--rungs"]),
+    ("exponent-pipeline", ["exponent", "--family", "pipeline_area", "--dim", "3",
+                           "--rungs", "64,128,256"], ["--rungs"]),
 ]
-# commands that write a .tubes or .plc file instead of a CSV
-FILES = {"gen-kt-tubes", "anneal"}
+# commands that write a .tubes, .plc or .pts file instead of a CSV
+FILES = {"gen-kt-tubes", "anneal", "anneal-triangle", "gen-vertical", "gen-plane", "gen-bush",
+         "gen-random-points"}
+# the rungs before the value under test, for the options that take a list
+LISTS = {"exponent-vertical": "0.25,0.125,0.0625,", "exponent-pipeline": "64,128,256,"}
 
-CASES = [(name, opt, value) for name, _, opts in COMMANDS for opt in opts
-         for value in VALUES]
+CASES = [(name, opt, LISTS.get(name, "") + value) for name, _, opts in COMMANDS
+         for opt in opts for value in (DIMS if opt == "--dim" else VALUES)]
 BASE = {name: argv for name, argv, _ in COMMANDS}
 
 
@@ -109,6 +125,8 @@ def test_exit_code_documented(name, opt, value, tmp_path, capsys, bounded_memory
     err = capsys.readouterr().err
     assert rc in (0, 2, 3, 4), err
     assert "Traceback" not in err
+    if name in FILES and out.exists():
+        assert validate_file(str(out)) == []
     if rc == 0:
         written = out.with_name("out.cert.csv") if name == "uniformize" else out
         fields = written.read_text().split() if name in FILES else _data_fields(written)

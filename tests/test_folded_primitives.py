@@ -668,9 +668,10 @@ class TestLadderCallers:
         rows = tubes_mod._kt_profile(fam, delta, 1.0, None)
         tubes_mod._verify_kt(fam, delta, 10.0, 1.0)
         measure_kt_constant(fam, delta, 1.0)
-        # the weights take the ladder's own w, the counts the clipped one
-        assert [scale for scale, *_ in rows] == [(w,) for w in old_ladder(delta)]
+        # the counts and the weights take the clipped w, as in 3D
         ws = [min(w, 1.0) for w in old_ladder(delta)]
+        assert [scale for scale, *_ in rows] == [(w, w) for w in ws]
+        assert [(a, b) for *_, a, b in rows] == [(w / delta, 1.0) for w in ws]
         assert [c[3] for c in calls] == [ws] * 3
 
     @pytest.mark.parametrize("delta", [1 / 16, 0.1, (1 + 5e-10) / 16])
