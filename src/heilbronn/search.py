@@ -121,6 +121,8 @@ def anneal_max_distance(n: int, dim: int, schedule: AnnealSchedule,
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
     rng = np.random.default_rng(schedule.seed)
     if init is not None:
         points = init.points()

@@ -211,40 +211,53 @@ def _lattice_spans(center, vdir, half_len, half_wid, h):
 
 
 def _lattice_net(tubes, dilate: float, h: float):
-    """Global-lattice points (step h) of every tube dilated by `dilate`, flat.
+    """Global-lattice points (step h) of every tube dilated by `dilate`.
 
-    Returns (ids, t, offsets, size): tube i owns rows offsets[i]:offsets[i+1];
-    ids number the lattice points densely in 0..size (equal points, equal
-    ids) and t holds each point's axial coordinate on its tube.  Only the
-    column spans of all tubes are held while the id range is found, so the
-    peak is the two flat arrays plus one tube's points.
+    Returns (size, nets): nets(axial) yields, tube by tube, the ids of the
+    tube's points and, when `axial`, their axial coordinates on the tube
+    (else None).  The ids number the distinct points densely in 0..size
+    (equal points, equal ids): the column spans of all tubes are merged
+    where they overlap and numbered one merged interval after another.  Only
+    the spans are held, so the peak is one tube's points.
     """
     spans = [_lattice_spans(t.center, t.dir, dilate * t.length, dilate * t.width, h)
              for t in tubes]
-    offsets = np.concatenate([[0], np.cumsum([int(c.sum()) for _, _, c in spans])])
-    ids = np.empty(offsets[-1], dtype=np.int64)
-    t_ax = np.empty(offsets[-1])
-    filled = [(ix, lo, c) for ix, lo, c in spans if c.size]
-    if not filled:
-        return ids, t_ax, offsets, 1
-    ix_min = min(int(ix[0]) for ix, _, _ in filled)
-    ix_max = max(int(ix[-1]) for ix, _, _ in filled)
-    iy_min = min(int(lo.min()) for _, lo, _ in filled)
-    height = max(int((lo + c).max()) for _, lo, c in filled) - iy_min
-    for i, (t, (ix, iy_lo, counts)) in enumerate(zip(tubes, spans)):
-        rows = slice(offsets[i], offsets[i + 1])
-        # row k of column j is point iy_lo[j] + k - start[j], start[j] its first
-        # row; t is one (m, 2) product per tube because BLAS rounds each row
-        # by its position in the array
-        k = np.arange(offsets[i + 1] - offsets[i])
-        shift = iy_lo - (np.cumsum(counts) - counts)
-        pts = np.empty((k.size, 2))
-        pts[:, 0] = np.repeat(ix * h, counts)
-        pts[:, 1] = (k + np.repeat(shift, counts)) * h
-        pts -= t.center
-        t_ax[rows] = pts @ t.dir
-        np.add(k, np.repeat((ix - ix_min) * height + shift - iy_min, counts), out=ids[rows])
-    return ids, t_ax, offsets, (ix_max - ix_min + 1) * height
+    ix, lo, c = (np.concatenate([s[k] for s in spans]) for k in range(3))
+    # each column's openings and closings cancel, so one running coverage over
+    # all columns finds the merged intervals: one opens where the coverage
+    # leaves 0 and closes where it returns to 0; openings sort first at a tie
+    n_spans = ix.size
+    ends = np.concatenate([lo, lo + c])
+    order = np.lexsort((np.repeat([0, 1], n_spans), ends, np.tile(ix, 2)))
+    opening = order < n_spans
+    cover = np.cumsum(np.where(opening, 1, -1))
+    starts = opening & (cover == 1)
+    m_lo, m_hi = ends[order[starts]], ends[order[~opening & (cover == 0)]]
+    # point y of a merged interval has id y + off, and each span's lowest
+    # point goes back to its tube
+    off = np.cumsum(m_hi - m_lo) - m_hi
+    first = np.empty(n_spans, dtype=np.int64)
+    first[order[opening]] = (off[np.cumsum(starts) - 1] + ends[order])[opening]
+    first = np.split(first, np.cumsum([s[0].size for s in spans])[:-1])
+
+    def nets(axial: bool):
+        for t, (ix_t, lo_t, c_t), first_t in zip(tubes, spans, first):
+            # row k of column j is point lo_t[j] + k - start[j], start[j] its
+            # first row; t is one (m, 2) product per tube because BLAS rounds
+            # each row by its position in the array
+            k = np.arange(int(c_t.sum()))
+            start = np.cumsum(c_t) - c_t
+            ids = k + np.repeat(first_t - start, c_t)
+            if not axial:
+                yield ids, None
+                continue
+            pts = np.empty((k.size, 2))
+            pts[:, 0] = np.repeat(ix_t * h, c_t)
+            pts[:, 1] = (k + np.repeat(lo_t - start, c_t)) * h
+            pts -= t.center
+            yield ids, pts @ t.dir
+
+    return int((m_hi - m_lo).sum()), nets
 
 
 class _TubeArrays:
@@ -320,11 +333,13 @@ def two_ends_decompose(tubes, delta: float, span: float,
     residual overlap are counted exactly on the delta/10 net when the net has
     at most 4e7 cells; otherwise the windows follow interval-stabbing
     profiles and the overlap is bracketed by an exact lower evaluation at
-    candidate maxima and a stabbing upper bound.  The exact path holds one
-    id, one axial coordinate and one alive flag per net point (17 bytes) and
-    one count per cell of the family's bounding box (8 bytes), updating the
-    counts by the points each round excises: about 145 MB for 48 unit tubes
-    at delta = 2^-6.  Raises FloatingPointError when (delta/10)^2 or the rich
+    candidate maxima and a stabbing upper bound.  The exact path streams the
+    net tube by tube: it holds one count of the narrowest unsigned type that
+    holds n per distinct net point, one tube's points at a time, and for the
+    rounds only the points whose count reaches r before round 1.  Its
+    tracemalloc peak is about 16 MB for 48 unit tubes at delta = 2^-6 and
+    7 MB for two unit tubes in opposite corners of [-2, 2]^2 at delta =
+    2^-8.  Raises FloatingPointError when (delta/10)^2 or the rich
     threshold is not a positive normal float.
     """
     tubes = list(tubes)
@@ -385,25 +400,33 @@ def two_ends_decompose(tubes, delta: float, span: float,
 def _excise_exact(tubes, delta, span, r, max_rounds, picks) -> int:
     """Excision rounds with exact rich counts on the delta/10 net of 2T.
 
+    Multiplicities only fall, so a point not rich before round 1 never is:
+    the rounds keep only the other points (the candidates) of each tube.
     Appends each tube's picked windows to `picks` and returns the rounds run.
     """
-    ids, t_ax, offsets, size = _lattice_net(tubes, 2.0, delta / 10.0)
-    alive = np.ones(ids.size, dtype=bool)
-    mult = np.bincount(ids, minlength=size)
+    size, nets = _lattice_net(tubes, 2.0, delta / 10.0)
+    mult = np.zeros(size, dtype=np.min_scalar_type(len(tubes)))
+    for ids, _ in nets(False):
+        mult[ids] += 1  # a tube's ids are distinct
+    cand = np.flatnonzero(mult >= r)
+    # per tube: candidate numbers, axial coordinates and alive flags
+    net = []
+    for ids, t_ax in nets(True):
+        keep = mult[ids] >= r
+        net.append((np.searchsorted(cand, ids[keep]), t_ax[keep], np.ones(keep.sum(), bool)))
+    mult = mult[cand]
     win = span / 4.0
     width_bins = max(1, int(round(win / delta)))
     rounds_run = 0
     for rounds_run in range(1, max_rounds + 1):
+        # richmask stays fixed for the round while mult drops by the points
+        # each window excises
         richmask = mult >= r
         if not richmask.any():
             return rounds_run - 1
-        # ids newly covered by this round's windows; richmask stays fixed for
-        # the round and mult drops by them once the round is over
-        covered = []
-        for i, tube in enumerate(tubes):
-            rows = slice(offsets[i], offsets[i + 1])
-            ti, alive_i = t_ax[rows], alive[rows]
-            ts = ti[alive_i & richmask[ids[rows]]]
+        picked = False
+        for tube, (ids, ti, alive_i), tube_picks in zip(tubes, net, picks):
+            ts = ti[alive_i & richmask[ids]]
             if ts.size == 0:
                 continue
             bins = np.arange(-2 * tube.length, 2 * tube.length + delta, delta)
@@ -415,13 +438,13 @@ def _excise_exact(tubes, delta, span, r, max_rounds, picks) -> int:
                 continue
             tc = bins[g] + win / 2.0
             lo, hi = tc - span / 4.0, tc + span / 4.0
-            picks[i].append((tc, tube.center + tc * tube.dir, tube.dir))
+            tube_picks.append((tc, tube.center + tc * tube.dir, tube.dir))
             cut = alive_i & (ti >= lo) & (ti <= hi)
             alive_i &= ~cut
-            covered.append(ids[rows][cut])
-        if not covered:
+            mult[ids[cut]] -= 1
+            picked = True
+        if not picked:
             break
-        np.subtract.at(mult, np.concatenate(covered), 1)
     return rounds_run
 
 
@@ -488,15 +511,14 @@ def _merge_picks(picks, delta: float, span: float):
 
 
 def _exact_residual_overlap(tubes, alive_intervals, h: float) -> int:
-    ids, t_ax, offsets, size = _lattice_net(tubes, 1.0, h)
-    mask = np.zeros(ids.size, dtype=bool)
-    for i, ivs in enumerate(alive_intervals):
-        ti, keep = t_ax[offsets[i]:offsets[i + 1]], mask[offsets[i]:offsets[i + 1]]
+    size, nets = _lattice_net(tubes, 1.0, h)
+    mult = np.zeros(size, dtype=np.min_scalar_type(len(tubes)))
+    for (ids, ti), ivs in zip(nets(True), alive_intervals):
+        keep = np.zeros(ti.size, dtype=bool)
         for lo, hi in ivs:
             keep |= (ti >= lo) & (ti <= hi)
-    if not mask.any():
-        return 0
-    return int(np.bincount(ids[mask], minlength=size).max())
+        mult[ids[keep]] += 1
+    return int(mult.max(initial=0))
 
 
 def _approx_residual_overlap(tubes, alive_intervals, h: float):

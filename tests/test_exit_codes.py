@@ -51,7 +51,7 @@ COMMANDS = [
     ("gen-kt-tubes", ["gen", "katz-tao-tubes", "--dim", "3", "--delta", "0.125", "--count",
                       "12", "--seed", "5"], ["--delta", "--t1", "--t2"]),
     ("anneal", ["anneal", "--objective", "distance", "--n", "6", "--moves", "40",
-                "--epochs", "5", "--seed", "2"], ["--t0", "--cooling"]),
+                "--epochs", "5", "--seed", "2"], ["--t0", "--cooling", "--dim"]),
     ("anneal-triangle", ["anneal", "--objective", "triangle", "--n", "5", "--moves", "40",
                          "--epochs", "5", "--seed", "2"], ["--dim"]),
     ("gen-vertical", ["gen", "vertical", "--dim", "3", "--delta", "0.125"], ["--delta"]),
@@ -168,6 +168,8 @@ def test_uniformize_names_the_ladder_it_refuses(tmp_path, capsys, bounded_memory
     ("anneal", "--t0=inf", "t0 must be finite and non-negative, got inf"),
     # exited 3 only through numpy's "scale < 0"
     ("anneal", "--t0=-1", "t0 must be finite and non-negative, got -1.0"),
+    # ran the whole schedule, then Line refused the dimension
+    ("anneal", "--dim=4", "dim must be 2 or 3"),
 ])
 def test_refused_value_exits_three(name, option, message, tmp_path, capsys):
     assert main(_argv(name, tmp_path / "out", option)) == 3

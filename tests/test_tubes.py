@@ -597,15 +597,22 @@ class TestTwoEndsOracle:
     ])
     @pytest.mark.parametrize("dilate", [1.0, 2.0])
     def test_lattice_net_equals_packed_keys(self, tubes, dilate):
+        # the ids encode the partition of the packed keys: equal points get
+        # equal ids, different points different ones, numbered 0..size
         h = 2**-6 / 10.0
-        ids, t_ax, offsets, size = tubes_mod._lattice_net(tubes, dilate, h)
+        size, nets = tubes_mod._lattice_net(tubes, dilate, h)
+        ids, t_ax = (np.concatenate(a) for a in zip(*nets(True)))
         keys, ts = zip(*(old_lattice_points_in_rect(t.center, t.dir, dilate * t.length,
                                                     dilate * t.width, h) for t in tubes))
-        dense, old_size = old_densify(list(keys))
-        assert size == old_size
-        assert np.array_equal(ids, np.concatenate(dense))
+        keys = np.concatenate(keys)
+        assert ids.shape == keys.shape
         assert np.array_equal(t_ax, np.concatenate([t[:, 0] for t in ts]))
-        assert np.array_equal(offsets, np.cumsum([0] + [k.size for k in keys]))
+        distinct = np.unique(keys).size
+        assert size == distinct
+        assert np.array_equal(np.unique(ids), np.arange(size))
+        assert np.unique(np.stack([keys, ids], axis=1), axis=0).shape[0] == distinct
+        assert all(a is None for _, a in nets(False))
+        assert np.array_equal(np.concatenate([i for i, _ in nets(False)]), ids)
 
     def test_merge_equals_scan_at_thresholds(self, rng):
         delta, span = 2**-7, 0.125
@@ -687,9 +694,8 @@ class TestTwoEndsValidation:
 
 
 def test_exact_two_ends_memory_bound():
-    # one id, axial coordinate and alive flag per point of the delta/10 net of
-    # 2T, and one count per cell: about 145 MB; the per-round rebuild peaked
-    # at 334 MB
+    # the per-round rebuild peaked at 334 MB, flat arrays with one count per
+    # bounding-box cell at about 145 MB; the tube-by-tube bound is below
     tubes = pencil(48, 2**-6)
     tracemalloc.start()
     try:
@@ -699,3 +705,40 @@ def test_exact_two_ends_memory_bound():
         tracemalloc.stop()
     assert res.exact_net and res.rounds_run >= 1
     assert peak < 200 * 2**20
+
+
+def _two_ends_peak(tubes, delta, span, **kw):
+    tracemalloc.start()
+    try:
+        res = two_ends_decompose(tubes, delta, span, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return res, peak
+
+
+def _corner_tubes(delta):
+    return [Tube2D([-1.5, -1.5], [1, 0], delta, 1.0), Tube2D([1.5, 1.5], [0, 1], delta, 1.0)]
+
+
+def test_exact_two_ends_streams_the_pencil():
+    # one tube's points at a time and one narrow count per distinct point of
+    # the net: about 16 MB, where a count per bounding-box cell took 144 MB
+    res, peak = _two_ends_peak(pencil(48, 2**-6), 2**-6, 0.25, rich_constant=0.1)
+    assert res.exact_net and res.rounds_run >= 1
+    assert peak < 32 * 2**20
+
+
+def test_exact_two_ends_counts_only_occupied_points():
+    # two tubes in opposite corners: a count per bounding-box cell of the
+    # delta/10 net took 807 MB, the occupied points about 7 MB
+    res, peak = _two_ends_peak(_corner_tubes(2**-8), 2**-8, 0.25)
+    assert res.exact_net and res.rounds_run == 0
+    assert peak < 32 * 2**20
+
+
+def test_exact_two_ends_corner_tubes_equal_loop():
+    tubes = _corner_tubes(2**-6)
+    new = two_ends_decompose(tubes, 2**-6, 0.25, rich_constant=0.01)
+    assert new.exact_net and new.rounds_run >= 1
+    _same_result(new, old_two_ends_decompose(tubes, 2**-6, 0.25, rich_constant=0.01))
