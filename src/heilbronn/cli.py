@@ -36,6 +36,7 @@ from .concentration import (
 from .configurations import (
     EmptyConfigurationError,
     UndefinedInputError,
+    _check_members,
     generate_bush,
     generate_erdos_parabola,
     generate_plane_example,
@@ -166,6 +167,7 @@ def _cmd_gen(args) -> int:
     elif kind == "parabola":
         write_points(args.output, generate_erdos_parabola(args.count))
     elif kind == "random-points":
+        _check_members(f"count={args.count}", args.count)
         rng = np.random.default_rng(args.seed)
         write_points(args.output, rng.uniform(0, 1, (args.count, args.dim)))
     elif kind == "katz-tao-tubes":

@@ -30,7 +30,7 @@ from .geometry import (
     _cross3,
     _direction_rows,
     _lines_min_distance_rows,
-    _norm,
+    _norms,
     _range_checked,
     _require_finite,
     complete_frame,
@@ -96,36 +96,39 @@ def _subsample(n: int, cap: int) -> np.ndarray:
 
 
 def _closest_points(b1, v1, b2, v2):
-    """Closest points of two infinite 3D lines with unit directions (on line1,
-    on line2); for parallel lines, b1 and its foot on line2."""
+    """Closest points of pairs of infinite 3D lines, (m, 3) rows with unit
+    directions (on line1, on line2); for parallel lines, b1 and its foot on
+    line2."""
     w0 = b1 - b2
-    b, dd, e = float(v1 @ v2), float(v1 @ w0), float(v2 @ w0)
+    b, dd, e = np.vecdot(v1, v2), np.vecdot(v1, w0), np.vecdot(v2, w0)
     den = 1.0 - b * b
-    t1, t2 = (0.0, e) if abs(den) < 1e-14 else ((b * e - dd) / den, (e - b * dd) / den)
-    return b1 + t1 * v1, b2 + t2 * v2
+    parallel = np.abs(den) < 1e-14
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t1 = np.where(parallel, 0.0, (b * e - dd) / den)
+        t2 = np.where(parallel, e, (e - b * dd) / den)
+    return b1 + t1[:, None] * v1, b2 + t2[:, None] * v2
 
 
 def _pair_frame(b1, v1, b2, v2):
-    """Frame (rows e1, e2, e3=v1) with e2 spanned toward the partner line."""
-    proj = v2 - (v2 @ v1) * v1
-    np_ = _norm(proj)
-    if np_ > 1e-9:
-        e2 = proj / np_
-    else:
-        off = (b2 - b1) - ((b2 - b1) @ v1) * v1
-        no = _norm(off)
-        if no > 1e-9:
-            e2 = off / no
-        else:
-            return complete_frame(v1)
-    e1 = _cross3(v1, e2)
-    n1 = _norm(e1)
-    if n1 < 1e-9:
-        return complete_frame(v1)
-    e1 = e1 / n1
-    e2 = _cross3(e1, v1) * -1.0
-    e2 = e2 / _norm(e2)
-    return np.vstack([e1, e2, v1])
+    """Frames (rows e1, e2, e3=v1) of pairs of lines, (m, 3) rows, with e2
+    spanned toward the partner line: along its direction, else toward its
+    base; `complete_frame(v1)` where neither spans a plane with v1."""
+    proj = v2 - np.vecdot(v2, v1)[:, None] * v1
+    np_ = _norms(proj)
+    off = (b2 - b1) - np.vecdot(b2 - b1, v1)[:, None] * v1
+    no = _norms(off)
+    toward = np_ > 1e-9
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e2 = np.where(toward[:, None], proj / np_[:, None], off / no[:, None])
+        e1 = _cross3(v1, e2)
+        n1 = _norms(e1)
+        e1 = e1 / n1[:, None]
+        e2 = _cross3(e1, v1) * -1.0
+        e2 = e2 / _norms(e2)[:, None]
+    frames = np.stack([e1, e2, v1], axis=1)
+    flat = ~(toward | (no > 1e-9)) | (n1 < 1e-9)
+    frames[flat] = complete_frame(v1[flat])
+    return frames
 
 
 # at most this many member lines anchor the pair candidates of the 3D box
@@ -135,58 +138,52 @@ _ANCHORS, _PARTNERS = 48, 24
 
 def _box_candidates(bases: np.ndarray, dirs: np.ndarray):
     """Candidate boxes anchored on member lines, as (centers (C, d), frames
-    (C, d, d)): one per line, then one per (anchor, partner) pair, each built
-    alone with scalar dot products.
+    (C, d, d)): one per line, then one per (anchor, partner) pair in order
+    of anchor, then partner.  All are built at once as row arrays, each row
+    through the operations of a candidate built alone, bit for bit: every
+    dot is np.vecdot (the BLAS dot of `a @ b` on each row), every norm the
+    square root of one, every cross product is taken component by component,
+    and masks pick the degenerate branches row by row.
 
     Both dimensions share the subsampling and the candidate order; each has
-    its own caps and its own centres and frames (`_fill_rects`,
-    `_fill_boxes`).
+    its own caps and its own centres and frames (`_rect_candidates`,
+    `_line_box_candidates`).
     """
     n, d = bases.shape
-    (cap, anchor_cap, partner_cap), fill = (((384, 64, 32), _fill_rects) if d == 2
-                                           else ((192, _ANCHORS, _PARTNERS), _fill_boxes))
-    singles = _subsample(n, cap)
-    partners = _subsample(n, partner_cap)
-    pairs = [(i, j) for i in _subsample(n, anchor_cap) for j in partners if i != j]
-    # filled row by row: collecting thousands of small arrays first leaves the
-    # heap fragmented and the process's peak RSS about 0.5 MB higher
-    centers = np.empty((len(singles) + len(pairs), d))
-    frames = np.empty((len(centers), d, d))
-    fill(bases, dirs, singles, pairs, centers, frames)
-    return centers, frames
+    (cap, anchor_cap, partner_cap), build = (
+        ((384, 64, 32), _rect_candidates) if d == 2
+        else ((192, _ANCHORS, _PARTNERS), _line_box_candidates))
+    anchors, partners = _subsample(n, anchor_cap), _subsample(n, partner_cap)
+    i, j = np.repeat(anchors, partners.size), np.tile(partners, anchors.size)
+    keep = i != j
+    return build(bases, dirs, _subsample(n, cap), i[keep], j[keep])
 
 
-def _fill_rects(bases, dirs, singles, pairs, centers, frames):
+def _rect_candidates(bases, dirs, singles, i, j):
     """2D candidates: a line's rectangle is centred at its base, a pair's
     where the two lines cross (the midpoint of their bases when parallel),
     in the `complete_frame` of the (anchor) line."""
-    centers[:len(singles)] = bases[singles]
-    for k, (i, j) in enumerate(pairs, len(singles)):
-        centers[k] = (bases[i] + bases[j]) / 2.0
-        cross = dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0]
-        if abs(cross) > 1e-12:
-            dbase = bases[j] - bases[i]
-            t = (dbase[0] * dirs[j][1] - dbase[1] * dirs[j][0]) / cross
-            centers[k] = bases[i] + t * dirs[i]
-    # complete_frame of every anchor direction v at once: rows (-v1, v0), v
-    v = dirs[np.concatenate([singles, [i for i, _ in pairs]]).astype(np.intp)]
-    frames[:, 0] = np.stack([-v[:, 1], v[:, 0]], axis=1)
-    frames[:, 1] = v
+    b1, v1, b2, v2 = bases[i], dirs[i], bases[j], dirs[j]
+    cross = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
+    dbase = b2 - b1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (dbase[:, 0] * v2[:, 1] - dbase[:, 1] * v2[:, 0]) / cross
+        meet = b1 + t[:, None] * v1
+    pair_centers = np.where((np.abs(cross) > 1e-12)[:, None], meet, (b1 + b2) / 2.0)
+    return (np.concatenate([bases[singles], pair_centers]),
+            complete_frame(dirs[np.concatenate([singles, i])]))
 
 
-def _fill_boxes(bases, dirs, singles, pairs, centers, frames):
+def _line_box_candidates(bases, dirs, singles, i, j):
     """3D candidates: a line's box is centred at its point nearest the cube
-    centre, a pair's at the midpoint of their closest points, in the frame
-    `_pair_frame`."""
-    cube_center = np.full(3, 0.5)
-    for k, i in enumerate(singles):
-        t = (cube_center - bases[i]) @ dirs[i]
-        centers[k] = bases[i] + t * dirs[i]
-        frames[k] = complete_frame(dirs[i])
-    for k, (i, j) in enumerate(pairs, len(singles)):
-        p1, p2 = _closest_points(bases[i], dirs[i], bases[j], dirs[j])
-        centers[k] = (p1 + p2) / 2.0
-        frames[k] = _pair_frame(bases[i], dirs[i], bases[j], dirs[j])
+    centre, in its `complete_frame`; a pair's at the midpoint of their
+    closest points, in the frame `_pair_frame`."""
+    b, v = bases[singles], dirs[singles]
+    t = np.vecdot(0.5 - b, v)
+    b1, v1, b2, v2 = bases[i], dirs[i], bases[j], dirs[j]
+    p1, p2 = _closest_points(b1, v1, b2, v2)
+    return (np.concatenate([b + t[:, None] * v, (p1 + p2) / 2.0]),
+            np.concatenate([complete_frame(v), _pair_frame(b1, v1, b2, v2)]))
 
 
 @_range_checked("the smallest box half-extent", value=lambda h: h.min(initial=1.0))
@@ -215,26 +212,26 @@ def _box_counts(bases, dirs, need, centers, frames, halves, reach=np.inf) -> np.
     Works in blocks of at most _CHUNK (candidate, scale, member) elements:
     several candidates per block when they fit, else one candidate and a
     slice of the scales (a single member row can exceed it when n > _CHUNK).
-    Each candidate's local coordinates come from its own product
-    `(bases - center) @ frame.T`, exactly as a one-box call computes them.
+    A block's local coordinates come from one stacked product
+    `(bases - centers[blk, None]) @ frames[blk].transpose(0, 2, 1)` (and the
+    same for `dirs`), which calls BLAS once per candidate with the shapes and
+    strides of a one-box call, so every candidate gets that call's bits.
     """
-    n, d = bases.shape
+    n = bases.shape[0]
     C, S = centers.shape[0], halves.shape[0]
     counts = np.zeros((C, S), dtype=np.int64)
     if n == 0 or C == 0:
         return counts
     s_step = max(1, min(S, _CHUNK // n))
     c_step = min(C, max(1, _CHUNK // (s_step * n)))
-    B = np.empty((c_step, n, d))
-    V = np.empty((c_step, n, d))
     for k0 in range(0, C, c_step):
-        c = min(c_step, C - k0)
-        for j in range(c):
-            np.matmul(bases - centers[k0 + j], frames[k0 + j].T, out=B[j])
-            np.matmul(dirs, frames[k0 + j].T, out=V[j])
+        blk = slice(k0, k0 + c_step)
+        to_local = frames[blk].transpose(0, 2, 1)
+        B = (bases - centers[blk, None]) @ to_local
+        V = dirs @ to_local
         for s0 in range(0, S, s_step):
-            chords = _chords_from_local(B[:c], V[:c], halves[s0:s0 + s_step], reach)
-            counts[k0:k0 + c, s0:s0 + s_step] = np.count_nonzero(chords >= need, axis=-1)
+            chords = _chords_from_local(B, V, halves[s0:s0 + s_step], reach)
+            counts[blk, s0:s0 + s_step] = np.count_nonzero(chords >= need, axis=-1)
     return counts
 
 

@@ -5,11 +5,14 @@ pairs.  Its key statistic is the minimal distance: the smallest distance from
 a point of one pair to the line of a different pair.  Generators cover the
 standard extremal families: the vertical grid construction, bushes of
 concurrent lines, coplanar families, the grid-and-pencils incidence family,
-and the quadratic-residue parabola point set.
+and the quadratic-residue parabola point set.  Each generator sizes its
+family before building it and refuses one of more than `_MAX_MEMBERS`
+members with ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +27,17 @@ from .geometry import (
 
 SNAP_TOL = 1e-9
 RANGE_TOL = 1e-9
+# the most members (pairs, lines, points or tubes) a generated family may
+# have, about 0.7 GB of Line objects: generators size the family first and
+# refuse a larger one with ValueError (exit 3) before allocating anything
+_MAX_MEMBERS = 2**20
+
+
+def _check_members(what: str, *factors) -> None:
+    """ValueError when a family of prod(factors) members (inf allowed) is over
+    `_MAX_MEMBERS`."""
+    if not math.prod(factors) <= _MAX_MEMBERS:
+        raise ValueError(f"{what} asks for more members than the cap of {_MAX_MEMBERS}")
 
 
 class EmptyConfigurationError(ValueError):
@@ -159,9 +173,9 @@ def generate_vertical(delta: float, dim: int) -> PointLineConfiguration:
         raise EmptyConfigurationError("need 0 < delta < 1/2")
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
-    if not np.isfinite(1.0 / (2.0 * delta)):
-        raise ValueError(f"delta {delta!r} too small: 1 / (2 delta) overflows")
-    k = int(np.floor(1.0 / (2.0 * delta)))
+    side = float(np.floor(1.0 / (2.0 * delta)))  # inf when 1 / (2 delta) overflows
+    _check_members(f"delta={delta!r}", *[side] * (dim - 1))
+    k = int(side)
     axes = [np.arange(k) * 2.0 * delta for _ in range(dim - 1)]
     grids = np.meshgrid(*axes, indexing="ij") if axes else []
     base_coords = np.stack([g.ravel() for g in grids], axis=1)
@@ -189,6 +203,14 @@ def generate_bush(delta: float, dim: int, n_bushes: int, seed: int = 0):
     """
     if not 0 < delta <= 0.1:
         raise ValueError("need 0 < delta <= 0.1")
+    if dim == 2:
+        per_bush = float(np.ceil(np.pi / delta))  # the length of arange(0, pi, delta)
+    else:
+        try:
+            per_bush = max(1, round(delta ** -2))
+        except OverflowError:
+            per_bush = math.inf
+    _check_members(f"delta={delta!r} with {n_bushes} bushes", n_bushes, per_bush)
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.1, 0.9, size=(n_bushes, dim))
     lines = []
@@ -196,11 +218,7 @@ def generate_bush(delta: float, dim: int, n_bushes: int, seed: int = 0):
         angles = np.arange(0.0, np.pi, delta)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
-        try:
-            count = round(delta ** -2)
-        except OverflowError:
-            raise ValueError(f"delta {delta!r} too small: delta^-2 overflows") from None
-        dirs = _fibonacci_hemisphere(max(1, count), margin=delta)
+        dirs = _fibonacci_hemisphere(per_bush, margin=delta)
     for c in centers:
         for v in dirs:
             lines.append(Line(c, v))
@@ -215,9 +233,9 @@ def generate_plane_example(delta: float):
     """
     if not 0 < delta < 0.5:
         raise ValueError("need 0 < delta < 1/2")
-    if not np.isfinite(1.0 / (2.0 * delta)):
-        raise ValueError(f"delta {delta!r} too small: 1 / (2 delta) overflows")
-    k = int(np.floor(1.0 / (2.0 * delta)))
+    side = float(np.floor(1.0 / (2.0 * delta)))  # inf when 1 / (2 delta) overflows
+    _check_members(f"delta={delta!r}", side, side)
+    k = int(side)
     if k < 2:
         raise ValueError("delta too coarse for the coplanar family")
     xs = np.arange(k) * 2.0 * delta
@@ -245,6 +263,7 @@ def generate_st_grid(N: int):
     """
     if N < 8:
         raise ValueError("need N >= 8")
+    _check_members(f"N={N}", 2, N)  # 2 n^3 <= 2 N points
     n = round(N ** (1.0 / 3.0))
     if n**3 > N:
         n -= 1
@@ -283,6 +302,7 @@ def generate_erdos_parabola(n: int) -> np.ndarray:
     """Quadratic-residue point set (i/p, (i^2 mod p)/p) with no 3 collinear."""
     if n < 3:
         raise ValueError("need n >= 3")
+    _check_members(f"n={n}", n)
     p = _smallest_prime_at_least(n)
     i = np.arange(p)
     return np.stack([i / p, (i * i % p) / p], axis=1)

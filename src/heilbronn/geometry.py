@@ -644,11 +644,12 @@ def line_covering_number(lines, w: float) -> int:
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross of two 3-vectors, component by component in the same order
-    (equal bit for bit, without np.cross's broadcasting set-up)."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    """np.cross over the last axis of (..., 3) arrays, component by component
+    in the same order (equal bit for bit, without np.cross's broadcasting
+    set-up); the result is C-contiguous."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -656,17 +657,23 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x @ x)
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """`_norm` of every row of x (norms over the last axis), bit for bit:
+    np.vecdot takes the same BLAS dot per row as `x[i] @ x[i]` (elementwise
+    sums and einsum round differently)."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+_EYE3 = np.eye(3)
+
+
 def complete_frame(axis: np.ndarray) -> np.ndarray:
-    """Orthonormal frame (rows) whose last row is the given unit axis."""
+    """Orthonormal frame (rows) whose last row is the given unit axis; over
+    the last axis of a (..., d) array, one (d, d) frame per row."""
     axis = np.asarray(axis, dtype=float)
-    d = axis.shape[0]
-    if d == 2:
-        e1 = np.array([-axis[1], axis[0]])
-        return np.vstack([e1, axis])
-    pick = np.argmin(np.abs(axis))
-    helper = np.zeros(3)
-    helper[pick] = 1.0
-    e1 = _cross3(axis, helper)
-    e1 = e1 / _norm(e1)
-    e2 = _cross3(axis, e1)
-    return np.vstack([e1, e2, axis])
+    if axis.shape[-1] == 2:
+        return np.stack([np.stack([-axis[..., 1], axis[..., 0]], axis=-1), axis], axis=-2)
+    # helper: the coordinate axis of the smallest |component| (the first on ties)
+    e1 = _cross3(axis, _EYE3[np.abs(axis).argmin(axis=-1)])
+    e1 = e1 / _norms(e1)[..., None]
+    return np.stack([e1, _cross3(axis, e1), axis], axis=-2)

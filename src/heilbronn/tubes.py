@@ -18,6 +18,7 @@ import numpy as np
 
 from .concentration import HypothesisViolation, _box_counts, _box_halves, _box_scales, \
     _kt_weights, _need_reach, _sweep, dyadic_ladder, m_tubes_2d
+from .configurations import _check_members
 from .geometry import _require_normal, _sorted_unique, canonical_direction, \
     complete_frame, direction_distance
 
@@ -783,10 +784,12 @@ def generate_katz_tao_tubes(delta: float, t1: float, t2: float, count: int,
     candidate stays below 2 * (u/delta)^t1 * (w/delta)^t2 (2D: the
     single-exponent w x 1 variant), the weights taken by `_kt_weights`.  The
     probes sit on the dyadic ladder from 2 * delta; a ladder of more than
-    _MAX_PROBE_RUNGS rungs raises ValueError.  Returns (tubes,
+    _MAX_PROBE_RUNGS rungs, or a count over the generators' member cap,
+    raises ValueError.  Returns (tubes,
     complete_flag); the flag is False when the attempt budget of 100 * count
     was exhausted.
     """
+    _check_members(f"count={count}", count)
     rng = np.random.default_rng(seed)
     rungs = len(dyadic_ladder(2 * delta))
     if rungs > _MAX_PROBE_RUNGS:

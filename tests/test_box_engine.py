@@ -1,18 +1,21 @@
 """Oracles for the batched box engine.
 
 `concentration._box_counts` scores every candidate box against every scale in
-blocks of at most `_CHUNK` (candidate, scale, member) elements.  One box
-search serves both dimensions: `_box_candidates` builds the 2D and 3D
-candidates, `_box_halves` maps (u, w) scales to half-extents (the w x 1
-rectangle in 2D), and `_sweep` scores them for `m_lines_sweep`,
-`m_tubes_2d` (all widths in one pass) and `tube_box_counts_3d`; the generator
-probe calls `_box_counts` directly.  The `old_*` functions below are
-test-local copies of the code they replace: one box per chord call, the
+blocks of at most `_CHUNK` (candidate, scale, member) elements, each block's
+local coordinates from one stacked product.  One box search serves both
+dimensions: `_box_candidates` builds the 2D and 3D candidates as row arrays,
+`_box_halves` maps (u, w) scales to half-extents (the w x 1 rectangle in
+2D), and `_sweep` scores them for `m_lines_sweep`, `m_tubes_2d` (all widths
+in one pass) and `tube_box_counts_3d`; the generator probe calls
+`_box_counts` directly.  The `old_*` functions below are test-local copies
+of the scalar code the engine replaced: one box per chord call, the
 per-scale candidate generator, the per-candidate `_sweep` loop, one
-`m_tubes_2d` call per width with its own rectangle loop, and frames built
-with `np.cross` and `np.linalg.norm`.  The new code must return exactly what
-the copies return, compared with `==`, and arrays bit for bit (`same_bits`,
-which also tells -0.0 from 0.0).
+`m_tubes_2d` call per width with its own rectangle loop, and frames and
+closest points built one pair at a time with `np.cross` and
+`np.linalg.norm`.  `TestLocalCoordinates` compares the stacked local
+coordinates with one `np.matmul` per candidate.  The new code must return
+exactly what the copies return, compared with `==`, and arrays bit for bit
+(`same_bits`, which also tells -0.0 from 0.0).
 """
 
 import tracemalloc
@@ -309,17 +312,38 @@ class TestCandidates:
         assert same_bits(frames, np.array([f for _, f in old]))
 
     def test_pair_frame_random_pairs(self):
+        # 1500 random pairs with parallel, antiparallel and coincident rows
+        # (and a few short first directions) mixed in, built in one batch
         rng = np.random.default_rng(4)
         v = rng.normal(size=(1500, 2, 3))
         v /= np.linalg.norm(v, axis=2, keepdims=True)
         v[::10, 1] = v[::10, 0]  # parallel
         v[5::10, 1] = -v[5::10, 0]  # antiparallel
+        v[7::100, 0] *= 1e-10  # |v1 x e2| < 1e-9
         b = rng.uniform(0, 1, (1500, 2, 3))
         b[::20, 1] = b[::20, 0] + 0.3 * v[::20, 0]  # coincident
-        for (b1, b2), (v1, v2) in zip(b, v):
-            assert same_bits(_pair_frame(b1, v1, b2, v2), old_pair_frame(b1, v1, b2, v2))
-            got, want = _closest_points(b1, v1, b2, v2), old_closest_points(b1, v1, b2, v2)
-            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        b1, b2, v1, v2 = b[:, 0], b[:, 1], v[:, 0], v[:, 1]
+        assert same_bits(_pair_frame(b1, v1, b2, v2),
+                         np.array([old_pair_frame(*row) for row in zip(b1, v1, b2, v2)]))
+        p1, p2 = _closest_points(b1, v1, b2, v2)
+        want = [old_closest_points(*row) for row in zip(b1, v1, b2, v2)]
+        assert same_bits(p1, np.array([w[0] for w in want]))
+        assert same_bits(p2, np.array([w[1] for w in want]))
+        assert same_bits(complete_frame(v1), np.array([old_complete_frame(a) for a in v1]))
+        # every degenerate branch is taken by some rows of the batch, and
+        # the general case by most
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den = np.array([1.0 - float(x @ y) ** 2 for x, y in zip(v1, v2)])
+            proj = np.array([np.linalg.norm(y - (y @ x) * x) for x, y in zip(v1, v2)])
+            off = np.array([np.linalg.norm((q - p) - ((q - p) @ x) * x)
+                            for p, x, q in zip(b1, v1, b2)])
+            e1 = np.array([np.linalg.norm(np.cross(x, y - (y @ x) * x)) / n
+                           for x, y, n in zip(v1, v2, proj)])
+        assert np.count_nonzero(np.abs(den) < 1e-14) >= 250
+        assert np.count_nonzero((proj <= 1e-9) & (off > 1e-9)) >= 100
+        assert np.count_nonzero((proj <= 1e-9) & (off <= 1e-9)) >= 10
+        assert np.count_nonzero((proj > 1e-9) & (e1 < 1e-9)) >= 10
+        assert np.count_nonzero((proj > 1e-9) & (e1 >= 1e-9)) >= 1000
 
     def test_degenerate_branches_are_reached(self):
         # each pair below takes one degenerate branch of the frame builder
@@ -327,17 +351,94 @@ class TestCandidates:
         o = np.array([0.5, 0.5, 0.5])
         coincident = (o, v, o + 0.25 * v, v)
         parallel = (o, v, o + np.array([0.05, 0.0, 0.1]), v)
-        for b1, v1, b2, v2 in (coincident, parallel):
+        rows = [np.array(col) for col in zip(coincident, parallel)]
+        frames = _pair_frame(*rows)
+        for frame, (b1, v1, b2, v2) in zip(frames, (coincident, parallel)):
             assert abs(1.0 - float(v1 @ v2) ** 2) < 1e-14  # den < 1e-14
-            assert same_bits(_pair_frame(b1, v1, b2, v2), old_pair_frame(b1, v1, b2, v2))
-        assert same_bits(_pair_frame(*coincident), old_complete_frame(v))
-        assert not same_bits(_pair_frame(*parallel), old_complete_frame(v))
+            assert same_bits(frame, old_pair_frame(b1, v1, b2, v2))
+        assert same_bits(frames[0], old_complete_frame(v))
+        assert not same_bits(frames[1], old_complete_frame(v))
 
     @pytest.mark.parametrize("axis", [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.0, 0.8],
                                       [0.48, 0.6, 0.64]])
     def test_complete_frame_equals_np_cross(self, axis):
         axis = np.array(axis)
         assert same_bits(complete_frame(axis), old_complete_frame(axis))
+        assert same_bits(complete_frame(np.array([axis, -axis]))[0], old_complete_frame(axis))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_vecdot_is_the_per_row_blas_dot(self, d):
+        # the row builders take every dot with np.vecdot; it must run the
+        # BLAS dot of `a @ b` on each row (an elementwise sum or einsum
+        # rounds differently)
+        rng = np.random.default_rng(d)
+        a, b = rng.normal(size=(2, 20000, d))
+        assert same_bits(np.vecdot(a, b), np.array([x @ y for x, y in zip(a, b)]))
+
+
+class TestLocalCoordinates:
+    """`_box_counts` takes each block's local coordinates from one stacked
+    product; every candidate's rows must equal its own per-candidate
+    product `(bases - center) @ frame.T`, `dirs @ frame.T`."""
+
+    @staticmethod
+    def local_coordinates(bases, dirs, centers, frames, monkeypatch, chunk=None):
+        """The (B, V) blocks `_box_counts` hands to the chord kernel, joined."""
+        seen = []
+        chords = concentration._chords_from_local
+
+        def spy(B, V, half, reach=np.inf):
+            seen.append((B.copy(), V.copy()))
+            return chords(B, V, half, reach)
+
+        monkeypatch.setattr(concentration, "_chords_from_local", spy)
+        if chunk is not None:
+            monkeypatch.setattr(concentration, "_CHUNK", chunk)
+        d = bases.shape[1]
+        halves = concentration._box_halves(SCALES[:2], d)
+        concentration._box_counts(bases, dirs, 0.5, centers, frames, halves)
+        monkeypatch.undo()
+        return np.concatenate([B for B, _ in seen]), np.concatenate([V for _, V in seen])
+
+    @staticmethod
+    def per_candidate(bases, dirs, centers, frames):
+        return (np.array([np.matmul(bases - c, f.T) for c, f in zip(centers, frames)]),
+                np.array([np.matmul(dirs, f.T) for f in frames]))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_blocks_with_a_remainder(self, d, monkeypatch):
+        # 40 members x 2 scales in blocks of 1100 elements: 13 candidates per
+        # block, and the last block is shorter
+        fam = tube_family(40, d, 13)
+        bases, dirs, _ = tube_arrays(fam)
+        fewer_candidates(monkeypatch, 5, 5)
+        centers, frames = _box_candidates(bases, dirs)
+        assert len(centers) % 13 != 0 and len(centers) > 26
+        got = self.local_coordinates(bases, dirs, centers, frames, monkeypatch, chunk=1100)
+        want = self.per_candidate(bases, dirs, centers, frames)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    def test_broadcast_subdivision_frames(self, monkeypatch):
+        # the subdivision children share one frame through a stride-0 view
+        bases, dirs = arrays(random_lines(50, 3, 14))
+        centers, frames = _box_candidates(bases, dirs)
+        kids = centers[7] + np.linspace(-0.1, 0.1, 9)[:, None] * frames[7][0]
+        kid_frames = np.broadcast_to(frames[7], (9, 3, 3))
+        got = self.local_coordinates(bases, dirs, kids, kid_frames, monkeypatch)
+        want = self.per_candidate(bases, dirs, kids, kid_frames)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_member_and_one_candidate(self, d, monkeypatch):
+        fam = tube_family(3, d, 15)
+        bases, dirs, _ = tube_arrays(fam)
+        centers, frames = bases[1:] + 0.01, complete_frame(dirs[::-1][:2])
+        for b, v, c, f in ((bases[:1], dirs[:1], centers, frames),
+                           (bases, dirs, centers[:1], frames[:1]),
+                           (bases[:1], dirs[:1], centers[:1], frames[:1])):
+            got = self.local_coordinates(b, v, c, f, monkeypatch)
+            want = self.per_candidate(b, v, c, f)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
 # ---------------------------------------------------------------------------

@@ -182,3 +182,25 @@ def test_anneal_skips_a_direction_that_overflows(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(_argv("anneal", tmp_path / "out", "--t0=1e308")) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    # each ended in an _ArrayMemoryError traceback (exit 1) under a 4 GB
+    # address-space limit
+    ["gen", "vertical", "--dim", "3", "--delta", "1e-9"],
+    ["gen", "vertical", "--dim", "2", "--delta", "1e-9"],
+    ["gen", "plane", "--delta", "1e-9"],
+    ["gen", "bush", "--dim", "3", "--delta", "1e-9"],
+    ["gen", "bush", "--dim", "2", "--delta", "1e-9"],
+    ["exponent", "--family", "pipeline_area", "--dim", "3", "--rungs", "64,128,1e12"],
+    # the same family sizes reached through the other size options
+    ["gen", "bush", "--dim", "3", "--delta", "0.1", "--bushes", "100000"],
+    ["gen", "st-grid", "--count", "1000000000000"],
+    ["gen", "parabola", "--count", "1000000000000"],
+    ["gen", "random-points", "--count", "1000000000000"],
+    ["gen", "katz-tao-tubes", "--delta", "0.125", "--count", "1000000000000"],
+])
+def test_family_over_the_member_cap_exits_three(argv, tmp_path, capsys, bounded_memory):
+    assert main(argv + ["-o", str(tmp_path / "out")]) == 3
+    assert "asks for more members than the cap of 1048576" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
