@@ -12,6 +12,7 @@ comparison carries explicit constant slack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +63,8 @@ def m_points(P, w: float) -> int:
     2^d shifted grid cubes, so the result is within that factor of the true
     maximum and never exceeds it.
     """
-    if not 0 < w:
-        raise ValueError("w must be positive")
+    if not 0 < w < math.inf:
+        raise ValueError("w must be finite and positive")
     P = np.asarray(P, dtype=float)
     if P.size == 0:
         return 0

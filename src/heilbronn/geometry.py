@@ -374,7 +374,8 @@ class _CellIndex:
     """
 
     def __init__(self, P: np.ndarray, side: float, origin=0.0):
-        f = np.floor((P - origin) / side)
+        with np.errstate(over="ignore"):  # an overflow fails the range check below
+            f = np.floor((P - origin) / side)
         if not np.all(np.abs(f) < 2.0**61):
             raise ValueError("cell coordinates exceed the int64 range")
         self.cells = f.astype(np.int64)
@@ -400,10 +401,9 @@ class _CellIndex:
         self.cell[self.order] = np.cumsum(new) - 1
 
     def cubes(self, c: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted positions of the rows in the cells within Chebyshev
-        distance r of each cell of c (cell coordinates, one row each):
-        (positions, counts), each cell's positions ascending and the cells'
-        concatenated in the order of c.
+        """The occupied cells within Chebyshev distance r of each cell of c
+        (cell coordinates, one row each): (cell numbers, counts), each cube's
+        cells ascending and the cubes' concatenated in the order of c.
 
         Each outer axis enumerates only the coordinates that occur, as rank
         ranges; the cells of one outer rank tuple are one run of keys.  When
@@ -418,9 +418,8 @@ class _CellIndex:
         spans = [int((hi - lo).max(initial=0)) for lo, hi in ranks[:-1]]
         if math.prod(spans) > self.keys.size:
             occupied = self.cells[self.order[self.head[:-1]]]
-            b = np.diff(self.head) * (np.abs(occupied - c[:, None]).max(axis=2) <= r)
-            a = np.broadcast_to(self.head[:-1], b.shape)
-            return _ranges(a.ravel(), b.ravel()), b.sum(axis=1)
+            near = np.abs(occupied - c[:, None]).max(axis=2) <= r
+            return np.nonzero(near)[1], near.sum(axis=1)
         # one row per outer rank tuple offset, one column per cell of c
         key = np.zeros((1, m), dtype=np.int64)
         ok = np.ones((1, m), dtype=bool)
@@ -429,10 +428,20 @@ class _CellIndex:
             key = (key[:, None] * v.size + t).reshape(-1, m)
             ok = (ok[:, None] & (t < hi)).reshape(-1, m)
         key *= self.vals[-1].size
-        a, b = self.head[np.searchsorted(self.keys, key + ranks[-1][:, None])]
+        a, b = np.searchsorted(self.keys, key + ranks[-1][:, None])
         b -= a
         b *= ok
         return _ranges(a.T.ravel(), b.T.ravel()), b.sum(axis=0)
+
+    def rows(self, cells: np.ndarray) -> np.ndarray:
+        """The sorted positions of the rows of the occupied cells `cells`, in order."""
+        return _ranges(self.head[cells], self.head[cells + 1] - self.head[cells])
+
+    def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """(at, nbr): nbr[at[k]:at[k + 1]] are the occupied cells within
+        Chebyshev distance 1 of occupied cell k, ascending."""
+        nbr, counts = self.cubes(self.cells[self.order[self.head[:-1]]], 1)
+        return np.concatenate([[0], np.cumsum(counts)]), nbr
 
 
 # elements of one block of the vectorized passes (the box counter's
@@ -457,6 +466,26 @@ def _spans(counts: np.ndarray, cap: int):
         s0 = s1
 
 
+def _cell_pairs(q, at, nbr, start, count):
+    """(query, slot) blocks of at most _CHUNK pairs, or one query alone:
+    query i, in cell q[i], with the slots start[c]:start[c] + count[c] of
+    each cell c of nbr[at[q[i]]:at[q[i] + 1]]; queries in order, none split.
+    Memory is O(_CHUNK) plus one query's cells and pairs."""
+    a, m = at[q], at[q + 1] - at[q]
+    for s0, s1 in _spans(m, _CHUNK // 2):  # k and off below: at most _CHUNK entries in all
+        c = nbr[_ranges(a[s0:s1], m[s0:s1])]  # each query's cells, expanded once
+        k = count[c]
+        off = np.concatenate([[0], np.cumsum(k)])  # pairs before each cell
+        lo = np.concatenate([[0], np.cumsum(m[s0:s1])])  # query s0 + i: cells c[lo[i]:lo[i + 1]]
+        first = off[lo]  # and pairs first[i]:first[i + 1]
+        off = start[c] - off[:-1]  # each cell's first slot minus its first pair
+        del c  # only k and off stay alive while the blocks are consumed
+        for t0, t1 in _spans(np.diff(first), _CHUNK):
+            cells = slice(lo[t0], lo[t1])
+            yield (np.repeat(np.arange(s0 + t0, s0 + t1), np.diff(first[t0:t1 + 1])),
+                   np.arange(first[t0], first[t1]) + np.repeat(off[cells], k[cells]))
+
+
 class _NetCells:
     """Cells of the index points of a greedy net, and registries of rows by cell.
 
@@ -469,7 +498,7 @@ class _NetCells:
     on an axis are at computed distance >= w, and their coordinate
     differences are too large for the squares to underflow.  So a pair of
     tame rows whose cells are not neighbours cannot block.  Wild rows (not
-    `tame`) share one extra cell that neighbours every cell.
+    `tame`) share one cell, added to the index's `neighbours()` next to all.
     """
 
     def __init__(self, pts: np.ndarray, tame: np.ndarray, w: float, antipodal: bool):
@@ -486,21 +515,15 @@ class _NetCells:
                     break
                 except ValueError:  # too many distinct cells for int64 keys: coarser cells
                     side *= 1024.0
-            occupied = index.cells[index.order[index.head[:-1]]]
-            cube = _CellIndex(occupied.astype(float), 1.0)
-            pos, counts = cube.cubes(occupied, 1)
-            nbr, base, cell = cube.order[pos], index.head[:-1], index.cell
+            (at, nbr), base, cell = index.neighbours(), index.head[:-1], index.cell
         else:
-            nbr = base = cell = counts = np.zeros(0, dtype=np.intp)
+            at, (nbr, base, cell) = np.zeros(1, dtype=np.intp), np.zeros((3, 0), dtype=np.intp)
         wild = n - T.size
         k = base.size  # the wild rows' cell
         if wild:
-            nbr = np.insert(nbr, np.cumsum(counts), k)
-            nbr = np.concatenate([nbr, np.arange(k + 1)])
-            counts = np.append(counts + 1, k + 1)
-        self.nbr_at = np.zeros(counts.size + 1, dtype=np.intp)
-        np.cumsum(counts, out=self.nbr_at[1:])
-        self.nbr = nbr
+            nbr = np.concatenate([np.insert(nbr, at[1:], k), np.arange(k + 1)])
+            at = np.append(at + np.arange(k + 1), at[-1] + 2 * k + 1)
+        self.at, self.nbr = at, nbr
         self.base = np.append(base, Q.shape[0])  # each cell's first slot
         self.size = Q.shape[0] + wild
         self.query = np.full(n, k, dtype=np.intp)
@@ -527,20 +550,11 @@ class _NetCells:
         return c
 
     def pairs(self, reg, rows: np.ndarray):
-        """(I, J) blocks of at most _CHUNK pairs (or one cell's rows):
-        every row I of `rows` with every row J of the registry in its
-        neighbour cells."""
+        """(I, J) blocks of `_cell_pairs`: every row I of `rows` with every
+        row J of the registry in its neighbour cells."""
         slots, count = reg
-        q = self.query[rows]
-        a = self.nbr_at[q]
-        m = self.nbr_at[q + 1] - a
-        for s0, s1 in _spans(m, _CHUNK):
-            c = self.nbr[_ranges(a[s0:s1], m[s0:s1])]
-            r = np.repeat(rows[s0:s1], m[s0:s1])
-            k = count[c]
-            for t0, t1 in _spans(k, _CHUNK):
-                kk = k[t0:t1]
-                yield np.repeat(r[t0:t1], kk), slots[_ranges(self.base[c[t0:t1]], kk)]
+        for i, s in _cell_pairs(self.query[rows], self.at, self.nbr, self.base, count):
+            yield rows[i], slots[s]
 
 
 def _greedy_net_size(pts: np.ndarray, w: float, pair_dist, tame: np.ndarray,
@@ -556,8 +570,8 @@ def _greedy_net_size(pts: np.ndarray, w: float, pair_dist, tame: np.ndarray,
     `_NetCells` are measured.
 
     Each block of rows is first checked against the rows kept before it,
-    then its survivors against each other, in order.  Memory is O(n) plus
-    one block of pairs; time is at worst the linear scan's n x kept pairs.
+    then its survivors against each other, in order.  Memory: O(n) plus one
+    `_cell_pairs` block (or one row's pairs); time at worst n x kept pairs.
     """
     w = float(w)
     if not w > 0:

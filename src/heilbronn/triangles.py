@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .configurations import _nearest_point_line
-from .geometry import _CHUNK, Line, _CellIndex, _point_rows, _ranges, _sorted_unique, _spans
+from .geometry import Line, _CellIndex, _cell_pairs, _point_rows, _sorted_unique
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,11 @@ def _cell_blocks(P: np.ndarray, cell: float) -> tuple[np.ndarray, np.ndarray]:
     n = P.shape[0]
     index = _CellIndex(P, cell)
     first = np.sort(index.order[index.head[:-1]])  # each cell's smallest index, ascending
-    pos, sizes = index.cubes(index.cells[first], 1)
+    cells, counts = index.cubes(index.cells[first], 1)
+    sizes = np.add.reduceat(np.diff(index.head)[cells], np.cumsum(counts) - counts)
     # sort each block's members: block * n + index, then the index back
     members = np.repeat(np.arange(first.size, dtype=np.int64) * n, sizes)
-    members += index.order[pos]
+    members += index.order[index.rows(cells)]
     members.sort()
     members %= n
     return members, sizes
@@ -421,10 +422,10 @@ class _CellGrid:
     `greedy_close_pairs`), on a `geometry._CellIndex` with its origin at the
     bounding box's low corner.
 
-    `near[near_at[c]:near_at[c + 1]]` lists, ascending, the sorted positions
-    of the points in the cube of radius 1 around occupied cell c (at most
-    3^d n entries in all).  The cube of radius r certifies a candidate closer
-    than r cell sides: every point outside it is farther.
+    `nbr[at[c]:at[c + 1]]` lists the occupied cells of the cube of radius 1
+    around occupied cell c (`_CellIndex.neighbours`).  The cube of radius r
+    certifies a candidate closer than r cell sides: every point outside it
+    is farther.
     """
 
     def __init__(self, P: np.ndarray):
@@ -443,9 +444,7 @@ class _CellGrid:
         # cube radius from each point's cell that covers the whole grid
         lo_cell, hi_cell = index.cells.min(axis=0), index.cells.max(axis=0)
         self.reach = np.maximum(index.cells - lo_cell, hi_cell - index.cells).max(axis=1)
-        self.near, counts = index.cubes(index.cells[index.order[index.head[:-1]]], 1)
-        self.near_at = np.zeros(counts.size + 1, dtype=np.intp)
-        np.cumsum(counts, out=self.near_at[1:])
+        self.at, self.nbr = index.neighbours()
 
     def certified_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per point i, its nearest points j != i closer than the radius-1
@@ -455,25 +454,22 @@ class _CellGrid:
         first entry left out when the row was cut).  The first alive j of a
         row is i's nearest alive point.
 
-        Scores each point's radius-1 cube in blocks of at most _CHUNK pairs,
-        or one point's when those alone are more.
+        Scores each point's radius-1 cube in the blocks of `_cell_pairs`,
+        which hold whole rows, so the blocking does not change the result.
         """
-        order = self.index.order
+        index = self.index
+        order = index.order
         n = order.size
-        cell = self.index.cell[order]
-        first = self.near_at[cell]
-        count = self.near_at[cell + 1] - first
         limit = self.safe ** 2
         bound = np.full(n, limit)
         I, J, D2 = [], [], []
-        for s0, s1 in _spans(count, _CHUNK):
-            c = count[s0:s1]
-            pos = self.near[_ranges(first[s0:s1], c)]
-            src = np.repeat(np.arange(s0, s1), c)
+        for src, pos in _cell_pairs(index.cell[order], self.at, self.nbr, index.head[:-1],
+                                    np.diff(index.head)):
             d2 = _sq_dists(self.Pt.take(src, axis=1), self.Pt.take(pos, axis=1))
-            close = (d2 < limit) & (pos != src)
+            close = np.flatnonzero((d2 < limit) & (pos != src))
             src, j, d2 = src[close], order[pos[close]], d2[close]
-            by = np.lexsort((j, d2, src))
+            by = np.argsort(j)  # (src, j) is unique: only the d2 and src passes need be stable
+            by = by[np.lexsort((d2[by], src[by]))]
             src, j, d2 = src[by], j[by], d2[by]
             rank = np.arange(src.size) - np.searchsorted(src, src)  # place in its row
             cut = rank == _ROW
@@ -490,7 +486,7 @@ class _CellGrid:
 
     def nearest_alive(self, i: int, alive: np.ndarray) -> tuple[float, int, int]:
         """Heap entry (distance, i, j) for the nearest alive j != i: the
-        radius-1 cube of i from the `near` table, then the cubes of radius
+        radius-1 cube of i from the neighbour table, then the cubes of radius
         2, 4, 8, ... until one certifies the best candidate or covers the
         grid.  Among equal squared distances the smallest j wins, so folding
         the inner cells again changes nothing."""
@@ -498,8 +494,7 @@ class _CellGrid:
         k = index.cell[i]
         x = self.P[i][:, None]
         was, alive[i] = alive[i], False  # hide i from its own query
-        best, arg = self._fold(x, self.near[self.near_at[k]:self.near_at[k + 1]], alive,
-                               np.inf, -1)
+        best, arg = self._fold(x, self.nbr[self.at[k]:self.at[k + 1]], alive, np.inf, -1)
         r = 1
         while best >= (r * self.safe) ** 2 and r < self.reach[i]:
             r = min(2 * r, int(self.reach[i]))
@@ -507,8 +502,9 @@ class _CellGrid:
         alive[i] = was
         return math.sqrt(best), i, int(arg)
 
-    def _fold(self, x, pos, alive, best, arg):
-        """(best, arg) after the alive candidates at sorted positions pos."""
+    def _fold(self, x, cells, alive, best, arg):
+        """(best, arg) after the alive candidates in the occupied cells `cells`."""
+        pos = self.index.rows(cells)
         j = self.index.order[pos]
         keep = alive[j]
         pos, j = pos[keep], j[keep]

@@ -12,6 +12,7 @@ implementation bug rather than an interesting input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .concentration import HypothesisViolation, _box_counts, _box_halves, _box_scales, \
     _kt_weights, _need_reach, _sweep, dyadic_ladder, m_tubes_2d
 from .configurations import _check_members
-from .geometry import _require_normal, _sorted_unique, canonical_direction, \
+from .geometry import _CellIndex, _require_normal, _sorted_unique, canonical_direction, \
     complete_frame, direction_distance
 
 
@@ -670,12 +671,15 @@ def _column_cells(center, vdir, perp_frame, half_t, radius, box, res):
 
 
 def _distinct_rows(cells: np.ndarray) -> int:
-    """Number of distinct integer rows, counted as linear keys."""
+    """Number of distinct integer rows, counted as linear keys over their
+    bounding box, or by `_CellIndex` when the box has 2^62 cells or more."""
     if cells.shape[0] == 0:
         return 0
     lo = cells.min(axis=0)
-    keys = np.ravel_multi_index(tuple((cells - lo).T), tuple(cells.max(axis=0) - lo + 1))
-    return int(_sorted_unique(keys).size)
+    dims = tuple(int(x) for x in cells.max(axis=0) - lo + 1)
+    if math.prod(dims) >= 2**62:
+        return int(_CellIndex(cells, 1.0).keys.size)
+    return int(_sorted_unique(np.ravel_multi_index(tuple((cells - lo).T), dims)).size)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,19 @@ from conftest import line_metric_many, lines_box_chords, random_config, random_l
 class TestMPoints:
     def test_all_points_equal(self):
         assert m_points(np.zeros((9, 3)), 0.2) == 9
+
+    def test_refuses_scales_without_a_grid(self):
+        # w = inf made the grid offsets nan and w = 5e-324 overflowed the cell
+        # coordinates, each with a RuntimeWarning before the ValueError
+        P = np.random.default_rng(7).uniform(0, 1, (20, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w in (np.inf, np.nan, 0.0, -1.0):
+                with pytest.raises(ValueError, match="w must be finite and positive"):
+                    m_points(P, w)
+            for w in (5e-324, 1e-300):
+                with pytest.raises(ValueError, match="int64 range"):
+                    m_points(P, w)
 
     @pytest.mark.parametrize("P", [
         [[0.5e-7, 0.1000003 + 0.5e-7], [1.5e-7, 0.5e-7]],

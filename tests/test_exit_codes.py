@@ -58,6 +58,11 @@ COMMANDS = [
     ("gen-plane", ["gen", "plane", "--delta", "0.125"], ["--delta"]),
     ("gen-bush", ["gen", "bush", "--dim", "3", "--delta", "0.1"], ["--delta"]),
     ("gen-random-points", ["gen", "random-points", "--count", "8", "--seed", "1"], ["--dim"]),
+    ("conc-points", ["conc", "-p", "pts3.pts", "--mode", "points", "--w", "0.25"], ["--w"]),
+    ("conc-lines", ["conc", "-p", "lines3.plc", "--mode", "lines", "--u", "0.125", "--w",
+                    "0.25"], ["--u", "--w"]),
+    ("conc-config", ["conc", "-p", "lines3.plc", "--mode", "config", "--u", "0.3", "--v",
+                     "0.3", "--w", "0.3"], ["--u", "--v", "--w"]),
     ("exponent-vertical", ["exponent", "--family", "vertical_count", "--dim", "3",
                            "--rungs", "0.25,0.125,0.0625"], ["--rungs"]),
     ("exponent-pipeline", ["exponent", "--family", "pipeline_area", "--dim", "3",
@@ -170,6 +175,8 @@ def test_uniformize_names_the_ladder_it_refuses(tmp_path, capsys, bounded_memory
     ("anneal", "--t0=-1", "t0 must be finite and non-negative, got -1.0"),
     # ran the whole schedule, then Line refused the dimension
     ("anneal", "--dim=4", "dim must be 2 or 3"),
+    # made nan grid offsets (a RuntimeWarning), then refused their cells
+    ("conc-points", "--w=inf", "w must be finite and positive"),
 ])
 def test_refused_value_exits_three(name, option, message, tmp_path, capsys):
     assert main(_argv(name, tmp_path / "out", option)) == 3

@@ -417,6 +417,20 @@ class TestGreedyNets:
             for w in (0.05, 0.25, 0.5, 1.0):
                 assert line_covering_number(lines, w) == old_line_covering_number(lines, w)
 
+    @pytest.mark.parametrize("chunk", [1, 50])
+    def test_counts_independent_of_pair_blocks(self, chunk, monkeypatch):
+        # `geometry._cell_pairs` blocks the pairs; the counts do not depend on it
+        monkeypatch.setattr(geometry, "_CHUNK", chunk)
+        rng = np.random.default_rng(13)
+        for dim in (2, 3):
+            P, D = rng.uniform(0, 1, (300, dim)), rng.normal(size=(200, dim))
+            lines, ties = random_lines(120, dim, seed=15), tie_points(dim)
+            for w in (1 / 16, 0.125 * np.sqrt(2), 0.5):
+                assert covering_number(P, w) == old_covering_number(P, w)
+                assert covering_number(ties, w) == old_covering_number(ties, w)
+                assert direction_covering_number(D, w) == old_direction_covering_number(D, w)
+                assert line_covering_number(lines, w) == old_line_covering_number(lines, w)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_uniformized_separated_at_certificate_scales(self, seed):
         # the highlow benchmark's separated configuration and its checks

@@ -279,6 +279,17 @@ class TestHardenedInputs:
         rc, err = _cli(*argv, plc, "-o", str(tmp_path / "o.csv"))
         assert rc == 3 and "Traceback" not in err
 
+    def test_brush_check_far_apart_tubes(self, tmp_path):
+        # exited 3: the union volume keyed its cells over their bounding box,
+        # too many cells for numpy's ravel_multi_index
+        tub = _write(tmp_path / "corners.tubes", "tubes v1 dim=3 n=2\n"
+                     "c 5e-06 5e-06 5e-06 v 1 0 0 w 1e-06 l 4e-06\n"
+                     "c 0.999995 0.999995 0.999995 v 1 0 0 w 1e-06 l 4e-06\n")
+        out = tmp_path / "b.csv"
+        rc, err = _cli("brush-check", "-t", tub, "-o", str(out))
+        assert rc == 0, err
+        assert out.read_text().splitlines()[-1].startswith("3,2,1,6e-18,")
+
     @pytest.mark.parametrize("argv", [
         ("katz-tao", "--delta", "0.125", "-p"),
         ("brush-check", "-t"),

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heilbronn import geometry
 from heilbronn.geometry import (
     Box,
     DimensionMismatch,
     Line,
     _CellIndex,
+    _cell_pairs,
     _sorted_unique,
     canonical_direction,
     covering_number,
@@ -263,12 +265,58 @@ class TestCellIndex:
         if r == "all":
             r = int(np.ptp(cells, axis=0).max())
         q = cells[np.sort(index.order[index.head[:-1]])]
-        pos, counts = index.cubes(q, r)
-        assert counts.sum() == pos.size
-        for c, got in zip(q, np.split(pos, np.cumsum(counts)[:-1])):
+        cube, counts = index.cubes(q, r)
+        assert counts.sum() == cube.size
+        for c, got in zip(q, np.split(cube, np.cumsum(counts)[:-1])):
             assert np.all(np.diff(got) > 0)
+            pos = index.rows(got)
+            assert np.all(np.diff(pos) > 0)
             want = np.flatnonzero(np.abs(cells - c).max(axis=1) <= r)
-            assert np.array_equal(np.sort(index.order[got]), want)
+            assert np.array_equal(np.sort(index.order[pos]), want)
+
+    @pytest.mark.parametrize("name", sorted(CELL_INDEX_SETS))
+    def test_neighbours_equal_brute_force(self, name):
+        # the occupied cells within Chebyshev distance 1 of each occupied cell
+        P, side, origin = CELL_INDEX_SETS[name]
+        index = _CellIndex(P, side, origin)
+        occupied = index.cells[index.order[index.head[:-1]]]
+        at, nbr = index.neighbours()
+        assert at.size == occupied.shape[0] + 1 and at[-1] == nbr.size
+        for k, c in enumerate(occupied):
+            want = np.flatnonzero(np.abs(occupied - c).max(axis=1) <= 1)
+            assert np.array_equal(nbr[at[k]:at[k + 1]], want)
+
+    @pytest.mark.parametrize("chunk", [1, 50, None])
+    @pytest.mark.parametrize("registry", [False, True])
+    @pytest.mark.parametrize("name", sorted(CELL_INDEX_SETS))
+    def test_cell_pairs_equal_brute_force(self, name, registry, chunk, monkeypatch):
+        # every query with every slot of its neighbour cells, in query order,
+        # cell by cell, in blocks of at most _CHUNK pairs or one query alone
+        if chunk is not None:
+            monkeypatch.setattr(geometry, "_CHUNK", chunk)
+        P, side, origin = CELL_INDEX_SETS[name]
+        index = _CellIndex(P, side, origin)
+        occupied = index.cells[index.order[index.head[:-1]]]
+        at, nbr = index.neighbours()
+        start, count = index.head[:-1], np.diff(index.head)
+        q = index.cell[index.order]
+        if registry:  # part-filled cells, some empty; queries in any order, repeated
+            rng = np.random.default_rng(occupied.shape[0])
+            count = rng.integers(0, count + 1)
+            count[::3] = 0
+            q = rng.integers(0, occupied.shape[0], 2 * occupied.shape[0])
+        queries, slots = [], []
+        for i, c in enumerate(q):
+            for d in np.flatnonzero(np.abs(occupied - occupied[c]).max(axis=1) <= 1):
+                queries += [i] * int(count[d])
+                slots += range(start[d], start[d] + count[d])
+        blocks = list(_cell_pairs(q, at, nbr, start, count))
+        got = [np.concatenate(b) for b in zip(*blocks)]
+        assert np.array_equal(got[0], queries) and np.array_equal(got[1], slots)
+        seen = [np.unique(b[0]) for b in blocks if b[0].size]
+        for b, u in zip((b for b in blocks if b[0].size), seen):
+            assert b[0].size <= geometry._CHUNK or u.size == 1
+        assert sum(u.size for u in seen) == np.unique(queries).size  # no query split
 
     @pytest.mark.parametrize("name", sorted(CELL_INDEX_SETS))
     def test_sorted_order_heads_and_cells(self, name):

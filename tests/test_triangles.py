@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from heilbronn import triangles
+from heilbronn import geometry, triangles
 from heilbronn.geometry import Line, points_line_distance
 from heilbronn.triangles import (
     _cell_blocks,
@@ -740,11 +740,11 @@ class TestGreedyPairs:
 
         monkeypatch.setattr(triangles, "_sq_dists", spy)
         triangles._CellGrid(P).certified_rows()
-        assert max(sizes) <= triangles._CHUNK
+        assert max(sizes) <= geometry._CHUNK
         largest = {}
         for chunk in (1, 50, 1000):
             sizes.clear()
-            monkeypatch.setattr(triangles, "_CHUNK", chunk)
+            monkeypatch.setattr(geometry, "_CHUNK", chunk)
             triangles._CellGrid(P).certified_rows()
             largest[chunk] = max(sizes)
             pairs, dists = greedy_close_pairs(P)

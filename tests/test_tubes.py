@@ -152,6 +152,25 @@ class TestShadingVolume:
         v = shading_union_volume([t], Shading.full([t]), 0.02)
         assert v == pytest.approx(np.pi * 0.04**2 * 1.0, rel=0.15)
 
+    @pytest.mark.parametrize("make,width", [(Tube3D, 1e-6), (Tube2D, 1e-9)], ids=["3d", "2d"])
+    def test_far_apart_tubes_add_up(self, make, width):
+        # two thin tubes in opposite corners: their cells' bounding box has
+        # more than 2^63 cells, which no linear key of that box can number
+        dim = 3 if make is Tube3D else 2
+        ts = [make(np.full(dim, c), np.eye(dim)[0], width, 4 * width) for c in (5e-6, 1 - 5e-6)]
+        res = width / 4
+        one = [shading_union_volume([t], Shading.full([t]), res) for t in ts]
+        assert all(v > 0 for v in one)
+        both = shading_union_volume(ts, Shading.full(ts), res)
+        assert both == pytest.approx(sum(one), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1, 2**40], ids=["box", "huge-box"])
+    def test_distinct_rows_equals_unique(self, scale):
+        rng = np.random.default_rng(5)
+        cells = rng.integers(-20, 20, (400, 3)) * np.array([1, scale, scale])
+        cells = np.concatenate([cells, cells[::3]])
+        assert tubes_mod._distinct_rows(cells) == np.unique(cells, axis=0).shape[0]
+
 
 class TestBrushChecks:
     def test_disjoint_parallel_saturates(self):
