@@ -34,8 +34,11 @@ _MAX_MEMBERS = 2**20
 
 
 def _check_members(what: str, *factors) -> None:
-    """ValueError when a family of prod(factors) members (inf allowed) is over
-    `_MAX_MEMBERS`."""
+    """ValueError when a factor is negative or a family of prod(factors)
+    members (inf allowed) is over `_MAX_MEMBERS`."""
+    for f in factors:
+        if f < 0:
+            raise ValueError(f"{what} asks for a negative number of members ({f!r})")
     if not math.prod(factors) <= _MAX_MEMBERS:
         raise ValueError(f"{what} asks for more members than the cap of {_MAX_MEMBERS}")
 

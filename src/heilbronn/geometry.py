@@ -253,18 +253,25 @@ def line_metric(l1: Line, l2: Line) -> float:
     return direction_distance(l1.dir, l2.dir) + lines_min_distance(l1, l2)
 
 
-def _lines_min_distance_rows(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
-                             dirs: np.ndarray) -> np.ndarray:
-    """lines_min_distance from the line (b1, v1) to each (base, dir) row."""
-    perp = _points_lines_block(bases, b1[None], v1[None])[0]
-    if v1.shape[0] == 2:
-        cross = v1[0] * dirs[:, 1] - v1[1] * dirs[:, 0]
-        return np.where(np.abs(cross) < 1e-12, perp, 0.0)
+def _skew_gaps(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
+               dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(parallel, gap) from the line (b1, v1) to each (base, dir) row, or from
+    each row of (b1, v1) to the same row: gap is lines_min_distance for lines
+    that are not parallel (0 in 2D); parallel ones need the point distance."""
+    if v1.shape[-1] == 2:
+        cross = v1[..., 0] * dirs[:, 1] - v1[..., 1] * dirs[:, 0]
+        return np.abs(cross) < 1e-12, np.zeros(cross.shape)
     n = np.cross(v1, dirs)
     nn = np.linalg.norm(n, axis=1)
     parallel = nn < 1e-12
-    skew = np.abs(np.einsum("ij,ij->i", bases - b1, n)) / np.where(parallel, 1.0, nn)
-    return np.where(parallel, perp, skew)
+    return parallel, np.abs(np.einsum("ij,ij->i", bases - b1, n)) / np.where(parallel, 1.0, nn)
+
+
+def _lines_min_distance_rows(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
+                             dirs: np.ndarray) -> np.ndarray:
+    """lines_min_distance from the line (b1, v1) to each (base, dir) row."""
+    parallel, gap = _skew_gaps(b1, v1, bases, dirs)
+    return np.where(parallel, _points_lines_block(bases, b1[None], v1[None])[0], gap)
 
 
 def _line_metric_pairs(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
@@ -274,22 +281,13 @@ def _line_metric_pairs(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
     operations of _direction_rows + _lines_min_distance_rows.  Only parallel
     pairs take the point distance, its projection an elementwise dot instead
     of a BLAS product."""
-    metric = _direction_rows(dirs, v1)
-    if v1.shape[1] == 2:
-        cross = v1[:, 0] * dirs[:, 1] - v1[:, 1] * dirs[:, 0]
-        parallel = np.abs(cross) < 1e-12
-        rest = np.zeros(cross.shape)
-    else:
-        n = np.cross(v1, dirs)
-        nn = np.linalg.norm(n, axis=1)
-        parallel = nn < 1e-12
-        rest = np.abs(np.einsum("ij,ij->i", bases - b1, n)) / np.where(parallel, 1.0, nn)
+    parallel, gap = _skew_gaps(b1, v1, bases, dirs)
     if parallel.any():
         U = bases[parallel] - b1[parallel]
         v = v1[parallel]
         t = np.einsum("ij,ij->i", U, v)
-        rest[parallel] = np.linalg.norm(U - t[:, None] * v, axis=1)
-    return metric + rest
+        gap[parallel] = np.linalg.norm(U - t[:, None] * v, axis=1)
+    return _direction_rows(dirs, v1) + gap
 
 
 def line_box_chord(line: Line, box: Box) -> float:

@@ -57,6 +57,15 @@ def incidence_count(w: float, P, lines, dim: int) -> float:
     return incidence_many([w], P, lines, dim)[0]
 
 
+def _scales(ws) -> list[float]:
+    """The scales as floats; ValueError unless each lies in (0, 1]."""
+    ws = [float(w) for w in ws]
+    for w in ws:
+        if not 0 < w <= 1:
+            raise ValueError("scales must lie in (0, 1]")
+    return ws
+
+
 def incidence_many(ws, P, lines, dim: int) -> list[float]:
     """Incidence counts at several scales sharing one distance computation.
 
@@ -66,10 +75,7 @@ def incidence_many(ws, P, lines, dim: int) -> list[float]:
     within the kernel support of the largest scale are kept and their
     profile values summed per scale.
     """
-    ws = [float(w) for w in ws]
-    for w in ws:
-        if not 0 < w <= 1:
-            raise ValueError("scales must lie in (0, 1]")
+    ws = _scales(ws)
     prof = bump_profile(dim)
     P = np.asarray(P, dtype=float)
     totals = np.zeros(len(ws))
@@ -83,8 +89,10 @@ def incidence_many(ws, P, lines, dim: int) -> list[float]:
     for lo in range(0, len(lines), step):
         d = _points_lines_block(P, bases[lo:lo + step], dirs[lo:lo + step])
         d = d[d < dmax]
-        for k, w in enumerate(ws):
-            totals[k] += float(np.sum(prof.line_profile(d / w)))
+        # a quotient that overflows lies beyond the support, where G(inf) = 0
+        with np.errstate(over="ignore"):
+            for k, w in enumerate(ws):
+                totals[k] += float(np.sum(prof.line_profile(d / w)))
     return [float(t) for t in totals]
 
 
@@ -93,13 +101,18 @@ def normalized_incidence(w: float, P, lines, dim: int) -> float:
     return normalized_incidence_many([w], P, lines, dim)[0]
 
 
-def _per_volume(x: float, norm: float, w: float) -> float:
-    """x / norm for a normalizer carrying the factor w^(d-1); FloatingPointError
-    when the normalizer is not a normal float (w^(d-1) underflowed) or the
-    quotient overflows, instead of a division by zero or a silent inf."""
+def _normalizer(norm: float, w: float) -> float:
+    """norm, a normalizer carrying the factor w^(d-1); FloatingPointError when
+    it is not a normal float (w^(d-1) underflowed)."""
     if not sys.float_info.min <= norm < math.inf:
         raise FloatingPointError(f"w^(d-1) underflows at w = {w!r}")
-    out = x / norm
+    return norm
+
+
+def _per_volume(x: float, norm: float, w: float) -> float:
+    """x / _normalizer(norm, w); FloatingPointError when the quotient
+    overflows, instead of a division by zero or a silent inf."""
+    out = x / _normalizer(norm, w)
     if not math.isfinite(out):
         raise FloatingPointError(f"the value normalized by w^(d-1) overflows at w = {w!r}")
     return out
@@ -109,9 +122,12 @@ def normalized_incidence_many(ws, P, lines, dim: int) -> list[float]:
     P = np.asarray(P, dtype=float)
     if P.shape[0] == 0 or not lines:
         raise ValueError("normalized incidence needs nonempty families")
+    ws = _scales(ws)
+    # every normalizer is checked before any count: at a scale whose
+    # normalizer underflows, the counts' d / w can overflow
+    norms = [_normalizer(w ** (dim - 1) * P.shape[0] * len(lines), w) for w in ws]
     counts = incidence_many(ws, P, lines, dim)
-    return [_per_volume(c, w ** (dim - 1) * P.shape[0] * len(lines), w)
-            for c, w in zip(counts, ws)]
+    return [_per_volume(c, norm, w) for c, norm, w in zip(counts, norms, ws)]
 
 
 # ---------------------------------------------------------------------------

@@ -265,19 +265,22 @@ def measure_family(family: str, rung, dim: int, seed: int = 0) -> float:
     Families: 'vertical_count' (|X| vs delta), 'pipeline_area' (triangle
     area vs n), 'anneal_distance' (annealed minimal distance at fixed
     n = rung), 'anneal_triangle' (annealed minimal triangle area at
-    n = rung).  Raises ValueError for a rung that is not finite, and for a
-    family over the generators' member cap.
+    n = rung).  Raises ValueError for a rung that is not finite, for an
+    annealed family of fewer than 2 points, and for a family over the
+    generators' member cap.
     """
     _require_finite(family, rung=rung)
     if family == "vertical_count":
         return float(len(generate_vertical(float(rung), dim)))
+    _check_members(f"rung {rung!r}", rung)
     if family == "pipeline_area":
         from .triangles import triangle_via_pointline
-        _check_members(f"rung {rung!r}", rung)
         rng = np.random.default_rng(seed)
         P = rng.uniform(0, 1, (int(rung), dim))
         witness, _ = triangle_via_pointline(P)
         return float(witness.area)
+    if int(rung) < 2:
+        raise ValueError(f"rung {rung!r} asks for fewer than 2 points")
     sched = AnnealSchedule(moves_per_epoch=200, epochs=25, seed=seed)
     if family == "anneal_distance":
         n = int(rung)

@@ -20,8 +20,8 @@ import numpy as np
 from .concentration import HypothesisViolation, _box_counts, _box_halves, _box_scales, \
     _kt_weights, _need_reach, _sweep, dyadic_ladder, m_tubes_2d
 from .configurations import _check_members
-from .geometry import _CellIndex, _require_normal, _sorted_unique, canonical_direction, \
-    complete_frame, direction_distance
+from .geometry import _CellIndex, _norms, _require_normal, _sorted_unique, \
+    canonical_direction, complete_frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +179,21 @@ class TwoEndsResult:
         return max((len(s) for s in self.selection), default=0)
 
 
+def _clip(lo, hi, ok, off, coef, bound):
+    """Clip the parameter intervals [lo, hi] to the slab |off + coef * y| <=
+    bound, elementwise; a row with |coef| < 1e-15 is parallel to the slab:
+    its interval stays and `ok` drops it when |off| > bound.  Returns (lo,
+    hi, ok)."""
+    par = np.abs(coef) < 1e-15
+    ok = ok & ~(par & (np.abs(off) > bound))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (-bound - off) / coef
+        t2 = (bound - off) / coef
+    lo = np.where(par, lo, np.maximum(lo, np.minimum(t1, t2)))
+    hi = np.where(par, hi, np.minimum(hi, np.maximum(t1, t2)))
+    return lo, hi, ok
+
+
 def _lattice_spans(center, vdir, half_len, half_wid, h):
     """Column spans of the global lattice (step h) inside a rotated rectangle.
 
@@ -192,22 +207,14 @@ def _lattice_spans(center, vdir, half_len, half_wid, h):
                    int(np.ceil(corners[:, 0].max() / h)) + 1, dtype=np.int64)
     ax = ix * h - center[0]
     # column x cuts the rectangle in a y-interval; constraints are
-    # |t| <= hl and |s| <= hw with t, s affine in y at fixed x
-    ylo = np.full(ix.size, -np.inf)
-    yhi = np.full(ix.size, np.inf)
-    feasible = np.ones(ix.size, dtype=bool)
+    # |t| <= hl and |s| <= hw with t, s affine in y - c1 at fixed x
+    lo, hi, ok = np.full(ix.size, -np.inf), np.full(ix.size, np.inf), np.ones(ix.size, bool)
     for coef, c0, bound in ((vdir[1], vdir[0], half_len), (perp[1], perp[0], half_wid)):
-        off = ax * c0
-        if abs(coef) < 1e-15:
-            feasible &= np.abs(off) <= bound
-            continue
-        t1 = (-bound - off) / coef
-        t2 = (bound - off) / coef
-        ylo = np.maximum(ylo, np.minimum(t1, t2) + center[1])
-        yhi = np.minimum(yhi, np.maximum(t1, t2) + center[1])
-    iy_lo = np.ceil(ylo / h - 1e-12).astype(np.int64)
-    iy_hi = np.floor(yhi / h + 1e-12).astype(np.int64)
-    counts = np.where(feasible, np.maximum(iy_hi - iy_lo + 1, 0), 0)
+        lo, hi, ok = _clip(lo, hi, ok, ax * c0, coef, bound)
+    # adding c1 is monotone under rounding, so it commutes with the clip
+    iy_lo = np.ceil((lo + center[1]) / h - 1e-12).astype(np.int64)
+    iy_hi = np.floor((hi + center[1]) / h + 1e-12).astype(np.int64)
+    counts = np.where(ok, np.maximum(iy_hi - iy_lo + 1, 0), 0)
     keep = counts > 0
     return ix[keep], iy_lo[keep], counts[keep]
 
@@ -273,7 +280,7 @@ class _TubeArrays:
         self.lengths = np.array([t.length for t in tubes])
 
 
-def _crossing_intervals(arr: _TubeArrays, i: int, dilate: float = 2.0):
+def _crossing_intervals(arr: _TubeArrays, i: int, dilate: float):
     """Axis footprints on tube i of the dilated other tubes (vectorized)."""
     vi = arr.dirs[i]
     rel = arr.centers[i] - arr.centers
@@ -282,16 +289,7 @@ def _crossing_intervals(arr: _TubeArrays, i: int, dilate: float = 2.0):
     ok = np.ones(arr.centers.shape[0], dtype=bool)
     for axes, bounds in ((arr.dirs, dilate * arr.lengths / 2.0),
                          (arr.perps, dilate * arr.widths / 2.0)):
-        a = axes @ vi
-        b = np.einsum("ij,ij->i", rel, axes)
-        par = np.abs(a) < 1e-15
-        ok &= ~(par & (np.abs(b) > bounds))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (-bounds - b) / a
-            t2 = (bounds - b) / a
-        upd = ~par
-        lo = np.where(upd, np.maximum(lo, np.minimum(t1, t2)), lo)
-        hi = np.where(upd, np.minimum(hi, np.maximum(t1, t2)), hi)
+        lo, hi, ok = _clip(lo, hi, ok, np.einsum("ij,ij->i", rel, axes), axes @ vi, bounds)
     ok[i] = False
     ok &= lo < hi
     return lo[ok], hi[ok]
@@ -367,7 +365,7 @@ def two_ends_decompose(tubes, delta: float, span: float,
     est_cells = sum(16 * t.length * t.width / h2 + 8 * t.length / h for t in tubes)
     exact = est_cells <= 4e7
 
-    picks: list[list[tuple[float, np.ndarray, np.ndarray]]] = [[] for _ in range(n)]
+    picks: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(n)]
     rounds_run = 0
     if r <= n:  # otherwise no point can ever be rich
         rounds_run = (_excise_exact(tubes, delta, span, r, max_rounds, picks) if exact
@@ -376,13 +374,12 @@ def two_ends_decompose(tubes, delta: float, span: float,
     reps, selection = _merge_picks(picks, delta, span)
 
     # residual sets: 2T minus the selected representatives
+    centers = np.array([rep.center for rep in reps]).reshape(-1, 2)
     final_alive: list[list[tuple[float, float]]] = []
-    for i, t in enumerate(tubes):
-        windows = []
-        for ridx in selection[i]:
-            rep = reps[ridx]
-            tc = float((rep.center - t.center) @ t.dir)
-            windows.append((tc - span / 2.0, tc + span / 2.0))
+    for t, sel in zip(tubes, selection):
+        # np.vecdot takes the BLAS dot of `(c - t.center) @ t.dir` on each row
+        tc = np.vecdot(centers[sel] - t.center, t.dir).tolist()
+        windows = [(c - span / 2.0, c + span / 2.0) for c in tc]
         final_alive.append(_subtract_windows([(-t.length, t.length)], windows))
 
     if exact:
@@ -440,7 +437,7 @@ def _excise_exact(tubes, delta, span, r, max_rounds, picks) -> int:
                 continue
             tc = bins[g] + win / 2.0
             lo, hi = tc - span / 4.0, tc + span / 4.0
-            tube_picks.append((tc, tube.center + tc * tube.dir, tube.dir))
+            tube_picks.append((tube.center + tc * tube.dir, tube.dir))
             cut = alive_i & (ti >= lo) & (ti <= hi)
             alive_i &= ~cut
             mult[ids[cut]] -= 1
@@ -469,7 +466,7 @@ def _excise_approx(tubes, span, r, max_rounds, picks) -> int:
             if stab + 1 < r:
                 continue
             excised[i].append((t_at - span / 4.0, t_at + span / 4.0))
-            picks[i].append((t_at, tube.center + t_at * tube.dir, tube.dir))
+            picks[i].append((tube.center + t_at * tube.dir, tube.dir))
             new_any = True
         if not new_any:
             return rounds_run - 1
@@ -479,33 +476,25 @@ def _excise_approx(tubes, span, r, max_rounds, picks) -> int:
 def _merge_picks(picks, delta: float, span: float):
     """Merge picked windows into an essentially distinct excision family.
 
-    Each pick joins the first earlier representative within 4 delta in
-    centre and 4 delta / span in direction, or starts a new one.  The
-    batched squared distances only preselect: they can differ from the scalar
-    norms in the last bits, so the candidates are decided in order by the
-    scalar test, with a margin that keeps every match among them.
+    Each pick (centre, dir) joins the first earlier representative within
+    4 delta in centre and 4 delta / span in direction, or starts a new one.
+    The row norms are those of np.linalg.norm and direction_distance, bit for
+    bit (`_norms`).
     """
     reps: list[Tube2D] = []
     centers = np.empty((sum(len(p) for p in picks), 2))
     dirs = np.empty_like(centers)
-    near_c = (4.0 * delta) ** 2 * (1.0 + 1e-9)
-    near_d = (4.0 * delta / span) ** 2 * (1.0 + 1e-9)
     selection: list[list[int]] = []
     for tube_picks in picks:
         sel: list[int] = []
-        for (_, center, vdir) in tube_picks:
+        for center, vdir in tube_picks:
             k = len(reps)
-            cand = (((centers[:k] - center) ** 2).sum(axis=1) <= near_c) \
-                & (np.minimum(((dirs[:k] - vdir) ** 2).sum(axis=1),
-                              ((dirs[:k] + vdir) ** 2).sum(axis=1)) <= near_d)
-            found = next((int(j) for j in np.flatnonzero(cand)
-                          if np.linalg.norm(reps[j].center - center) < 4.0 * delta
-                          and direction_distance(reps[j].dir, vdir) < 4.0 * delta / span),
-                         None)
-            if found is None:
+            turn = np.minimum(_norms(dirs[:k] - vdir), _norms(dirs[:k] + vdir))
+            near = (_norms(centers[:k] - center) < 4.0 * delta) & (turn < 4.0 * delta / span)
+            found = int(np.argmax(near)) if near.any() else k
+            if found == k:
                 reps.append(Tube2D(center, vdir, 8.0 * delta, span))
                 centers[k], dirs[k] = reps[k].center, reps[k].dir
-                found = k
             if found not in sel:
                 sel.append(found)
         selection.append(sel)

@@ -41,7 +41,7 @@ from heilbronn.configurations import (
     generate_st_grid,
     generate_vertical,
 )
-from heilbronn.geometry import Box, Line, complete_frame
+from heilbronn.geometry import Box, Line, _norms, complete_frame
 from heilbronn.tubes import Tube2D, Tube3D, tube_box_counts_3d
 
 from conftest import box_counts, random_lines
@@ -374,6 +374,15 @@ class TestCandidates:
         rng = np.random.default_rng(d)
         a, b = rng.normal(size=(2, 20000, d))
         assert same_bits(np.vecdot(a, b), np.array([x @ y for x, y in zip(a, b)]))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_norms_are_the_per_vector_norm(self, d):
+        # tubes._merge_picks decides each pick with `_norms` of its distances
+        # to the representatives; every row must have the bits of the 1-D
+        # np.linalg.norm the scalar decision took
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(20000, d)) * rng.choice([1e-3, 1.0, 1e3], size=(20000, 1))
+        assert same_bits(_norms(x), np.array([np.linalg.norm(row) for row in x]))
 
 
 class TestLocalCoordinates:

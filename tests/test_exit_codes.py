@@ -24,6 +24,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 VALUES = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e308"]
 # the integer --dim takes these instead: the dimensions around 2 and 3
 DIMS = ["-1", "0", "1", "4"]
+# and the integer family sizes these: a negative size, the empty family, one
+SIZES = {"--count": ["-1", "0", "1"], "--bushes": ["-1", "0", "1"]}
 
 HIGHLOW = ["highlow-check", "-p", "pts3.pts", "-l", "lines3.plc", "--delta", "0.125"]
 
@@ -49,14 +51,14 @@ COMMANDS = [
     ("katz-tao-plc", ["katz-tao", "-p", "lines3.plc", "--delta", "0.125"], ["--delta"]),
     ("katz-tao-tubes", ["katz-tao", "-p", "tubes3.tubes", "--delta", "0.125"], ["--delta"]),
     ("gen-kt-tubes", ["gen", "katz-tao-tubes", "--dim", "3", "--delta", "0.125", "--count",
-                      "12", "--seed", "5"], ["--delta", "--t1", "--t2"]),
+                      "12", "--seed", "5"], ["--delta", "--t1", "--t2", "--count"]),
     ("anneal", ["anneal", "--objective", "distance", "--n", "6", "--moves", "40",
                 "--epochs", "5", "--seed", "2"], ["--t0", "--cooling", "--dim"]),
     ("anneal-triangle", ["anneal", "--objective", "triangle", "--n", "5", "--moves", "40",
                          "--epochs", "5", "--seed", "2"], ["--dim"]),
     ("gen-vertical", ["gen", "vertical", "--dim", "3", "--delta", "0.125"], ["--delta"]),
     ("gen-plane", ["gen", "plane", "--delta", "0.125"], ["--delta"]),
-    ("gen-bush", ["gen", "bush", "--dim", "3", "--delta", "0.1"], ["--delta"]),
+    ("gen-bush", ["gen", "bush", "--dim", "3", "--delta", "0.1"], ["--delta", "--bushes"]),
     ("gen-random-points", ["gen", "random-points", "--count", "8", "--seed", "1"], ["--dim"]),
     ("conc-points", ["conc", "-p", "pts3.pts", "--mode", "points", "--w", "0.25"], ["--w"]),
     ("conc-lines", ["conc", "-p", "lines3.plc", "--mode", "lines", "--u", "0.125", "--w",
@@ -67,15 +69,25 @@ COMMANDS = [
                            "--rungs", "0.25,0.125,0.0625"], ["--rungs"]),
     ("exponent-pipeline", ["exponent", "--family", "pipeline_area", "--dim", "3",
                            "--rungs", "64,128,256"], ["--rungs"]),
+    ("exponent-anneal-distance", ["exponent", "--family", "anneal_distance", "--dim", "2",
+                                  "--rungs", "3,4,5"], ["--rungs"]),
+    ("exponent-anneal-triangle", ["exponent", "--family", "anneal_triangle", "--dim", "2",
+                                  "--rungs", "3,4,5"], ["--rungs"]),
+    ("scan-b", ["scan-b", "-p", "pts3.pts", "-l", "lines3.plc", "--wmin", "0.125",
+                "--wmax", "0.5"], ["--wmin", "--wmax"]),
+    ("initial-est", ["initial-est", "-p", "lines3.plc", "--w", "0.25"], ["--w"]),
+    ("double-count", ["double-count", "-p", "lines3.plc", "--w", "0.25"], ["--w"]),
 ]
 # commands that write a .tubes, .plc or .pts file instead of a CSV
 FILES = {"gen-kt-tubes", "anneal", "anneal-triangle", "gen-vertical", "gen-plane", "gen-bush",
          "gen-random-points"}
 # the rungs before the value under test, for the options that take a list
-LISTS = {"exponent-vertical": "0.25,0.125,0.0625,", "exponent-pipeline": "64,128,256,"}
+LISTS = {"exponent-vertical": "0.25,0.125,0.0625,", "exponent-pipeline": "64,128,256,",
+         "exponent-anneal-distance": "3,4,5,", "exponent-anneal-triangle": "3,4,5,"}
 
 CASES = [(name, opt, LISTS.get(name, "") + value) for name, _, opts in COMMANDS
-         for opt in opts for value in (DIMS if opt == "--dim" else VALUES)]
+         for opt in opts
+         for value in (DIMS if opt == "--dim" else SIZES.get(opt, VALUES))]
 BASE = {name: argv for name, argv, _ in COMMANDS}
 
 
@@ -177,10 +189,44 @@ def test_uniformize_names_the_ladder_it_refuses(tmp_path, capsys, bounded_memory
     ("anneal", "--dim=4", "dim must be 2 or 3"),
     # made nan grid offsets (a RuntimeWarning), then refused their cells
     ("conc-points", "--w=inf", "w must be finite and positive"),
+    # exited 0 with "only 0 of -1 tubes accepted" and an empty file
+    ("gen-kt-tubes", "--count=-1", "count=-1 asks for a negative number of members (-1)"),
+    # exited 3 only through numpy's "negative dimensions are not allowed"
+    ("gen-bush", "--bushes=-1", "with -1 bushes asks for a negative number of members (-1)"),
+    ("gen-random-points", "--count=-1", "count=-1 asks for a negative number of members (-1)"),
+    # ended in a ZeroDivisionError traceback (exit 1)
+    ("exponent-anneal-distance", "--rungs=3,4,5,0", "rung 0.0 asks for fewer than 2 points"),
+    ("exponent-anneal-distance", "--rungs=3,4,5,5e-324",
+     "rung 5e-324 asks for fewer than 2 points"),
 ])
 def test_refused_value_exits_three(name, option, message, tmp_path, capsys):
     assert main(_argv(name, tmp_path / "out", option)) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,option", [("gen-kt-tubes", "--count=0"),
+                                         ("gen-bush", "--bushes=0")])
+def test_an_empty_family_is_written(name, option, tmp_path):
+    out = tmp_path / "out"
+    assert main(_argv(name, out, option)) == 0
+    assert out.read_text().splitlines()[0].endswith(" n=0")
+    assert validate_file(str(out)) == []
+
+
+@pytest.mark.parametrize("points, lines, wmin, wmax, rc", [
+    # w^2 |P| |L| underflows first at w = 4.7e-156, but the counts printed
+    # numpy's "overflow encountered in divide" before the refusal
+    ("pts3.pts", "lines3.plc", "5e-324", "0.25", 4),
+    # w |P| |L| stays normal down to 1e-310 while d / w overflowed; then
+    # m_points refuses the cells of w = 1e-310
+    ("pts2.pts", "lines2.plc", "1e-310", "1", 3),
+])
+def test_scan_b_at_tiny_scales_prints_no_warning(points, lines, wmin, wmax, rc, tmp_path):
+    argv = ["scan-b", "-p", str(GOLDEN / points), "-l", str(GOLDEN / lines),
+            f"--wmin={wmin}", f"--wmax={wmax}", "-o", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == rc
 
 
 def test_anneal_skips_a_direction_that_overflows(tmp_path):
@@ -200,6 +246,9 @@ def test_anneal_skips_a_direction_that_overflows(tmp_path):
     ["gen", "bush", "--dim", "3", "--delta", "1e-9"],
     ["gen", "bush", "--dim", "2", "--delta", "1e-9"],
     ["exponent", "--family", "pipeline_area", "--dim", "3", "--rungs", "64,128,1e12"],
+    # exited 3 only through numpy's "Maximum allowed dimension exceeded"
+    ["exponent", "--family", "anneal_distance", "--dim", "2", "--rungs", "3,4,5,1e308"],
+    ["exponent", "--family", "anneal_triangle", "--dim", "2", "--rungs", "3,4,5,1e308"],
     # the same family sizes reached through the other size options
     ["gen", "bush", "--dim", "3", "--delta", "0.1", "--bushes", "100000"],
     ["gen", "st-grid", "--count", "1000000000000"],

@@ -383,7 +383,7 @@ def old_merge_picks(picks, delta, span):
     reps = []
     selection = [[] for _ in picks]
     for i, tube_picks in enumerate(picks):
-        for (tc, center, vdir) in tube_picks:
+        for (center, vdir) in tube_picks:
             found = None
             for ridx, rep in enumerate(reps):
                 if (np.linalg.norm(rep.center - center) < 4.0 * delta
@@ -450,7 +450,7 @@ def old_two_ends_decompose(tubes, delta, span, rich_constant=4.0):
                         continue
                     tc = bins[g] + win / 2.0
                     excised[i].append((tc - span / 4.0, tc + span / 4.0))
-                    picks[i].append((tc, tubes[i].center + tc * tubes[i].dir, tubes[i].dir))
+                    picks[i].append((tubes[i].center + tc * tubes[i].dir, tubes[i].dir))
                     new_any = True
                 if not new_any:
                     break
@@ -466,8 +466,7 @@ def old_two_ends_decompose(tubes, delta, span, rich_constant=4.0):
                     if stab + 1 < r:
                         continue
                     excised[i].append((t_at - span / 4.0, t_at + span / 4.0))
-                    picks[i].append((t_at, tubes[i].center + t_at * tubes[i].dir,
-                                     tubes[i].dir))
+                    picks[i].append((tubes[i].center + t_at * tubes[i].dir, tubes[i].dir))
                     new_any = True
                 if not new_any:
                     rounds_run -= 1
@@ -649,7 +648,7 @@ class TestTwoEndsOracle:
                 + rng.choice([0.0, np.pi])
             tube = Tube2D(b.center + rho * np.array([np.cos(phi), np.sin(phi)]),
                           [np.cos(ang), np.sin(ang)], delta, 1.0)
-            picks.append([(0.0, tube.center, tube.dir)] * int(rng.integers(0, 3)))
+            picks.append([(tube.center, tube.dir)] * int(rng.integers(0, 3)))
         reps, selection = tubes_mod._merge_picks(picks, delta, span)
         old_reps, old_selection = old_merge_picks(picks, delta, span)
         assert reps == old_reps and selection == old_selection
