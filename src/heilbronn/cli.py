@@ -173,7 +173,7 @@ def _cmd_gen(args) -> int:
     elif kind == "katz-tao-tubes":
         fam, complete = generate_katz_tao_tubes(args.delta, args.t1, args.t2,
                                                 args.count, args.seed, dim=args.dim)
-        write_tubes(args.output, fam)
+        write_tubes(args.output, fam, dim=args.dim)
         if not complete:
             print(f"warning: only {len(fam)} of {args.count} tubes accepted",
                   file=sys.stderr)

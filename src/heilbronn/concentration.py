@@ -34,6 +34,8 @@ from .geometry import (
     _norms,
     _range_checked,
     _require_finite,
+    _row_norms,
+    _subtract_planes,
     complete_frame,
 )
 
@@ -216,7 +218,8 @@ def _box_counts(bases, dirs, need, centers, frames, halves, reach=np.inf) -> np.
     A block's local coordinates come from one stacked product
     `(bases - centers[blk, None]) @ frames[blk].transpose(0, 2, 1)` (and the
     same for `dirs`), which calls BLAS once per candidate with the shapes and
-    strides of a one-box call, so every candidate gets that call's bits.
+    strides of a one-box call, so every candidate gets that call's bits.  The
+    C-contiguous differences are formed one coordinate plane at a time.
     """
     n = bases.shape[0]
     C, S = centers.shape[0], halves.shape[0]
@@ -228,7 +231,7 @@ def _box_counts(bases, dirs, need, centers, frames, halves, reach=np.inf) -> np.
     for k0 in range(0, C, c_step):
         blk = slice(k0, k0 + c_step)
         to_local = frames[blk].transpose(0, 2, 1)
-        B = (bases - centers[blk, None]) @ to_local
+        B = _subtract_planes(bases, centers[blk, None]) @ to_local
         V = dirs @ to_local
         for s0 in range(0, S, s_step):
             chords = _chords_from_local(B, V, halves[s0:s0 + s_step], reach)
@@ -364,7 +367,7 @@ class ConfigMetrics:
         self.point_dist, self.dir_dist, self.line_dist = (np.empty((k, k)) for _ in range(3))
         for j, i in enumerate(members.tolist()):
             dd = _direction_rows(D, D[i])
-            self.point_dist[j] = np.linalg.norm(P - P[i], axis=1)[members]
+            self.point_dist[j] = _row_norms(_subtract_planes(P, P[i]))[members]
             self.dir_dist[j] = dd[members]
             self.line_dist[j] = (dd + _lines_min_distance_rows(bases[i], D[i], bases, D))[members]
 

@@ -154,9 +154,14 @@ def read_config(path: str) -> PointLineConfiguration:
     return PointLineConfiguration(dim=dim, pairs=tuple(pairs))
 
 
-def write_tubes(path: str, tubes) -> None:
+def write_tubes(path: str, tubes, dim: int | None = None) -> None:
+    """Write a `.tubes` file of dimension `dim`: by default the first tube's,
+    2 for an empty family.  A tube of another dimension raises ValueError."""
     tubes = list(tubes)
-    dim = tubes[0].center.shape[0] if tubes else 2
+    if dim is None:
+        dim = tubes[0].center.shape[0] if tubes else 2
+    if any(t.center.shape[0] != dim for t in tubes):
+        raise ValueError(f"every tube of a dim={dim} file must have dimension {dim}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"tubes v1 dim={dim} n={len(tubes)}\n")
         for t in tubes:

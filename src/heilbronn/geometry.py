@@ -207,25 +207,28 @@ def _points_lines_block(P: np.ndarray, bases: np.ndarray, dirs: np.ndarray) -> n
     """Distances from the rows of P to each line (bases[j], unit dirs[j]): (m, n).
 
     The projection is one (n, d) x d BLAS product per line (a stacked
-    matmul), so a row does not depend on the other lines of the block.
-    Temporaries are (m, n, d); callers bound m * n.
+    matmul on the C-contiguous (m, n, d) differences), so a row does not
+    depend on the other lines of the block.  Everything else runs one
+    coordinate plane at a time.  Temporaries are (m, n, d); callers bound
+    m * n.
     """
-    U = P[None, :, :] - bases[:, None, :]
-    t = np.matmul(U, dirs[:, :, None])
-    return np.linalg.norm(U - t * dirs[:, None, :], axis=2)
+    U = _subtract_planes(P[None], bases[:, None])
+    t = np.matmul(U, dirs[:, :, None])[..., 0]
+    return _plane_norms(u - t * v for u, v in zip(_planes(U), _planes(dirs[:, None])))
 
 
 def _point_lines_rows(p: np.ndarray, bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Distances from the point p to each line (bases[j], unit dirs[j])."""
-    U = p - bases
+    U = _subtract_planes(p, bases)
     t = np.einsum("ij,ij->i", U, dirs)
-    return np.linalg.norm(U - t[:, None] * dirs, axis=1)
+    return _plane_norms(u - t * v for u, v in zip(_planes(U), _planes(dirs)))
 
 
 def _direction_rows(dirs: np.ndarray, v: np.ndarray) -> np.ndarray:
     """direction_distance from v to each row of `dirs` (or, v an array of
     rows, from each row of v to the same row of `dirs`)."""
-    return np.minimum(np.linalg.norm(dirs - v, axis=1), np.linalg.norm(dirs + v, axis=1))
+    pairs = list(zip(_planes(dirs), _planes(v)))
+    return np.minimum(_plane_norms(a - b for a, b in pairs), _plane_norms(a + b for a, b in pairs))
 
 
 def lines_min_distance(l1: Line, l2: Line) -> float:
@@ -262,9 +265,10 @@ def _skew_gaps(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
         cross = v1[..., 0] * dirs[:, 1] - v1[..., 1] * dirs[:, 0]
         return np.abs(cross) < 1e-12, np.zeros(cross.shape)
     n = np.cross(v1, dirs)
-    nn = np.linalg.norm(n, axis=1)
+    nn = _row_norms(n)
     parallel = nn < 1e-12
-    return parallel, np.abs(np.einsum("ij,ij->i", bases - b1, n)) / np.where(parallel, 1.0, nn)
+    rel = _subtract_planes(bases, b1)
+    return parallel, np.abs(np.einsum("ij,ij->i", rel, n)) / np.where(parallel, 1.0, nn)
 
 
 def _lines_min_distance_rows(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
@@ -286,7 +290,7 @@ def _line_metric_pairs(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
         U = bases[parallel] - b1[parallel]
         v = v1[parallel]
         t = np.einsum("ij,ij->i", U, v)
-        gap[parallel] = np.linalg.norm(U - t[:, None] * v, axis=1)
+        gap[parallel] = _plane_norms(a - t * b for a, b in zip(_planes(U), _planes(v)))
     return _direction_rows(dirs, v1) + gap
 
 
@@ -632,7 +636,7 @@ def covering_number(items, w: float) -> int:
     2w-separated subset lower bounds it.
     """
     X = _net_rows(items)
-    return _greedy_net_size(X, w, lambda I, J: np.linalg.norm(X[J] - X[I], axis=1), _tame(X))
+    return _greedy_net_size(X, w, lambda I, J: _row_norms(X[J] - X[I]), _tame(X))
 
 
 def direction_covering_number(dirs: np.ndarray, w: float) -> int:
@@ -662,6 +666,40 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _planes(X: np.ndarray) -> list:
+    """The coordinate planes X[..., i] of a (..., d) array (views)."""
+    return [X[..., i] for i in range(X.shape[-1])]
+
+
+def _subtract_planes(A: np.ndarray, B) -> np.ndarray:
+    """A - B, broadcast over the leading axes, as a new C-contiguous array
+    filled one coordinate plane at a time: the same bits as the broadcast
+    A - B, without numpy's inner loop of d elements per row."""
+    A, B = np.asarray(A), np.asarray(B)
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape))
+    for i, o in enumerate(_planes(out)):
+        np.subtract(A[..., i], B[..., i], out=o)
+    return out
+
+
+def _plane_norms(planes) -> np.ndarray:
+    """Square root of the sum of the squared planes, summed in order as
+    ((x0*x0 + x1*x1) + x2*x2): for fewer than 8 planes, the order in which
+    numpy's add.reduce sums a row of np.linalg.norm over the last axis."""
+    planes = iter(planes)
+    x = next(planes)
+    s = x * x
+    for x in planes:
+        s += x * x
+    return np.sqrt(s, out=s)
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm over the last axis of X (1 to 7 coordinates), bit for
+    bit, one coordinate plane at a time."""
+    return _plane_norms(_planes(X))
 
 
 def _norm(x: np.ndarray) -> float:

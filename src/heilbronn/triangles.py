@@ -20,7 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .configurations import _nearest_point_line
-from .geometry import Line, _CellIndex, _cell_pairs, _point_rows, _sorted_unique
+from .geometry import Line, _CellIndex, _cell_pairs, _planes, _point_rows, _row_norms, \
+    _sorted_unique, _subtract_planes
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,18 @@ def _doubled_areas(u, v):
     return np.sqrt(cx, out=cx)
 
 
+def _require_area_range(P: np.ndarray) -> None:
+    """FloatingPointError when `_doubled_areas` could overflow on P: its
+    intermediates reach 2 s^2 in 2D and 12 s^4 in 3D, s the largest
+    coordinate spread of P.  ValueError when a point is not finite."""
+    if not np.isfinite(P).all():
+        raise ValueError("points must be finite")
+    with np.errstate(over="ignore"):
+        s = float((P.max(axis=0) - P.min(axis=0)).max()) if P.size else 0.0
+    if not math.isfinite(2.0 * s * s if P.shape[1] == 2 else 12.0 * (s * s) * (s * s)):
+        raise FloatingPointError(f"points spread over {s:.3g}: triangle areas overflow")
+
+
 def _pair_cross_blocks(B: np.ndarray):
     """Pairwise |B_j x B_k| for all j, k rows of B (2D scalar or 3D norm)."""
     X = np.ascontiguousarray(B.T)
@@ -131,10 +144,12 @@ def _brute_doubled(P: np.ndarray) -> tuple[tuple[int, int, int], float]:
 
 
 def min_triangle_brute(P) -> TriangleWitness:
-    """Exact minimizer over all C(n,3) triples, lexicographic tie-break."""
+    """Exact minimizer over all C(n,3) triples, lexicographic tie-break.
+    FloatingPointError when the areas could overflow (`_require_area_range`)."""
     P = _point_rows(P)
     if P.shape[0] < 3:
         raise ValueError("need at least 3 points")
+    _require_area_range(P)
     witness, best2 = _brute_doubled(P)
     return TriangleWitness(indices=witness, area=best2 / 2.0)
 
@@ -239,17 +254,16 @@ def _hash_pairs(rel: np.ndarray, norms: np.ndarray, h: float,
     hold more than 2 * _APEX_CHUNK pairs; one apex at a time then keeps the
     candidate lists to the size of a single apex's.
     """
-    A, m, d = rel.shape
+    A, m, _ = rel.shape
     n_shift = shifts.shape[0]
-    dirs = rel / norms[..., None]
-    flip = np.where(dirs[..., 0] < 0, -1.0, 1.0)
-    flip = np.where(np.abs(dirs[..., 0]) < 1e-14,
-                    np.where(dirs[..., 1] < 0, -1.0, 1.0), flip)
-    dirs *= flip[..., None]
-    dirs /= h
+    dirs = [x / norms for x in _planes(rel)]
+    flip = np.where(dirs[0] < 0, -1.0, 1.0)
+    flip = np.where(np.abs(dirs[0]) < 1e-14, np.where(dirs[1] < 0, -1.0, 1.0), flip)
     packed = np.empty((A, n_shift, m), dtype=np.int64)
-    for ax in range(d):
-        k = np.floor(dirs[:, None, :, ax] + shifts[:, None, ax]).astype(np.int64)
+    for ax, x in enumerate(dirs):
+        x *= flip
+        x /= h
+        k = np.floor(x[:, None, :] + shifts[:, None, ax]).astype(np.int64)
         if ax:
             packed *= 1_000_003
             packed += k
@@ -301,8 +315,8 @@ def _apex_groups(P: np.ndarray, rows: int):
     for start in range(0, n, rows):
         ia = np.arange(start, min(start + rows, n))
         others = base + (base >= ia[:, None])
-        rel = P[others] - P[ia, None, :]
-        norms = np.linalg.norm(rel, axis=-1)
+        rel = _subtract_planes(P[others], P[ia, None, :])
+        norms = _row_norms(rel)
         ok = norms > 1e-15
         if ok.all():
             yield ia, others, rel, norms
@@ -373,12 +387,14 @@ def min_triangle_fast(P) -> TriangleWitness:
     that apex, and it replaces the incumbent only if its area, in the brute
     force's formula, is strictly smaller.  Sets of at most 120 points go to
     the brute force, whose tie rule (the lexicographically first minimal
-    triple) can pick another witness.
+    triple) can pick another witness.  Points whose areas could overflow
+    raise FloatingPointError, as in the brute force.
     """
     P = _point_rows(P)
     n, d = P.shape
     if n < 3:
         raise ValueError("need at least 3 points")
+    _require_area_range(P)
     if n <= 120:
         return min_triangle_brute(P)
 
@@ -434,6 +450,9 @@ class _CellGrid:
         extent = float((P.max(axis=0) - lo).max())
         if not math.isfinite(extent):
             raise ValueError("point coordinates span more than the float range")
+        if not math.isfinite(d * extent * extent):
+            raise FloatingPointError(f"points spread over {extent:.3g}: squared distances "
+                                     "overflow")
         q = np.quantile(P, [0.01, 0.99], axis=0)
         side = (float((q[1] - q[0]).max()) or extent) / max(1, round(n ** (1.0 / d)))
         # at most 2^52 cells along an axis, so cell coordinates stay exact
@@ -553,6 +572,8 @@ def greedy_close_pairs(P):
     set whose points between the percentiles are spread evenly; a cell
     holding k points costs k^2 distance evaluations.
     Returns (pairs, distances) with pairs as (i, j) index tuples, i < j.
+    Points that are not finite raise ValueError, and points spread so far
+    that a squared distance could overflow raise FloatingPointError.
     """
     P = _point_rows(P)
     if not np.isfinite(P).all():

@@ -263,7 +263,8 @@ def _lattice_net(tubes, dilate: float, h: float):
             pts = np.empty((k.size, 2))
             pts[:, 0] = np.repeat(ix_t * h, c_t)
             pts[:, 1] = (k + np.repeat(lo_t - start, c_t)) * h
-            pts -= t.center
+            pts[:, 0] -= t.center[0]
+            pts[:, 1] -= t.center[1]
             yield ids, pts @ t.dir
 
     return int((m_hi - m_lo).sum()), nets
@@ -777,11 +778,13 @@ def generate_katz_tao_tubes(delta: float, t1: float, t2: float, count: int,
     candidate stays below 2 * (u/delta)^t1 * (w/delta)^t2 (2D: the
     single-exponent w x 1 variant), the weights taken by `_kt_weights`.  The
     probes sit on the dyadic ladder from 2 * delta; a ladder of more than
-    _MAX_PROBE_RUNGS rungs, or a count over the generators' member cap,
-    raises ValueError.  Returns (tubes,
+    _MAX_PROBE_RUNGS rungs, a count over the generators' member cap or a
+    dim other than 2 or 3 raises ValueError.  Returns (tubes,
     complete_flag); the flag is False when the attempt budget of 100 * count
     was exhausted.
     """
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
     _check_members(f"count={count}", count)
     rng = np.random.default_rng(seed)
     rungs = len(dyadic_ladder(2 * delta))

@@ -7,8 +7,11 @@ print no traceback and write no CSV data field that is inf or nan (for the
 commands that write a `.tubes`, `.plc` or `.pts` file: no token of the file,
 and the file passes `validate_file`).  Every other option keeps a value under
 which the command exits 0, so the option under test is the one that decides.
+The commands whose numbers all come from a data file (`READERS`) take each
+value as a factor on the point coordinates of a golden input instead.
 """
 
+import argparse
 import math
 import resource
 import warnings
@@ -16,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from heilbronn.cli import main
-from heilbronn.formats import validate_file
+from heilbronn.cli import build_parser, main
+from heilbronn.formats import _parse_file, _tube_record, validate_file
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -51,7 +54,7 @@ COMMANDS = [
     ("katz-tao-plc", ["katz-tao", "-p", "lines3.plc", "--delta", "0.125"], ["--delta"]),
     ("katz-tao-tubes", ["katz-tao", "-p", "tubes3.tubes", "--delta", "0.125"], ["--delta"]),
     ("gen-kt-tubes", ["gen", "katz-tao-tubes", "--dim", "3", "--delta", "0.125", "--count",
-                      "12", "--seed", "5"], ["--delta", "--t1", "--t2", "--count"]),
+                      "12", "--seed", "5"], ["--delta", "--t1", "--t2", "--count", "--dim"]),
     ("anneal", ["anneal", "--objective", "distance", "--n", "6", "--moves", "40",
                 "--epochs", "5", "--seed", "2"], ["--t0", "--cooling", "--dim"]),
     ("anneal-triangle", ["anneal", "--objective", "triangle", "--n", "5", "--moves", "40",
@@ -60,6 +63,8 @@ COMMANDS = [
     ("gen-plane", ["gen", "plane", "--delta", "0.125"], ["--delta"]),
     ("gen-bush", ["gen", "bush", "--dim", "3", "--delta", "0.1"], ["--delta", "--bushes"]),
     ("gen-random-points", ["gen", "random-points", "--count", "8", "--seed", "1"], ["--dim"]),
+    ("gen-st-grid", ["gen", "st-grid", "--count", "8"], ["--count"]),
+    ("gen-parabola", ["gen", "parabola", "--count", "16"], ["--count"]),
     ("conc-points", ["conc", "-p", "pts3.pts", "--mode", "points", "--w", "0.25"], ["--w"]),
     ("conc-lines", ["conc", "-p", "lines3.plc", "--mode", "lines", "--u", "0.125", "--w",
                     "0.25"], ["--u", "--w"]),
@@ -80,7 +85,7 @@ COMMANDS = [
 ]
 # commands that write a .tubes, .plc or .pts file instead of a CSV
 FILES = {"gen-kt-tubes", "anneal", "anneal-triangle", "gen-vertical", "gen-plane", "gen-bush",
-         "gen-random-points"}
+         "gen-random-points", "gen-st-grid", "gen-parabola"}
 # the rungs before the value under test, for the options that take a list
 LISTS = {"exponent-vertical": "0.25,0.125,0.0625,", "exponent-pipeline": "64,128,256,",
          "exponent-anneal-distance": "3,4,5,", "exponent-anneal-triangle": "3,4,5,"}
@@ -89,6 +94,18 @@ CASES = [(name, opt, LISTS.get(name, "") + value) for name, _, opts in COMMANDS
          for opt in opts
          for value in (DIMS if opt == "--dim" else SIZES.get(opt, VALUES))]
 BASE = {name: argv for name, argv, _ in COMMANDS}
+
+# (command, argv with "{}" for its input, the golden input); the commands but
+# validate write a CSV
+READERS = {
+    "dx": (["dx", "-p", "{}"], "lines3.plc"),
+    "min-triangle-fast": (["min-triangle", "-p", "{}"], "random300.pts"),
+    "min-triangle-brute": (["min-triangle", "--method", "brute", "-p", "{}"], "pts2.pts"),
+    "pair-pipeline": (["pair-pipeline", "-p", "{}"], "pts3.pts"),
+    "validate-pts": (["validate", "{}"], "pts3.pts"),
+    "validate-plc": (["validate", "{}"], "lines3.plc"),
+    "validate-tubes": (["validate", "{}"], "tubes3.tubes"),
+}
 
 
 def _argv(name, out, *extra):
@@ -102,6 +119,45 @@ def _data_fields(path):
     """The fields of the rows after the header of a CSV the CLI wrote."""
     rows = [r for r in path.read_text().splitlines() if not r.startswith("#")]
     return [f for r in rows[1:] for f in r.split(",")]
+
+
+def _assert_finite(fields, text):
+    for field in fields:
+        try:
+            x = float(field)
+        except ValueError:
+            continue
+        assert math.isfinite(x), f"{field} in {text}"
+
+
+def _scaled(src, factor, out):
+    """`src` with its point coordinates multiplied by `factor`: every field of
+    a .pts row, the point and line base of a .plc row, the centre of a .tubes
+    row (directions, widths and lengths kept)."""
+    lines = src.read_text().splitlines()
+    dim = int(lines[0].split()[2][len("dim="):])
+    rows = lines[:1]
+    for line in lines[1:]:
+        f = line.split()
+        for at in {"p": [1, dim + 2], "c": [1]}.get(f[0], [0]):
+            f[at:at + dim] = [format(float(x) * float(factor), ".17g") for x in f[at:at + dim]]
+        rows.append(" ".join(f))
+    out.write_text("\n".join(rows) + "\n")
+    return out
+
+
+def _run_reader(name, factor, tmp_path):
+    """(exit code, output path or None) of reader `name` on its golden input
+    scaled by `factor`."""
+    argv, src = READERS[name]
+    inp = _scaled(GOLDEN / src, factor, tmp_path / src)
+    argv = [str(inp) if a == "{}" else a for a in argv]
+    out = None if argv[0] == "validate" else tmp_path / "out"
+    try:
+        rc = main(argv + (["-o", str(out)] if out else []))
+    except SystemExit as exc:  # argparse's usage errors
+        rc = exc.code
+    return rc, out
 
 
 @pytest.fixture
@@ -147,12 +203,45 @@ def test_exit_code_documented(name, opt, value, tmp_path, capsys, bounded_memory
     if rc == 0:
         written = out.with_name("out.cert.csv") if name == "uniformize" else out
         fields = written.read_text().split() if name in FILES else _data_fields(written)
-        for field in fields:
-            try:
-                x = float(field)
-            except ValueError:
-                continue
-            assert math.isfinite(x), f"{field} in {written.read_text()}"
+        _assert_finite(fields, written.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_reader_base_exits_zero(name, tmp_path):
+    assert _run_reader(name, "1", tmp_path)[0] == 0
+
+
+@pytest.mark.parametrize("factor", VALUES)
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_reader_exit_code_documented(name, factor, tmp_path, capsys, bounded_memory):
+    rc, out = _run_reader(name, factor, tmp_path)
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if rc == 0 and out is not None:
+        _assert_finite(_data_fields(out), out.read_text())
+
+
+@pytest.mark.parametrize("name,factor,message", [
+    # wrote an inf area with exit 0, after numpy's "overflow encountered in multiply"
+    ("min-triangle-fast", "1e308", "triangle areas overflow"),
+    ("min-triangle-brute", "1e308", "triangle areas overflow"),
+    # ended in an OverflowError traceback (exit 1) squaring the cell side
+    ("pair-pipeline", "1e308", "squared distances overflow"),
+])
+def test_reader_refused_value_exits_four(name, factor, message, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_reader(name, factor, tmp_path)[0] == 4
+    assert message in capsys.readouterr().err
+
+
+def test_every_command_and_family_is_in_the_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    argvs = list(BASE.values()) + [argv for argv, _ in READERS.values()]
+    assert set(sub.choices) == {argv[0] for argv in argvs}
+    family = next(a for a in sub.choices["gen"]._actions if a.dest == "family")
+    assert set(family.choices) == {argv[1] for argv in argvs if argv[0] == "gen"}
 
 
 @pytest.mark.parametrize("extra,message", [
@@ -189,6 +278,8 @@ def test_uniformize_names_the_ladder_it_refuses(tmp_path, capsys, bounded_memory
     ("anneal", "--dim=4", "dim must be 2 or 3"),
     # made nan grid offsets (a RuntimeWarning), then refused their cells
     ("conc-points", "--w=inf", "w must be finite and positive"),
+    # exited 3 only through numpy's "cannot reshape array of size 14 into shape (4)"
+    ("gen-kt-tubes", "--dim=4", "dim must be 2 or 3"),
     # exited 0 with "only 0 of -1 tubes accepted" and an empty file
     ("gen-kt-tubes", "--count=-1", "count=-1 asks for a negative number of members (-1)"),
     # exited 3 only through numpy's "negative dimensions are not allowed"
@@ -211,6 +302,16 @@ def test_an_empty_family_is_written(name, option, tmp_path):
     assert main(_argv(name, out, option)) == 0
     assert out.read_text().splitlines()[0].endswith(" n=0")
     assert validate_file(str(out)) == []
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_an_empty_tube_family_keeps_its_dimension(dim, tmp_path):
+    # --dim 3 --count 0 wrote "tubes v1 dim=2 n=0"
+    out = tmp_path / "out"
+    assert main(_argv("gen-kt-tubes", out, f"--dim={dim}", "--count=0")) == 0
+    assert out.read_text().splitlines()[0] == f"tubes v1 dim={dim} n=0"
+    read_dim, tubes, violations = _parse_file(str(out), "tubes", _tube_record)
+    assert (read_dim, tubes, violations) == (dim, [], [])
 
 
 @pytest.mark.parametrize("points, lines, wmin, wmax, rc", [

@@ -48,6 +48,18 @@ class TestFormats:
         back = read_tubes(path)
         assert back == tubes
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_empty_tubes_file_has_the_given_dimension(self, tmp_path, dim):
+        path = str(tmp_path / "a.tubes")
+        write_tubes(path, [], dim=dim)
+        assert open(path).read() == f"tubes v1 dim={dim} n=0\n"
+        assert validate_file(path) == [] and read_tubes(path) == []
+
+    def test_tube_of_another_dimension_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="dimension 3"):
+            write_tubes(str(tmp_path / "a.tubes"), [Tube2D([0.5, 0.5], [1, 0], 0.1, 1.0)],
+                        dim=3)
+
     def test_wellformed_has_no_violations(self, tmp_path):
         X = generate_vertical(1 / 8, 2)
         path = str(tmp_path / "ok.plc")

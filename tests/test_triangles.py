@@ -318,6 +318,17 @@ class TestBrute:
         with pytest.raises(ValueError):
             min_triangle_brute(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("dim,fits,overflows", [(2, 1e150, 1e155), (3, 1e75, 1e80)])
+    def test_areas_that_could_overflow_are_refused(self, dim, fits, overflows):
+        # 2 s^2 in 2D and 12 s^4 in 3D bound the area intermediates, s the spread
+        P = np.random.default_rng(dim).uniform(0, 1, (150, dim))
+        assert np.isfinite(min_triangle_brute(P * fits).area)
+        for minimize in (min_triangle_brute, min_triangle_fast):
+            with pytest.raises(FloatingPointError, match="triangle areas overflow"):
+                minimize(P * overflows)
+            with pytest.raises(ValueError, match="points must be finite"):
+                minimize(np.where(P == P[5, 0], np.nan, P))
+
     @pytest.mark.parametrize("n", [3, 8, 64, 150])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_equals_triu_oracle_random(self, n, dim):
@@ -501,6 +512,14 @@ class TestGreedyPairs:
     def test_needs_eight(self, rng):
         with pytest.raises(ValueError):
             greedy_close_pairs(rng.uniform(0, 1, (7, 3)))
+
+    def test_squared_distances_that_could_overflow_are_refused(self, rng):
+        # d s^2 bounds a squared distance, s the spread; squaring the cell
+        # side raised OverflowError
+        P = rng.uniform(0, 1, (64, 3))
+        assert np.isfinite(greedy_close_pairs(P * 1e150)[1]).all()
+        with pytest.raises(FloatingPointError, match="squared distances overflow"):
+            greedy_close_pairs(P * 1e155)
 
     def test_clustered_distances(self, rng):
         P = 0.5 + 0.01 * rng.uniform(-1, 1, (32, 3))
