@@ -422,6 +422,8 @@ def _cmd_anneal(args) -> int:
 
 def _cmd_exponent(args) -> int:
     rungs = [float(r) for r in args.rungs.split(",")]
+    if args.seeds < 1:
+        raise ValueError(f"need seeds >= 1, got {args.seeds}")
     seeds = list(range(args.seeds))
     cells = [(r, s) for r in rungs for s in seeds]
     values = [measure_family(args.family, r, seed=s, dim=args.dim) for r, s in cells]

@@ -314,6 +314,21 @@ def line_box_chord(line: Line, box: Box) -> float:
     return float(max(0.0, tmax - tmin))
 
 
+def _clip(lo, hi, ok, off, coef, bound, tol):
+    """Clip the parameter intervals [lo, hi] to the slab |off + coef * y| <=
+    bound, elementwise; a row with |coef| < tol is parallel to the slab: its
+    interval stays and `ok` drops it when |off| > bound.  Returns (lo, hi,
+    ok)."""
+    par = np.abs(coef) < tol
+    ok = ok & ~(par & (np.abs(off) > bound))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (-bound - off) / coef
+        t2 = (bound - off) / coef
+    lo = np.where(par, lo, np.maximum(lo, np.minimum(t1, t2)))
+    hi = np.where(par, hi, np.minimum(hi, np.maximum(t1, t2)))
+    return lo, hi, ok
+
+
 def _chords_from_local(B: np.ndarray, V: np.ndarray, half: np.ndarray,
                        reach=np.inf) -> np.ndarray:
     """Chord lengths from box-local coordinates B, V against S boxes at once.
@@ -331,21 +346,12 @@ def _chords_from_local(B: np.ndarray, V: np.ndarray, half: np.ndarray,
     V = V[..., None, :, :]
     tmax = np.asarray(reach, dtype=float)
     tmin = -tmax
-    dead = np.zeros(B.shape[:-3] + (half.shape[0], B.shape[-2]), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(B.shape[-1]):
-            v = V[..., i]
-            b = B[..., i]
-            h = half[:, i, None]
-            par = np.abs(v) < 1e-14
-            dead |= par & (np.abs(b) > h)
-            t1 = (-h - b) / v
-            t2 = (h - b) / v
-            tmin = np.where(par, tmin, np.maximum(tmin, np.minimum(t1, t2)))
-            tmax = np.where(par, tmax, np.minimum(tmax, np.maximum(t1, t2)))
+    ok = np.ones(B.shape[:-3] + (half.shape[0], B.shape[-2]), dtype=bool)
+    for i in range(B.shape[-1]):
+        tmin, tmax, ok = _clip(tmin, tmax, ok, B[..., i], V[..., i], half[:, i, None], 1e-14)
     chord = np.clip(tmax - tmin, 0.0, None)
     chord = np.where(np.isfinite(chord), chord, 0.0)
-    return np.where(dead, 0.0, chord)
+    return np.where(ok, chord, 0.0)
 
 
 def _sorted_unique(x: np.ndarray) -> np.ndarray:

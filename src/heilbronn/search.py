@@ -200,6 +200,8 @@ def anneal_max_triangle(n: int, dim: int, schedule: AnnealSchedule) -> np.ndarra
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
     rng = np.random.default_rng(schedule.seed)
     P = rng.uniform(0, 1, (n, dim))
     obj, argmin = _min_triangle_value(P)
@@ -265,10 +267,12 @@ def measure_family(family: str, rung, dim: int, seed: int = 0) -> float:
     Families: 'vertical_count' (|X| vs delta), 'pipeline_area' (triangle
     area vs n), 'anneal_distance' (annealed minimal distance at fixed
     n = rung), 'anneal_triangle' (annealed minimal triangle area at
-    n = rung).  Raises ValueError for a rung that is not finite, for an
-    annealed family of fewer than 2 points, and for a family over the
-    generators' member cap.
+    n = rung).  Raises ValueError for a dim other than 2 or 3, for a rung
+    that is not finite, for an annealed family of fewer than 2 points, and
+    for a family over the generators' member cap.
     """
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
     _require_finite(family, rung=rung)
     if family == "vertical_count":
         return float(len(generate_vertical(float(rung), dim)))

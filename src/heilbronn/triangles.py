@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,15 +88,19 @@ def _doubled_areas(u, v):
 
 
 def _require_area_range(P: np.ndarray) -> None:
-    """FloatingPointError when `_doubled_areas` could overflow on P: its
-    intermediates reach 2 s^2 in 2D and 12 s^4 in 3D, s the largest
-    coordinate spread of P.  ValueError when a point is not finite."""
+    """FloatingPointError when `_doubled_areas` could overflow or underflow
+    on P: its intermediates reach 2 s^2 in 2D and 12 s^4 in 3D, s the
+    largest coordinate spread of P, and a spread s > 0 whose s^2 (2D) or s^4
+    (3D) is below the smallest normal float leaves areas that round to 0 or
+    lose their bits.  ValueError when a point is not finite."""
     if not np.isfinite(P).all():
         raise ValueError("points must be finite")
     with np.errstate(over="ignore"):
         s = float((P.max(axis=0) - P.min(axis=0)).max()) if P.size else 0.0
     if not math.isfinite(2.0 * s * s if P.shape[1] == 2 else 12.0 * (s * s) * (s * s)):
         raise FloatingPointError(f"points spread over {s:.3g}: triangle areas overflow")
+    if 0.0 < s and (s * s if P.shape[1] == 2 else (s * s) * (s * s)) < sys.float_info.min:
+        raise FloatingPointError(f"points spread over {s:.3g}: triangle areas underflow")
 
 
 def _pair_cross_blocks(B: np.ndarray):
@@ -145,7 +150,8 @@ def _brute_doubled(P: np.ndarray) -> tuple[tuple[int, int, int], float]:
 
 def min_triangle_brute(P) -> TriangleWitness:
     """Exact minimizer over all C(n,3) triples, lexicographic tie-break.
-    FloatingPointError when the areas could overflow (`_require_area_range`)."""
+    FloatingPointError when the areas could overflow or underflow
+    (`_require_area_range`)."""
     P = _point_rows(P)
     if P.shape[0] < 3:
         raise ValueError("need at least 3 points")
@@ -378,7 +384,8 @@ def min_triangle_fast(P) -> TriangleWitness:
     threshold.
 
     Ties are broken as follows, so the witness is a function of the input
-    alone.  Grid pass: cells of side n^(-1/d) are taken in order of their
+    alone.  Grid pass: cells of side n^(-1/d), at least 1e-6 and at least
+    2^-52 times the largest |coordinate|, are taken in order of their
     smallest point index; the first whose 3^d block holds the smallest area
     wins, with the lexicographically first minimal triple of that block.
     Direction pass: apices in index order, and for each apex its hashed
@@ -387,8 +394,8 @@ def min_triangle_fast(P) -> TriangleWitness:
     that apex, and it replaces the incumbent only if its area, in the brute
     force's formula, is strictly smaller.  Sets of at most 120 points go to
     the brute force, whose tie rule (the lexicographically first minimal
-    triple) can pick another witness.  Points whose areas could overflow
-    raise FloatingPointError, as in the brute force.
+    triple) can pick another witness.  Points whose areas could overflow or
+    underflow raise FloatingPointError, as in the brute force.
     """
     P = _point_rows(P)
     n, d = P.shape
@@ -398,7 +405,8 @@ def min_triangle_fast(P) -> TriangleWitness:
     if n <= 120:
         return min_triangle_brute(P)
 
-    cell = max(n ** (-1.0 / d), 1e-6)
+    # |x| / cell <= 2^52, so cell coordinates stay exact and within int64
+    cell = max(n ** (-1.0 / d), 1e-6, 2.0**-52 * float(np.abs(P).max()))
     local = _local_min_pass(P, cell)
     best, witness = local.area, local.indices
     if best == 0.0:
@@ -453,6 +461,9 @@ class _CellGrid:
         if not math.isfinite(d * extent * extent):
             raise FloatingPointError(f"points spread over {extent:.3g}: squared distances "
                                      "overflow")
+        if 0.0 < extent and extent * extent < sys.float_info.min:
+            raise FloatingPointError(f"points spread over {extent:.3g}: squared distances "
+                                     "underflow")
         q = np.quantile(P, [0.01, 0.99], axis=0)
         side = (float((q[1] - q[0]).max()) or extent) / max(1, round(n ** (1.0 / d)))
         # at most 2^52 cells along an axis, so cell coordinates stay exact
@@ -620,10 +631,13 @@ def triangle_via_pointline(P) -> tuple[TriangleWitness, PairPipelineReport]:
 
     The returned triangle (p_i, p_j, q_j) has area exactly half the product
     of the pair length |p_j q_j| and the realized minimal distance, hence
-    area <= max_pair_length * distance / 2 by construction.
+    area <= max_pair_length * distance / 2 by construction.  Points whose
+    triangle areas could overflow or underflow raise FloatingPointError
+    (`_require_area_range`).
     """
-    P = np.asarray(P, dtype=float)
+    P = _point_rows(P)
     pairs, dists = greedy_close_pairs(P)
+    _require_area_range(P)
     n, m = P.shape[0], len(pairs)
     max_len = float(np.max(dists))
 

@@ -20,7 +20,7 @@ import numpy as np
 from .concentration import HypothesisViolation, _box_counts, _box_halves, _box_scales, \
     _kt_weights, _need_reach, _sweep, dyadic_ladder, m_tubes_2d
 from .configurations import _check_members
-from .geometry import _CellIndex, _norms, _require_normal, _sorted_unique, \
+from .geometry import _CellIndex, _clip, _norms, _planes, _require_normal, _sorted_unique, \
     canonical_direction, complete_frame
 
 
@@ -179,21 +179,6 @@ class TwoEndsResult:
         return max((len(s) for s in self.selection), default=0)
 
 
-def _clip(lo, hi, ok, off, coef, bound):
-    """Clip the parameter intervals [lo, hi] to the slab |off + coef * y| <=
-    bound, elementwise; a row with |coef| < 1e-15 is parallel to the slab:
-    its interval stays and `ok` drops it when |off| > bound.  Returns (lo,
-    hi, ok)."""
-    par = np.abs(coef) < 1e-15
-    ok = ok & ~(par & (np.abs(off) > bound))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (-bound - off) / coef
-        t2 = (bound - off) / coef
-    lo = np.where(par, lo, np.maximum(lo, np.minimum(t1, t2)))
-    hi = np.where(par, hi, np.minimum(hi, np.maximum(t1, t2)))
-    return lo, hi, ok
-
-
 def _lattice_spans(center, vdir, half_len, half_wid, h):
     """Column spans of the global lattice (step h) inside a rotated rectangle.
 
@@ -210,7 +195,7 @@ def _lattice_spans(center, vdir, half_len, half_wid, h):
     # |t| <= hl and |s| <= hw with t, s affine in y - c1 at fixed x
     lo, hi, ok = np.full(ix.size, -np.inf), np.full(ix.size, np.inf), np.ones(ix.size, bool)
     for coef, c0, bound in ((vdir[1], vdir[0], half_len), (perp[1], perp[0], half_wid)):
-        lo, hi, ok = _clip(lo, hi, ok, ax * c0, coef, bound)
+        lo, hi, ok = _clip(lo, hi, ok, ax * c0, coef, bound, 1e-15)
     # adding c1 is monotone under rounding, so it commutes with the clip
     iy_lo = np.ceil((lo + center[1]) / h - 1e-12).astype(np.int64)
     iy_hi = np.floor((hi + center[1]) / h + 1e-12).astype(np.int64)
@@ -290,7 +275,8 @@ def _crossing_intervals(arr: _TubeArrays, i: int, dilate: float):
     ok = np.ones(arr.centers.shape[0], dtype=bool)
     for axes, bounds in ((arr.dirs, dilate * arr.lengths / 2.0),
                          (arr.perps, dilate * arr.widths / 2.0)):
-        lo, hi, ok = _clip(lo, hi, ok, np.einsum("ij,ij->i", rel, axes), axes @ vi, bounds)
+        lo, hi, ok = _clip(lo, hi, ok, np.einsum("ij,ij->i", rel, axes), axes @ vi, bounds,
+                           1e-15)
     ok[i] = False
     ok &= lo < hi
     return lo[ok], hi[ok]
@@ -550,10 +536,11 @@ def shading_union_volume(tubes, shading: Shading, resolution: float) -> float:
     """Volume (area in 2D) of the shaded union by cell-center counting.
 
     A cell of side `resolution` counts when its centre lies in one shaded
-    window: within half the window length of the window's centre along the
-    axis and within half the width of the axis, both evaluated over the
-    window's bounding box of cells (`_box_cells`).  `_column_cells` finds the
-    same cells from the columns that can meet the window.
+    window (`_in_window`): within half the window length of the window's
+    centre along the axis and within half the width of the axis.  The cells
+    tested are those of the columns that can meet the window
+    (`_column_cells`), or of the window's bounding box (`_box_cells`) for a
+    tube near a lattice axis.
     """
     min_width = min(t.width for t in tubes)
     if resolution > min_width / 4.0 + 1e-12:
@@ -585,31 +572,35 @@ def _window(t, lo: float, hi: float, res: float):
 
 
 def _box_cells(center, vdir, perp_frame, half_t, radius, box, res):
-    """Cells of the box lo..hi (index corners) whose centres pass the window test."""
+    """Cells of the box lo..hi (index corners) that pass `_in_window`."""
     axes = [np.arange(lo, hi + 1) for lo, hi in zip(*box)]
     cells = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    rel = (cells + 0.5) * res - center
-    tt = rel @ vdir
-    if rel.shape[1] == 2:
-        ss = np.abs(rel @ perp_frame[0])
+    return cells[_in_window(cells, center, vdir, perp_frame, half_t, radius, res)]
+
+
+def _in_window(cells, center, vdir, perp_frame, half_t, radius, res):
+    """Mask of the cells whose centres lie within half_t of the window centre
+    along the axis vdir and within `radius` of the axis.  The axial product
+    (and in 2D the transverse one) is summed in coordinate order, one plane
+    at a time, so a cell's verdict does not depend on the array it sits in."""
+    rel = _planes((cells + 0.5) * res - center)
+    tt = sum(x * v for x, v in zip(rel, vdir))
+    if len(rel) == 2:
+        ss = np.abs(sum(x * v for x, v in zip(rel, perp_frame[0])))
     else:
-        ss = np.sqrt(np.maximum((rel**2).sum(axis=1) - tt**2, 0.0))
-    return cells[(np.abs(tt) <= half_t) & (ss <= radius)]
+        ss = np.sqrt(np.maximum(sum(x * x for x in rel) - tt**2, 0.0))
+    return (np.abs(tt) <= half_t) & (ss <= radius)
 
 
 def _column_cells(center, vdir, perp_frame, half_t, radius, box, res):
-    """`_box_cells` from the columns that can meet the window, or None.
+    """`_box_cells` from the columns that can meet the window, or None (use
+    the box) when the tube is within 1e-3 rad of a lattice axis, where the
+    box is already tight.
 
     Columns run along the lattice axis closest to the tube's.  Each keeps
     the cells of the box whose centres lie within radius + res of the tube
     axis and within half_t + res of the window centre along it: a superset,
-    by a cell's width, of the box cells that pass.  A matrix-vector product
-    rounds each row according to its position in the array, so the products
-    here can differ from the box's in the last bits; the dot products of
-    both are within 1e-14 * sum |rel_i v_i| of the exact value, and a cell
-    is decided only when that slack cannot change the outcome.  None (use
-    the box) when some cell is that close to the boundary, or when the tube
-    is within 1e-3 rad of a lattice axis, where the box is already tight.
+    by a cell's width, of the box cells that pass `_in_window`.
     """
     dim = vdir.size
     a = int(np.argmax(np.abs(vdir)))
@@ -630,34 +621,16 @@ def _column_cells(center, vdir, perp_frame, half_t, radius, box, res):
     m = (w**2).sum(axis=1) - b**2 - B * B / A
     reach = (radius + res) ** 2
     half = np.sqrt(np.maximum(reach - m, 0.0) / A)
-    e1 = (-(half_t + res) - b) / vdir[a]
-    e2 = (half_t + res - b) / vdir[a]
-    s_lo = np.maximum(-B / A - half, np.minimum(e1, e2))
-    s_hi = np.minimum(-B / A + half, np.maximum(e1, e2))
+    s_lo, s_hi, ok = _clip(-B / A - half, -B / A + half, m <= reach, b, vdir[a],
+                           half_t + res, 1e-15)
     k_lo = np.maximum(np.ceil(s_lo / res - 0.5).astype(np.int64), box[0][a])
     k_hi = np.minimum(np.floor(s_hi / res - 0.5).astype(np.int64), box[1][a])
-    counts = np.where(m <= reach, np.maximum(k_hi - k_lo + 1, 0), 0)
+    counts = np.where(ok, np.maximum(k_hi - k_lo + 1, 0), 0)
     first = np.cumsum(counts) - counts
     cells = np.empty((int(counts.sum()), dim), dtype=np.int64)
     cells[:, others] = np.repeat(cols, counts, axis=0)
     cells[:, a] = np.arange(cells.shape[0]) + np.repeat(k_lo - first, counts)
-
-    rel = (cells + 0.5) * res - center
-    slack = 1e-14 * (np.abs(rel) @ np.abs(vdir))
-    tt = np.abs(rel @ vdir)
-    t_hi, t_lo = tt + slack, np.maximum(tt - slack, 0.0)
-    if dim == 2:
-        ss = np.abs(rel @ perp_frame[0])
-        s_slack = 1e-14 * (np.abs(rel) @ np.abs(perp_frame[0]))
-        s_in, s_out = ss + s_slack <= radius, ss - s_slack > radius
-    else:
-        sq = (rel**2).sum(axis=1)
-        s_in = np.sqrt(np.maximum(sq * (1 + 1e-14) - t_lo**2, 0.0)) <= radius
-        s_out = np.sqrt(np.maximum(sq * (1 - 1e-14) - t_hi**2, 0.0)) > radius
-    sure_in = (t_hi <= half_t) & s_in
-    if not np.all(sure_in | (t_lo > half_t) | s_out):
-        return None
-    return cells[sure_in]
+    return cells[_in_window(cells, center, vdir, perp_frame, half_t, radius, res)]
 
 
 def _distinct_rows(cells: np.ndarray) -> int:

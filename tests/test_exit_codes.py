@@ -27,8 +27,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 VALUES = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e308"]
 # the integer --dim takes these instead: the dimensions around 2 and 3
 DIMS = ["-1", "0", "1", "4"]
-# and the integer family sizes these: a negative size, the empty family, one
-SIZES = {"--count": ["-1", "0", "1"], "--bushes": ["-1", "0", "1"]}
+# and the other integer options these: a negative value, 0 and 1 (family
+# sizes, seeds, move and epoch counts)
+SIZES = {opt: ["-1", "0", "1"]
+         for opt in ("--count", "--bushes", "--seed", "--seeds", "--n", "--moves", "--epochs")}
 
 HIGHLOW = ["highlow-check", "-p", "pts3.pts", "-l", "lines3.plc", "--delta", "0.125"]
 
@@ -48,7 +50,7 @@ COMMANDS = [
      ["--delta", "--gamma"]),
     ("brush2", ["brush-check", "-t", "tubes2.tubes"], ["--t1", "--K", "--density", "--eps"]),
     ("brush3", ["brush-check", "-t", "tubes3.tubes", "--t1", "0.5", "--t2", "1.5"],
-     ["--t1", "--t2", "--K", "--density", "--eps"]),
+     ["--t1", "--t2", "--K", "--density", "--eps", "--seed"]),
     ("two-ends", ["two-ends", "-t", "pencil48.tubes", "--delta", "0.015625", "--span", "0.25"],
      ["--delta", "--span", "--rich-constant"]),
     ("katz-tao-plc", ["katz-tao", "-p", "lines3.plc", "--delta", "0.125"], ["--delta"]),
@@ -56,13 +58,15 @@ COMMANDS = [
     ("gen-kt-tubes", ["gen", "katz-tao-tubes", "--dim", "3", "--delta", "0.125", "--count",
                       "12", "--seed", "5"], ["--delta", "--t1", "--t2", "--count", "--dim"]),
     ("anneal", ["anneal", "--objective", "distance", "--n", "6", "--moves", "40",
-                "--epochs", "5", "--seed", "2"], ["--t0", "--cooling", "--dim"]),
+                "--epochs", "5", "--seed", "2"],
+     ["--t0", "--cooling", "--dim", "--n", "--moves", "--epochs", "--seed"]),
     ("anneal-triangle", ["anneal", "--objective", "triangle", "--n", "5", "--moves", "40",
-                         "--epochs", "5", "--seed", "2"], ["--dim"]),
+                         "--epochs", "5", "--seed", "2"], ["--dim", "--n"]),
     ("gen-vertical", ["gen", "vertical", "--dim", "3", "--delta", "0.125"], ["--delta"]),
     ("gen-plane", ["gen", "plane", "--delta", "0.125"], ["--delta"]),
     ("gen-bush", ["gen", "bush", "--dim", "3", "--delta", "0.1"], ["--delta", "--bushes"]),
-    ("gen-random-points", ["gen", "random-points", "--count", "8", "--seed", "1"], ["--dim"]),
+    ("gen-random-points", ["gen", "random-points", "--count", "8", "--seed", "1"],
+     ["--dim", "--seed"]),
     ("gen-st-grid", ["gen", "st-grid", "--count", "8"], ["--count"]),
     ("gen-parabola", ["gen", "parabola", "--count", "16"], ["--count"]),
     ("conc-points", ["conc", "-p", "pts3.pts", "--mode", "points", "--w", "0.25"], ["--w"]),
@@ -71,13 +75,13 @@ COMMANDS = [
     ("conc-config", ["conc", "-p", "lines3.plc", "--mode", "config", "--u", "0.3", "--v",
                      "0.3", "--w", "0.3"], ["--u", "--v", "--w"]),
     ("exponent-vertical", ["exponent", "--family", "vertical_count", "--dim", "3",
-                           "--rungs", "0.25,0.125,0.0625"], ["--rungs"]),
+                           "--rungs", "0.25,0.125,0.0625"], ["--rungs", "--seeds", "--dim"]),
     ("exponent-pipeline", ["exponent", "--family", "pipeline_area", "--dim", "3",
-                           "--rungs", "64,128,256"], ["--rungs"]),
+                           "--rungs", "64,128,256"], ["--rungs", "--dim"]),
     ("exponent-anneal-distance", ["exponent", "--family", "anneal_distance", "--dim", "2",
-                                  "--rungs", "3,4,5"], ["--rungs"]),
+                                  "--rungs", "3,4,5"], ["--rungs", "--dim"]),
     ("exponent-anneal-triangle", ["exponent", "--family", "anneal_triangle", "--dim", "2",
-                                  "--rungs", "3,4,5"], ["--rungs"]),
+                                  "--rungs", "3,4,5"], ["--rungs", "--dim"]),
     ("scan-b", ["scan-b", "-p", "pts3.pts", "-l", "lines3.plc", "--wmin", "0.125",
                 "--wmax", "0.5"], ["--wmin", "--wmax"]),
     ("initial-est", ["initial-est", "-p", "lines3.plc", "--w", "0.25"], ["--w"]),
@@ -228,12 +232,35 @@ def test_reader_exit_code_documented(name, factor, tmp_path, capsys, bounded_mem
     ("min-triangle-brute", "1e308", "triangle areas overflow"),
     # ended in an OverflowError traceback (exit 1) squaring the cell side
     ("pair-pipeline", "1e308", "squared distances overflow"),
+    # wrote an area of 0 with exit 0, its squares below the smallest normal
+    # float (and pair-pipeline at 1e-300 a max_pair_length and
+    # config_distance of 0)
+    ("min-triangle-fast", "1e-300", "triangle areas underflow"),
+    ("min-triangle-brute", "1e-300", "triangle areas underflow"),
+    ("pair-pipeline", "1e-300", "squared distances underflow"),
+    ("pair-pipeline", "1e-150", "triangle areas underflow"),
+    # wrote an inf area with exit 0: 12 s^4 overflows while d s^2 does not
+    ("pair-pipeline", "1e100", "triangle areas overflow"),
 ])
 def test_reader_refused_value_exits_four(name, factor, message, tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _run_reader(name, factor, tmp_path)[0] == 4
     assert message in capsys.readouterr().err
+
+
+def test_every_numeric_option_is_varied():
+    # every int or float option of a command, and --rungs, is varied on one
+    # of the command's rows
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    varied = {}
+    for _, argv, opts in COMMANDS:
+        varied.setdefault(argv[0], set()).update(opts)
+    missing = [(command, a.option_strings) for command, parser in sub.choices.items()
+               for a in parser._actions
+               if (a.type in (int, float) or "--rungs" in a.option_strings)
+               and not set(a.option_strings) & varied.get(command, set())]
+    assert missing == []
 
 
 def test_every_command_and_family_is_in_the_table():
@@ -289,6 +316,13 @@ def test_uniformize_names_the_ladder_it_refuses(tmp_path, capsys, bounded_memory
     ("exponent-anneal-distance", "--rungs=3,4,5,0", "rung 0.0 asks for fewer than 2 points"),
     ("exponent-anneal-distance", "--rungs=3,4,5,5e-324",
      "rung 5e-324 asks for fewer than 2 points"),
+    ("exponent-anneal-distance", "--dim=1", "dim must be 2 or 3"),
+    # exited 3 only through numpy's "negative dimensions are not allowed"
+    ("exponent-pipeline", "--dim=-1", "dim must be 2 or 3"),
+    # exited 3 through the point reader's "points must be an (n, 2) or (n, 3) array"
+    ("exponent-anneal-triangle", "--dim=4", "dim must be 2 or 3"),
+    # exited 3 with "need at least 3 valid ladder rungs"
+    ("exponent-vertical", "--seeds=0", "need seeds >= 1, got 0"),
 ])
 def test_refused_value_exits_three(name, option, message, tmp_path, capsys):
     assert main(_argv(name, tmp_path / "out", option)) == 3

@@ -329,6 +329,22 @@ class TestBrute:
             with pytest.raises(ValueError, match="points must be finite"):
                 minimize(np.where(P == P[5, 0], np.nan, P))
 
+    @pytest.mark.parametrize("dim,fits,underflows", [(2, 1e-150, 1e-155), (3, 1e-75, 1e-80)])
+    def test_areas_that_could_underflow_are_refused(self, dim, fits, underflows):
+        # s^2 in 2D and s^4 in 3D below the smallest normal float: the brute
+        # force and the pair pipeline reported an area of 0
+        P = np.random.default_rng(dim).uniform(0, 1, (150, dim))
+        assert min_triangle_brute(P * fits).area > 0
+        for minimize in (min_triangle_brute, min_triangle_fast):
+            with pytest.raises(FloatingPointError, match="triangle areas underflow"):
+                minimize(P * underflows)
+        # in 2D the pipeline's squared distances underflow first
+        with pytest.raises(FloatingPointError, match="underflow"):
+            triangle_via_pointline(P * underflows)
+        # a spread of 0 is no underflow: every area is 0
+        for minimize in (min_triangle_brute, min_triangle_fast):
+            assert minimize(np.full((150, dim), underflows)).area == 0.0
+
     @pytest.mark.parametrize("n", [3, 8, 64, 150])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_equals_triu_oracle_random(self, n, dim):
@@ -391,6 +407,12 @@ class TestFast:
         ju, ku = _triu_pairs(m)
         assert all(np.array_equal(a, b) for a, b in zip((ju, ku), np.triu_indices(m, 1)))
         assert not ju.flags.writeable and _triu_pairs(m)[0] is ju
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_wide_sets_equal_brute(self, dim):
+        # cells of side n^(-1/d) put coordinates of 1e20 beyond int64
+        P = np.random.default_rng(dim).uniform(0, 1, (121, dim)) * 1e20
+        assert min_triangle_fast(P) == min_triangle_brute(P)
 
     def test_packing_bound_large(self, rng):
         P = rng.uniform(0, 1, (2000, 3))
@@ -520,6 +542,13 @@ class TestGreedyPairs:
         assert np.isfinite(greedy_close_pairs(P * 1e150)[1]).all()
         with pytest.raises(FloatingPointError, match="squared distances overflow"):
             greedy_close_pairs(P * 1e155)
+
+    def test_squared_distances_that_could_underflow_are_refused(self, rng):
+        # the squared distances rounded to 0 and every pair length read 0
+        P = rng.uniform(0, 1, (64, 3))
+        assert (greedy_close_pairs(P * 1e-150)[1] > 0).all()
+        with pytest.raises(FloatingPointError, match="squared distances underflow"):
+            greedy_close_pairs(P * 1e-160)
 
     def test_clustered_distances(self, rng):
         P = 0.5 + 0.01 * rng.uniform(-1, 1, (32, 3))

@@ -655,6 +655,10 @@ class TestTwoEndsOracle:
         assert len(reps) < sum(len(p) for p in picks)
 
 
+# centres i + j + 1 = 45 cells along (1, 1) sit on the window's end at res 2^-6
+TIE = Tube2D([0.5, 0.5], [1, 1], 2**-4, 90 * 2**-6 / np.sqrt(2))
+
+
 class TestUnionVolumeOracle:
     @pytest.mark.parametrize("dim, delta, seed", [(2, 2**-5, 3), (3, 2**-4, 5), (3, 2**-3, 7)])
     @pytest.mark.parametrize("density", [None, 0.5, 0.2])
@@ -675,25 +679,43 @@ class TestUnionVolumeOracle:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_column_cells_equal_box_cells(self, rng, dim):
         res = 2**-6
+        Tube = Tube3D if dim == 3 else Tube2D
+        windows = []
         for _ in range(40):
-            t = (Tube3D if dim == 3 else Tube2D)(rng.uniform(0.3, 0.7, dim),
-                                                 rng.normal(size=dim), 2**-4,
-                                                 rng.uniform(0.0625, 1.0))
+            t = Tube(rng.uniform(0.3, 0.7, dim), rng.normal(size=dim), 2**-4,
+                     rng.uniform(0.0625, 1.0))
             lo = rng.uniform(-t.length / 2, 0.0)
-            window, box = tubes_mod._window(t, lo, rng.uniform(lo, t.length / 2), res)
+            windows.append((t, lo, rng.uniform(lo, t.length / 2)))
+        # dyadic centres, integer directions and dyadic windows put cell
+        # centres within a rounding of the window's boundary
+        while len(windows) < 80:
+            v = rng.integers(-3, 4, dim)
+            if np.count_nonzero(v) >= 2:
+                t = Tube(rng.integers(16, 48, dim) / 64, v, 2**-4, 1.0)
+                lo = int(rng.integers(-32, 0)) / 64
+                windows.append((t, lo, lo + int(rng.integers(1, 32)) / 64))
+        if dim == 2:
+            windows.append((TIE, -TIE.length / 2, TIE.length / 2))
+        for t, lo, hi in windows:
+            window, box = tubes_mod._window(t, lo, hi, res)
             cols = tubes_mod._column_cells(*window, box, res)
             assert cols is not None
             assert sorted(map(tuple, cols)) == \
                 sorted(map(tuple, tubes_mod._box_cells(*window, box, res)))
 
     def test_boundary_ties_and_axis_tubes_use_the_box(self):
-        # centres i + j + 1 = 45 cells along (1, 1) sit on the window's end
+        # a tube within 1e-3 rad of a lattice axis takes the box; the tie
+        # tube's columns decide its boundary cells as the box does
         res = 2**-6
-        tie = Tube2D([0.5, 0.5], [1, 1], 2**-4, 90 * res / np.sqrt(2))
         axis = Tube3D([0.5, 0.5, 0.5], [1e-4, 1, 0], 2**-4, 1.0)
-        for t in (tie, axis):
+        for t in (TIE, axis):
             window, box = tubes_mod._window(t, -t.length / 2, t.length / 2, res)
-            assert tubes_mod._column_cells(*window, box, res) is None
+            cols = tubes_mod._column_cells(*window, box, res)
+            if t is axis:
+                assert cols is None
+            else:
+                assert sorted(map(tuple, cols)) == \
+                    sorted(map(tuple, tubes_mod._box_cells(*window, box, res)))
             shading = Shading.full([t])
             assert shading_union_volume([t], shading, res) == \
                 old_shading_union_volume([t], shading, res) > 0
