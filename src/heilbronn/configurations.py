@@ -19,10 +19,10 @@ import numpy as np
 
 from .geometry import (
     Line,
+    _point_line_blocks,
     as_point,
     canonical_direction,
     point_line_distance,
-    points_line_distance,
 )
 
 SNAP_TOL = 1e-9
@@ -144,24 +144,26 @@ def min_config_distance(config: PointLineConfiguration, return_witness: bool = F
     n = len(config)
     if n < 2:
         raise UndefinedInputError("min_config_distance needs at least 2 pairs")
-    best, witness = _nearest_point_line(config.points(), config.lines())
+    best, witness = _nearest_point_line(config.points(), config.line_bases(), config.directions())
     if return_witness:
         return best, witness
     return best
 
 
-def _nearest_point_line(P: np.ndarray, lines) -> tuple[float, tuple[int, int]]:
-    """min over i != j of d(P[i], lines[j]) with the first realizing (i, j): lines
-    in order, the first argmin per line, replaced only by a strictly smaller one."""
+def _nearest_point_line(P, bases, dirs) -> tuple[float, tuple[int, int]]:
+    """min over i != j of d(P[i], line j) with the first realizing (i, j): lines in order,
+    the first argmin per line (nan if any), replaced only by a strictly smaller one."""
     best = np.inf
     witness = (0, 1)
-    for j, line in enumerate(lines):
-        d = points_line_distance(P, line)
-        d[j] = np.inf
-        i = int(np.argmin(d))
-        if d[i] < best:
-            best = float(d[i])
-            witness = (i, j)
+    for lo, D in _point_line_blocks(P, bases, dirs):
+        k = np.arange(D.shape[0])
+        D[k, lo + k] = np.inf
+        i = D.argmin(axis=1)
+        d = D[k, i]
+        j = int(np.argmin(np.where(np.isnan(d), np.inf, d)))
+        if d[j] < best:
+            best = float(d[j])
+            witness = (int(i[j]), lo + j)
     return best, witness
 
 

@@ -198,11 +198,6 @@ def point_line_distance(p, line: Line) -> float:
     return float(np.linalg.norm(u - t * line.dir))
 
 
-def points_line_distance(P: np.ndarray, line: Line) -> np.ndarray:
-    """Vectorized point_line_distance for an (n, d) array of points."""
-    return _points_lines_block(np.asarray(P, dtype=float), line.base[None], line.dir[None])[0]
-
-
 def _points_lines_block(P: np.ndarray, bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Distances from the rows of P to each line (bases[j], unit dirs[j]): (m, n).
 
@@ -215,6 +210,15 @@ def _points_lines_block(P: np.ndarray, bases: np.ndarray, dirs: np.ndarray) -> n
     U = _subtract_planes(P[None], bases[:, None])
     t = np.matmul(U, dirs[:, :, None])[..., 0]
     return _plane_norms(u - t * v for u, v in zip(_planes(U), _planes(dirs[:, None])))
+
+
+def _point_line_blocks(P: np.ndarray, bases: np.ndarray, dirs: np.ndarray):
+    """(lo, D) over the lines in order, D[k, i] the `_points_lines_block`
+    distance from P[i] to line lo + k: at most _CHUNK (line, point) pairs a
+    block, or one line when P has more rows.  The one all-pairs sweep."""
+    step = max(1, _CHUNK // max(1, P.shape[0]))
+    for lo in range(0, bases.shape[0], step):
+        yield lo, _points_lines_block(P, bases[lo:lo + step], dirs[lo:lo + step])
 
 
 def _point_lines_rows(p: np.ndarray, bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:

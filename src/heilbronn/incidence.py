@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import (
-    _CHUNK,
     HypothesisViolation,
     _family_arrays,
     _kt_weights,
@@ -35,13 +34,12 @@ from .configurations import PointLineConfiguration, rescale_config
 from .geometry import (
     DimensionMismatch,
     _direction_rows,
-    _points_lines_block,
+    _point_line_blocks,
     _range_checked,
     _require_finite,
     covering_number,
     direction_covering_number,
     line_covering_number,
-    points_line_distance,
 )
 from .kernels import bump_profile
 
@@ -69,11 +67,9 @@ def _scales(ws) -> list[float]:
 def incidence_many(ws, P, lines, dim: int) -> list[float]:
     """Incidence counts at several scales sharing one distance computation.
 
-    Point-line distances are computed for blocks of lines at once
-    (`geometry._points_lines_block`), at most _CHUNK (line, point) pairs a
-    block (a single line exceeds it when there are more points); the pairs
-    within the kernel support of the largest scale are kept and their
-    profile values summed per scale.
+    Point-line distances come in the blocks of `geometry._point_line_blocks`;
+    the pairs within the kernel support of the largest scale are kept and
+    their profile values summed per scale.
     """
     ws = _scales(ws)
     prof = bump_profile(dim)
@@ -84,10 +80,8 @@ def incidence_many(ws, P, lines, dim: int) -> list[float]:
     if P.shape[1] != lines[0].dim:
         raise DimensionMismatch(f"points are {P.shape[1]}D but lines are {lines[0].dim}D")
     bases, dirs, _ = _family_arrays(lines)
-    step = max(1, _CHUNK // P.shape[0])
     dmax = prof.eta_support * max(ws)
-    for lo in range(0, len(lines), step):
-        d = _points_lines_block(P, bases[lo:lo + step], dirs[lo:lo + step])
+    for _, d in _point_line_blocks(P, bases, dirs):
         d = d[d < dmax]
         # a quotient that overflows lies beyond the support, where G(inf) = 0
         with np.errstate(over="ignore"):
@@ -331,11 +325,10 @@ def rhs_wellspaced(delta: float, P, lines, t1: float, t2: float, K: float,
 
     ml_fine = table[(delta, delta)]
     min_in_tube = np.inf
-    for ln in lines:
-        perp = points_line_distance(bases, ln)
-        ang = _direction_rows(dirs, ln.dir)
-        near = np.count_nonzero((perp <= delta) & (ang <= 2 * delta))
-        min_in_tube = min(min_in_tube, near)
+    for lo, perp in _point_line_blocks(bases, bases, dirs):
+        ang = _direction_rows(dirs[None], dirs[lo:lo + perp.shape[0], None])
+        near = np.count_nonzero((perp <= delta) & (ang <= 2 * delta), axis=1)
+        min_in_tube = min(min_in_tube, int(near.min()))
     if min_in_tube < ml_fine / C0 - 1e-9:
         violations.append(("uniformity", min_in_tube, ml_fine / C0))
     if violations:

@@ -21,7 +21,8 @@ from .configurations import (
     generate_vertical,
     min_config_distance,
 )
-from .geometry import Line, _point_lines_rows, _points_lines_block, _require_finite
+from .geometry import Line, _point_line_blocks, _point_lines_rows, _points_lines_block, \
+    _require_finite
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,8 @@ class _DistanceState:
     def __init__(self, points: np.ndarray, dirs: np.ndarray):
         self.points = points.copy()
         self.dirs = dirs.copy()
-        n = points.shape[0]
-        self.D = np.empty((n, n))
-        for j in range(n):
-            self._refresh_column(j)
+        self.D = np.hstack([D.T for _, D in _point_line_blocks(self.points, self.points, self.dirs)])
+        np.fill_diagonal(self.D, np.inf)
 
     def _refresh_column(self, j):
         self.D[:, j] = _points_lines_block(self.points, self.points[[j]], self.dirs[[j]])[0]

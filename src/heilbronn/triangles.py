@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .configurations import _nearest_point_line
-from .geometry import Line, _CellIndex, _cell_pairs, _planes, _point_rows, _row_norms, \
-    _sorted_unique, _subtract_planes
+from .geometry import _CellIndex, _cell_pairs, _planes, _point_rows, _row_norms, \
+    _sorted_unique, _subtract_planes, canonical_direction
 
 
 @dataclass(frozen=True)
@@ -649,8 +649,8 @@ def triangle_via_pointline(P) -> tuple[TriangleWitness, PairPipelineReport]:
             return TriangleWitness(indices=tri, area=0.0), report
 
     anchors = np.array([P[i] for i, _ in pairs])
-    lines = [Line(P[i], P[j] - P[i]) for i, j in pairs]
-    best, (a, b) = _nearest_point_line(anchors, lines)
+    dirs = np.array([canonical_direction(P[j] - P[i]) for i, j in pairs])
+    best, (a, b) = _nearest_point_line(anchors, anchors, dirs)
     tri_pts = (pairs[a][0], pairs[b][0], pairs[b][1])
     area = triangle_area(P[tri_pts[0]], P[tri_pts[1]], P[tri_pts[2]])
     bound = max_len * best / 2.0

@@ -18,7 +18,6 @@ from heilbronn.geometry import (
     line_box_chord,
     line_metric,
     point_line_distance,
-    points_line_distance,
 )
 
 from conftest import line_metric_many, lines_box_chords

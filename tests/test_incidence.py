@@ -11,7 +11,7 @@ from heilbronn.configurations import (
     generate_vertical,
     min_config_distance,
 )
-from heilbronn.geometry import DimensionMismatch, Line, points_line_distance
+from heilbronn.geometry import DimensionMismatch, Line, _points_lines_block
 from heilbronn.incidence import (
     double_count_check,
     dyadic_scan,
@@ -82,7 +82,7 @@ def per_line_incidence(ws, P, lines, dim):
     P = np.asarray(P, dtype=float)
     totals = np.zeros(len(ws))
     for line in lines:
-        d = points_line_distance(P, line)
+        d = _points_lines_block(P, line.base[None], line.dir[None])[0]
         d = d[d < prof.eta_support * max(ws)]
         if d.size == 0:
             continue

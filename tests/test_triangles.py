@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from heilbronn import geometry, triangles
-from heilbronn.geometry import Line, points_line_distance
+from heilbronn.geometry import Line, _points_lines_block
 from heilbronn.triangles import (
     _cell_blocks,
     _triu_pairs,
@@ -836,7 +836,7 @@ def inline_pipeline(P):
     best = np.inf
     wit = (0, 1)
     for b, line in enumerate(lines):
-        dd = points_line_distance(anchors, line)
+        dd = _points_lines_block(anchors, line.base[None], line.dir[None])[0]
         dd[b] = np.inf
         a = int(np.argmin(dd))
         if dd[a] < best:
