@@ -601,6 +601,8 @@ def main(argv=None) -> int:
     manifest = _manifest(args)
     started = time.time()
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         rc = args.func(args)
     except (FormatError, EmptyConfigurationError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)

@@ -185,9 +185,8 @@ def _min_triangle_value(P: np.ndarray) -> tuple[float, tuple[int, int, int]]:
 
 def _min_with_vertex(P: np.ndarray, k: int) -> float:
     """Minimal triangle area among triples containing vertex k."""
-    from .triangles import _pair_cross_blocks, _upper_argmin
-    B = np.delete(P, k, axis=0) - P[k]
-    return _upper_argmin(_pair_cross_blocks(B), np.tri(B.shape[0], dtype=bool))[2] / 2.0
+    from .triangles import _upper_min
+    return _upper_min(np.delete(P, k, axis=0) - P[k])[2] / 2.0
 
 
 def anneal_max_triangle(n: int, dim: int, schedule: AnnealSchedule) -> np.ndarray:

@@ -59,6 +59,9 @@ def triangle_area(a, b, c) -> float:
 # scored on its own
 _LOCAL_CHUNK = 1 << 13
 _APEX_CHUNK = 1 << 14
+# entries of one row slice of the brute force's (m, m) block from an apex:
+# at least 149^2, so the sets of up to 150 points take one slice an apex
+_SLICE = 1 << 15
 
 
 def _doubled_areas(u, v):
@@ -103,12 +106,6 @@ def _require_area_range(P: np.ndarray) -> None:
         raise FloatingPointError(f"points spread over {s:.3g}: triangle areas underflow")
 
 
-def _pair_cross_blocks(B: np.ndarray):
-    """Pairwise |B_j x B_k| for all j, k rows of B (2D scalar or 3D norm)."""
-    X = np.ascontiguousarray(B.T)
-    return _doubled_areas(X[:, :, None], X[:, None, :])
-
-
 @lru_cache(maxsize=32)
 def _triu_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only np.triu_indices(m, 1), built once per size."""
@@ -117,31 +114,31 @@ def _triu_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return ju, ku
 
 
-def _upper_argmin(C: np.ndarray, lower: np.ndarray) -> tuple[int, int, float]:
-    """First row-major minimum of the square C over j < k, as (j, k, value).
-
-    `lower` is np.tri(M, dtype=bool) for some M >= len(C); its top-left block
-    masks the entries j >= k, which are overwritten with inf, so the first
-    minimum of the whole array is the lexicographically first upper one.
-    """
-    m = C.shape[0]
-    np.copyto(C, np.inf, where=lower[:m, :m])
-    pos = int(np.argmin(C))
-    j, k = divmod(pos, m)
-    return j, k, float(C[j, k])
+def _upper_min(B: np.ndarray) -> tuple[int, int, float]:
+    """First row-major minimum of |B_j x B_k| over the rows j < k of B, as
+    (j, k, value).  Rows r0:r1 are scored against all columns, about
+    _SLICE entries at a time, with the entries k <= j masked by inf; the
+    first strictly smaller slice minimum wins."""
+    m = B.shape[0]
+    X = np.ascontiguousarray(B.T)
+    step = max(1, _SLICE // m)
+    best = (0, 1, np.inf)
+    for r0 in range(0, m - 1, step):
+        C = _doubled_areas(X[:, r0:r0 + step, None], X[:, None, :])
+        np.copyto(C, np.inf, where=np.tri(C.shape[0], m, r0, dtype=bool))
+        j, k = divmod(int(np.argmin(C)), m)
+        if C[j, k] < best[2]:
+            best = (r0 + j, k, float(C[j, k]))
+    return best
 
 
 def _brute_doubled(P: np.ndarray) -> tuple[tuple[int, int, int], float]:
     """Lexicographically first minimal triple of P and twice its area."""
     n = P.shape[0]
-    lower = np.tri(n - 1, dtype=bool)
     best2 = np.inf
     witness = (0, 1, 2)
     for i in range(n - 2):
-        # C stays bound until the next block exists: freeing a large block
-        # first lets malloc hand its pages back, and the next one faults them in
-        C = _pair_cross_blocks(P[i + 1:] - P[i])
-        j, k, block_min = _upper_argmin(C, lower)
+        j, k, block_min = _upper_min(P[i + 1:] - P[i])
         if block_min < best2:
             best2 = block_min
             witness = (i, i + 1 + j, i + 1 + k)
@@ -456,14 +453,6 @@ class _CellGrid:
         n, d = P.shape
         lo = P.min(axis=0)
         extent = float((P.max(axis=0) - lo).max())
-        if not math.isfinite(extent):
-            raise ValueError("point coordinates span more than the float range")
-        if not math.isfinite(d * extent * extent):
-            raise FloatingPointError(f"points spread over {extent:.3g}: squared distances "
-                                     "overflow")
-        if 0.0 < extent and extent * extent < sys.float_info.min:
-            raise FloatingPointError(f"points spread over {extent:.3g}: squared distances "
-                                     "underflow")
         q = np.quantile(P, [0.01, 0.99], axis=0)
         side = (float((q[1] - q[0]).max()) or extent) / max(1, round(n ** (1.0 / d)))
         # at most 2^52 cells along an axis, so cell coordinates stay exact
@@ -548,6 +537,24 @@ class _CellGrid:
         return best, arg
 
 
+def _require_pair_range(P: np.ndarray) -> None:
+    """The input checks of `greedy_close_pairs`: ValueError for points that
+    are not finite, fewer than 8, or spread over more than the float range;
+    FloatingPointError when d s^2 overflows, s the longest bounding-box
+    extent, or a spread s > 0 has s^2 below the smallest normal float."""
+    if not np.isfinite(P).all():
+        raise ValueError("points must be finite")
+    if P.shape[0] < 8:
+        raise ValueError("need at least 8 points")
+    extent = float((P.max(axis=0) - P.min(axis=0)).max())
+    if not math.isfinite(extent):
+        raise ValueError("point coordinates span more than the float range")
+    if not math.isfinite(P.shape[1] * extent * extent):
+        raise FloatingPointError(f"points spread over {extent:.3g}: squared distances overflow")
+    if 0.0 < extent and extent * extent < sys.float_info.min:
+        raise FloatingPointError(f"points spread over {extent:.3g}: squared distances underflow")
+
+
 def greedy_close_pairs(P):
     """Extract floor(n/4) disjoint closest-available point pairs.
 
@@ -583,15 +590,11 @@ def greedy_close_pairs(P):
     set whose points between the percentiles are spread evenly; a cell
     holding k points costs k^2 distance evaluations.
     Returns (pairs, distances) with pairs as (i, j) index tuples, i < j.
-    Points that are not finite raise ValueError, and points spread so far
-    that a squared distance could overflow raise FloatingPointError.
+    Its input checks are `_require_pair_range`.
     """
     P = _point_rows(P)
-    if not np.isfinite(P).all():
-        raise ValueError("points must be finite")
+    _require_pair_range(P)
     n = P.shape[0]
-    if n < 8:
-        raise ValueError("need at least 8 points")
     m = n // 4
     grid = _CellGrid(P)
     start, nbr, nd2, bound = grid.certified_rows()
@@ -631,13 +634,15 @@ def triangle_via_pointline(P) -> tuple[TriangleWitness, PairPipelineReport]:
 
     The returned triangle (p_i, p_j, q_j) has area exactly half the product
     of the pair length |p_j q_j| and the realized minimal distance, hence
-    area <= max_pair_length * distance / 2 by construction.  Points whose
-    triangle areas could overflow or underflow raise FloatingPointError
-    (`_require_area_range`).
+    area <= max_pair_length * distance / 2 by construction.  Points that
+    `greedy_close_pairs` refuses, then points whose triangle areas could
+    overflow or underflow (`_require_area_range`), are refused before any
+    pairing.
     """
     P = _point_rows(P)
-    pairs, dists = greedy_close_pairs(P)
+    _require_pair_range(P)
     _require_area_range(P)
+    pairs, dists = greedy_close_pairs(P)
     n, m = P.shape[0], len(pairs)
     max_len = float(np.max(dists))
 

@@ -20,13 +20,14 @@ import numpy as np
 from .concentration import HypothesisViolation, _box_counts, _box_halves, _box_scales, \
     _kt_weights, _need_reach, _sweep, dyadic_ladder, m_tubes_2d
 from .configurations import _check_members
-from .geometry import _CellIndex, _clip, _norms, _planes, _require_normal, _sorted_unique, \
-    canonical_direction, complete_frame
+from .geometry import _CellIndex, _clip, _norms, _planes, _require_finite, _require_normal, \
+    _sorted_unique, canonical_direction, complete_frame
 
 
 @dataclass(frozen=True, eq=False)
 class _Tube:
     """Tube of the given `width` and `length` around center, with unit dir.
+    A field that is not finite raises ValueError naming it.
 
     Tubes are equal when their fields are, and only tubes of the same class.
     """
@@ -41,6 +42,8 @@ class _Tube:
         v = canonical_direction(dir)
         if c.shape != (self._dim,) or v.shape != (self._dim,):
             raise ValueError(f"{type(self).__name__} lives in {self._space}")
+        _require_finite(type(self).__name__, width=width, length=length,
+                        **{f"center[{i}]": x for i, x in enumerate(c.tolist())})
         if not 0 < width <= length:
             raise ValueError("need 0 < width <= length")
         c.setflags(write=False)

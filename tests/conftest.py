@@ -47,7 +47,7 @@ def separated_config(n_target, dim, seed, K=8, levels=3, step=5):
 
 def cross_block(B):
     """Pairwise |B_j x B_k| over the rows of B, computed out of place: a
-    reference for triangles._pair_cross_blocks."""
+    reference for the slices of triangles._upper_min."""
     if B.shape[1] == 2:
         return np.abs(np.multiply.outer(B[:, 0], B[:, 1]) - np.multiply.outer(B[:, 1], B[:, 0]))
     cx = np.multiply.outer(B[:, 1], B[:, 2]) - np.multiply.outer(B[:, 2], B[:, 1])

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heilbronn import geometry
 from heilbronn.configurations import (
     EmptyConfigurationError,
     PointLineConfiguration,
     PointLinePair,
     UndefinedInputError,
+    _nearest_point_line,
     generate_bush,
     generate_erdos_parabola,
     generate_plane_example,
@@ -17,7 +19,7 @@ from heilbronn.configurations import (
     rescale_config,
     slab_restriction,
 )
-from heilbronn.geometry import Box, Line, point_line_distance
+from heilbronn.geometry import Box, Line, _points_lines_block, point_line_distance
 from heilbronn.triangles import min_triangle_brute
 
 from conftest import random_config
@@ -56,6 +58,80 @@ class TestMinConfigDistance:
         X = make_config([[0.5, 0.5]], [Line([0.5, 0.5], [1, 0])])
         with pytest.raises(UndefinedInputError):
             min_config_distance(X)
+
+
+def per_line_nearest(P, bases, dirs):
+    """The one-line-at-a-time loop that `_nearest_point_line` ran before its
+    distances came in blocks: lines in order, the first argmin per line,
+    replaced only by a strictly smaller value."""
+    best, witness = np.inf, (0, 1)
+    for j in range(bases.shape[0]):
+        d = _points_lines_block(P, bases[j:j + 1], dirs[j:j + 1])[0]
+        d[j] = np.inf
+        i = int(np.argmin(d))
+        if d[i] < best:
+            best, witness = float(d[i]), (i, j)
+    return best, witness
+
+
+def _arrays(X):
+    return X.points(), X.line_bases(), X.directions()
+
+
+class TestNearestPointLineOracle:
+    """`_nearest_point_line` equals the per-line loop in value (hex) and witness."""
+
+    @staticmethod
+    def check(P, bases, dirs):
+        best, witness = _nearest_point_line(P, bases, dirs)
+        want = per_line_nearest(P, bases, dirs)
+        assert (best.hex(), witness) == (want[0].hex(), want[1])
+        return best, witness
+
+    @pytest.mark.parametrize("chunk", [64, None])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 17, 150])
+    def test_random(self, n, dim, chunk, monkeypatch):
+        # _CHUNK 64: several lines a block, and one line a block at n = 150
+        if chunk is not None:
+            monkeypatch.setattr(geometry, "_CHUNK", chunk)
+        for seed in range(3):
+            self.check(*_arrays(random_config(n, dim, seed)))
+
+    @pytest.mark.parametrize("chunk", [64, None])
+    @pytest.mark.parametrize("dim,delta", [(2, 1 / 64), (3, 1 / 16)])
+    def test_vertical_grid_ties(self, dim, delta, chunk, monkeypatch):
+        # every pair has neighbours at exactly 2 delta: the first line and
+        # its first argmin decide the witness
+        if chunk is not None:
+            monkeypatch.setattr(geometry, "_CHUNK", chunk)
+        best, witness = self.check(*_arrays(generate_vertical(delta, dim)))
+        assert best == 2 * delta and witness == (1, 0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_duplicated_lines(self, dim, monkeypatch):
+        monkeypatch.setattr(geometry, "_CHUNK", 64)
+        P, bases, dirs = _arrays(random_config(40, dim, 5))
+        for a, b in ((3, 30), (7, 12), (7, 25)):  # lines 30, 12 and 25 repeat 3 and 7
+            P[b], bases[b], dirs[b] = P[a], bases[a], dirs[a]
+        best, witness = self.check(P, bases, dirs)
+        assert best == 0.0
+
+    @pytest.mark.parametrize("chunk", [64, None])
+    def test_a_nan_distance_never_wins(self, chunk, monkeypatch):
+        # point 0 lies so far out that its distance to line 5 overflows to
+        # nan (t = inf, inf * 0 in the third plane); point 9 lies on line 5,
+        # which would win with the smallest distance were the nan skipped
+        if chunk is not None:
+            monkeypatch.setattr(geometry, "_CHUNK", chunk)
+        P, bases, dirs = _arrays(random_config(30, 3, 2))
+        dirs[5] = [2**-0.5, 2**-0.5, 0.0]
+        P[0] = 1.7e308
+        P[9] = bases[5] + 0.25 * dirs[5]
+        with np.errstate(all="ignore"):
+            assert np.isnan(_points_lines_block(P, bases[5:6], dirs[5:6])[0, 0])
+            best, witness = self.check(P, bases, dirs)
+        assert witness[1] != 5 and best > 0
 
 
 class TestVertical:

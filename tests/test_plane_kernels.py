@@ -1,14 +1,15 @@
 """Bit-equality oracles for the kernels that run one coordinate plane at a time.
 
-The point-line distances, the direction and skew-line rows, the point rows of
-`ConfigMetrics`, the box-local differences of `concentration._box_counts`,
+The point-line distances, the direction and skew-line rows, the point rows
+of `ConfigMetrics`, the box-local differences of `concentration._box_counts`,
 the axial coordinates of `tubes._lattice_net` and the apex vectors of
 `triangles._apex_groups` are formed one coordinate plane at a time, so that
 no numpy loop runs over the 2 or 3 coordinates of a single row, and every row
 norm goes through `geometry._row_norms`.  Each BLAS product keeps its shapes
 and strides.  The `old_*` functions are test-local copies of the broadcast
 forms they replaced; the new code must return their arrays bit for bit
-(`np.array_equal`).
+(`np.array_equal`).  Each row of a block of `geometry._point_line_blocks`
+must equal the one-line `_points_lines_block` call the same way.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from heilbronn.concentration import ConfigMetrics, _box_halves
 from heilbronn.geometry import (
     _CHUNK,
     _direction_rows,
+    _point_line_blocks,
     _point_lines_rows,
     _points_lines_block,
     _row_norms,
@@ -110,6 +112,26 @@ def test_points_lines_block_equals_broadcast(d, m, n):
     bases, dirs = rng.uniform(0, 1, (m, d)), unit_rows(rng, m, d)
     assert np.array_equal(_points_lines_block(P, bases, dirs),
                           old_points_lines_block(P, bases, dirs))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m,n", [(1, 50), (40, 300), (57, 1000), (3, _CHUNK + 5)])
+def test_point_line_blocks_equal_one_line_calls(d, m, n):
+    # one line; several lines a block with a short last block (300 points:
+    # 54 lines a block; 1000 points: 16 lines a block, 57 = 3 * 16 + 9); one
+    # line a block when there are more points than _CHUNK
+    rng = np.random.default_rng(3 * m + n + d)
+    P = rng.uniform(-1, 2, (n, d))
+    bases, dirs = rng.uniform(0, 1, (m, d)), unit_rows(rng, m, d)
+    sizes = []
+    for lo, D in _point_line_blocks(P, bases, dirs):
+        sizes.append(D.shape[0])
+        assert D.shape[1] == n and (D.size <= _CHUNK or D.shape[0] == 1)
+        for k in range(D.shape[0]):
+            j = lo + k
+            assert np.array_equal(D[k], _points_lines_block(P, bases[j:j + 1], dirs[j:j + 1])[0])
+    assert sum(sizes) == m and len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
+    assert len(sizes) == -(-m // max(1, _CHUNK // n))
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from heilbronn import triangles
 from heilbronn.configurations import generate_vertical, min_config_distance
 from heilbronn.search import (
     AnnealSchedule,
@@ -86,6 +87,16 @@ class TestAnnealTriangle:
     def test_min_with_vertex_equals_triu_oracle(self, dim):
         # reference: cross products of the other points seen from k, the
         # strict upper triangle gathered by np.triu_indices
+        P = np.random.default_rng(dim).uniform(0, 1, (15, dim))
+        for k in (0, 7, 14):
+            C = cross_block(P[np.delete(np.arange(15), k)] - P[k])
+            assert _min_with_vertex(P, k) == float(C[np.triu_indices(14, 1)].min()) / 2.0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("slice_", [1, 40])
+    def test_min_with_vertex_in_row_slices(self, dim, slice_, monkeypatch):
+        # one row a slice, and three rows a slice with a short last slice
+        monkeypatch.setattr(triangles, "_SLICE", slice_)
         P = np.random.default_rng(dim).uniform(0, 1, (15, dim))
         for k in (0, 7, 14):
             C = cross_block(P[np.delete(np.arange(15), k)] - P[k])

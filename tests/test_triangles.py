@@ -366,6 +366,19 @@ class TestBrute:
         assert (w.indices, w.area) == triu_brute(P)
 
 
+    @pytest.mark.parametrize("slice_", [1, 50, 200])
+    @pytest.mark.parametrize("dim,planar", [(2, False), (3, True)])
+    def test_row_slices_keep_the_first_minimum(self, slice_, dim, planar, monkeypatch):
+        # one row a slice, several rows with a short last slice, and slices
+        # of several rows on the smaller blocks: the witness of the whole
+        # block's first row-major minimum, also on exact ties
+        monkeypatch.setattr(triangles, "_SLICE", slice_)
+        for P in (modular_moment_curve(31, dim, planar),
+                  np.random.default_rng(dim).uniform(0, 1, (64, dim))):
+            w = min_triangle_brute(P)
+            assert (w.indices, w.area) == triu_brute(P)
+
+
 class TestFast:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("dim", [2, 3])
@@ -867,6 +880,19 @@ class TestPipeline:
         best, tri, area = inline_pipeline(P)
         assert rep.config_distance == best
         assert witness.indices == tri and witness.area == area
+
+    @pytest.mark.parametrize("factor,message", [(1e100, "triangle areas overflow"),
+                                                (1e-150, "triangle areas underflow"),
+                                                (1e155, "squared distances overflow"),
+                                                (1e-160, "squared distances underflow")])
+    def test_refuses_before_pairing(self, factor, message, rng, monkeypatch):
+        # the area checks ran only after greedy_close_pairs had paired every point
+        def pairing(P):
+            raise AssertionError("greedy_close_pairs called")
+
+        monkeypatch.setattr(triangles, "greedy_close_pairs", pairing)
+        with pytest.raises(FloatingPointError, match=message):
+            triangle_via_pointline(rng.uniform(0, 1, (64, 3)) * factor)
 
     def test_duplicate_point_zero_path(self, rng):
         P = rng.uniform(0, 1, (64, 3))

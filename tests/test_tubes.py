@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -59,6 +60,22 @@ class TestTubeEquality:
             Tube3D([0.5, 0.5], [1.0, 0.0], 0.1, 1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             Tube3D([0.5, 0.5, 0.5], [1.0, 0.0, 0.0], 0.1, 1.0).width = 0.2
+
+    @pytest.mark.parametrize("cls,center,width,length,field", [
+        (Tube2D, [np.inf, 0.5], 0.1, 1.0, "center[0]=inf"),
+        (Tube2D, [0.5, -np.inf], 0.1, 1.0, "center[1]=-inf"),
+        (Tube3D, [0.5, np.nan, 0.5], 0.1, 1.0, "center[1]=nan"),
+        (Tube2D, [0.5, 0.5], np.inf, np.inf, "width=inf, length=inf"),
+        (Tube3D, [0.5, 0.5, 0.5], 0.1, np.inf, "length=inf"),
+        (Tube3D, [0.5, 0.5, 0.5], np.nan, 1.0, "width=nan"),
+    ])
+    def test_constructor_names_a_field_that_is_not_finite(self, cls, center, width, length,
+                                                          field):
+        # all were accepted; a nan-centred Tube3D then gave a union volume of
+        # 0.0078125 with "invalid value encountered in cast" warnings
+        with pytest.raises(ValueError, match=re.escape(f"{cls.__name__} parameters must be "
+                                                       f"finite, got {field}")):
+            cls(center, np.eye(len(center))[0], width, length)
 
 
 class TestTwoEnds:
