@@ -42,8 +42,10 @@ class _Tube:
         v = canonical_direction(dir)
         if c.shape != (self._dim,) or v.shape != (self._dim,):
             raise ValueError(f"{type(self).__name__} lives in {self._space}")
-        _require_finite(type(self).__name__, width=width, length=length,
-                        **{f"center[{i}]": x for i, x in enumerate(c.tolist())})
+        # the plain test first: the generator builds a tube per attempt
+        if not all(map(math.isfinite, (width, length, *c.tolist()))):
+            _require_finite(type(self).__name__, width=width, length=length,
+                            **{f"center[{i}]": x for i, x in enumerate(c.tolist())})
         if not 0 < width <= length:
             raise ValueError("need 0 < width <= length")
         c.setflags(write=False)
