@@ -371,9 +371,11 @@ class TestBrute:
     def test_row_slices_keep_the_first_minimum(self, slice_, dim, planar, monkeypatch):
         # one row a slice, several rows with a short last slice, and slices
         # of several rows on the smaller blocks: the witness of the whole
-        # block's first row-major minimum, also on exact ties
+        # block's first row-major minimum, also on exact ties (the lattice's
+        # collinear triples tie at 0 across the rows of one apex)
         monkeypatch.setattr(triangles, "_SLICE", slice_)
-        for P in (modular_moment_curve(31, dim, planar),
+        lattice = np.stack(np.meshgrid(*[np.arange(4.0)] * dim, indexing="ij"), -1)
+        for P in (modular_moment_curve(31, dim, planar), lattice.reshape(-1, dim),
                   np.random.default_rng(dim).uniform(0, 1, (64, dim))):
             w = min_triangle_brute(P)
             assert (w.indices, w.area) == triu_brute(P)
