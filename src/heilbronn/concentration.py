@@ -30,7 +30,7 @@ from .geometry import (
     _chords_from_local,
     _cross3,
     _direction_rows,
-    _lines_min_distance_rows,
+    _line_metric_pairs,
     _norms,
     _range_checked,
     _require_finite,
@@ -353,23 +353,25 @@ class ConfigMetrics:
     `subset` (an index array or mask; all members when None).
 
     `point_dist`, `dir_dist` and `line_dist` are the k x k matrices, built at
-    construction.  Each row is computed from the geometry row kernels over all
-    n members and then indexed by the subset, so an entry does not depend on
-    which subset holds it.
+    construction from the members' own pairs through the elementwise kernels
+    of the geometry module, in blocks of whole rows of at most _CHUNK pairs
+    (or one row), so an entry depends only on its two members.
     """
 
     def __init__(self, config: PointLineConfiguration, subset=None):
-        P, D, bases = config.points(), config.directions(), config.line_bases()
         members = np.arange(len(config))
         if subset is not None:
             members = members[subset]
+        P, D, bases = (X[members] for X in
+                       (config.points(), config.directions(), config.line_bases()))
         k = members.size
         self.point_dist, self.dir_dist, self.line_dist = (np.empty((k, k)) for _ in range(3))
-        for j, i in enumerate(members.tolist()):
-            dd = _direction_rows(D, D[i])
-            self.point_dist[j] = _row_norms(_subtract_planes(P, P[i]))[members]
-            self.dir_dist[j] = dd[members]
-            self.line_dist[j] = (dd + _lines_min_distance_rows(bases[i], D[i], bases, D))[members]
+        step = max(1, _CHUNK // max(1, k))
+        for lo in range(0, k, step):
+            rows = slice(lo, lo + step)
+            self.point_dist[rows] = _row_norms(_subtract_planes(P, P[rows, None]))
+            self.dir_dist[rows] = _direction_rows(D, D[rows, None])
+            self.line_dist[rows] = _line_metric_pairs(bases[rows, None], D[rows, None], bases, D)
 
     def local_counts(self, u: float, v: float, w: float) -> np.ndarray:
         """Per-anchor counts of members within the (u, v, w) scale triple.

@@ -205,7 +205,7 @@ def _points_lines_block(P: np.ndarray, bases: np.ndarray, dirs: np.ndarray) -> n
     matmul on the C-contiguous (m, n, d) differences), so a row does not
     depend on the other lines of the block.  Everything else runs one
     coordinate plane at a time.  Temporaries are (m, n, d); callers bound
-    m * n.
+    m * n.  Only the all-pairs sweep `_point_line_blocks` calls it.
     """
     U = _subtract_planes(P[None], bases[:, None])
     t = np.matmul(U, dirs[:, :, None])[..., 0]
@@ -222,7 +222,10 @@ def _point_line_blocks(P: np.ndarray, bases: np.ndarray, dirs: np.ndarray):
 
 
 def _point_lines_rows(p: np.ndarray, bases: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Distances from the point p to each line (bases[j], unit dirs[j])."""
+    """Distances from the point p (or from each row of p) to each line
+    (bases[j], unit dirs[j]), elementwise with no BLAS product: entry j
+    depends only on its point and line j.  The line may be one row broadcast
+    to the shape of the points (`np.broadcast_to`)."""
     U = _subtract_planes(p, bases)
     t = np.einsum("ij,ij->i", U, dirs)
     return _plane_norms(u - t * v for u, v in zip(_planes(U), _planes(dirs)))
@@ -262,39 +265,32 @@ def line_metric(l1: Line, l2: Line) -> float:
 
 def _skew_gaps(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
                dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(parallel, gap) from the line (b1, v1) to each (base, dir) row, or from
-    each row of (b1, v1) to the same row: gap is lines_min_distance for lines
-    that are not parallel (0 in 2D); parallel ones need the point distance."""
+    """(parallel, gap) from each line (b1, v1) to the line (base, dir) it
+    meets under broadcasting over the leading axes: gap is lines_min_distance
+    for lines that are not parallel (0 in 2D); parallel ones need the point
+    distance."""
     if v1.shape[-1] == 2:
-        cross = v1[..., 0] * dirs[:, 1] - v1[..., 1] * dirs[:, 0]
+        cross = v1[..., 0] * dirs[..., 1] - v1[..., 1] * dirs[..., 0]
         return np.abs(cross) < 1e-12, np.zeros(cross.shape)
     n = np.cross(v1, dirs)
     nn = _row_norms(n)
     parallel = nn < 1e-12
     rel = _subtract_planes(bases, b1)
-    return parallel, np.abs(np.einsum("ij,ij->i", rel, n)) / np.where(parallel, 1.0, nn)
-
-
-def _lines_min_distance_rows(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
-                             dirs: np.ndarray) -> np.ndarray:
-    """lines_min_distance from the line (b1, v1) to each (base, dir) row."""
-    parallel, gap = _skew_gaps(b1, v1, bases, dirs)
-    return np.where(parallel, _points_lines_block(bases, b1[None], v1[None])[0], gap)
+    return parallel, np.abs(np.einsum("...j,...j->...", rel, n)) / np.where(parallel, 1.0, nn)
 
 
 def _line_metric_pairs(b1: np.ndarray, v1: np.ndarray, bases: np.ndarray,
                        dirs: np.ndarray) -> np.ndarray:
-    """The line metric pair by pair: entry k is the metric from the line
-    (b1[k], v1[k]) to (bases[k], dirs[k]), each through the elementwise
-    operations of _direction_rows + _lines_min_distance_rows.  Only parallel
-    pairs take the point distance, its projection an elementwise dot instead
-    of a BLAS product."""
+    """The line metric pair by pair, broadcasting over the leading axes: each
+    entry is the metric from a line (b1, v1) to a line (base, dir), from that
+    pair alone: the direction distance plus the skew-line gap, or, for
+    parallel pairs, the distance from the base to the first line
+    (`_point_lines_rows`)."""
     parallel, gap = _skew_gaps(b1, v1, bases, dirs)
     if parallel.any():
-        U = bases[parallel] - b1[parallel]
-        v = v1[parallel]
-        t = np.einsum("ij,ij->i", U, v)
-        gap[parallel] = _plane_norms(a - t * b for a, b in zip(_planes(U), _planes(v)))
+        shape = parallel.shape + v1.shape[-1:]
+        gap[parallel] = _point_lines_rows(*(np.broadcast_to(X, shape)[parallel]
+                                            for X in (bases, b1, v1)))
     return _direction_rows(dirs, v1) + gap
 
 

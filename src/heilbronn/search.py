@@ -21,8 +21,7 @@ from .configurations import (
     generate_vertical,
     min_config_distance,
 )
-from .geometry import Line, _point_line_blocks, _point_lines_rows, _points_lines_block, \
-    _require_finite
+from .geometry import Line, _point_lines_rows, _require_finite
 
 
 @dataclass(frozen=True)
@@ -61,21 +60,21 @@ def _unit_sphere(rng, dim):
 
 
 class _DistanceState:
-    """Configuration state with the point-to-line distance matrix maintained."""
+    """Configuration state with the point-to-line distance matrix maintained: D[i, j]
+    from point i to line j alone (inf on the diagonal), whatever the moves before."""
 
     def __init__(self, points: np.ndarray, dirs: np.ndarray):
         self.points = points.copy()
         self.dirs = dirs.copy()
-        self.D = np.hstack([D.T for _, D in _point_line_blocks(self.points, self.points, self.dirs)])
+        self.D = np.array([_point_lines_rows(p, self.points, self.dirs) for p in self.points])
         np.fill_diagonal(self.D, np.inf)
 
-    def _refresh_column(self, j):
-        self.D[:, j] = _points_lines_block(self.points, self.points[[j]], self.dirs[[j]])[0]
-        self.D[j, j] = np.inf
-
-    def _refresh_row(self, i):
-        self.D[i, :] = _point_lines_rows(self.points[i], self.points, self.dirs)
-        self.D[i, i] = np.inf
+    def _refresh(self, k):
+        """Rewrite row k (point k to every line) and column k (every point to line k)."""
+        self.D[k] = _point_lines_rows(self.points[k], self.points, self.dirs)
+        self.D[:, k] = _point_lines_rows(self.points, self.points[k],
+                                         np.broadcast_to(self.dirs[k], self.dirs.shape))
+        self.D[k, k] = np.inf
 
     def objective(self) -> float:
         return float(self.D.min())
@@ -89,8 +88,7 @@ class _DistanceState:
             self.points[k] = point
         if direction is not None:
             self.dirs[k] = direction
-        self._refresh_row(k)
-        self._refresh_column(k)
+        self._refresh(k)
         return old_p, old_v, old_row, old_col
 
     def undo(self, k, saved):
@@ -170,7 +168,6 @@ def anneal_max_distance(n: int, dim: int, schedule: AnnealSchedule,
                     best = (state.points.copy(), state.dirs.copy())
             else:
                 state.undo(k, saved)
-                obj = state.objective()
         temp *= schedule.cooling
     pts, dirs = best
     pairs = tuple(PointLinePair(p, Line(p, v)) for p, v in zip(pts, dirs))

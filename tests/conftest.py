@@ -3,8 +3,7 @@ import pytest
 
 from heilbronn.concentration import _box_counts, _box_halves, _need_reach
 from heilbronn.configurations import make_config
-from heilbronn.geometry import Line, _chords_from_local, _direction_rows, \
-    _lines_min_distance_rows
+from heilbronn.geometry import Line, _chords_from_local, _line_metric_pairs
 
 
 def eta_table(prof, t):
@@ -57,9 +56,10 @@ def cross_block(B):
 
 
 def line_metric_rows(b1, v1, bases, dirs):
-    """The line metric from the line (b1, v1) to each (base, dir) row, from
-    the geometry row kernels (as ConfigMetrics sums them)."""
-    return _direction_rows(dirs, v1) + _lines_min_distance_rows(b1, v1, bases, dirs)
+    """The line metric from the line (b1, v1) to each (base, dir) row, pair by
+    pair through `_line_metric_pairs` (as ConfigMetrics builds it)."""
+    return _line_metric_pairs(np.broadcast_to(b1, bases.shape), np.broadcast_to(v1, dirs.shape),
+                              bases, dirs)
 
 
 def line_metric_many(line, bases, dirs):

@@ -17,6 +17,7 @@ from heilbronn.concentration import (
     uniformize,
 )
 from heilbronn.configurations import (
+    PointLineConfiguration,
     generate_bush,
     generate_plane_example,
     generate_vertical,
@@ -27,14 +28,13 @@ from heilbronn.geometry import (
     Box,
     Line,
     _direction_rows,
-    _lines_min_distance_rows,
     complete_frame,
     covering_number,
     direction_covering_number,
 )
 
-from conftest import line_metric_many, lines_box_chords, random_config, random_lines, \
-    separated_config
+from conftest import line_metric_many, line_metric_rows, lines_box_chords, random_config, \
+    random_lines, separated_config
 
 
 class TestMPoints:
@@ -230,14 +230,12 @@ def _on_bases(lines, dim):
 
 
 class TestConfigMetricsRowBuild:
-    """The row-by-row ConfigMetrics against the dense build it replaced.
+    """The pair-by-pair ConfigMetrics against the dense build it replaced.
 
-    The dense build projected with einsum, the geometry kernel projects with a
-    matrix-vector product, and the two can round the last bit apart.  Only the
-    line distance of a parallel pair uses that projection, so it may differ by
-    one ulp there; every other entry is equal bit for bit.  The scale triples
-    avoid the grid spacings of the vertical and plane families, where such a
-    last-bit difference decides a comparison.
+    Both take every entry from its two members through the same elementwise
+    operations (an einsum projection for the line distance of a parallel
+    pair, no BLAS product), so all three matrices are equal bit for bit,
+    parallel pairs included.
     """
 
     SCALES = [(0.05, 0.1, 0.2), (0.3, 0.3, 0.3), (0.2, 1.0, 0.45), (1.0, 0.05, 1.0),
@@ -248,14 +246,8 @@ class TestConfigMetricsRowBuild:
         pd, dd, ld = dense_config_metrics(config)
         assert np.array_equal(mets.point_dist, pd)
         assert np.array_equal(mets.dir_dist, dd)
+        assert np.array_equal(mets.line_dist, ld)
         D = config.directions()
-        if config.dim == 3:
-            nn = np.linalg.norm(np.cross(D[:, None, :], D[None, :, :]), axis=2)
-        else:
-            nn = np.abs(np.multiply.outer(D[:, 0], D[:, 1]) - np.multiply.outer(D[:, 1], D[:, 0]))
-        parallel = nn < 1e-12
-        assert np.array_equal(mets.line_dist[~parallel], ld[~parallel])
-        assert np.all(np.abs(mets.line_dist - ld)[parallel] <= np.spacing(ld[parallel]))
         bases = config.line_bases()
         for i, line in enumerate(config.lines()):
             assert np.array_equal(mets.line_dist[i], line_metric_many(line, bases, D))
@@ -299,6 +291,42 @@ class TestConfigMetricsRowBuild:
             tracemalloc.stop()
         assert all(M.shape == (1000, 1000) for M in mats)
         assert peak < 40e6
+
+
+class TestConfigMetricsPairEntries:
+    """Every ConfigMetrics entry equals the entry of its pair's two-member
+    configuration, parallel pairs included: an entry depends only on its two
+    members, not on the array or the block that holds them."""
+
+    @staticmethod
+    def _check(X, pairs):
+        mets = ConfigMetrics(X)
+        for i, j in pairs:
+            two = ConfigMetrics(PointLineConfiguration(dim=X.dim, pairs=(X.pairs[i], X.pairs[j])))
+            for M, T in zip((mets.point_dist, mets.dir_dist, mets.line_dist),
+                            (two.point_dist, two.dir_dist, two.line_dist)):
+                assert M[i, j] == T[0, 1] and M[j, i] == T[1, 0], (i, j)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_vertical_every_pair(self, dim):
+        # every line vertical: every pair is parallel
+        X = generate_vertical(1 / 8, dim)
+        self._check(X, [(i, j) for i in range(len(X)) for j in range(i + 1, len(X))])
+
+    @pytest.mark.parametrize("family", [
+        pytest.param(lambda: _on_bases(generate_bush(1 / 16, 2, 2, seed=3)[1], 2), id="bush2"),
+        pytest.param(lambda: _on_bases(generate_bush(1 / 16, 3, 2, seed=3)[1], 3), id="bush3"),
+        pytest.param(lambda: _on_bases(generate_plane_example(1 / 32)[1], 3), id="plane32"),
+        pytest.param(lambda: generate_vertical(1 / 16, 3), id="vertical16"),
+    ])
+    def test_parallel_and_sampled_pairs(self, family):
+        X = family()
+        D = X.directions()
+        rng = np.random.default_rng(len(X))
+        # every parallel pair (equal directions), then random ones
+        par = np.argwhere(np.triu((D[:, None] == D[None]).all(axis=2), 1))
+        assert len(par) > 0
+        self._check(X, par.tolist() + rng.integers(len(X), size=(300, 2)).tolist())
 
 
 class TestCoveringProfiles:
@@ -441,8 +469,7 @@ class EagerConfigMetrics:
         for i in range(n):
             self.point_dist[i] = np.linalg.norm(P - P[i], axis=1)
             self.dir_dist[i] = _direction_rows(D, D[i])
-            self.line_dist[i] = self.dir_dist[i] + _lines_min_distance_rows(bases[i], D[i],
-                                                                            bases, D)
+            self.line_dist[i] = line_metric_rows(bases[i], D[i], bases, D)
 
     def local_counts(self, u, v, w, subset=None):
         pd, dd, ld = self.point_dist, self.dir_dist, self.line_dist

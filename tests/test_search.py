@@ -5,6 +5,7 @@ from heilbronn import triangles
 from heilbronn.configurations import generate_vertical, min_config_distance
 from heilbronn.search import (
     AnnealSchedule,
+    _DistanceState,
     _min_with_vertex,
     anneal_max_distance,
     anneal_max_triangle,
@@ -61,6 +62,31 @@ class TestAnnealDistance:
             X = anneal_max_distance(12, 2, short_schedule(seed, moves=300, epochs=10))
             d = min_config_distance(X)
             assert len(X) <= 10 * d**-2
+
+
+def _unit_rows(X):
+    return X / np.linalg.norm(X, axis=-1, keepdims=True)
+
+
+class TestDistanceState:
+    """The annealer's point-line matrix takes each entry from its own point and
+    line, so after any moves it equals a fresh build of the same state."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_moves_and_undos_match_fresh_build(self, dim):
+        rng = np.random.default_rng(dim)
+        n = 150
+        state = _DistanceState(rng.uniform(0, 1, (n, dim)), _unit_rows(rng.normal(size=(n, dim))))
+        for _ in range(3 * n):
+            k = int(rng.integers(n))
+            point, direction = rng.uniform(0, 1, dim), _unit_rows(rng.normal(size=dim))
+            kind = int(rng.integers(3))
+            saved = state.move(k, point=point if kind != 1 else None,
+                               direction=direction if kind != 0 else None)
+            if rng.random() < 0.5:
+                state.undo(k, saved)
+        fresh = _DistanceState(state.points, state.dirs)
+        assert np.array_equal(state.D, fresh.D)
 
 
 class TestAnnealTriangle:
