@@ -44,6 +44,18 @@ from .geometry import (
 from .kernels import bump_profile
 
 
+def _dim_checked(P, lines, dim: int) -> np.ndarray:
+    """P as a float array; DimensionMismatch when the points and the lines
+    differ in dimension, or either differs from `dim`."""
+    P = np.asarray(P, dtype=float)
+    p_dim, l_dim = P.shape[1] if P.size else dim, lines[0].dim if lines else dim
+    if p_dim != l_dim:
+        raise DimensionMismatch(f"points are {p_dim}D but lines are {l_dim}D")
+    if p_dim != dim:
+        raise DimensionMismatch(f"points and lines are {p_dim}D but dim={dim}")
+    return P
+
+
 def incidence_count(w: float, P, lines, dim: int) -> float:
     """Smoothed incidence count at scale w.
 
@@ -72,13 +84,11 @@ def incidence_many(ws, P, lines, dim: int) -> list[float]:
     their profile values summed per scale.
     """
     ws = _scales(ws)
+    P = _dim_checked(P, lines, dim)
     prof = bump_profile(dim)
-    P = np.asarray(P, dtype=float)
     totals = np.zeros(len(ws))
     if P.size == 0 or not lines:
         return list(totals)
-    if P.shape[1] != lines[0].dim:
-        raise DimensionMismatch(f"points are {P.shape[1]}D but lines are {lines[0].dim}D")
     bases, dirs, _ = _family_arrays(lines)
     dmax = prof.eta_support * max(ws)
     for _, d in _point_line_blocks(P, bases, dirs):
@@ -113,7 +123,7 @@ def _per_volume(x: float, norm: float, w: float) -> float:
 
 
 def normalized_incidence_many(ws, P, lines, dim: int) -> list[float]:
-    P = np.asarray(P, dtype=float)
+    P = _dim_checked(P, lines, dim)
     if P.shape[0] == 0 or not lines:
         raise ValueError("normalized incidence needs nonempty families")
     ws = _scales(ws)
@@ -175,7 +185,7 @@ def rhs_basic(w: float, P, lines, dim: int, eps: float = 0.1) -> float:
     2D: w^-3 (M_P/|P|) (M_L(w x 1)/|L|); 3D: w^(-6-eps) with the w x w x 1 box.
     """
     _require_finite("high-low", eps=eps)
-    P = np.asarray(P, dtype=float)
+    P = _dim_checked(P, lines, dim)
     return _basic_rhs(w, m_points(P, w), m_lines(lines, w, w), P.shape[0], len(lines),
                       dim, eps)
 

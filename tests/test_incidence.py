@@ -19,6 +19,7 @@ from heilbronn.incidence import (
     incidence_many,
     initial_estimate_check,
     normalized_incidence,
+    normalized_incidence_many,
     rhs_basic,
     rhs_direction_capped,
     rhs_refined,
@@ -165,6 +166,36 @@ class TestIncidenceBlocks:
         P = np.random.default_rng(0).uniform(0, 1, (40, 2))
         with pytest.raises(DimensionMismatch, match="2D.*3D"):
             incidence_many([0.1], P, random_lines(5, 3, seed=0), 3)
+
+
+class TestDimensionCheck:
+    """A `dim` that disagrees with the points and lines would select the other
+    kernel table and exponents: every entry point refuses it."""
+
+    CALLS = [
+        pytest.param(lambda P, L, d: incidence_many([0.1], P, L, d), id="incidence_many"),
+        pytest.param(lambda P, L, d: incidence_count(0.1, P, L, d), id="incidence_count"),
+        pytest.param(lambda P, L, d: normalized_incidence(0.1, P, L, d),
+                     id="normalized_incidence"),
+        pytest.param(lambda P, L, d: normalized_incidence_many([0.1, 0.2], P, L, d),
+                     id="normalized_incidence_many"),
+        pytest.param(lambda P, L, d: rhs_basic(0.1, P, L, d), id="rhs_basic"),
+        pytest.param(lambda P, L, d: dyadic_scan(P, L, 0.05, 0.2, d), id="dyadic_scan"),
+    ]
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("dim,wrong", [(3, 2), (2, 3)])
+    def test_dim_disagreeing_with_data(self, call, dim, wrong):
+        P = np.random.default_rng(dim).uniform(0, 1, (40, dim))
+        lines = random_lines(40, dim, seed=1)
+        with pytest.raises(DimensionMismatch, match=f"{dim}D but dim={wrong}"):
+            call(P, lines, wrong)
+        call(P, lines, dim)
+
+    def test_points_against_lines_named_first(self):
+        P = np.random.default_rng(0).uniform(0, 1, (40, 3))
+        with pytest.raises(DimensionMismatch, match="points are 3D but lines are 2D"):
+            rhs_basic(0.1, P, random_lines(5, 2, seed=0), 2)
 
 
 class TestDyadicScan:

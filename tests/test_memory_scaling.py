@@ -56,7 +56,7 @@ ROWS = [
                  100, id="min_triangle_brute"),
     # ConfigMetrics holds n x n matrices: 6.5 -> 99.2 MB for n = 500 -> 2000;
     # a sparse pair engine (ROADMAP item 13) is to bound them.  Its pair blocks
-    # take up to about 3.6 MB, which hides the matrices' growth below n = 500
+    # take about 1-1.5 MB whatever n, which hides the matrices' growth at n = 100
     pytest.param(lambda X: m_config(X, 0.05, 0.1, 0.1), lambda n: _config(n, 3, n), 500,
                  id="m_config",
                  marks=pytest.mark.xfail(strict=True, reason="n x n matrices, ROADMAP item 13")),
