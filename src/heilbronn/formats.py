@@ -49,6 +49,18 @@ def _floats(fields):
         return None
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file; FormatError naming the path when the
+    file cannot be read or is not UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except OSError as exc:
+        raise FormatError(f"{path}: unreadable ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _parse_file(path: str, tag: str, parse_record):
     """(dim, records, violations) of a data file, each line parsed once.
 
@@ -58,10 +70,9 @@ def _parse_file(path: str, tag: str, parse_record):
     line number.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        return 0, [], [f"{path}: unreadable ({exc})"]
+        lines = _read_lines(path)
+    except FormatError as exc:
+        return 0, [], [str(exc)]
     if not lines:
         return 0, [], [f"{path}:1: empty file"]
     try:
@@ -199,11 +210,10 @@ def read_tubes(path: str):
 def validate_file(path: str) -> list[str]:
     """Dispatch on the header tag; unknown tags are a violation."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            first = fh.readline()
-    except OSError as exc:
-        return [f"{path}: unreadable ({exc})"]
-    tag = first.split()[0] if first.split() else ""
+        lines = _read_lines(path)
+    except FormatError as exc:
+        return [str(exc)]
+    tag = lines[0].split()[0] if lines and lines[0].split() else ""
     parsers = {"plc": _config_record, "tubes": _tube_record, "pts": _points_record}
     if tag not in parsers:
         return [f"{path}:1: unknown format tag {tag!r}"]

@@ -209,15 +209,30 @@ def _lattice_spans(center, vdir, half_len, half_wid, h):
     return ix[keep], iy_lo[keep], counts[keep]
 
 
+def _ranges(lo, counts):
+    """The integers lo[j], ..., lo[j] + counts[j] - 1, for j in order."""
+    return np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+
+
+def _axial(t, ix, iy, h):
+    """Axial coordinates on tube t of the lattice points (ix h, iy h), summed
+    in coordinate order, so a point's value does not depend on the array it
+    sits in."""
+    return (ix * h - t.center[0]) * t.dir[0] + (iy * h - t.center[1]) * t.dir[1]
+
+
 def _lattice_net(tubes, dilate: float, h: float):
     """Global-lattice points (step h) of every tube dilated by `dilate`.
 
-    Returns (size, nets): nets(axial) yields, tube by tube, the ids of the
-    tube's points and, when `axial`, their axial coordinates on the tube
-    (else None).  The ids number the distinct points densely in 0..size
-    (equal points, equal ids): the column spans of all tubes are merged
-    where they overlap and numbered one merged interval after another.  Only
-    the spans are held, so the peak is one tube's points.
+    Returns (size, spans, nets).  spans[i] is tube i's (ix, iy_lo, counts,
+    first): its column at x = ix h holds the points iy_lo, ..., iy_lo +
+    counts - 1 (times h), whose ids are first, ..., first + counts - 1.
+    nets() yields, tube by tube, the ids of the tube's points and their
+    axial coordinates (`_axial`).  The ids number the distinct points densely
+    in 0..size (equal points, equal ids): the column spans of all tubes are
+    merged where they overlap and numbered one merged interval after
+    another.  Only the spans are held, so the peak of nets() is one tube's
+    points.
     """
     spans = [_lattice_spans(t.center, t.dir, dilate * t.length, dilate * t.width, h)
              for t in tubes]
@@ -238,26 +253,30 @@ def _lattice_net(tubes, dilate: float, h: float):
     first = np.empty(n_spans, dtype=np.int64)
     first[order[opening]] = (off[np.cumsum(starts) - 1] + ends[order])[opening]
     first = np.split(first, np.cumsum([s[0].size for s in spans])[:-1])
+    spans = [s + (f,) for s, f in zip(spans, first)]
 
-    def nets(axial: bool):
-        for t, (ix_t, lo_t, c_t), first_t in zip(tubes, spans, first):
-            # row k of column j is point lo_t[j] + k - start[j], start[j] its
-            # first row; t is one (m, 2) product per tube because BLAS rounds
-            # each row by its position in the array
-            k = np.arange(int(c_t.sum()))
-            start = np.cumsum(c_t) - c_t
-            ids = k + np.repeat(first_t - start, c_t)
-            if not axial:
-                yield ids, None
-                continue
-            pts = np.empty((k.size, 2))
-            pts[:, 0] = np.repeat(ix_t * h, c_t)
-            pts[:, 1] = (k + np.repeat(lo_t - start, c_t)) * h
-            pts[:, 0] -= t.center[0]
-            pts[:, 1] -= t.center[1]
-            yield ids, pts @ t.dir
+    def nets():
+        for t, (ix_t, lo_t, c_t, first_t) in zip(tubes, spans):
+            yield _ranges(first_t, c_t), _axial(t, np.repeat(ix_t, c_t), _ranges(lo_t, c_t), h)
 
-    return int((m_hi - m_lo).sum()), nets
+    return int((m_hi - m_lo).sum()), spans, nets
+
+
+def _rich_points(spans, r):
+    """(ids, multiplicities) of the net points whose multiplicity, the number
+    of spans (`_lattice_net`) that hold the id, is at least r; ids ascending.
+
+    A running sum over the sorted span ends gives the multiplicity of each
+    id range between consecutive ends."""
+    first = np.concatenate([s[3] for s in spans])
+    ends = np.concatenate([first, first + np.concatenate([s[2] for s in spans])])
+    # ends at one id bound an empty range, so their order does not matter
+    order = np.argsort(ends)
+    at = ends[order]
+    cover = np.cumsum(np.where(order < first.size, 1, -1))[:-1]
+    rich = cover >= r
+    lengths = np.diff(at)[rich]
+    return _ranges(at[:-1][rich], lengths), np.repeat(cover[rich], lengths)
 
 
 class _TubeArrays:
@@ -325,14 +344,16 @@ def two_ends_decompose(tubes, delta: float, span: float,
     residual overlap are counted exactly on the delta/10 net when the net has
     at most 4e7 cells; otherwise the windows follow interval-stabbing
     profiles and the overlap is bracketed by an exact lower evaluation at
-    candidate maxima and a stabbing upper bound.  The exact path streams the
-    net tube by tube: it holds one count of the narrowest unsigned type that
-    holds n per distinct net point, one tube's points at a time, and for the
-    rounds only the points whose count reaches r before round 1.  Its
-    tracemalloc peak is about 16 MB for 48 unit tubes at delta = 2^-6 and
-    7 MB for two unit tubes in opposite corners of [-2, 2]^2 at delta =
-    2^-8.  Raises FloatingPointError when (delta/10)^2 or the rich
-    threshold is not a positive normal float.
+    candidate maxima and a stabbing upper bound.  The exact path holds the
+    net as column spans of ids: the rounds take from them only the points
+    whose count reaches r before round 1 (the candidates, found by a running
+    sum over the span ends) with their axial coordinates, and the residual
+    streams the net tube by tube into one count of the narrowest unsigned
+    type that holds n per distinct net point.  Its tracemalloc peak is
+    11.6 MB for 48 unit tubes at delta = 2^-6, mostly the candidates of the
+    rounds, and 6.3 MB for two unit tubes in opposite corners of [-2, 2]^2
+    at delta = 2^-8.  Raises FloatingPointError when (delta/10)^2 or the
+    rich threshold is not a positive normal float.
     """
     tubes = list(tubes)
     n = len(tubes)
@@ -392,20 +413,22 @@ def _excise_exact(tubes, delta, span, r, max_rounds, picks) -> int:
     """Excision rounds with exact rich counts on the delta/10 net of 2T.
 
     Multiplicities only fall, so a point not rich before round 1 never is:
-    the rounds keep only the other points (the candidates) of each tube.
-    Appends each tube's picked windows to `picks` and returns the rounds run.
+    the rounds keep only the other points (the candidates) of each tube, and
+    only the candidates get axial coordinates.  Appends each tube's picked
+    windows to `picks` and returns the rounds run.
     """
-    size, nets = _lattice_net(tubes, 2.0, delta / 10.0)
-    mult = np.zeros(size, dtype=np.min_scalar_type(len(tubes)))
-    for ids, _ in nets(False):
-        mult[ids] += 1  # a tube's ids are distinct
-    cand = np.flatnonzero(mult >= r)
-    # per tube: candidate numbers, axial coordinates and alive flags
+    h = delta / 10.0
+    _, spans, _ = _lattice_net(tubes, 2.0, h)
+    cand, mult = _rich_points(spans, r)
+    # per tube: candidate numbers, axial coordinates and alive flags; a span's
+    # candidates are those of its id range
     net = []
-    for ids, t_ax in nets(True):
-        keep = mult[ids] >= r
-        net.append((np.searchsorted(cand, ids[keep]), t_ax[keep], np.ones(keep.sum(), bool)))
-    mult = mult[cand]
+    for t, (ix_t, lo_t, c_t, first_t) in zip(tubes, spans):
+        a = np.searchsorted(cand, first_t)
+        n_c = np.searchsorted(cand, first_t + c_t) - a
+        ids = _ranges(a, n_c)
+        iy = cand[ids] + np.repeat(lo_t - first_t, n_c)
+        net.append((ids, _axial(t, np.repeat(ix_t, n_c), iy, h), np.ones(ids.size, bool)))
     win = span / 4.0
     width_bins = max(1, int(round(win / delta)))
     rounds_run = 0
@@ -494,9 +517,9 @@ def _merge_picks(picks, delta: float, span: float):
 
 
 def _exact_residual_overlap(tubes, alive_intervals, h: float) -> int:
-    size, nets = _lattice_net(tubes, 1.0, h)
+    size, _, nets = _lattice_net(tubes, 1.0, h)
     mult = np.zeros(size, dtype=np.min_scalar_type(len(tubes)))
-    for (ids, ti), ivs in zip(nets(True), alive_intervals):
+    for (ids, ti), ivs in zip(nets(), alive_intervals):
         keep = np.zeros(ti.size, dtype=bool)
         for lo, hi in ivs:
             keep |= (ti >= lo) & (ti <= hi)
@@ -631,10 +654,9 @@ def _column_cells(center, vdir, perp_frame, half_t, radius, box, res):
     k_lo = np.maximum(np.ceil(s_lo / res - 0.5).astype(np.int64), box[0][a])
     k_hi = np.minimum(np.floor(s_hi / res - 0.5).astype(np.int64), box[1][a])
     counts = np.where(ok, np.maximum(k_hi - k_lo + 1, 0), 0)
-    first = np.cumsum(counts) - counts
     cells = np.empty((int(counts.sum()), dim), dtype=np.int64)
     cells[:, others] = np.repeat(cols, counts, axis=0)
-    cells[:, a] = np.arange(cells.shape[0]) + np.repeat(k_lo - first, counts)
+    cells[:, a] = _ranges(k_lo, counts)
     return cells[_in_window(cells, center, vdir, perp_frame, half_t, radius, res)]
 
 

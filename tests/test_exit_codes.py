@@ -249,6 +249,23 @@ def test_reader_refused_value_exits_four(name, factor, message, tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["validate-pts", "validate-plc", "validate-tubes", "dx",
+                                  "min-triangle-brute"])
+def test_a_file_that_is_not_utf8_exits_three(name, tmp_path, capsys):
+    # exited 3 with only the codec's message, naming neither the file nor
+    # the line
+    argv, src = READERS[name]
+    data = (GOLDEN / src).read_bytes()
+    at = data.index(b"\n") + 5
+    inp = tmp_path / src
+    inp.write_bytes(data[:at] + b"\xff" + data[at:])
+    argv = [str(inp) if a == "{}" else a for a in argv]
+    assert main(argv + ([] if name.startswith("validate") else ["-o", str(tmp_path / "out")])) == 3
+    out, err = capsys.readouterr()
+    assert f"{inp}: not UTF-8 text ('utf-8' codec can't decode byte 0xff" in out + err
+    assert "Traceback" not in err
+
+
 def _subcommands():
     """The CLI's subparsers action: its `choices` map each command to its parser."""
     return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

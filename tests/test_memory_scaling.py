@@ -17,6 +17,7 @@ from heilbronn.configurations import make_config, min_config_distance
 from heilbronn.geometry import Line
 from heilbronn.incidence import incidence_many
 from heilbronn.triangles import min_triangle_brute, triangle_via_pointline
+from heilbronn.tubes import Tube2D, two_ends_decompose
 
 GROWTH = 6.0
 
@@ -31,6 +32,17 @@ def _incidence_input(n, dim, seed):
     rng = np.random.default_rng(seed)
     lines = [Line(p, v) for p, v in zip(rng.uniform(0, 1, (n, dim)), rng.normal(size=(n, dim)))]
     return rng.uniform(0, 1, (n, dim)), lines
+
+
+def _pencil(n):
+    angles = np.linspace(0, np.pi, n, endpoint=False)
+    return [Tube2D([0.5, 0.5], [np.cos(a), np.sin(a)], 2**-6, 1.0) for a in angles]
+
+
+def _two_ends(tubes):
+    # the exact net and at least one excision round, so the row measures them
+    res = two_ends_decompose(tubes, 2**-6, 0.25, rich_constant=0.1)
+    assert res.exact_net and res.rounds_run >= 1
 
 
 def _peak(call, arg):
@@ -54,6 +66,7 @@ ROWS = [
     # n = 250 -> 1000
     pytest.param(min_triangle_brute, lambda n: np.random.default_rng(n).uniform(0, 1, (n, 3)),
                  100, id="min_triangle_brute"),
+    pytest.param(_two_ends, _pencil, 12, id="two_ends_decompose"),
     # ConfigMetrics holds n x n matrices: 6.5 -> 99.2 MB for n = 500 -> 2000;
     # a sparse pair engine (ROADMAP item 13) is to bound them.  Its pair blocks
     # take about 1-1.5 MB whatever n, which hides the matrices' growth at n = 100

@@ -65,6 +65,7 @@ def old_skew_gaps(b1, v1, bases, dirs):
 
 
 def old_lattice_axial(tubes, dilate, h):
+    # the broadcast centring, then the sum in coordinate order of tubes._axial
     for t in tubes:
         ix, lo, c = tubes_mod._lattice_spans(t.center, t.dir, dilate * t.length,
                                              dilate * t.width, h)
@@ -74,7 +75,7 @@ def old_lattice_axial(tubes, dilate, h):
         pts[:, 0] = np.repeat(ix * h, c)
         pts[:, 1] = (k + np.repeat(lo - start, c)) * h
         pts -= t.center
-        yield pts @ t.dir
+        yield pts[:, 0] * t.dir[0] + pts[:, 1] * t.dir[1]
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +190,8 @@ def test_lattice_net_axial_equals_broadcast(dilate):
     tubes = [Tube2D(rng.uniform(0.1, 0.9, 2), rng.normal(size=2), delta, 1.0)
              for _ in range(12)]
     tubes.append(Tube2D([-1.0, 1.5], [1, 1e-16], delta, 0.5))
-    _, nets = tubes_mod._lattice_net(tubes, dilate, delta / 10.0)
-    for (_, got), want in zip(nets(True), old_lattice_axial(tubes, dilate, delta / 10.0)):
+    _, _, nets = tubes_mod._lattice_net(tubes, dilate, delta / 10.0)
+    for (_, got), want in zip(nets(), old_lattice_axial(tubes, dilate, delta / 10.0)):
         assert np.array_equal(got, want)
 
 

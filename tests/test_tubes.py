@@ -34,6 +34,12 @@ def random_tubes(n, delta, seed, dim=2):
             for _ in range(n)]
 
 
+def grid(k, delta):
+    """k vertical and k horizontal unit tubes crossing around (0.5, 0.5)."""
+    return ([Tube2D([0.2 + 0.05 * i, 0.5], [0, 1], delta, 1.0) for i in range(k)]
+            + [Tube2D([0.5, 0.2 + 0.05 * i], [1, 0], delta, 1.0) for i in range(k)])
+
+
 class TestTubeEquality:
     @pytest.mark.parametrize("cls,center,dir", [
         (Tube2D, [0.5, 0.25], [3.0, 4.0]),
@@ -319,7 +325,8 @@ def old_lattice_points_in_rect(center, vdir, half_len, half_wid, h):
     iy_rep = np.repeat(iy_lo, counts) + (np.arange(total) - base)
     pts = np.stack([ix_rep * h, iy_rep * h], axis=1)
     rel = pts - center
-    txy = np.stack([rel @ vdir, rel @ perp], axis=1)
+    # the axial coordinate summed in coordinate order, as tubes._axial does
+    txy = np.stack([rel[:, 0] * vdir[0] + rel[:, 1] * vdir[1], rel @ perp], axis=1)
     return (ix_rep + _OLD_KEY_OFF) * _OLD_KEY_W + (iy_rep + _OLD_KEY_OFF), txy
 
 
@@ -588,9 +595,7 @@ class TestTwoEndsOracle:
         (pencil(48, 2**-6), 2**-6, 0.25, 0.1),
         (random_tubes(40, 2**-5, seed=3), 2**-5, 0.25, 0.05),
         (random_tubes(80, 2**-6, seed=2), 2**-6, 0.25, 0.03),
-        ([Tube2D([0.2 + 0.05 * i, 0.5], [0, 1], 2**-5, 1.0) for i in range(12)]
-         + [Tube2D([0.5, 0.2 + 0.05 * i], [1, 0], 2**-5, 1.0) for i in range(12)],
-         2**-5, 0.25, 0.05),
+        (grid(12, 2**-5), 2**-5, 0.25, 0.05),
     ])
     def test_exact_net_equals_loop(self, tubes, delta, span, rc):
         new = two_ends_decompose(tubes, delta, span, rich_constant=rc)
@@ -635,19 +640,24 @@ class TestTwoEndsOracle:
         # the ids encode the partition of the packed keys: equal points get
         # equal ids, different points different ones, numbered 0..size
         h = 2**-6 / 10.0
-        size, nets = tubes_mod._lattice_net(tubes, dilate, h)
-        ids, t_ax = (np.concatenate(a) for a in zip(*nets(True)))
+        size, _, nets = tubes_mod._lattice_net(tubes, dilate, h)
+        ids, t_ax = (np.concatenate(a) for a in zip(*nets()))
         keys, ts = zip(*(old_lattice_points_in_rect(t.center, t.dir, dilate * t.length,
                                                     dilate * t.width, h) for t in tubes))
-        keys = np.concatenate(keys)
-        assert ids.shape == keys.shape
+        assert ids.shape == np.concatenate(keys).shape
         assert np.array_equal(t_ax, np.concatenate([t[:, 0] for t in ts]))
+        # the coordinate-order sum moves the BLAS product's last bits at most
+        # within 4 eps (|x d0| + |y d1|)
+        for t, k, t_new in zip(tubes, keys, ts):
+            ix, iy = np.divmod(k, _OLD_KEY_W) - _OLD_KEY_OFF
+            rel = np.stack([ix * h, iy * h], axis=1) - t.center
+            bound = 4 * np.finfo(float).eps * np.abs(rel * t.dir).sum(axis=1)
+            assert np.all(np.abs(t_new[:, 0] - rel @ t.dir) <= bound)
+        keys = np.concatenate(keys)
         distinct = np.unique(keys).size
         assert size == distinct
         assert np.array_equal(np.unique(ids), np.arange(size))
         assert np.unique(np.stack([keys, ids], axis=1), axis=0).shape[0] == distinct
-        assert all(a is None for _, a in nets(False))
-        assert np.array_equal(np.concatenate([i for i, _ in nets(False)]), ids)
 
     def test_merge_equals_scan_at_thresholds(self, rng):
         delta, span = 2**-7, 0.125
@@ -799,3 +809,31 @@ def test_exact_two_ends_corner_tubes_equal_loop():
     new = two_ends_decompose(tubes, 2**-6, 0.25, rich_constant=0.01)
     assert new.exact_net and new.rounds_run >= 1
     _same_result(new, old_two_ends_decompose(tubes, 2**-6, 0.25, rich_constant=0.01))
+
+
+class TestRichPointCoverage:
+    @pytest.mark.parametrize("tubes, delta", [
+        (pencil(48, 2**-6), 2**-6),
+        (random_tubes(40, 2**-5, seed=3), 2**-5),
+        (random_tubes(80, 2**-6, seed=2), 2**-6),
+        (grid(12, 2**-5), 2**-5),
+        (_corner_tubes(2**-6), 2**-6),
+    ])
+    def test_span_coverage_equals_bincount(self, tubes, delta):
+        # the candidates and multiplicities of the running sum over the span
+        # ends equal a count per point over every id of the net, at a
+        # threshold that some multiplicity equals, one half below the largest
+        # and one above all of them
+        size, spans, nets = tubes_mod._lattice_net(tubes, 2.0, delta / 10.0)
+        mult = np.bincount(np.concatenate([ids for ids, _ in nets()]), minlength=size)
+        levels = np.unique(mult)
+        assert levels[0] >= 1
+        top = int(levels[-1])
+        for r in (int(levels[levels.size // 2]), top - 0.5, top + 1):
+            cand, got = tubes_mod._rich_points(spans, r)
+            want = np.flatnonzero(mult >= r)
+            assert np.array_equal(cand, want) and np.array_equal(got, mult[want])
+            assert (cand.size == 0) == (r > top)
+        picks = [[] for _ in tubes]
+        assert tubes_mod._excise_exact(tubes, delta, 0.25, top + 1, 6, picks) == 0
+        assert picks == [[] for _ in tubes]
