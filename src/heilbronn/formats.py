@@ -61,18 +61,15 @@ def _read_lines(path: str) -> list[str]:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
 
 
-def _parse_file(path: str, tag: str, parse_record):
-    """(dim, records, violations) of a data file, each line parsed once.
+def _parse_file(path: str, lines: list[str], tag: str, parse_record):
+    """(dim, records, violations) of the lines of the data file `path`, each
+    line parsed once.
 
     `parse_record(fields, dim)` returns (record, problems) for one non-blank
     line; the line's record is kept when it has no problems.  Every
     violation carries the file's path and, but for the count check, the
     line number.
     """
-    try:
-        lines = _read_lines(path)
-    except FormatError as exc:
-        return 0, [], [str(exc)]
     if not lines:
         return 0, [], [f"{path}:1: empty file"]
     try:
@@ -95,7 +92,7 @@ def _parse_file(path: str, tag: str, parse_record):
 
 def _read_file(path: str, tag: str, parse_record):
     """(dim, records) of a data file; FormatError with its first violations."""
-    dim, records, violations = _parse_file(path, tag, parse_record)
+    dim, records, violations = _parse_file(path, _read_lines(path), tag, parse_record)
     if violations:
         raise FormatError("; ".join(violations[:5]))
     return dim, records
@@ -217,4 +214,4 @@ def validate_file(path: str) -> list[str]:
     parsers = {"plc": _config_record, "tubes": _tube_record, "pts": _points_record}
     if tag not in parsers:
         return [f"{path}:1: unknown format tag {tag!r}"]
-    return _parse_file(path, tag, parsers[tag])[2]
+    return _parse_file(path, lines, tag, parsers[tag])[2]

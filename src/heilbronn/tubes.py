@@ -20,8 +20,8 @@ import numpy as np
 from .concentration import HypothesisViolation, _box_counts, _box_halves, _box_scales, \
     _kt_weights, _need_reach, _sweep, dyadic_ladder, m_tubes_2d
 from .configurations import _check_members
-from .geometry import _CellIndex, _clip, _norms, _planes, _require_finite, _require_normal, \
-    _sorted_unique, canonical_direction, complete_frame
+from .geometry import _CellIndex, _clip, _norms, _planes, _ranges, _require_finite, \
+    _require_normal, _sorted_unique, canonical_direction, complete_frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,11 +209,6 @@ def _lattice_spans(center, vdir, half_len, half_wid, h):
     return ix[keep], iy_lo[keep], counts[keep]
 
 
-def _ranges(lo, counts):
-    """The integers lo[j], ..., lo[j] + counts[j] - 1, for j in order."""
-    return np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-
-
 def _axial(t, ix, iy, h):
     """Axial coordinates on tube t of the lattice points (ix h, iy h), summed
     in coordinate order, so a point's value does not depend on the array it
@@ -224,15 +219,16 @@ def _axial(t, ix, iy, h):
 def _lattice_net(tubes, dilate: float, h: float):
     """Global-lattice points (step h) of every tube dilated by `dilate`.
 
-    Returns (size, spans, nets).  spans[i] is tube i's (ix, iy_lo, counts,
+    Returns (spans, at, cover).  spans[i] is tube i's (ix, iy_lo, counts,
     first): its column at x = ix h holds the points iy_lo, ..., iy_lo +
-    counts - 1 (times h), whose ids are first, ..., first + counts - 1.
-    nets() yields, tube by tube, the ids of the tube's points and their
-    axial coordinates (`_axial`).  The ids number the distinct points densely
-    in 0..size (equal points, equal ids): the column spans of all tubes are
-    merged where they overlap and numbered one merged interval after
-    another.  Only the spans are held, so the peak of nets() is one tube's
-    points.
+    counts - 1 (times h), whose ids are first, ..., first + counts - 1.  The
+    ids number the distinct points densely in 0..at[-1] (equal points, equal
+    ids): the column spans of all tubes are merged where they overlap and
+    numbered one merged interval after another.  at[j] is the id of the j-th
+    span end in (column, row) order, ascending, and cover[j] the multiplicity
+    (the number of spans holding the id) of the ids at[j], ..., at[j+1] - 1,
+    so the one sort that numbers the net also counts it.  An empty net has
+    empty `at` and `cover`.
     """
     spans = [_lattice_spans(t.center, t.dir, dilate * t.length, dilate * t.width, h)
              for t in tubes]
@@ -241,42 +237,22 @@ def _lattice_net(tubes, dilate: float, h: float):
     # all columns finds the merged intervals: one opens where the coverage
     # leaves 0 and closes where it returns to 0; openings sort first at a tie
     n_spans = ix.size
-    ends = np.concatenate([lo, lo + c])
-    order = np.lexsort((np.repeat([0, 1], n_spans), ends, np.tile(ix, 2)))
+    at = np.concatenate([lo, lo + c])
+    order = np.lexsort((np.repeat([0, 1], n_spans), at, np.tile(ix, 2)))
+    at = at[order]  # the span ends, sorted; shifted to ids below
     opening = order < n_spans
     cover = np.cumsum(np.where(opening, 1, -1))
     starts = opening & (cover == 1)
-    m_lo, m_hi = ends[order[starts]], ends[order[~opening & (cover == 0)]]
-    # point y of a merged interval has id y + off, and each span's lowest
-    # point goes back to its tube
+    m_lo, m_hi = at[starts], at[~opening & (cover == 0)]
+    # point y of a merged interval has id y + off: the sorted ends from the
+    # interval's opening to the next one's shift by its off, and each span's
+    # lowest point goes back to its tube
     off = np.cumsum(m_hi - m_lo) - m_hi
+    at += np.repeat(off, np.diff(np.flatnonzero(starts), append=at.size))
     first = np.empty(n_spans, dtype=np.int64)
-    first[order[opening]] = (off[np.cumsum(starts) - 1] + ends[order])[opening]
+    first[order[opening]] = at[opening]
     first = np.split(first, np.cumsum([s[0].size for s in spans])[:-1])
-    spans = [s + (f,) for s, f in zip(spans, first)]
-
-    def nets():
-        for t, (ix_t, lo_t, c_t, first_t) in zip(tubes, spans):
-            yield _ranges(first_t, c_t), _axial(t, np.repeat(ix_t, c_t), _ranges(lo_t, c_t), h)
-
-    return int((m_hi - m_lo).sum()), spans, nets
-
-
-def _rich_points(spans, r):
-    """(ids, multiplicities) of the net points whose multiplicity, the number
-    of spans (`_lattice_net`) that hold the id, is at least r; ids ascending.
-
-    A running sum over the sorted span ends gives the multiplicity of each
-    id range between consecutive ends."""
-    first = np.concatenate([s[3] for s in spans])
-    ends = np.concatenate([first, first + np.concatenate([s[2] for s in spans])])
-    # ends at one id bound an empty range, so their order does not matter
-    order = np.argsort(ends)
-    at = ends[order]
-    cover = np.cumsum(np.where(order < first.size, 1, -1))[:-1]
-    rich = cover >= r
-    lengths = np.diff(at)[rich]
-    return _ranges(at[:-1][rich], lengths), np.repeat(cover[rich], lengths)
+    return [s + (f,) for s, f in zip(spans, first)], at, cover[:-1]
 
 
 class _TubeArrays:
@@ -346,14 +322,15 @@ def two_ends_decompose(tubes, delta: float, span: float,
     profiles and the overlap is bracketed by an exact lower evaluation at
     candidate maxima and a stabbing upper bound.  The exact path holds the
     net as column spans of ids: the rounds take from them only the points
-    whose count reaches r before round 1 (the candidates, found by a running
-    sum over the span ends) with their axial coordinates, and the residual
-    streams the net tube by tube into one count of the narrowest unsigned
-    type that holds n per distinct net point.  Its tracemalloc peak is
-    11.6 MB for 48 unit tubes at delta = 2^-6, mostly the candidates of the
-    rounds, and 6.3 MB for two unit tubes in opposite corners of [-2, 2]^2
-    at delta = 2^-8.  Raises FloatingPointError when (delta/10)^2 or the
-    rich threshold is not a positive normal float.
+    whose count reaches r before round 1 (the candidates, read off the
+    coverage of the one sort of the span ends that numbers the net) with
+    their axial coordinates, and the residual streams the net tube by tube
+    into one count of the narrowest unsigned type that holds n per distinct
+    net point.  Its tracemalloc peak is 10.4 MB for 48 unit tubes at
+    delta = 2^-6, mostly the candidates of the rounds, and 5.6 MB for two
+    unit tubes in opposite corners of [-2, 2]^2 at delta = 2^-8.  Raises
+    FloatingPointError when (delta/10)^2 or the rich threshold is not a
+    positive normal float.
     """
     tubes = list(tubes)
     n = len(tubes)
@@ -418,8 +395,10 @@ def _excise_exact(tubes, delta, span, r, max_rounds, picks) -> int:
     windows to `picks` and returns the rounds run.
     """
     h = delta / 10.0
-    _, spans, _ = _lattice_net(tubes, 2.0, h)
-    cand, mult = _rich_points(spans, r)
+    spans, at, cover = _lattice_net(tubes, 2.0, h)
+    rich = cover >= r
+    lengths = np.diff(at)[rich]
+    cand, mult = _ranges(at[:-1][rich], lengths), np.repeat(cover[rich], lengths)
     # per tube: candidate numbers, axial coordinates and alive flags; a span's
     # candidates are those of its id range
     net = []
@@ -444,6 +423,8 @@ def _excise_exact(tubes, delta, span, r, max_rounds, picks) -> int:
             if ts.size == 0:
                 continue
             bins = np.arange(-2 * tube.length, 2 * tube.length + delta, delta)
+            if bins.size <= width_bins:  # a tube shorter than one window
+                bins = np.arange(width_bins + 1) * delta - 2 * tube.length
             histo, _ = np.histogram(ts, bins=bins)
             csum = np.concatenate([[0], np.cumsum(histo)])
             sums = csum[width_bins:] - csum[:-width_bins]
@@ -517,9 +498,11 @@ def _merge_picks(picks, delta: float, span: float):
 
 
 def _exact_residual_overlap(tubes, alive_intervals, h: float) -> int:
-    size, _, nets = _lattice_net(tubes, 1.0, h)
-    mult = np.zeros(size, dtype=np.min_scalar_type(len(tubes)))
-    for (ids, ti), ivs in zip(nets(), alive_intervals):
+    spans, at, _ = _lattice_net(tubes, 1.0, h)
+    mult = np.zeros(at.max(initial=0), dtype=np.min_scalar_type(len(tubes)))
+    for t, (ix_t, lo_t, c_t, first_t), ivs in zip(tubes, spans, alive_intervals):
+        ids = _ranges(first_t, c_t)
+        ti = _axial(t, np.repeat(ix_t, c_t), _ranges(lo_t, c_t), h)
         keep = np.zeros(ti.size, dtype=bool)
         for lo, hi in ivs:
             keep |= (ti >= lo) & (ti <= hi)

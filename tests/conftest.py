@@ -4,6 +4,7 @@ import pytest
 from heilbronn.concentration import _box_counts, _box_halves, _need_reach
 from heilbronn.configurations import make_config
 from heilbronn.geometry import Line, _chords_from_local, _line_metric_pairs
+from heilbronn.tubes import _axial
 
 
 def eta_table(prof, t):
@@ -88,6 +89,16 @@ def box_counts(bases, dirs, lengths, centers, frames, scales):
 def random_lines(n, dim, seed):
     rng = np.random.default_rng(seed)
     return [Line(rng.uniform(0, 1, dim), rng.normal(size=dim)) for _ in range(n)]
+
+
+def net_points(tubes, spans, h):
+    """Each tube's net ids and axial coordinates (`tubes._axial`), expanded
+    from its column spans (`tubes._lattice_net`) one column at a time."""
+    for t, (ix, lo, c, first) in zip(tubes, spans):
+        cols = [(np.arange(f, f + k), _axial(t, np.full(k, x), np.arange(y, y + k), h))
+                for x, y, k, f in zip(ix, lo, c, first)]
+        yield (np.concatenate([ids for ids, _ in cols] or [np.empty(0, np.int64)]),
+               np.concatenate([ax for _, ax in cols] or [np.empty(0)]))
 
 
 @pytest.fixture

@@ -17,10 +17,12 @@ import resource
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heilbronn.cli import build_parser, main
-from heilbronn.formats import _parse_file, _tube_record, validate_file
+from heilbronn.formats import _parse_file, _read_lines, _tube_record, validate_file, write_tubes
+from heilbronn.tubes import Tube2D
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -379,7 +381,8 @@ def test_an_empty_tube_family_keeps_its_dimension(dim, tmp_path):
     out = tmp_path / "out"
     assert main(_argv("gen-kt-tubes", out, f"--dim={dim}", "--count=0")) == 0
     assert out.read_text().splitlines()[0] == f"tubes v1 dim={dim} n=0"
-    read_dim, tubes, violations = _parse_file(str(out), "tubes", _tube_record)
+    read_dim, tubes, violations = _parse_file(str(out), _read_lines(str(out)), "tubes",
+                                              _tube_record)
     assert (read_dim, tubes, violations) == (dim, [], [])
 
 
@@ -405,6 +408,18 @@ def test_anneal_skips_a_direction_that_overflows(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(_argv("anneal", tmp_path / "out", "--t0=1e308")) == 0
+
+
+def test_two_ends_on_tubes_shorter_than_a_window_exits_zero(tmp_path):
+    # exited 3 with numpy's "attempt to get argmax of an empty sequence": a
+    # tube's excision histogram held fewer bins than one window
+    rng = np.random.default_rng(1)
+    write_tubes(str(tmp_path / "short.tubes"),
+                [Tube2D(rng.uniform(0.2, 0.8, 2), rng.normal(size=2), 1e-4, 1e-3)
+                 for _ in range(30)])
+    assert main(["two-ends", "-t", str(tmp_path / "short.tubes"), "--delta", "0.015625",
+                 "--span", "0.25", "--rich-constant", "0.001",
+                 "-o", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,7 +32,7 @@ from heilbronn.geometry import (
 from heilbronn.triangles import _apex_groups
 from heilbronn.tubes import Tube2D
 
-from conftest import random_config
+from conftest import net_points, random_config
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300, 1e300, -1e300,
            np.inf, -np.inf, np.nan]
@@ -190,8 +190,9 @@ def test_lattice_net_axial_equals_broadcast(dilate):
     tubes = [Tube2D(rng.uniform(0.1, 0.9, 2), rng.normal(size=2), delta, 1.0)
              for _ in range(12)]
     tubes.append(Tube2D([-1.0, 1.5], [1, 1e-16], delta, 0.5))
-    _, _, nets = tubes_mod._lattice_net(tubes, dilate, delta / 10.0)
-    for (_, got), want in zip(nets(), old_lattice_axial(tubes, dilate, delta / 10.0)):
+    spans, _, _ = tubes_mod._lattice_net(tubes, dilate, delta / 10.0)
+    for (_, got), want in zip(net_points(tubes, spans, delta / 10.0),
+                              old_lattice_axial(tubes, dilate, delta / 10.0)):
         assert np.array_equal(got, want)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from heilbronn import tubes as tubes_mod
 from heilbronn.concentration import HypothesisViolation
-from heilbronn.geometry import complete_frame, direction_distance
+from heilbronn.geometry import _ranges, complete_frame, direction_distance
 from heilbronn.tubes import (
     Shading,
     Tube2D,
@@ -20,6 +20,8 @@ from heilbronn.tubes import (
     shading_union_volume,
     two_ends_decompose,
 )
+
+from conftest import net_points
 
 
 def pencil(n, delta, center=(0.5, 0.5)):
@@ -640,8 +642,9 @@ class TestTwoEndsOracle:
         # the ids encode the partition of the packed keys: equal points get
         # equal ids, different points different ones, numbered 0..size
         h = 2**-6 / 10.0
-        size, _, nets = tubes_mod._lattice_net(tubes, dilate, h)
-        ids, t_ax = (np.concatenate(a) for a in zip(*nets()))
+        spans, at, _ = tubes_mod._lattice_net(tubes, dilate, h)
+        size = at[-1]
+        ids, t_ax = (np.concatenate(a) for a in zip(*net_points(tubes, spans, h)))
         keys, ts = zip(*(old_lattice_points_in_rect(t.center, t.dir, dilate * t.length,
                                                     dilate * t.width, h) for t in tubes))
         assert ids.shape == np.concatenate(keys).shape
@@ -790,7 +793,7 @@ def _corner_tubes(delta):
 
 def test_exact_two_ends_streams_the_pencil():
     # one tube's points at a time and one narrow count per distinct point of
-    # the net: about 16 MB, where a count per bounding-box cell took 144 MB
+    # the net: about 10 MB, where a count per bounding-box cell took 144 MB
     res, peak = _two_ends_peak(pencil(48, 2**-6), 2**-6, 0.25, rich_constant=0.1)
     assert res.exact_net and res.rounds_run >= 1
     assert peak < 32 * 2**20
@@ -811,6 +814,32 @@ def test_exact_two_ends_corner_tubes_equal_loop():
     _same_result(new, old_two_ends_decompose(tubes, 2**-6, 0.25, rich_constant=0.01))
 
 
+def _abutting_tubes(delta):
+    """Two vertical tubes on one column line, the upper one's 2T opening at
+    the lattice row just above the lower one's."""
+    h = delta / 10.0
+    return [Tube2D([0.5, 0.25], [0, 1], delta, 0.25),
+            Tube2D([0.5, 0.5 + round(0.75 / h + 1) * h], [0, 1], delta, 0.25)]
+
+
+def _rich_runs(at, cover, r):
+    # the candidates of `_excise_exact`: the runs of ids whose cover is >= r
+    rich = cover >= r
+    lengths = np.diff(at)[rich]
+    return _ranges(at[:-1][rich], lengths), np.repeat(cover[rich], lengths)
+
+
+def test_exact_two_ends_on_tubes_shorter_than_a_window():
+    # at delta = 2^-6 each tube's histogram np.arange(-2 l, 2 l + delta,
+    # delta) held one bin, fewer than the span / 4 window's 4, and the
+    # window sums raised "attempt to get argmax of an empty sequence"
+    rng = np.random.default_rng(1)
+    tubes = [Tube2D(rng.uniform(0.2, 0.8, 2), rng.normal(size=2), 1e-4, 1e-3)
+             for _ in range(30)]
+    res = two_ends_decompose(tubes, 2**-6, 0.25, rich_constant=0.001)
+    assert res.exact_net and res.rounds_run >= 1 and len(res.tubes_out) >= 1
+
+
 class TestRichPointCoverage:
     @pytest.mark.parametrize("tubes, delta", [
         (pencil(48, 2**-6), 2**-6),
@@ -818,22 +847,50 @@ class TestRichPointCoverage:
         (random_tubes(80, 2**-6, seed=2), 2**-6),
         (grid(12, 2**-5), 2**-5),
         (_corner_tubes(2**-6), 2**-6),
+        (_abutting_tubes(2**-5), 2**-5),
     ])
-    def test_span_coverage_equals_bincount(self, tubes, delta):
+    def test_span_coverage_equals_bincount(self, tubes, delta, monkeypatch):
         # the candidates and multiplicities of the running sum over the span
         # ends equal a count per point over every id of the net, at a
         # threshold that some multiplicity equals, one half below the largest
-        # and one above all of them
-        size, spans, nets = tubes_mod._lattice_net(tubes, 2.0, delta / 10.0)
-        mult = np.bincount(np.concatenate([ids for ids, _ in nets()]), minlength=size)
+        # and one above all of them; `_excise_exact` takes the axial
+        # coordinates of those candidates alone
+        spans, at, cover = tubes_mod._lattice_net(tubes, 2.0, delta / 10.0)
+        points = list(net_points(tubes, spans, delta / 10.0))
+        mult = np.bincount(np.concatenate([ids for ids, _ in points]))
+        assert at[-1] == mult.size and np.all(np.diff(at) >= 0)
+        assert np.array_equal(np.repeat(cover, np.diff(at)), mult)
         levels = np.unique(mult)
         assert levels[0] >= 1
         top = int(levels[-1])
+        inner, seen = tubes_mod._axial, []
+        monkeypatch.setattr(tubes_mod, "_axial", lambda *a: seen.append(inner(*a)) or seen[-1])
         for r in (int(levels[levels.size // 2]), top - 0.5, top + 1):
-            cand, got = tubes_mod._rich_points(spans, r)
+            cand, got = _rich_runs(at, cover, r)
             want = np.flatnonzero(mult >= r)
             assert np.array_equal(cand, want) and np.array_equal(got, mult[want])
             assert (cand.size == 0) == (r > top)
+            seen.clear()
+            assert tubes_mod._excise_exact(tubes, delta, 0.25, r, 0, [[] for _ in tubes]) == 0
+            assert len(seen) == len(tubes)
+            for got_ax, (ids, ax) in zip(seen, points):
+                assert np.array_equal(got_ax, ax[mult[ids] >= r])
         picks = [[] for _ in tubes]
         assert tubes_mod._excise_exact(tubes, delta, 0.25, top + 1, 6, picks) == 0
         assert picks == [[] for _ in tubes]
+
+    def test_abutting_spans_leave_an_empty_run_above_every_multiplicity(self):
+        # in one column the upper tube's span opens at the id where the lower
+        # one's closes; the opening sorts first, so the cover of the empty
+        # run between the two ends exceeds every multiplicity, and
+        # test_span_coverage_equals_bincount checks on this family that no
+        # candidate comes from it
+        delta = 2**-5
+        tubes = _abutting_tubes(delta)
+        spans, at, cover = tubes_mod._lattice_net(tubes, 2.0, delta / 10.0)
+        (ix0, _, c0, f0), (ix1, _, _, f1) = spans
+        closes, opens = dict(zip(ix0.tolist(), f0 + c0)), dict(zip(ix1.tolist(), f1))
+        assert any(closes[x] == opens[x] for x in closes.keys() & opens.keys())
+        empty = np.diff(at) == 0
+        top = int(cover[~empty].max())
+        assert np.any(empty & (cover > top))
